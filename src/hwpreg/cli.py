@@ -14,6 +14,7 @@ byte-deterministic JSON; human output uses the ASCII element notation
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -159,15 +160,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     except TargetFormatError as err:
         raise CliError(2, f"bad target document: {err}") from err
     if args.budget_nodes is not None:
-        target = type(target)(
-            target.group,
-            target.r,
-            target.s,
-            target.entries,
-            target.subgroups,
-            target.generators,
-            args.budget_nodes,
-        )
+        if args.budget_nodes < 1:
+            raise CliError(2, "--budget-nodes must be positive")
+        target = dataclasses.replace(target, budget_nodes=args.budget_nodes)
     outcome = search_hwp(target)
     if args.format == "canonical":
         sys.stdout.write(_canonical(outcome.to_dict()))

@@ -2,7 +2,10 @@
 
 A cycle is stored in canonical form: the lexicographically least among
 all rotations of both orientations, so equality means equality as a
-subgraph.  The group acts on cycles by right translation.  The list of
+subgraph.  The group acts on cycles by right translation.  Stabilizers
+and orbits are computed from the multiplication table, on vertex
+indices; canonical cycles are built only for the distinct translates
+that make up an orbit.  The list of
 partial differences of a cycle C = (c_1, ..., c_l) is the inverse-closed
 set collecting c_{t+1} * c_t^-1 for every consecutive pair (indices mod
 l); when the orbit of C under the full group tiles Cay[G:Omega] exactly,
@@ -84,17 +87,53 @@ def translate_cycle(c: Cycle, x: int) -> Cycle:
     return Cycle(G, _canonical_rotation(tuple(G.mul(v, x) for v in c.verts)))
 
 
+def _right_action(
+    group: FiniteGroup, cycles: Sequence[Cycle], members: Sequence[int], what: str
+) -> tuple[tuple[int, ...], list[int]]:
+    """Stabilizer and right transversal of vertex-disjoint cycles in members.
+
+    x fixes the cycles exactly when it maps the neighbours of every vertex
+    v onto the neighbours of v*x.  Such an x sends min(V) into V, so the
+    only candidates are min(V)^-1 * w for w in V.  The stabilizer returned
+    is the part of that subgroup inside members, in the order of members.
+    The transversal keeps the first x of every right coset Stab*x of
+    members; translating by it gives each distinct translate once.
+    """
+    T = group.table
+    nbr: dict[int, tuple[int, int]] = {}
+    for c in cycles:
+        vs = c.verts
+        for t, v in enumerate(vs):
+            nbr[v] = (vs[t - 1], vs[(t + 1) % len(vs)])
+    base_inv = group.inv_table[min(nbr)]
+    found: set[int] = set()
+    for w in nbr:
+        x = T[base_inv][w]
+        for v, (a, b) in nbr.items():
+            image = nbr.get(T[v][x])
+            ax, bx = T[a][x], T[b][x]
+            if image != (ax, bx) and image != (bx, ax):
+                break
+        else:
+            found.add(x)
+    for a in found:
+        for b in found:
+            if T[a][b] not in found:
+                raise GroupError(f"{what} stabilizer is not closed")
+    stabilizer = tuple(x for x in members if x in found)
+    transversal: list[int] = []
+    covered: set[int] = set()
+    for x in members:
+        if x not in covered:
+            transversal.append(x)
+            covered.update(T[s][x] for s in stabilizer)
+    return stabilizer, transversal
+
+
 def cycle_stabilizer(c: Cycle) -> Subgroup:
     """Set-wise stabilizer of c under right translation (checked subgroup)."""
     G = c.group
-    members = tuple(
-        x for x in range(len(G)) if translate_cycle(c, x) == c
-    )
-    mset = set(members)
-    for a in members:
-        for b in members:
-            if G.mul(a, b) not in mset:
-                raise GroupError("cycle stabilizer is not closed")
+    members, _ = _right_action(G, (c,), range(len(G)), "cycle")
     return Subgroup(G, members, members)
 
 
@@ -113,15 +152,11 @@ class CycleOrbit:
 
 def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
     """Distinct translates of c under sub, with the orbit-stabilizer check."""
-    seen: dict[Cycle, None] = {}
-    for x in sub.members:
-        seen.setdefault(translate_cycle(c, x), None)
     G = c.group
-    stab_members = tuple(
-        x for x in sub.members if translate_cycle(c, x) == c
-    )
+    stab_members, transversal = _right_action(G, (c,), sub.members, "cycle")
     stab = Subgroup(G, stab_members, stab_members)
-    orbit = tuple(sorted(seen, key=lambda cc: cc.verts))
+    translates = {translate_cycle(c, x) for x in transversal}
+    orbit = tuple(sorted(translates, key=lambda cc: cc.verts))
     if len(orbit) * stab.order != sub.order:
         raise GroupError(
             f"orbit-stabilizer mismatch: {len(orbit)} * {stab.order} != {sub.order}"

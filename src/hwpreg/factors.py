@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cayley import cocktail_party_graph
-from .cycles import Cycle, cycle_orbit, translate_cycle
+from .cycles import Cycle, _right_action, cycle_orbit, translate_cycle
 from .groups import FiniteGroup, GroupError, Subgroup
 
 CERTIFICATE_FORMAT = "hwp-regular-certificate/1"
@@ -98,45 +98,24 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
     return TwoFactor(group, _sorted_cycles(cycles))
 
 
-def translate_factor(f: TwoFactor, x: int) -> TwoFactor:
-    return TwoFactor(f.group, _sorted_cycles(translate_cycle(c, x) for c in f.cycles))
-
-
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the whole factor under right translation."""
     G = f.group
-    members = tuple(x for x in range(len(G)) if translate_factor(f, x) == f)
-    mset = set(members)
-    for a in members:
-        for b in members:
-            if G.mul(a, b) not in mset:
-                raise GroupError("factor stabilizer is not closed")
+    members, _ = _right_action(G, f.cycles, range(len(G)), "factor")
     return Subgroup(G, members, members)
 
 
 def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
     """Distinct right translates of f under the full group, sorted."""
     G = f.group
+    stab, transversal = _right_action(G, f.cycles, range(len(G)), "factor")
     seen: dict[tuple, TwoFactor] = {}
-    for x in range(len(G)):
-        t = translate_factor(f, x)
+    for x in transversal:
+        t = TwoFactor(G, _sorted_cycles(translate_cycle(c, x) for c in f.cycles))
         seen.setdefault(t.key(), t)
+    if len(seen) * len(stab) != len(G):
+        raise GroupError("factor orbit-stabilizer mismatch")
     return tuple(seen[k] for k in sorted(seen))
-
-
-def translation_permutes_factors(
-    factors: Sequence[TwoFactor], elements: Optional[Iterable[int]] = None
-) -> bool:
-    """True when right translation maps the factor list onto itself."""
-    if not factors:
-        return True
-    G = factors[0].group
-    keys = {f.key() for f in factors}
-    for x in elements if elements is not None else range(len(G)):
-        for f in factors:
-            if translate_factor(f, x).key() not in keys:
-                return False
-    return True
 
 
 def hwp_feasibility(v: int, r: int, s: int) -> tuple[bool, Optional[str]]:
@@ -361,8 +340,6 @@ def verify_factorization(
             f = assemble_factor(group, recipe)
             stab = factor_stabilizer(f)
             orbit = factor_orbit(f)
-            if len(orbit) * stab.order != len(group):
-                raise GroupError("factor orbit-stabilizer mismatch")
             reports.append(
                 FactorReport(
                     recipe.label,

@@ -449,9 +449,6 @@ class FiniteGroup:
     def format(self, idx: int, fancy: bool = False) -> str:
         return self._formatter(self.elements[idx], fancy)
 
-    def format_all(self, indices: Iterable[int], fancy: bool = False) -> list[str]:
-        return [self.format(i, fancy) for i in indices]
-
 
 @lru_cache(maxsize=None)
 def build_group(gid: str) -> FiniteGroup:

@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .cycles import cycle, cycle_orbit, cycle_stabilizer, forward_differences
 from .factors import (
@@ -37,7 +37,13 @@ from .factors import (
     hwp_feasibility,
 )
 from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
-from .solutions import SolutionSpec, parse_solution_dict, solution_recipes, verify_solution
+from .solutions import (
+    SolutionSpec,
+    _strict_int,
+    parse_solution_dict,
+    solution_recipes,
+    verify_solution,
+)
 
 VERDICT_FOUND = "found"
 VERDICT_EXHAUSTED = "exhausted"
@@ -121,14 +127,6 @@ class SearchOutcome:
         return "\n".join(lines) + "\n"
 
 
-def canonical_pruning_key(group: FiniteGroup, differences: Iterable[int]) -> int:
-    """Bitmask over element indices; the memo key for consumed differences."""
-    mask = 0
-    for d in differences:
-        mask |= (1 << d) | (1 << group.inv(d))
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # target documents
 
@@ -153,10 +151,8 @@ def parse_target_dict(doc: Mapping) -> SearchTarget:
     tgt = doc["target"]
     if not isinstance(tgt, Mapping) or set(tgt) != {"r", "s"}:
         raise TargetFormatError('target.target must be {"r": int, "s": int}')
-    try:
-        r, s = int(tgt["r"]), int(tgt["s"])
-    except (TypeError, ValueError) as err:
-        raise TargetFormatError(f"target.target: {err}") from err
+    r = _strict_int(tgt["r"], "target.r", TargetFormatError)
+    s = _strict_int(tgt["s"], "target.s", TargetFormatError)
     if r < 0 or s < 0:
         raise TargetFormatError("factor counts must be nonnegative")
 
@@ -195,11 +191,8 @@ def parse_target_dict(doc: Mapping) -> SearchTarget:
             raise TargetFormatError(
                 f"{where}: expected cycle_length, orbit_length and subgroup"
             )
-        try:
-            length = int(item["cycle_length"])
-            orbit = int(item["orbit_length"])
-        except (TypeError, ValueError) as err:
-            raise TargetFormatError(f"{where}: {err}") from err
+        length = _strict_int(item["cycle_length"], f"{where}.cycle_length", TargetFormatError)
+        orbit = _strict_int(item["orbit_length"], f"{where}.orbit_length", TargetFormatError)
         if length < 3:
             raise TargetFormatError(f"{where}: cycle length must be at least 3")
         if orbit < 1:
@@ -215,10 +208,7 @@ def parse_target_dict(doc: Mapping) -> SearchTarget:
         if not isinstance(raw_budget, Mapping) or set(raw_budget) - {"nodes"}:
             raise TargetFormatError('budget must be {"nodes": int}')
         if "nodes" in raw_budget:
-            try:
-                budget = int(raw_budget["nodes"])
-            except (TypeError, ValueError) as err:
-                raise TargetFormatError(f"budget.nodes: {err}") from err
+            budget = _strict_int(raw_budget["nodes"], "budget.nodes", TargetFormatError)
             if budget < 1:
                 raise TargetFormatError("budget.nodes must be positive")
 

@@ -100,6 +100,13 @@ def _require_keys(doc: Mapping, required: set[str], optional: set[str], where: s
         raise SolutionFormatError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _strict_int(value, where: str, error: type[ValueError]) -> int:
+    """The value itself when it is an int; bools and other types raise error."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_elements(group: FiniteGroup, texts: Sequence, where: str) -> list[int]:
     if not isinstance(texts, (list, tuple)) or not texts:
         raise SolutionFormatError(f"{where}: expected a non-empty list of element texts")
@@ -187,10 +194,10 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     if not isinstance(expected_doc, Mapping):
         raise SolutionFormatError("expected must be a mapping")
     _require_keys(expected_doc, {"v", "r", "s"}, set(), "expected")
-    try:
-        expected = (int(expected_doc["v"]), int(expected_doc["r"]), int(expected_doc["s"]))
-    except (TypeError, ValueError) as err:
-        raise SolutionFormatError(f"expected: {err}") from err
+    expected = tuple(
+        _strict_int(expected_doc[k], f"expected.{k}", SolutionFormatError)
+        for k in ("v", "r", "s")
+    )
     if expected[0] != len(group):
         raise SolutionFormatError(
             f"expected.v={expected[0]} does not match |{group.id}|={len(group)}"

@@ -165,6 +165,15 @@ def test_search_cli_budget_override(tmp_path, capsys):
     assert not out_file.exists()  # nothing found, nothing written
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_cli_rejects_non_positive_budget(tmp_path, capsys, budget):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(TARGET_24_9_2), encoding="utf-8")
+    code, out, err = run(capsys, "search", str(target), "--budget-nodes", budget)
+    assert code == 2 and out == ""
+    assert "--budget-nodes must be positive" in err
+
+
 def test_search_cli_canonical(tmp_path, capsys):
     doc = dict(TARGET_24_9_2)
     doc["budget"] = {"nodes": 30}

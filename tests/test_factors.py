@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from action_oracle import translate_factor, translation_permutes_factors
 from hwpreg.cycles import cycle_from_texts
 from hwpreg.factors import (
     CERTIFICATE_FORMAT,
@@ -14,8 +15,6 @@ from hwpreg.factors import (
     factor_orbit,
     factor_stabilizer,
     hwp_feasibility,
-    translate_factor,
-    translation_permutes_factors,
     verify_factorization,
 )
 from hwpreg.groups import build_group
@@ -89,6 +88,9 @@ def test_translate_factor_action():
     f = assemble_factor(G, recipes[2])
     x, y = G.parse("a5"), G.parse("b")
     assert translate_factor(translate_factor(f, x), y) == translate_factor(f, G.mul(x, y))
+    # the orbit holds exactly the distinct translates by every element
+    translates = {translate_factor(f, g).key() for g in range(len(G))}
+    assert [t.key() for t in factor_orbit(f)] == sorted(translates)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,6 @@ from hwpreg.groups import build_group
 from hwpreg.search import (
     SignatureEntry,
     TargetFormatError,
-    canonical_pruning_key,
     load_target_file,
     parse_target_dict,
     parse_target_text,
@@ -86,11 +86,22 @@ def test_parse_target_rejects(mutate, fragment):
         parse_target_dict(doc)
 
 
-def test_canonical_pruning_key_is_inverse_closed():
-    G = build_group("Q24")
-    a = G.parse("a")
-    key = canonical_pruning_key(G, [a])
-    assert key == (1 << a) | (1 << G.inv(a))
+@pytest.mark.parametrize("value", ["9", 9.0, 4.9, True, None, [9]])
+@pytest.mark.parametrize(
+    "field,place",
+    [
+        ("target.r", lambda d, x: d["target"].update(r=x)),
+        ("target.s", lambda d, x: d["target"].update(s=x)),
+        ("signature[0].cycle_length", lambda d, x: d["signature"][0].update(cycle_length=x)),
+        ("signature[2].orbit_length", lambda d, x: d["signature"][2].update(orbit_length=x)),
+        ("budget.nodes", lambda d, x: d["budget"].update(nodes=x)),
+    ],
+)
+def test_parse_target_rejects_non_integers(field, place, value):
+    doc = _target()
+    place(doc, value)
+    with pytest.raises(TargetFormatError, match=re.escape(f"{field} must be an integer")):
+        parse_target_dict(doc)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Bundled solutions: format strictness, loading, annotations, verification."""
 
 import json
+import re
 
 import pytest
 
@@ -89,6 +90,14 @@ def _expect_format_error(doc, fragment):
 
 def test_rejects_non_mapping():
     _expect_format_error([], "JSON object")
+
+
+@pytest.mark.parametrize("value", ["24", 24.0, True, None])
+@pytest.mark.parametrize("key", ["v", "r", "s"])
+def test_rejects_non_integer_expected(doc_copy, key, value):
+    doc = doc_copy("24-9-2")
+    doc["expected"][key] = value
+    _expect_format_error(doc, re.escape(f"expected.{key} must be an integer"))
 
 
 def test_rejects_unknown_top_level_key(doc_copy):
