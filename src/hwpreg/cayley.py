@@ -69,13 +69,6 @@ def connection_set(group: FiniteGroup, members: Iterable[int]) -> ConnectionSet:
     return ConnectionSet(group, frozenset(members))
 
 
-def full_connection(group: FiniteGroup) -> ConnectionSet:
-    """G minus the identity: generates the complete graph."""
-    return connection_set(
-        group, (x for x in range(len(group)) if x != group.identity)
-    )
-
-
 def cocktail_party_connection(group: FiniteGroup) -> ConnectionSet:
     """G minus the identity and its involution: generates K_v minus I."""
     drop = {group.identity, group.unique_involution()}
@@ -96,9 +89,6 @@ class CayleyGraph:
                 out.add(edge(g, G.mul(s, g)))
         return frozenset(out)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -107,15 +97,6 @@ def cayley_graph(group: FiniteGroup, connection: ConnectionSet) -> CayleyGraph:
     if connection.group is not group:
         raise GroupError("connection set belongs to a different group")
     return CayleyGraph(group, connection)
-
-
-def one_factor(group: FiniteGroup) -> CayleyGraph:
-    """The perfect matching I induced by the unique involution."""
-    return CayleyGraph(group, connection_set(group, {group.unique_involution()}))
-
-
-def complete_graph(group: FiniteGroup) -> CayleyGraph:
-    return CayleyGraph(group, full_connection(group))
 
 
 def cocktail_party_graph(group: FiniteGroup) -> CayleyGraph:

@@ -21,7 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cycles import CycleError, cycle_orbit, omega_representatives, partial_differences
-from .factors import RecipeError, assemble_factor, factor_orbit
+from .factors import RecipeError, assemble_factor, canonical_json, factor_orbit
 from .groups import ElementError, GroupError
 from .search import TargetFormatError, load_target_file, search_hwp
 from .solutions import (
@@ -33,6 +33,7 @@ from .solutions import (
     load_solution_file,
     resolve_subgroup,
     solution_recipes,
+    solution_to_dict,
     verify_solution,
 )
 
@@ -43,8 +44,15 @@ class CliError(Exception):
         self.code = code
 
 
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _bad_input(what: str, err: ValueError) -> CliError:
+    """Exit 2: a file that cannot be read, or a malformed document."""
+    if isinstance(err.__cause__, (OSError, UnicodeDecodeError)):
+        return CliError(2, str(err))
+    return CliError(2, f"bad {what} document: {err}")
+
+
+def _pretty(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _load(token: str) -> SolutionSpec:
@@ -55,7 +63,7 @@ def _load(token: str) -> SolutionSpec:
         if os.path.exists(token):
             return load_solution_file(token)
     except SolutionFormatError as err:
-        raise CliError(2, f"bad solution document: {err}") from err
+        raise _bad_input("solution", err) from err
     raise CliError(2, f"{token!r} is neither a bundled solution id nor a file")
 
 
@@ -74,7 +82,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         v, r, s = spec.expected
         rows.append({"id": sid, "group": spec.group.id, "v": v, "r": r, "s": s})
     if args.format == "canonical":
-        _emit(_canonical(rows), args.out)
+        _emit(canonical_json(rows), args.out)
     else:
         lines = [
             f"{row['id']:<10} {row['group']:<5} v={row['v']:<3} r={row['r']:<3} s={row['s']}"
@@ -90,8 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = cert.canonical_text() if args.format == "canonical" else cert.human_text()
     sys.stdout.write(text)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert.canonical_text())
+        _emit(cert.canonical_text(), args.out)
     return 0 if cert.ok else 1
 
 
@@ -116,7 +123,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
             "representatives": reps,
             "members": members,
         }
-        _emit(_canonical(doc), args.out)
+        _emit(canonical_json(doc), args.out)
     else:
         _emit("{" + ", ".join(reps) + "}^{±1}\n", args.out)
     return 0
@@ -141,7 +148,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             "stabilizer_order": orb.stabilizer.order,
             "cycles": [[spec.group.format(v) for v in cc.verts] for cc in orb.cycles],
         }
-        _emit(_canonical(doc), args.out)
+        _emit(canonical_json(doc), args.out)
     else:
         lines = [
             f"Orb[{name}]({args.cycle}): {len(orb)} cycles of length {c.length}, "
@@ -155,23 +162,19 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     try:
         target = load_target_file(args.target)
-    except OSError as err:
-        raise CliError(2, f"cannot read target: {err}") from err
     except TargetFormatError as err:
-        raise CliError(2, f"bad target document: {err}") from err
+        raise _bad_input("target", err) from err
     if args.budget_nodes is not None:
         if args.budget_nodes < 1:
             raise CliError(2, "--budget-nodes must be positive")
         target = dataclasses.replace(target, budget_nodes=args.budget_nodes)
     outcome = search_hwp(target)
     if args.format == "canonical":
-        sys.stdout.write(_canonical(outcome.to_dict()))
+        sys.stdout.write(canonical_json(outcome.to_dict()))
     else:
         sys.stdout.write(outcome.human_text())
     if args.out is not None and outcome.solution is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(outcome.solution, fh, indent=2)
-            fh.write("\n")
+        _emit(_pretty(outcome.solution), args.out)
     return 0 if outcome.verdict == "found" else 1
 
 
@@ -199,22 +202,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         except (RecipeError, GroupError) as err:
             raise CliError(1, f"cannot expand factorization: {err}") from err
         return 0
-    doc = {
-        "id": spec.id,
-        "group": spec.group.id,
-        "subgroups": {n: list(g) for n, g in spec.subgroup_generators.items()},
-        "cycles": {
-            n: [spec.group.format(v) for v in c.verts] for n, c in spec.cycles.items()
-        },
-        "factors": [
-            {"cycles": list(names), "subgroup": sub} for names, sub in spec.factors
-        ],
-        "expected": dict(zip(("v", "r", "s"), spec.expected)),
-    }
-    if args.format == "canonical":
-        _emit(_canonical(doc), args.out)
-    else:
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    doc = solution_to_dict(spec)
+    _emit(canonical_json(doc) if args.format == "canonical" else _pretty(doc), args.out)
     return 0
 
 

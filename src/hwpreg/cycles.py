@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cayley import ConnectionSet, cayley_graph, connection_set, edge
+from .cayley import ConnectionSet, connection_set, edge
 from .groups import FiniteGroup, GroupError, Subgroup
 
 
@@ -195,51 +195,6 @@ def omega_representatives(c: Cycle) -> list[int]:
         seen.update((d, G.inv(d)))
         reps.append(d)
     return reps
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Outcome of checking that Orb_G(C) decomposes Cay[G:Omega(C)]."""
-
-    ok: bool
-    omega: ConnectionSet
-    orbit_length: int
-    edges_expected: int
-    edges_seen: int
-    witness: Optional[tuple[int, int]]  # an edge covered != once, if any
-    message: str
-
-
-def verify_orbit_decomposition(c: Cycle) -> DecompositionReport:
-    """Check the full-group orbit of c covers every Cay[G:Omega] edge once."""
-    G = c.group
-    omega = partial_differences(c)
-    orbit = cycle_orbit(c, G.whole_subgroup())
-    counts: Counter[tuple[int, int]] = Counter()
-    for cc in orbit.cycles:
-        counts.update(cc.edges())
-    target = cayley_graph(G, omega).edges
-    for e, n in counts.items():
-        if n > 1:
-            return DecompositionReport(
-                False, omega, len(orbit), len(target), sum(counts.values()), e,
-                "edge covered more than once by the cycle orbit",
-            )
-        if e not in target:
-            return DecompositionReport(
-                False, omega, len(orbit), len(target), sum(counts.values()), e,
-                "orbit edge outside the Cayley graph of the differences",
-            )
-    missing = target - counts.keys()
-    if missing:
-        e = min(missing)
-        return DecompositionReport(
-            False, omega, len(orbit), len(target), sum(counts.values()), e,
-            "Cayley graph edge not covered by the cycle orbit",
-        )
-    return DecompositionReport(
-        True, omega, len(orbit), len(target), sum(counts.values()), None, "ok"
-    )
 
 
 @dataclass(frozen=True)

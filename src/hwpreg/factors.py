@@ -24,6 +24,11 @@ from .groups import FiniteGroup, GroupError, Subgroup
 CERTIFICATE_FORMAT = "hwp-regular-certificate/1"
 
 
+def canonical_json(doc) -> str:
+    """Byte-stable JSON text of doc: sorted keys, no whitespace, one newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class RecipeError(ValueError):
     """A factor recipe that fails to assemble into a 2-factor."""
 
@@ -237,7 +242,7 @@ class Certificate:
 
     def canonical_text(self) -> str:
         """Byte-stable JSON rendering (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_dict())
 
     def human_text(self) -> str:
         lines = []

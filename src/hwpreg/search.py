@@ -17,18 +17,23 @@ orienting the base cycle so its second vertex precedes its last.  Dead
 entry states, keyed by (entry index, consumed-difference bitmask), are
 memoized only when their subtree was exhausted normally, so the memo
 stays sound when a node budget aborts the search.  Anything found is
-re-verified through the solution pipeline before it is reported.
+written with ``solution_to_dict`` and re-verified by reading that
+document back through the solution pipeline before it is reported.  The
+searcher changes no process-wide state; its recursion stays within the
+default limit (see ``search_hwp``).
+
+A target document is read as strictly as a solution document, by the
+same field readers (see ``solutions.py``): wrong types, unknown keys and
+unreadable files raise ``TargetFormatError``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cycles import cycle, cycle_orbit, cycle_stabilizer, forward_differences
+from .cycles import Cycle, cycle, cycle_orbit, cycle_stabilizer, forward_differences
 from .factors import (
     Certificate,
     TwoFactor,
@@ -36,12 +41,21 @@ from .factors import (
     factor_stabilizer,
     hwp_feasibility,
 )
-from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
+from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
     SolutionSpec,
+    _parse_json,
+    _read_group,
+    _read_json_file,
+    _read_keys,
+    _read_list,
+    _read_ref,
+    _read_subgroups,
     _strict_int,
     parse_solution_dict,
+    resolve_subgroup,
     solution_recipes,
+    solution_to_dict,
     verify_solution,
 )
 
@@ -133,99 +147,44 @@ class SearchOutcome:
 
 def parse_target_dict(doc: Mapping) -> SearchTarget:
     """Validate a search target document and resolve it against its group."""
-    if not isinstance(doc, Mapping):
-        raise TargetFormatError("target document must be a JSON object")
-    keys = set(doc)
-    unknown = keys - {"group", "target", "signature", "subgroups", "budget"}
-    if unknown:
-        raise TargetFormatError(f"target: unknown keys {sorted(unknown)}")
-    missing = {"group", "target", "signature", "subgroups"} - keys
-    if missing:
-        raise TargetFormatError(f"target: missing keys {sorted(missing)}")
-
-    try:
-        group = build_group(doc["group"])
-    except (GroupError, TypeError) as err:
-        raise TargetFormatError(f"group: {err}") from err
-
-    tgt = doc["target"]
-    if not isinstance(tgt, Mapping) or set(tgt) != {"r", "s"}:
-        raise TargetFormatError('target.target must be {"r": int, "s": int}')
-    r = _strict_int(tgt["r"], "target.r", TargetFormatError)
-    s = _strict_int(tgt["s"], "target.s", TargetFormatError)
+    E = TargetFormatError
+    _read_keys(doc, {"group", "target", "signature", "subgroups"}, {"budget"}, "target", E)
+    group = _read_group(doc["group"], E)
+    tgt = _read_keys(doc["target"], {"r", "s"}, set(), "target.target", E)
+    r = _strict_int(tgt["r"], "target.r", E)
+    s = _strict_int(tgt["s"], "target.s", E)
     if r < 0 or s < 0:
-        raise TargetFormatError("factor counts must be nonnegative")
+        raise E("factor counts must be nonnegative")
+    subgroups, generators = _read_subgroups(group, doc["subgroups"], E)
 
-    raw_subs = doc["subgroups"]
-    if not isinstance(raw_subs, Mapping):
-        raise TargetFormatError("subgroups must be a mapping")
-    subgroups: dict[str, Subgroup] = {}
-    generators: dict[str, tuple[str, ...]] = {}
-    for name, gens in raw_subs.items():
-        if not isinstance(name, str) or not name or name == "G":
-            raise TargetFormatError(f"invalid subgroup name {name!r}")
-        if not isinstance(gens, list) or not gens:
-            raise TargetFormatError(f"subgroups.{name}: expected a non-empty list")
-        idxs = []
-        for t in gens:
-            if not isinstance(t, str):
-                raise TargetFormatError(f"subgroups.{name}: generator must be a string")
-            try:
-                idxs.append(group.parse(t))
-            except (ElementError, GroupError) as err:
-                raise TargetFormatError(f"subgroups.{name}: {err}") from err
-        subgroups[name] = group.subgroup_closure(idxs)
-        generators[name] = tuple(gens)
-
-    raw_sig = doc["signature"]
-    if not isinstance(raw_sig, list) or not raw_sig:
-        raise TargetFormatError("signature must be a non-empty list")
     entries = []
-    for n, item in enumerate(raw_sig):
+    for n, item in enumerate(_read_list(doc["signature"], "signature", E)):
         where = f"signature[{n}]"
-        if not isinstance(item, Mapping) or set(item) != {
-            "cycle_length",
-            "orbit_length",
-            "subgroup",
-        }:
-            raise TargetFormatError(
-                f"{where}: expected cycle_length, orbit_length and subgroup"
-            )
-        length = _strict_int(item["cycle_length"], f"{where}.cycle_length", TargetFormatError)
-        orbit = _strict_int(item["orbit_length"], f"{where}.orbit_length", TargetFormatError)
+        _read_keys(item, {"cycle_length", "orbit_length", "subgroup"}, set(), where, E)
+        length = _strict_int(item["cycle_length"], f"{where}.cycle_length", E)
+        orbit = _strict_int(item["orbit_length"], f"{where}.orbit_length", E)
         if length < 3:
-            raise TargetFormatError(f"{where}: cycle length must be at least 3")
+            raise E(f"{where}: cycle length must be at least 3")
         if orbit < 1:
-            raise TargetFormatError(f"{where}: orbit length must be at least 1")
-        sub = item["subgroup"]
-        if sub != "G" and sub not in subgroups:
-            raise TargetFormatError(f"{where}: unknown subgroup {sub!r}")
+            raise E(f"{where}: orbit length must be at least 1")
+        sub = _read_ref(item["subgroup"], ("G", *subgroups), "subgroup", where, E)
         entries.append(SignatureEntry(length, orbit, sub))
 
     budget = None
-    if "budget" in doc:
-        raw_budget = doc["budget"]
-        if not isinstance(raw_budget, Mapping) or set(raw_budget) - {"nodes"}:
-            raise TargetFormatError('budget must be {"nodes": int}')
-        if "nodes" in raw_budget:
-            budget = _strict_int(raw_budget["nodes"], "budget.nodes", TargetFormatError)
-            if budget < 1:
-                raise TargetFormatError("budget.nodes must be positive")
-
+    raw_budget = _read_keys(doc.get("budget", {}), set(), {"nodes"}, "budget", E)
+    if "nodes" in raw_budget:
+        budget = _strict_int(raw_budget["nodes"], "budget.nodes", E)
+        if budget < 1:
+            raise E("budget.nodes must be positive")
     return SearchTarget(group, r, s, tuple(entries), subgroups, generators, budget)
 
 
 def parse_target_text(text: str) -> SearchTarget:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise TargetFormatError(f"not valid JSON: {err}") from err
-    return parse_target_dict(doc)
+    return parse_target_dict(_parse_json(text, TargetFormatError))
 
 
 def load_target_file(path: str) -> SearchTarget:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_target_text(fh.read())
+    return parse_target_dict(_read_json_file(path, "target", TargetFormatError))
 
 
 def target_from_solution(
@@ -290,10 +249,7 @@ class _Searcher:
         self.n = len(G)
         self.stats = stats
         self.sig = target.entries
-        self.subs = [
-            G.whole_subgroup() if e.subgroup == "G" else target.subgroups[e.subgroup]
-            for e in target.entries
-        ]
+        self.subs = [resolve_subgroup(target, e.subgroup) for e in target.entries]
         self.pair_mask = [
             (1 << d) | (1 << G.inv(d)) for d in range(self.n)
         ]
@@ -454,11 +410,7 @@ def _infeasible(target: SearchTarget) -> Optional[str]:
             return f"signature[{n}]: factors must consist of triangles or quadrangles"
         if v % entry.cycle_length:
             return f"signature[{n}]: cycle length {entry.cycle_length} does not divide v={v}"
-        sub = (
-            G.whole_subgroup()
-            if entry.subgroup == "G"
-            else target.subgroups[entry.subgroup]
-        )
+        sub = resolve_subgroup(target, entry.subgroup)
         if entry.orbit_length * sub.order != v:
             return (
                 f"signature[{n}]: orbit length {entry.orbit_length} with subgroup "
@@ -472,27 +424,27 @@ def _infeasible(target: SearchTarget) -> Optional[str]:
     return None
 
 
-def _solution_document(target: SearchTarget, picked: list) -> dict:
+def _found_spec(target: SearchTarget, picked: list) -> SolutionSpec:
+    """The solution the searcher found, with cycles named C1, C2, ..."""
     G = target.group
-    cycles: dict[str, list[str]] = {}
+    cycles: dict[str, Cycle] = {}
     factors = []
     for entry, (acc, _) in zip(target.entries, picked):
         names = []
         for c, _orb in acc:
             name = f"C{len(cycles) + 1}"
-            cycles[name] = [G.format(v) for v in c.verts]
+            cycles[name] = c
             names.append(name)
-        factors.append({"cycles": names, "subgroup": entry.subgroup})
-    return {
-        "id": f"search-{G.id}-{target.r}-{target.s}",
-        "group": G.id,
-        "subgroups": {
-            name: list(texts) for name, texts in target.generators.items()
-        },
-        "cycles": cycles,
-        "factors": factors,
-        "expected": {"v": len(G), "r": target.r, "s": target.s},
-    }
+        factors.append((tuple(names), entry.subgroup))
+    return SolutionSpec(
+        id=f"search-{G.id}-{target.r}-{target.s}",
+        group=G,
+        subgroups=target.subgroups,
+        subgroup_generators=target.generators,
+        cycles=cycles,
+        factors=tuple(factors),
+        expected=(len(G), target.r, target.s),
+    )
 
 
 def search_hwp(target: SearchTarget) -> SearchOutcome:
@@ -513,27 +465,26 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     # identity cannot occur as a difference; the involution marks I-edges
     start_used = (1 << G.identity) | searcher.pair_mask[G.unique_involution()]
 
-    limit = sys.getrecursionlimit()
-    need = 200 + 6 * len(G) * len(target.entries)
+    # The default recursion limit is enough.  A cycle's stabilizer acts
+    # semiregularly on its l vertices, so a sub-orbit under S covers at
+    # least |S| vertices and an entry grows at most v/|S| = orbit_length
+    # sub-orbits of l + 2 <= 6 frames.  A feasible target therefore nests
+    # at most 2E + 6(v/2 - 1) + 1 frames for E entries: 185 at v = 48.
     began = time.perf_counter()
     verdict, solution, cert = VERDICT_EXHAUSTED, None, None
     try:
-        if need > limit:
-            sys.setrecursionlimit(need)
-        try:
-            searcher.entry_start(0, start_used, [])
-        except _Solved as hit:
-            solution = _solution_document(target, hit.picked)
-            cert = verify_solution(parse_solution_dict(solution))
-            if not cert.ok:
-                raise GroupError(
-                    f"search produced a candidate that failed verification: {cert.failure}"
-                )
-            verdict = VERDICT_FOUND
-        except _Budget:
-            verdict = VERDICT_BUDGET
+        searcher.entry_start(0, start_used, [])
+    except _Solved as hit:
+        solution = solution_to_dict(_found_spec(target, hit.picked))
+        cert = verify_solution(parse_solution_dict(solution))
+        if not cert.ok:
+            raise GroupError(
+                f"search produced a candidate that failed verification: {cert.failure}"
+            )
+        verdict = VERDICT_FOUND
+    except _Budget:
+        verdict = VERDICT_BUDGET
     finally:
-        sys.setrecursionlimit(limit)
         stats.seconds = time.perf_counter() - began
         stats.memo_entries = len(searcher.dead)
     return SearchOutcome(verdict, None, solution, cert, stats)

@@ -1,4 +1,4 @@
-"""Bundled 2-factorization solutions and the strict solution-file format.
+"""Bundled 2-factorization solutions and the strict document readers.
 
 A solution document is JSON with exactly these top-level keys:
 
@@ -20,27 +20,27 @@ A solution document is JSON with exactly these top-level keys:
                ``omega_mismatches_expected`` (cycle names whose annotated
                listing is known not to match), and ``notes`` (strings).
 
-Unknown keys anywhere are rejected.  ``verify_solution`` recomputes all
-difference sets, checks they partition the group minus the identity and
-its involution, certifies exact edge coverage of K_v minus I, and diffs
-the recomputed difference sets against the annotated listings.
+Every field is type-checked and unknown keys anywhere are rejected; a
+malformed or unreadable document raises ``SolutionFormatError``.  The
+field readers below take the caller's error type, so search targets are
+read by them too.  ``solution_to_dict`` writes the six required keys.
+
+``verify_solution`` recomputes all difference sets, checks they
+partition the group minus the identity and its involution, certifies
+exact edge coverage of K_v minus I, and diffs the recomputed difference
+sets against the annotated ``omega`` listings.  The other annotation
+kinds are checked for form only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping
 
-from .cycles import (
-    Cycle,
-    CycleError,
-    cycle_from_texts,
-    partial_differences,
-    verify_partition,
-)
+from .cycles import Cycle, CycleError, cycle, partial_differences, verify_partition
 from .factors import (
     Certificate,
     FactorRecipe,
@@ -49,6 +49,9 @@ from .factors import (
     verify_factorization,
 )
 from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
+
+if TYPE_CHECKING:
+    from .search import SearchTarget
 
 SOLUTION_IDS: tuple[str, ...] = (
     "48-5-18",
@@ -64,6 +67,8 @@ SOLUTION_IDS: tuple[str, ...] = (
 
 _STABILIZER_CLAIMS = ("trivial", "vertices")
 
+Err = type[ValueError]  # the format error a field reader raises
+
 
 class SolutionFormatError(ValueError):
     """Malformed or inconsistent solution document."""
@@ -78,11 +83,12 @@ class SolutionSpec:
     cycles: Mapping[str, Cycle]
     factors: tuple[tuple[tuple[str, ...], str], ...]  # (cycle names, subgroup)
     expected: tuple[int, int, int]
-    printed_omega: Mapping[str, tuple[str, ...]]
-    stabilizer_claims: Mapping[str, str]
-    subgroup_member_claims: Mapping[str, tuple[str, ...]]
-    expected_omega_mismatches: tuple[str, ...]
-    notes: tuple[str, ...]
+    # annotations; only printed_omega is checked beyond its form
+    printed_omega: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    stabilizer_claims: Mapping[str, str] = field(default_factory=dict)
+    subgroup_member_claims: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    expected_omega_mismatches: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
 
 def list_solutions() -> tuple[str, ...]:
@@ -90,167 +96,190 @@ def list_solutions() -> tuple[str, ...]:
     return SOLUTION_IDS
 
 
-def _require_keys(doc: Mapping, required: set[str], optional: set[str], where: str) -> None:
-    keys = set(doc)
+# ---------------------------------------------------------------------------
+# field readers, shared with the search-target reader; each raises the
+# caller's format error type
+
+
+def _read_map(value, where: str, error: Err) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise error(f"{where} must be a JSON object")
+    return value
+
+
+def _read_keys(doc, required: set[str], optional: set[str], where: str, error: Err) -> Mapping:
+    """doc itself when it is a mapping with all required and no unknown keys."""
+    keys = set(_read_map(doc, where, error))
     unknown = keys - required - optional
     if unknown:
-        raise SolutionFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        raise error(f"{where}: unknown keys {sorted(unknown, key=str)}")
     missing = required - keys
     if missing:
-        raise SolutionFormatError(f"{where}: missing keys {sorted(missing)}")
+        raise error(f"{where}: missing keys {sorted(missing)}")
+    return doc
 
 
-def _strict_int(value, where: str, error: type[ValueError]) -> int:
+def _read_list(value, where: str, error: Err, allow_empty: bool = False) -> list:
+    if not isinstance(value, list) or not (value or allow_empty):
+        raise error(f"{where} must be a {'' if allow_empty else 'non-empty '}list")
+    return value
+
+
+def _read_name(value, where: str, error: Err) -> str:
+    if not isinstance(value, str) or not value:
+        raise error(f"{where} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _read_ref(value, known: Collection[str], what: str, where: str, error: Err) -> str:
+    """value when it names one of known; what says what kind of name it is."""
+    if not isinstance(value, str) or value not in known:
+        raise error(f"{where}: unknown {what} {value!r}")
+    return value
+
+
+def _strict_int(value, where: str, error: Err) -> int:
     """The value itself when it is an int; bools and other types raise error."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise error(f"{where} must be an integer, got {value!r}")
     return value
 
 
-def _parse_elements(group: FiniteGroup, texts: Sequence, where: str) -> list[int]:
-    if not isinstance(texts, (list, tuple)) or not texts:
-        raise SolutionFormatError(f"{where}: expected a non-empty list of element texts")
+def _read_group(value, error: Err) -> FiniteGroup:
+    try:
+        return build_group(value)
+    except (GroupError, TypeError) as err:
+        raise error(f"group: {err}") from err
+
+
+def _read_elements(group: FiniteGroup, texts, where: str, error: Err) -> list[int]:
+    """Element indices of a non-empty list of element texts."""
     out = []
-    for t in texts:
+    for t in _read_list(texts, where, error):
         if not isinstance(t, str):
-            raise SolutionFormatError(f"{where}: element text must be a string, got {t!r}")
+            raise error(f"{where}: element text must be a string, got {t!r}")
         try:
             out.append(group.parse(t))
         except (ElementError, GroupError) as err:
-            raise SolutionFormatError(f"{where}: {err}") from err
+            raise error(f"{where}: {err}") from err
     return out
+
+
+def _read_subgroups(
+    group: FiniteGroup, raw, error: Err
+) -> tuple[dict[str, Subgroup], dict[str, tuple[str, ...]]]:
+    """Subgroups named in a ``subgroups`` map, and their generator texts."""
+    subgroups: dict[str, Subgroup] = {}
+    generators: dict[str, tuple[str, ...]] = {}
+    for name, gens in _read_map(raw, "subgroups", error).items():
+        if _read_name(name, "subgroup name", error) == "G":
+            raise error("invalid subgroup name 'G': G denotes the whole group")
+        subgroups[name] = group.subgroup_closure(
+            _read_elements(group, gens, f"subgroups.{name}", error)
+        )
+        generators[name] = tuple(gens)
+    return subgroups, generators
+
+
+def _parse_json(text: str, error: Err):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:  # the latter: deep nesting
+        raise error(f"not valid JSON: {err}") from err
+
+
+def _read_json_file(path: str, what: str, error: Err):
+    """The JSON value in a UTF-8 file; any failure to read it raises error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise error(f"cannot read {what}: {err}") from err
+    return _parse_json(text, error)
+
+
+# ---------------------------------------------------------------------------
+# solution documents
+
+
+def _annotation_map(ann: Mapping, kind: str, known: Collection[str], what: str) -> Mapping:
+    raw = ann.get(kind, {})
+    where = f"annotations.{kind}"
+    for key in _read_map(raw, where, SolutionFormatError):
+        _read_ref(key, known, what, where, SolutionFormatError)
+    return raw
 
 
 def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     """Validate a solution document and resolve it against its group."""
-    if not isinstance(doc, Mapping):
-        raise SolutionFormatError("solution document must be a JSON object")
-    _require_keys(
+    E = SolutionFormatError
+    _read_keys(
         doc,
         {"id", "group", "subgroups", "cycles", "factors", "expected"},
         {"annotations"},
         "solution",
+        E,
     )
-    sid = doc["id"]
-    if not isinstance(sid, str) or not sid:
-        raise SolutionFormatError("id must be a non-empty string")
-    try:
-        group = build_group(doc["group"])
-    except (GroupError, TypeError) as err:
-        raise SolutionFormatError(f"group: {err}") from err
+    sid = _read_name(doc["id"], "id", E)
+    group = _read_group(doc["group"], E)
+    subgroups, subgroup_generators = _read_subgroups(group, doc["subgroups"], E)
 
-    raw_subgroups = doc["subgroups"]
-    if not isinstance(raw_subgroups, Mapping):
-        raise SolutionFormatError("subgroups must be a mapping")
-    subgroups: dict[str, Subgroup] = {}
-    subgroup_generators: dict[str, tuple[str, ...]] = {}
-    for name, gens in raw_subgroups.items():
-        if not isinstance(name, str) or not name or name == "G":
-            raise SolutionFormatError(f"invalid subgroup name {name!r}")
-        idxs = _parse_elements(group, gens, f"subgroups.{name}")
-        subgroups[name] = group.subgroup_closure(idxs)
-        subgroup_generators[name] = tuple(gens)
-
-    raw_cycles = doc["cycles"]
-    if not isinstance(raw_cycles, Mapping) or not raw_cycles:
-        raise SolutionFormatError("cycles must be a non-empty mapping")
+    raw_cycles = _read_map(doc["cycles"], "cycles", E)
+    if not raw_cycles:
+        raise E("cycles must be a non-empty mapping")
     cycles: dict[str, Cycle] = {}
     for name, verts in raw_cycles.items():
-        if not isinstance(name, str) or not name:
-            raise SolutionFormatError(f"invalid cycle name {name!r}")
-        _parse_elements(group, verts, f"cycles.{name}")
+        where = f"cycles.{_read_name(name, 'cycle name', E)}"
         try:
-            cycles[name] = cycle_from_texts(group, list(verts))
+            cycles[name] = cycle(group, _read_elements(group, verts, where, E))
         except CycleError as err:
-            raise SolutionFormatError(f"cycles.{name}: {err}") from err
+            raise E(f"{where}: {err}") from err
 
-    raw_factors = doc["factors"]
-    if not isinstance(raw_factors, list) or not raw_factors:
-        raise SolutionFormatError("factors must be a non-empty list")
     factors: list[tuple[tuple[str, ...], str]] = []
-    used: list[str] = []
-    for n, entry in enumerate(raw_factors):
+    for n, entry in enumerate(_read_list(doc["factors"], "factors", E)):
         where = f"factors[{n}]"
-        if not isinstance(entry, Mapping):
-            raise SolutionFormatError(f"{where}: expected an object")
-        _require_keys(entry, {"cycles", "subgroup"}, set(), where)
-        names = entry["cycles"]
-        if not isinstance(names, list) or not names:
-            raise SolutionFormatError(f"{where}: cycles must be a non-empty list")
-        for cn in names:
-            if cn not in cycles:
-                raise SolutionFormatError(f"{where}: unknown cycle {cn!r}")
-            used.append(cn)
-        sub = entry["subgroup"]
-        if sub != "G" and sub not in subgroups:
-            raise SolutionFormatError(f"{where}: unknown subgroup {sub!r}")
-        factors.append((tuple(names), sub))
-    if sorted(used) != sorted(cycles):
-        raise SolutionFormatError(
-            "every cycle must be used by exactly one factor recipe"
+        _read_keys(entry, {"cycles", "subgroup"}, set(), where, E)
+        names = tuple(
+            _read_ref(cn, cycles, "cycle", where, E)
+            for cn in _read_list(entry["cycles"], f"{where}.cycles", E)
         )
+        sub = _read_ref(entry["subgroup"], ("G", *subgroups), "subgroup", where, E)
+        factors.append((names, sub))
+    if sorted(cn for names, _ in factors for cn in names) != sorted(cycles):
+        raise E("every cycle must be used by exactly one factor recipe")
 
-    expected_doc = doc["expected"]
-    if not isinstance(expected_doc, Mapping):
-        raise SolutionFormatError("expected must be a mapping")
-    _require_keys(expected_doc, {"v", "r", "s"}, set(), "expected")
-    expected = tuple(
-        _strict_int(expected_doc[k], f"expected.{k}", SolutionFormatError)
-        for k in ("v", "r", "s")
-    )
+    expected_doc = _read_keys(doc["expected"], {"v", "r", "s"}, set(), "expected", E)
+    expected = tuple(_strict_int(expected_doc[k], f"expected.{k}", E) for k in ("v", "r", "s"))
     if expected[0] != len(group):
-        raise SolutionFormatError(
-            f"expected.v={expected[0]} does not match |{group.id}|={len(group)}"
-        )
+        raise E(f"expected.v={expected[0]} does not match |{group.id}|={len(group)}")
 
-    printed_omega: dict[str, tuple[str, ...]] = {}
-    stab_claims: dict[str, str] = {}
-    member_claims: dict[str, tuple[str, ...]] = {}
-    mismatches: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    ann = doc.get("annotations", {})
-    if ann:
-        if not isinstance(ann, Mapping):
-            raise SolutionFormatError("annotations must be a mapping")
-        _require_keys(
-            ann,
-            set(),
-            {"omega", "stabilizers", "subgroup_members", "omega_mismatches_expected", "notes"},
-            "annotations",
-        )
-        for cn, texts in ann.get("omega", {}).items():
-            if cn not in cycles:
-                raise SolutionFormatError(f"annotations.omega: unknown cycle {cn!r}")
-            _parse_elements(group, texts, f"annotations.omega.{cn}")
-            printed_omega[cn] = tuple(texts)
-        for cn, claim in ann.get("stabilizers", {}).items():
-            if cn not in cycles:
-                raise SolutionFormatError(f"annotations.stabilizers: unknown cycle {cn!r}")
-            if claim not in _STABILIZER_CLAIMS:
-                raise SolutionFormatError(
-                    f"annotations.stabilizers.{cn}: claim must be one of {_STABILIZER_CLAIMS}"
-                )
-            stab_claims[cn] = claim
-        for sn, texts in ann.get("subgroup_members", {}).items():
-            if sn not in subgroups:
-                raise SolutionFormatError(
-                    f"annotations.subgroup_members: unknown subgroup {sn!r}"
-                )
-            member_claims[sn] = tuple(texts)
-            _parse_elements(group, texts, f"annotations.subgroup_members.{sn}")
-        raw_mm = ann.get("omega_mismatches_expected", [])
-        if not isinstance(raw_mm, list):
-            raise SolutionFormatError("annotations.omega_mismatches_expected must be a list")
-        for cn in raw_mm:
-            if cn not in cycles:
-                raise SolutionFormatError(
-                    f"annotations.omega_mismatches_expected: unknown cycle {cn!r}"
-                )
-        mismatches = tuple(raw_mm)
-        raw_notes = ann.get("notes", [])
-        if not isinstance(raw_notes, list) or not all(isinstance(x, str) for x in raw_notes):
-            raise SolutionFormatError("annotations.notes must be a list of strings")
-        notes = tuple(raw_notes)
+    ann = _read_keys(
+        doc.get("annotations", {}),
+        set(),
+        {"omega", "stabilizers", "subgroup_members", "omega_mismatches_expected", "notes"},
+        "annotations",
+        E,
+    )
+    printed_omega = {}
+    for cn, texts in _annotation_map(ann, "omega", cycles, "cycle").items():
+        _read_elements(group, texts, f"annotations.omega.{cn}", E)
+        printed_omega[cn] = tuple(texts)
+    stab_claims = dict(_annotation_map(ann, "stabilizers", cycles, "cycle"))
+    for cn, claim in stab_claims.items():
+        if claim not in _STABILIZER_CLAIMS:
+            raise E(f"annotations.stabilizers.{cn}: claim must be one of {_STABILIZER_CLAIMS}")
+    member_claims = {}
+    for sn, texts in _annotation_map(ann, "subgroup_members", subgroups, "subgroup").items():
+        _read_elements(group, texts, f"annotations.subgroup_members.{sn}", E)
+        member_claims[sn] = tuple(texts)
+    where = "annotations.omega_mismatches_expected"
+    mismatches = tuple(
+        _read_ref(cn, cycles, "cycle", where, E)
+        for cn in _read_list(ann.get("omega_mismatches_expected", []), where, E, allow_empty=True)
+    )
+    notes = tuple(_read_list(ann.get("notes", []), "annotations.notes", E, allow_empty=True))
+    if not all(isinstance(x, str) for x in notes):
+        raise E("annotations.notes must be a list of strings")
 
     return SolutionSpec(
         id=sid,
@@ -268,12 +297,22 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     )
 
 
+def solution_to_dict(spec: SolutionSpec) -> dict:
+    """The solution document for spec: its six required keys in document
+    order, without annotations; parse_solution_dict reads it back."""
+    G = spec.group
+    return {
+        "id": spec.id,
+        "group": G.id,
+        "subgroups": {n: list(g) for n, g in spec.subgroup_generators.items()},
+        "cycles": {n: [G.format(v) for v in c.verts] for n, c in spec.cycles.items()},
+        "factors": [{"cycles": list(names), "subgroup": sub} for names, sub in spec.factors],
+        "expected": dict(zip(("v", "r", "s"), spec.expected)),
+    }
+
+
 def parse_solution_text(text: str) -> SolutionSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SolutionFormatError(f"not valid JSON: {err}") from err
-    return parse_solution_dict(doc)
+    return parse_solution_dict(_parse_json(text, SolutionFormatError))
 
 
 @lru_cache(maxsize=None)
@@ -291,11 +330,11 @@ def load_solution(sid: str) -> SolutionSpec:
 
 
 def load_solution_file(path: str) -> SolutionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_solution_text(fh.read())
+    return parse_solution_dict(_read_json_file(path, "solution", SolutionFormatError))
 
 
-def resolve_subgroup(spec: SolutionSpec, name: str) -> Subgroup:
+def resolve_subgroup(spec: SolutionSpec | SearchTarget, name: str) -> Subgroup:
+    """The subgroup a solution or search target calls name; G is the group."""
     if name == "G":
         return spec.group.whole_subgroup()
     return spec.subgroups[name]
@@ -386,7 +425,3 @@ def verify_solution(spec: SolutionSpec) -> Certificate:
             witness=witness,
         )
     return cert
-
-
-def verify_solution_by_id(sid: str) -> Certificate:
-    return verify_solution(load_solution(sid))

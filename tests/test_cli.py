@@ -195,6 +195,21 @@ def test_search_cli_bad_target(tmp_path, capsys):
     assert code == 2 and "cannot read target" in err
 
 
+def test_verify_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "cannot read solution" in err
+
+
+@pytest.mark.parametrize("command,what", [("verify", "solution"), ("search", "target")])
+def test_non_utf8_file_exits_2(tmp_path, capsys, command, what):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"id": "café"}'.encode("latin-1"))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert f"cannot read {what}" in err
+
+
 def test_export_roundtrip(capsys):
     code, out, _ = run(capsys, "export", "24-5-6", "--format", "canonical")
     assert code == 0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import verify_orbit_decomposition
 from hwpreg.cycles import (
     CycleError,
     cycle,
@@ -14,7 +15,6 @@ from hwpreg.cycles import (
     omega_representatives,
     partial_differences,
     translate_cycle,
-    verify_orbit_decomposition,
     verify_partition,
 )
 from hwpreg.cayley import connection_set

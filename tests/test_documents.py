@@ -1,0 +1,185 @@
+"""One strict reader and one writer for solution and target documents."""
+
+import copy
+import json
+from dataclasses import replace
+
+import pytest
+
+import hwpreg
+from hwpreg.search import TargetFormatError, parse_target_dict, parse_target_text, search_hwp
+from hwpreg.solutions import (
+    SOLUTION_IDS,
+    SolutionFormatError,
+    load_solution,
+    parse_solution_dict,
+    parse_solution_text,
+    solution_to_dict,
+)
+
+TARGET_24_9_2 = {
+    "group": "Q24",
+    "target": {"r": 9, "s": 2},
+    "signature": [
+        {"cycle_length": 4, "orbit_length": 1, "subgroup": "G"},
+        {"cycle_length": 4, "orbit_length": 1, "subgroup": "G"},
+        {"cycle_length": 3, "orbit_length": 3, "subgroup": "L"},
+        {"cycle_length": 3, "orbit_length": 6, "subgroup": "H"},
+    ],
+    "subgroups": {"L": ["a2b", "a3"], "H": ["b"]},
+}
+
+# wrong-typed fields; each must raise the format error, not a TypeError
+MALFORMED = {
+    "omega-list": (
+        "solution",
+        lambda d: d["annotations"].update(omega=["C1"]),
+        "annotations.omega must be a JSON object",
+    ),
+    "stabilizers-list": (
+        "solution",
+        lambda d: d["annotations"].update(stabilizers=["C1"]),
+        "annotations.stabilizers must be a JSON object",
+    ),
+    "subgroup-members-string": (
+        "solution",
+        lambda d: d["annotations"].update(subgroup_members="H"),
+        "annotations.subgroup_members must be a JSON object",
+    ),
+    "mismatches-nested": (
+        "solution",
+        lambda d: d["annotations"].update(omega_mismatches_expected=[["C1"]]),
+        "annotations.omega_mismatches_expected: unknown cycle",
+    ),
+    "factor-subgroup-list": (
+        "solution",
+        lambda d: d["factors"][0].update(subgroup=["G"]),
+        r"factors\[0\]: unknown subgroup",
+    ),
+    "factor-cycles-nested": (
+        "solution",
+        lambda d: d["factors"][0].update(cycles=[["C1"]]),
+        r"factors\[0\]: unknown cycle",
+    ),
+    "signature-subgroup-list": (
+        "target",
+        lambda d: d["signature"][0].update(subgroup=["G"]),
+        r"signature\[0\]: unknown subgroup",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_wrong_types_raise_the_format_error(doc_copy, case):
+    kind, mutate, fragment = MALFORMED[case]
+    if kind == "solution":
+        doc, parse, error = doc_copy("24-9-2"), parse_solution_dict, SolutionFormatError
+    else:
+        doc, parse, error = copy.deepcopy(TARGET_24_9_2), parse_target_dict, TargetFormatError
+    mutate(doc)
+    with pytest.raises(error, match=fragment):
+        parse(doc)
+
+
+@pytest.mark.parametrize(
+    "parse,error",
+    [(parse_solution_text, SolutionFormatError), (parse_target_text, TargetFormatError)],
+)
+def test_too_deeply_nested_json_is_not_valid_json(parse, error):
+    with pytest.raises(error, match="not valid JSON"):
+        parse("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("sid", SOLUTION_IDS)
+def test_solution_to_dict_round_trips(sid):
+    spec = load_solution(sid)
+    doc = solution_to_dict(spec)
+    assert list(doc) == ["id", "group", "subgroups", "cycles", "factors", "expected"]
+    bare = replace(
+        spec,
+        printed_omega={},
+        stabilizer_claims={},
+        subgroup_member_claims={},
+        expected_omega_mismatches=(),
+        notes=(),
+    )
+    assert parse_solution_dict(doc) == bare
+
+
+def test_solution_to_dict_reproduces_a_found_document():
+    outcome = search_hwp(parse_target_dict(TARGET_24_9_2))
+    assert outcome.verdict == "found"
+    again = solution_to_dict(parse_solution_dict(outcome.solution))
+    assert json.dumps(again) == json.dumps(outcome.solution)  # key order too
+
+
+PUBLIC_NAMES = [
+    "CERTIFICATE_FORMAT",
+    "CayleyGraph",
+    "Certificate",
+    "ConnectionSet",
+    "Cycle",
+    "CycleError",
+    "CycleOrbit",
+    "ElementError",
+    "FactorRecipe",
+    "FactorReport",
+    "FiniteGroup",
+    "GROUP_IDS",
+    "GroupError",
+    "OmegaReport",
+    "PartitionReport",
+    "RecipeError",
+    "RecipePart",
+    "SOLUTION_IDS",
+    "SearchOutcome",
+    "SearchStats",
+    "SearchTarget",
+    "SignatureEntry",
+    "SolutionFormatError",
+    "SolutionSpec",
+    "Subgroup",
+    "TargetFormatError",
+    "TwoFactor",
+    "assemble_factor",
+    "build_group",
+    "cayley_graph",
+    "cocktail_party_connection",
+    "cocktail_party_graph",
+    "connection_set",
+    "cycle",
+    "cycle_from_texts",
+    "cycle_orbit",
+    "cycle_stabilizer",
+    "edge",
+    "factor_orbit",
+    "factor_stabilizer",
+    "forward_differences",
+    "hwp_feasibility",
+    "list_solutions",
+    "load_solution",
+    "load_solution_file",
+    "load_target_file",
+    "omega_reports",
+    "omega_representatives",
+    "parse_solution_dict",
+    "parse_solution_text",
+    "parse_target_dict",
+    "parse_target_text",
+    "partial_differences",
+    "resolve_subgroup",
+    "search_hwp",
+    "solution_recipes",
+    "solution_to_dict",
+    "target_from_solution",
+    "translate_cycle",
+    "verify_factorization",
+    "verify_partition",
+    "verify_solution",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding to or removing from the public surface is a deliberate edit here
+    assert sorted(hwpreg.__all__) == PUBLIC_NAMES
+    assert all(hasattr(hwpreg, name) for name in PUBLIC_NAMES)

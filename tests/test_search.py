@@ -4,6 +4,7 @@ import copy
 import json
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from hwpreg.groups import build_group
 from hwpreg.search import (
     SignatureEntry,
+    _Searcher,
     TargetFormatError,
     load_target_file,
     parse_target_dict,
@@ -190,6 +192,41 @@ def test_order_48_signature_runs_under_budget():
     outcome = search_hwp(target)
     assert outcome.verdict == "budget-exceeded"
     assert outcome.stats.nodes == 2001
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "sid,budget,verdict,nodes",
+    [("24-5-6", None, "found", 27_820), ("48-17-6", 500, "budget-exceeded", 501)],
+    ids=["24-5-6", "48-17-6"],
+)
+def test_search_leaves_the_recursion_limit_alone(monkeypatch, sid, budget, verdict, nodes):
+    def refuse(limit):
+        raise AssertionError(f"search_hwp set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    deepest = [0]
+    node = _Searcher._node
+
+    def counting_node(self):
+        deepest[0] = max(deepest[0], _frames())
+        node(self)
+
+    monkeypatch.setattr(_Searcher, "_node", counting_node)
+    target = target_from_solution(load_solution(sid), budget_nodes=budget)
+    outcome = search_hwp(target)
+    assert (outcome.verdict, outcome.stats.nodes) == (verdict, nodes)
+    # searcher frames between search_hwp and counting_node, against the
+    # bound stated in search_hwp: 2E + 6(v/2 - 1) + 1
+    depth = deepest[0] - _frames() - 2
+    v = len(target.group)
+    assert 0 < depth <= 2 * len(target.entries) + 6 * (v // 2 - 1) + 1
 
 
 def test_budget_exceeded():

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from helpers import verify_solution_by_id
 from hwpreg.solutions import (
     SOLUTION_IDS,
     SolutionFormatError,
@@ -15,7 +16,6 @@ from hwpreg.solutions import (
     parse_solution_dict,
     resolve_subgroup,
     verify_solution,
-    verify_solution_by_id,
 )
 
 
