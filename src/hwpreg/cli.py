@@ -70,9 +70,12 @@ def _load(token: str) -> SolutionSpec:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        raise CliError(2, f"cannot write output: {err}") from err
 
 
 def cmd_list(args: argparse.Namespace) -> int:

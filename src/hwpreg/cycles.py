@@ -3,20 +3,21 @@
 A cycle is stored in canonical form: the lexicographically least among
 all rotations of both orientations, so equality means equality as a
 subgraph.  The group acts on cycles by right translation.  Stabilizers
-and orbits are computed from the multiplication table, on vertex
-indices; canonical cycles are built only for the distinct translates
-that make up an orbit.  The list of
-partial differences of a cycle C = (c_1, ..., c_l) is the inverse-closed
-set collecting c_{t+1} * c_t^-1 for every consecutive pair (indices mod
-l); when the orbit of C under the full group tiles Cay[G:Omega] exactly,
-those orbits are the building blocks of a 2-factorization.
+are computed from the multiplication table on vertex sequences, so the
+searcher uses them on plain paths; only the orbit functions pick a
+transversal and build canonical cycles, one per distinct translate.
+The list of partial differences of a cycle C = (c_1, ..., c_l) is the
+inverse-closed set collecting c_{t+1} * c_t^-1 for every consecutive
+pair (indices mod l); when the orbit of C under the full group tiles
+Cay[G:Omega] exactly, those orbits are the building blocks of a
+2-factorization.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .cayley import ConnectionSet, connection_set, edge
 from .groups import FiniteGroup, GroupError, Subgroup
@@ -27,15 +28,10 @@ class CycleError(ValueError):
 
 
 def _canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
-    best: Optional[tuple[int, ...]] = None
-    n = len(verts)
-    for seq in (verts, verts[::-1]):
-        for r in range(n):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    # the vertices are distinct: start at the least, then go the smaller way
+    i = verts.index(min(verts))
+    forward = verts[i:] + verts[:i]
+    return min(forward, forward[:1] + forward[:0:-1])
 
 
 @dataclass(frozen=True)
@@ -87,22 +83,19 @@ def translate_cycle(c: Cycle, x: int) -> Cycle:
     return Cycle(G, _canonical_rotation(tuple(G.mul(v, x) for v in c.verts)))
 
 
-def _right_action(
-    group: FiniteGroup, cycles: Sequence[Cycle], members: Sequence[int], what: str
-) -> tuple[tuple[int, ...], list[int]]:
-    """Stabilizer and right transversal of vertex-disjoint cycles in members.
+def _stabilizer(
+    group: FiniteGroup, paths: Iterable[Sequence[int]], what: str
+) -> set[int]:
+    """Elements of G whose right translation fixes vertex-disjoint cycles,
+    each given as a vertex sequence in cycle order.
 
     x fixes the cycles exactly when it maps the neighbours of every vertex
     v onto the neighbours of v*x.  Such an x sends min(V) into V, so the
-    only candidates are min(V)^-1 * w for w in V.  The stabilizer returned
-    is the part of that subgroup inside members, in the order of members.
-    The transversal keeps the first x of every right coset Stab*x of
-    members; translating by it gives each distinct translate once.
+    only candidates are min(V)^-1 * w for w in V.
     """
     T = group.table
     nbr: dict[int, tuple[int, int]] = {}
-    for c in cycles:
-        vs = c.verts
+    for vs in paths:
         for t, v in enumerate(vs):
             nbr[v] = (vs[t - 1], vs[(t + 1) % len(vs)])
     base_inv = group.inv_table[min(nbr)]
@@ -120,21 +113,27 @@ def _right_action(
         for b in found:
             if T[a][b] not in found:
                 raise GroupError(f"{what} stabilizer is not closed")
-    stabilizer = tuple(x for x in members if x in found)
+    return found
+
+
+def _transversal(
+    group: FiniteGroup, stabilizer: Collection[int], members: Sequence[int]
+) -> list[int]:
+    """The first x in members of each right coset Stab*x (Stab in members)."""
+    T = group.table
     transversal: list[int] = []
     covered: set[int] = set()
     for x in members:
         if x not in covered:
             transversal.append(x)
             covered.update(T[s][x] for s in stabilizer)
-    return stabilizer, transversal
+    return transversal
 
 
 def cycle_stabilizer(c: Cycle) -> Subgroup:
     """Set-wise stabilizer of c under right translation (checked subgroup)."""
-    G = c.group
-    members, _ = _right_action(G, (c,), range(len(G)), "cycle")
-    return Subgroup(G, members, members)
+    members = tuple(sorted(_stabilizer(c.group, (c.verts,), "cycle")))
+    return Subgroup(c.group, members, members)
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,10 @@ class CycleOrbit:
 def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
     """Distinct translates of c under sub, with the orbit-stabilizer check."""
     G = c.group
-    stab_members, transversal = _right_action(G, (c,), sub.members, "cycle")
+    found = _stabilizer(G, (c.verts,), "cycle")
+    stab_members = tuple(x for x in sub.members if x in found)
     stab = Subgroup(G, stab_members, stab_members)
+    transversal = _transversal(G, stab_members, sub.members)
     translates = {translate_cycle(c, x) for x in transversal}
     orbit = tuple(sorted(translates, key=lambda cc: cc.verts))
     if len(orbit) * stab.order != sub.order:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cayley import cocktail_party_graph
-from .cycles import Cycle, _right_action, cycle_orbit, translate_cycle
+from .cycles import Cycle, _stabilizer, _transversal, cycle_orbit, translate_cycle
 from .groups import FiniteGroup, GroupError, Subgroup
 
 CERTIFICATE_FORMAT = "hwp-regular-certificate/1"
@@ -105,17 +105,16 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the whole factor under right translation."""
-    G = f.group
-    members, _ = _right_action(G, f.cycles, range(len(G)), "factor")
-    return Subgroup(G, members, members)
+    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor")))
+    return Subgroup(f.group, members, members)
 
 
 def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
     """Distinct right translates of f under the full group, sorted."""
     G = f.group
-    stab, transversal = _right_action(G, f.cycles, range(len(G)), "factor")
+    stab = _stabilizer(G, f.key(), "factor")
     seen: dict[tuple, TwoFactor] = {}
-    for x in transversal:
+    for x in _transversal(G, stab, range(len(G))):
         t = TwoFactor(G, _sorted_cycles(translate_cycle(c, x) for c in f.cycles))
         seen.setdefault(t.key(), t)
     if len(seen) * len(stab) != len(G):
@@ -343,7 +342,7 @@ def verify_factorization(
     try:
         for recipe in recipes:
             f = assemble_factor(group, recipe)
-            stab = factor_stabilizer(f)
+            # factor_orbit has checked |orbit| * |stabilizer| == |G|
             orbit = factor_orbit(f)
             reports.append(
                 FactorReport(
@@ -351,7 +350,7 @@ def verify_factorization(
                     tuple((p.cycle_name, p.subgroup_name) for p in recipe.parts),
                     f.cycle_length,
                     len(f.cycles),
-                    stab.order,
+                    v // len(orbit),
                     len(orbit),
                 )
             )

@@ -13,14 +13,17 @@ of its own differences, which reduces to the arithmetic test
 The search is depth-first and deterministic: each factor is grown one
 sub-orbit at a time, the base cycle of a sub-orbit starts at the least
 vertex the factor does not cover yet, and reflections are broken by
-orienting the base cycle so its second vertex precedes its last.  Dead
-entry states, keyed by (entry index, consumed-difference bitmask), are
-memoized only when their subtree was exhausted normally, so the memo
-stays sound when a node budget aborts the search.  Anything found is
-written with ``solution_to_dict`` and re-verified by reading that
-document back through the solution pipeline before it is reported.  The
-searcher changes no process-wide state; its recursion stays within the
-default limit (see ``search_hwp``).
+orienting the base cycle so its second vertex precedes its last.  Base
+cycles stay vertex paths: their differences, stabilizers and sub-orbit
+vertex masks come from the multiplication table, and canonical cycles
+are built only for a found solution.  Dead entry states, keyed by
+(entry index, consumed-difference bitmask), are memoized only when
+their subtree was exhausted normally, so the memo stays sound when a
+node budget aborts the search.  Anything found is written with
+``solution_to_dict`` and re-verified by reading that document back
+through the solution pipeline before it is reported.  The searcher
+changes no process-wide state; its recursion stays within the default
+limit (see ``search_hwp``).
 
 A target document is read as strictly as a solution document, by the
 same field readers (see ``solutions.py``): wrong types, unknown keys and
@@ -30,17 +33,11 @@ unreadable files raise ``TargetFormatError``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
-from .cycles import Cycle, cycle, cycle_orbit, cycle_stabilizer, forward_differences
-from .factors import (
-    Certificate,
-    TwoFactor,
-    assemble_factor,
-    factor_stabilizer,
-    hwp_feasibility,
-)
+from .cycles import Cycle, _stabilizer, cycle
+from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
     SolutionSpec,
@@ -98,14 +95,7 @@ class SearchStats:
     seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "cycles_closed": self.cycles_closed,
-            "factors_completed": self.factors_completed,
-            "memo_entries": self.memo_entries,
-            "memo_hits": self.memo_hits,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 @dataclass(frozen=True)
@@ -206,14 +196,10 @@ def target_from_solution(
         length = f.cycle_length
         if length is None:
             raise TargetFormatError(f"{recipe.label}: mixed cycle lengths")
-        key = stab.member_set
-        if len(stab.members) == len(group):
+        if stab.order == len(group):
             name = "G"
-        elif key in names:
-            name = names[key]
         else:
-            name = f"S{len(names) + 1}"
-            names[key] = name
+            name = names.setdefault(stab.member_set, f"S{len(names) + 1}")
             subgroups[name] = stab
             generators[name] = tuple(group.format(x) for x in stab.members)
         entries.append(SignatureEntry(length, len(group) // stab.order, name))
@@ -244,14 +230,20 @@ class _Budget(Exception):
 class _Searcher:
     def __init__(self, target: SearchTarget, stats: SearchStats) -> None:
         G = target.group
-        self.target = target
         self.group = G
+        self.table = T = G.table
+        self.inv = G.inv_table
         self.n = len(G)
         self.stats = stats
         self.sig = target.entries
         self.subs = [resolve_subgroup(target, e.subgroup) for e in target.entries]
         self.pair_mask = [
             (1 << d) | (1 << G.inv(d)) for d in range(self.n)
+        ]
+        # per entry with subgroup S, the vertex mask of v*S for every vertex v
+        self.coset_masks = [
+            [sum(1 << T[v][x] for x in sub.members) for v in range(self.n)]
+            for sub in self.subs
         ]
         self.full_cover = (1 << self.n) - 1
         self.dead: set[tuple[int, int]] = set()
@@ -262,6 +254,39 @@ class _Searcher:
         if self.budget is not None and self.stats.nodes > self.budget:
             raise _Budget()
 
+    def omega_mask(self, path: list) -> int:
+        """Omega of the cycle through path: the pairs {d, d^-1} of its
+        differences path[t+1] * path[t]^-1, as a bit mask."""
+        T, inv, pair_mask = self.table, self.inv, self.pair_mask
+        mask = 0
+        for t, v in enumerate(path):
+            mask |= pair_mask[T[v][inv[path[t - 1]]]]
+        return mask
+
+    def cycle_action(self, idx: int, path: list) -> tuple[int, int, int, bool]:
+        """|Stab_G(c)|, |Stab_G(c) & S|, the vertex mask of c*S, and whether
+        the |S| / |Stab & S| cycles of c's sub-orbit under S are disjoint
+        (c*S has l * |S| / |Stab & S| vertices, and never more), for the
+        cycle c through path and entry idx's subgroup S."""
+        stab = _stabilizer(self.group, (path,), "cycle")
+        sub = self.subs[idx]
+        in_sub = len(stab & sub.member_set)
+        cosets = self.coset_masks[idx]
+        vmask = 0
+        for v in path:
+            vmask |= cosets[v]
+        spread, tiled = vmask.bit_count() * in_sub, len(path) * sub.order
+        if spread > tiled:
+            raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
+        return len(stab), in_sub, vmask, spread == tiled
+
+    def factor_stabilizer_of(self, idx: int, acc: list) -> set[int]:
+        """Stab_G of the factor made of the base paths acc and their
+        translates by entry idx's subgroup."""
+        T = self.table
+        cycles = [[T[v][x] for v in p] for p in acc for x in self.subs[idx].members]
+        return _stabilizer(self.group, cycles, "factor")
+
     def entry_start(self, idx: int, used: int, picked: list) -> None:
         if idx == len(self.sig):
             raise _Solved(picked)
@@ -269,33 +294,20 @@ class _Searcher:
         if key in self.dead:
             self.stats.memo_hits += 1
             return
-        self._extend_factor(idx, used, 0, 0, 0, [], picked)
+        self._extend_factor(idx, used, 0, 0, [], picked)
         # reached only when the subtree was exhausted without interruption
         self.dead.add(key)
 
+    # `fused` holds the Omega masks of the factor's base cycles so far; they
+    # are pairwise disjoint, so its bit count is the differences they use.
     def _extend_factor(
-        self,
-        idx: int,
-        used: int,
-        covered: int,
-        ndiffs: int,
-        fused: int,
-        acc: list,
-        picked: list,
+        self, idx: int, used: int, covered: int, fused: int, acc: list, picked: list
     ) -> None:
         entry = self.sig[idx]
         if covered == self.full_cover:
-            if ndiffs != 2 * entry.orbit_length:
+            if fused.bit_count() != 2 * entry.orbit_length:
                 return
-            cycles = tuple(
-                sorted(
-                    (cc for _, orb in acc for cc in orb.cycles),
-                    key=lambda c: c.verts,
-                )
-            )
-            f = TwoFactor(self.group, cycles)
-            stab = factor_stabilizer(f)
-            if stab.order * entry.orbit_length != self.n:
+            if len(self.factor_stabilizer_of(idx, acc)) * entry.orbit_length != self.n:
                 return
             # identical adjacent entries commute; keep one ordering
             if idx and self.sig[idx - 1] == entry:
@@ -303,43 +315,41 @@ class _Searcher:
                 if (fused & -fused) <= (prev_fused & -prev_fused):
                     return
             self.stats.factors_completed += 1
-            self.entry_start(idx + 1, used, picked + [(list(acc), fused)])
+            self.entry_start(idx + 1, used, picked + [(acc, fused)])
             return
         v0 = 0
         while covered >> v0 & 1:
             v0 += 1
         self._node()
-        self._extend_cycle(idx, used, covered, ndiffs, fused, acc, picked, [v0], 1 << v0)
+        self._extend_cycle(idx, used, covered, fused, acc, picked, [v0], 1 << v0)
 
     def _extend_cycle(
         self,
         idx: int,
         used: int,
         covered: int,
-        ndiffs: int,
         fused: int,
         acc: list,
         picked: list,
         path: list,
         path_mask: int,
     ) -> None:
-        entry = self.sig[idx]
-        if len(path) == entry.cycle_length:
-            self._close_cycle(idx, used, covered, ndiffs, fused, acc, picked, path)
+        if len(path) == self.sig[idx].cycle_length:
+            self._close_cycle(idx, used, covered, fused, acc, picked, path)
             return
-        G = self.group
-        cur_inv = G.inv(path[-1])
+        T = self.table
+        cur_inv = self.inv[path[-1]]
         blocked = covered | path_mask
         for w in range(self.n):
             bit = 1 << w
             if blocked & bit:
                 continue
-            if self.pair_mask[G.mul(w, cur_inv)] & used:
+            if self.pair_mask[T[w][cur_inv]] & used:
                 continue
             self._node()
             path.append(w)
             self._extend_cycle(
-                idx, used, covered, ndiffs, fused, acc, picked, path, path_mask | bit
+                idx, used, covered, fused, acc, picked, path, path_mask | bit
             )
             path.pop()
 
@@ -348,51 +358,40 @@ class _Searcher:
         idx: int,
         used: int,
         covered: int,
-        ndiffs: int,
         fused: int,
         acc: list,
         picked: list,
         path: list,
     ) -> None:
         entry = self.sig[idx]
-        G = self.group
-        if self.pair_mask[G.mul(path[0], G.inv(path[-1]))] & used:
+        if self.pair_mask[self.table[path[0]][self.inv[path[-1]]]] & used:
             return
         if path[1] > path[-1]:  # reflection of an enumerated orientation
             return
-        c = cycle(G, path)
-        omega_mask = 0
-        for d in forward_differences(c):
-            omega_mask |= self.pair_mask[d]
+        omega_mask = self.omega_mask(path)
         osize = omega_mask.bit_count()
         budget = 2 * entry.orbit_length
-        ndiffs2 = ndiffs + osize
-        if ndiffs2 > budget:
+        ndiffs = fused.bit_count() + osize
+        if ndiffs > budget:
             return
+        stab_order, _, vmask, disjoint = self.cycle_action(idx, path)
         # exact tiling of Cay[G : Omega(c)] by the full-group orbit of c
-        if 2 * entry.cycle_length != osize * cycle_stabilizer(c).order:
+        if 2 * entry.cycle_length != osize * stab_order:
             return
-        sub = self.subs[idx]
-        orb = cycle_orbit(c, sub)
-        vmask = 0
-        for cc in orb.cycles:
-            for v in cc.verts:
-                vmask |= 1 << v
-        if vmask & covered or vmask.bit_count() != len(orb) * entry.cycle_length:
+        if vmask & covered or not disjoint:
             return
         remaining = self.n - (covered | vmask).bit_count()
         if remaining:
-            least_orbits = -(-remaining // (entry.cycle_length * sub.order))
-            if ndiffs2 + 2 * least_orbits > budget:
+            least_orbits = -(-remaining // (entry.cycle_length * self.subs[idx].order))
+            if ndiffs + 2 * least_orbits > budget:
                 return
         self.stats.cycles_closed += 1
         self._extend_factor(
             idx,
             used | omega_mask,
             covered | vmask,
-            ndiffs2,
             fused | omega_mask,
-            acc + [(c, orb)],
+            acc + [tuple(path)],
             picked,
         )
 
@@ -430,12 +429,9 @@ def _found_spec(target: SearchTarget, picked: list) -> SolutionSpec:
     cycles: dict[str, Cycle] = {}
     factors = []
     for entry, (acc, _) in zip(target.entries, picked):
-        names = []
-        for c, _orb in acc:
-            name = f"C{len(cycles) + 1}"
-            cycles[name] = c
-            names.append(name)
-        factors.append((tuple(names), entry.subgroup))
+        names = tuple(f"C{len(cycles) + n}" for n in range(1, len(acc) + 1))
+        cycles.update(zip(names, (cycle(G, path) for path in acc)))
+        factors.append((names, entry.subgroup))
     return SolutionSpec(
         id=f"search-{G.id}-{target.r}-{target.s}",
         group=G,

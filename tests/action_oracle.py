@@ -3,14 +3,16 @@
 This is the translate, stabilizer and orbit code hwpreg used before it
 computed them from the multiplication table: every translate by every
 group element is re-canonicalised by trying all rotations of both
-orientations.  Tests compare the library against it.
+orientations.  Tests compare the library against it, and compare the
+searcher, which works on vertex paths and bit masks, against
+`closed_path`, the same questions answered through canonical cycles.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from hwpreg.cycles import Cycle, CycleOrbit
+from hwpreg.cycles import Cycle, CycleOrbit, cycle, forward_differences
 from hwpreg.factors import TwoFactor
 from hwpreg.groups import GroupError, Subgroup
 
@@ -86,3 +88,22 @@ def translation_permutes_factors(
             if translate_factor(f, x).key() not in keys:
                 return False
     return True
+
+
+def closed_path(G, path: Sequence[int], sub: Subgroup) -> tuple[int, int, int, int, bool]:
+    """What the searcher asks of a closed path, by way of canonical cycles:
+    the Omega mask (both members of every difference pair), |Stab_G(c)|,
+    |Stab_G(c) & sub|, the vertex mask of the sub-orbit of c under sub,
+    and whether the cycles of that sub-orbit are pairwise vertex-disjoint.
+    """
+    c = cycle(G, path)
+    omega = 0
+    for d in forward_differences(c):
+        omega |= (1 << d) | (1 << G.inv(d))
+    orb = cycle_orbit(c, sub)
+    vmask = 0
+    for cc in orb.cycles:
+        for v in cc.verts:
+            vmask |= 1 << v
+    disjoint = vmask.bit_count() == len(orb) * c.length
+    return omega, cycle_stabilizer(c).order, orb.stabilizer.order, vmask, disjoint

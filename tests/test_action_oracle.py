@@ -1,4 +1,5 @@
-"""The table-driven stabilizers and orbits agree with the slow reference."""
+"""The table-driven stabilizers, orbits and searcher masks agree with the
+slow reference."""
 
 import random
 
@@ -8,6 +9,7 @@ import action_oracle as oracle
 from hwpreg.cycles import cycle, cycle_orbit, cycle_stabilizer
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
+from hwpreg.search import SearchStats, SearchTarget, SignatureEntry, _Searcher
 from hwpreg.solutions import SOLUTION_IDS, load_solution, resolve_subgroup, solution_recipes
 
 
@@ -69,3 +71,65 @@ def test_coset_cycles_match_oracle(gid):
         assert conj in cycle_stabilizer(c)
         assert cycle_stabilizer(c).order >= k
         assert_cycle_agrees(c, subs + [G.subgroup_closure([conj])])
+
+
+def _searcher(G, subgroups):
+    """A searcher with one entry per subgroup, G first: entry k acts by
+    the k-th of G and the named subgroups."""
+    subs = [G.whole_subgroup(), *subgroups.values()]
+    entries = tuple(
+        SignatureEntry(3, len(G) // sub.order, name)
+        for name, sub in zip(["G", *subgroups], subs)
+    )
+    target = SearchTarget(G, 0, 0, entries, dict(subgroups), {})
+    return _Searcher(target, SearchStats()), subs
+
+
+def assert_path_agrees(searcher, subs, path):
+    G = searcher.group
+    for idx, sub in enumerate(subs):
+        got = (searcher.omega_mask(list(path)), *searcher.cycle_action(idx, list(path)))
+        assert got == oracle.closed_path(G, path, sub), (path, sub)
+
+
+@pytest.mark.parametrize("sid", SOLUTION_IDS)
+def test_bundled_paths_match_closed_path_oracle(sid):
+    spec = load_solution(sid)
+    searcher, subs = _searcher(spec.group, spec.subgroups)
+    for c in spec.cycles.values():
+        for seq in (c.verts, c.verts[::-1]):
+            for r in range(len(seq)):
+                assert_path_agrees(searcher, subs, seq[r:] + seq[:r])
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_random_paths_match_closed_path_oracle(gid):
+    G = build_group(gid)
+    n = len(G)
+    rng = random.Random(f"paths-{gid}")
+    subgroups = {"T": G.trivial_subgroup()}
+    for k in range(3):
+        subgroups[f"C{k}"] = G.subgroup_closure([rng.randrange(n)])
+        subgroups[f"D{k}"] = G.subgroup_closure(rng.sample(range(n), 2))
+    searcher, subs = _searcher(G, subgroups)
+    for k in range(200):
+        assert_path_agrees(searcher, subs, rng.sample(range(n), 3 + k % 2))
+    # paths (b, a*b, a^2*b[, a^3*b]) have stabilizers of order >= 3
+    for a in range(n):
+        if G.element_order(a) in (3, 4):
+            b = rng.randrange(n)
+            path = [G.mul(G.power(a, i), b) for i in range(G.element_order(a))]
+            assert_path_agrees(searcher, subs, path)
+
+
+@pytest.mark.parametrize("sid", SOLUTION_IDS)
+def test_translated_paths_give_the_factor_stabilizer(sid):
+    spec = load_solution(sid)
+    searcher, _ = _searcher(spec.group, spec.subgroups)
+    names = ["G", *spec.subgroups]
+    for (cycle_names, sub_name), recipe in zip(spec.factors, solution_recipes(spec)):
+        paths = [spec.cycles[cn].verts for cn in cycle_names]
+        got = searcher.factor_stabilizer_of(names.index(sub_name), paths)
+        f = assemble_factor(spec.group, recipe)
+        assert sorted(got) == list(factor_stabilizer(f).members)
+        assert sorted(got) == list(oracle.factor_stabilizer(f).members)

@@ -243,6 +243,15 @@ def test_export_out_writes_file_only(tmp_path, capsys):
     assert json.loads(path.read_text(encoding="utf-8"))["id"] == "24-7-4"
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, command, "24-9-2", "--out", str(path))
+    assert code == 2 and not path.exists()
+    assert err.startswith("hwpreg: cannot write output: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_verify_24_5_6_prints_notes(capsys):
     code, out, _ = run(capsys, "verify", "24-5-6")
     assert code == 0

@@ -1,6 +1,7 @@
 """Target documents and the backtracking searcher."""
 
 import copy
+import hashlib
 import json
 import random
 import re
@@ -9,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from hwpreg.factors import canonical_json
 from hwpreg.groups import build_group
 from hwpreg.search import (
     SignatureEntry,
@@ -185,13 +187,59 @@ def test_target_from_solution_names_stabilizers():
     assert target.subgroups["S2"].order == 4
 
 
+def _counters(stats):
+    return (
+        stats.nodes,
+        stats.cycles_closed,
+        stats.factors_completed,
+        stats.memo_entries,
+        stats.memo_hits,
+    )
+
+
 def test_order_48_signature_runs_under_budget():
     # full searches at v=48 are out of test scope; the machinery still works
-    target = target_from_solution(load_solution("48-17-6"), budget_nodes=2000)
-    assert (target.r, target.s) == (17, 6)
-    outcome = search_hwp(target)
-    assert outcome.verdict == "budget-exceeded"
-    assert outcome.stats.nodes == 2001
+    pinned = {
+        "48-17-6": (2001, 196, 2, 1, 0),
+        "48-15-8": (2001, 196, 2, 1, 0),
+        "48-5-18": (2001, 2, 2, 0, 0),
+    }
+    for sid, counters in pinned.items():
+        spec = load_solution(sid)
+        target = target_from_solution(spec, budget_nodes=2000)
+        assert (len(target.group), target.r, target.s) == spec.expected
+        outcome = search_hwp(target)
+        assert outcome.verdict == "budget-exceeded", sid
+        assert _counters(outcome.stats) == counters, sid
+
+
+@pytest.mark.parametrize(
+    "sid,counters,digest",
+    [
+        (
+            "24-5-6",
+            (27820, 104, 69, 50, 13),
+            "150ed4a804d02de996313c792302be277ff2d85866c0c5fd4ccb8acd6e9e4969",
+        ),
+        (
+            "24-7-4",
+            (52, 4, 4, 0, 0),
+            "bcc826e0b7c62d9b490661018c0a48d089824b08120b51e734abd49484c9f0aa",
+        ),
+        (
+            "24-9-2",
+            (5469, 254, 31, 12, 15),
+            "46b3b169ccc2cccc3fa2b6604b3e86b3ad3aac55bcf4ec20eef41e49cec4c312",
+        ),
+    ],
+)
+def test_derived_order_24_searches_are_pinned(sid, counters, digest):
+    # node counts and found documents may change only with a stated reason
+    outcome = search_hwp(target_from_solution(load_solution(sid)))
+    assert outcome.verdict == "found"
+    assert _counters(outcome.stats) == counters
+    text = canonical_json(outcome.solution)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _frames() -> int:
