@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="human-readable text or byte-deterministic JSON",
     )
-    common.add_argument("--out", metavar="PATH", help="also write the result to a file")
+    out_help = "write the output to PATH instead of stdout; verify and search print it"
+    out_help += " as usual and write the canonical certificate or the found document to PATH"
+    common.add_argument("--out", metavar="PATH", help=out_help)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -52,8 +52,8 @@ class Cycle:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.verts)
 
-    def format(self, fancy: bool = False) -> str:
-        inner = ", ".join(self.group.format(v, fancy) for v in self.verts)
+    def format(self) -> str:
+        inner = ", ".join(self.group.format(v) for v in self.verts)
         return f"({inner})"
 
 

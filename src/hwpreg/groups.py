@@ -8,10 +8,11 @@ Supported groups, by id:
            b^-1 a b = a^-1), elements in normal form a^i b^j;
 * ``SL23`` the 2x2 matrices over Z_3 with determinant 1 (order 24).
 
-Each group is enumerated once in a fixed canonical order and its full
-multiplication table is built up front; every later operation works on
-element indices.  Quaternion coordinates are kept exact as pairs (p, q)
-denoting (p + q*sqrt(2))/2, so equality tests are sound.
+Each group is enumerated once in a fixed canonical order, and its full
+multiplication table and ASCII element texts (``1/r2``; ``parse`` also
+accepts ``1/√2``) are built once, at construction; every later operation
+works on element indices.  Quaternion coordinates are kept exact as
+pairs (p, q) denoting (p + q*sqrt(2))/2, so equality tests are sound.
 
 All three groups have exactly one involution, which is what makes them
 usable as regular automorphism groups of a cocktail party graph.
@@ -158,7 +159,7 @@ def parse_quat(text: str) -> Quat:
     return quat  # type: ignore[return-value]
 
 
-def format_quat(q: Quat, fancy: bool = False) -> str:
+def format_quat(q: Quat) -> str:
     """Render an element in the notation accepted by :func:`parse_quat`."""
     ps = [p for p, _ in q]
     qs = [s for _, s in q]
@@ -168,8 +169,7 @@ def format_quat(q: Quat, fancy: bool = False) -> str:
             t, p = nonzero[0]
             return ("-" if p < 0 else "") + _UNIT_NAMES[t]
         return "1/2(" + _signed_sum(ps) + ")"
-    root = "1/√2" if fancy else "1/r2"
-    return root + "(" + _signed_sum(qs) + ")"
+    return "1/r2(" + _signed_sum(qs) + ")"
 
 
 def _signed_sum(coeffs: Sequence[int]) -> str:
@@ -222,7 +222,7 @@ def parse_dicyclic(text: str) -> Dic:
     return exp, 1 if m.group(4) else 0
 
 
-def format_dicyclic(x: Dic, fancy: bool = False) -> str:
+def format_dicyclic(x: Dic) -> str:
     i, j = x
     if i == 0:
         return "b" if j else "1"
@@ -271,7 +271,7 @@ def parse_sl23(text: str) -> Mat:
     return entries  # type: ignore[return-value]
 
 
-def format_sl23(x: Mat, fancy: bool = False) -> str:
+def format_sl23(x: Mat) -> str:
     a, b, c, d = x
     return f"[[{a},{b}],[{c},{d}]]"
 
@@ -307,10 +307,10 @@ class Subgroup:
 class FiniteGroup:
     """A small finite group with a precomputed multiplication table.
 
-    Elements are referred to by index into :attr:`elements`; ``mul`` and
-    ``inv`` are table lookups.  Instances are immutable after construction
-    and safe to share; use :func:`build_group` to obtain the cached
-    instance for a group id.
+    Elements are referred to by index into :attr:`elements`; ``mul``,
+    ``inv`` and ``format`` are table lookups.  Instances are immutable
+    after construction and safe to share; use :func:`build_group` to
+    obtain the cached instance for a group id.
     """
 
     def __init__(
@@ -319,7 +319,7 @@ class FiniteGroup:
         elements: Sequence[object],
         mul_func: Callable,
         parser: Callable[[str], object],
-        formatter: Callable,
+        formatter: Callable[[object], str],
     ) -> None:
         self.id = gid
         self.elements = tuple(elements)
@@ -327,7 +327,7 @@ class FiniteGroup:
         if len(self._index) != len(self.elements):
             raise GroupError(f"{gid}: duplicate elements in enumeration")
         self._parser = parser
-        self._formatter = formatter
+        self.texts: tuple[str, ...] = tuple(formatter(e) for e in self.elements)
 
         n = len(self.elements)
         table: list[tuple[int, ...]] = []
@@ -446,8 +446,8 @@ class FiniteGroup:
             raise ElementError(f"{text!r} is not an element of {self.id}")
         return idx
 
-    def format(self, idx: int, fancy: bool = False) -> str:
-        return self._formatter(self.elements[idx], fancy)
+    def format(self, idx: int) -> str:
+        return self.texts[idx]
 
 
 @lru_cache(maxsize=None)

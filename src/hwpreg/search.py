@@ -81,7 +81,6 @@ class SearchTarget:
     s: int
     entries: tuple[SignatureEntry, ...]
     subgroups: Mapping[str, Subgroup]
-    generators: Mapping[str, tuple[str, ...]]
     budget_nodes: Optional[int] = None
 
 
@@ -145,7 +144,7 @@ def parse_target_dict(doc: Mapping) -> SearchTarget:
     s = _strict_int(tgt["s"], "target.s", E)
     if r < 0 or s < 0:
         raise E("factor counts must be nonnegative")
-    subgroups, generators = _read_subgroups(group, doc["subgroups"], E)
+    subgroups = _read_subgroups(group, doc["subgroups"], E)
 
     entries = []
     for n, item in enumerate(_read_list(doc["signature"], "signature", E)):
@@ -166,7 +165,7 @@ def parse_target_dict(doc: Mapping) -> SearchTarget:
         budget = _strict_int(raw_budget["nodes"], "budget.nodes", E)
         if budget < 1:
             raise E("budget.nodes must be positive")
-    return SearchTarget(group, r, s, tuple(entries), subgroups, generators, budget)
+    return SearchTarget(group, r, s, tuple(entries), subgroups, budget)
 
 
 def parse_target_text(text: str) -> SearchTarget:
@@ -187,9 +186,7 @@ def target_from_solution(
     """
     group = spec.group
     entries = []
-    subgroups: dict[str, Subgroup] = {}
-    generators: dict[str, tuple[str, ...]] = {}
-    names: dict[frozenset[int], str] = {}
+    names: dict[Subgroup, str] = {}  # factor stabilizers other than G: S1, S2, ...
     for recipe in solution_recipes(spec):
         f = assemble_factor(group, recipe)
         stab = factor_stabilizer(f)
@@ -199,17 +196,14 @@ def target_from_solution(
         if stab.order == len(group):
             name = "G"
         else:
-            name = names.setdefault(stab.member_set, f"S{len(names) + 1}")
-            subgroups[name] = stab
-            generators[name] = tuple(group.format(x) for x in stab.members)
+            name = names.setdefault(stab, f"S{len(names) + 1}")
         entries.append(SignatureEntry(length, len(group) // stab.order, name))
     return SearchTarget(
         group,
         sum(e.orbit_length for e in entries if e.cycle_length == 3),
         sum(e.orbit_length for e in entries if e.cycle_length == 4),
         tuple(entries),
-        subgroups,
-        generators,
+        {name: stab for stab, name in names.items()},
         budget_nodes,
     )
 
@@ -436,7 +430,6 @@ def _found_spec(target: SearchTarget, picked: list) -> SolutionSpec:
         id=f"search-{G.id}-{target.r}-{target.s}",
         group=G,
         subgroups=target.subgroups,
-        subgroup_generators=target.generators,
         cycles=cycles,
         factors=tuple(factors),
         expected=(len(G), target.r, target.s),

@@ -79,7 +79,6 @@ class SolutionSpec:
     id: str
     group: FiniteGroup
     subgroups: Mapping[str, Subgroup]
-    subgroup_generators: Mapping[str, tuple[str, ...]]
     cycles: Mapping[str, Cycle]
     factors: tuple[tuple[tuple[str, ...], str], ...]  # (cycle names, subgroup)
     expected: tuple[int, int, int]
@@ -165,20 +164,16 @@ def _read_elements(group: FiniteGroup, texts, where: str, error: Err) -> list[in
     return out
 
 
-def _read_subgroups(
-    group: FiniteGroup, raw, error: Err
-) -> tuple[dict[str, Subgroup], dict[str, tuple[str, ...]]]:
-    """Subgroups named in a ``subgroups`` map, and their generator texts."""
+def _read_subgroups(group: FiniteGroup, raw, error: Err) -> dict[str, Subgroup]:
+    """Subgroups named in a ``subgroups`` map."""
     subgroups: dict[str, Subgroup] = {}
-    generators: dict[str, tuple[str, ...]] = {}
     for name, gens in _read_map(raw, "subgroups", error).items():
         if _read_name(name, "subgroup name", error) == "G":
             raise error("invalid subgroup name 'G': G denotes the whole group")
         subgroups[name] = group.subgroup_closure(
             _read_elements(group, gens, f"subgroups.{name}", error)
         )
-        generators[name] = tuple(gens)
-    return subgroups, generators
+    return subgroups
 
 
 def _parse_json(text: str, error: Err):
@@ -222,7 +217,7 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     )
     sid = _read_name(doc["id"], "id", E)
     group = _read_group(doc["group"], E)
-    subgroups, subgroup_generators = _read_subgroups(group, doc["subgroups"], E)
+    subgroups = _read_subgroups(group, doc["subgroups"], E)
 
     raw_cycles = _read_map(doc["cycles"], "cycles", E)
     if not raw_cycles:
@@ -285,7 +280,6 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
         id=sid,
         group=group,
         subgroups=subgroups,
-        subgroup_generators=subgroup_generators,
         cycles=cycles,
         factors=tuple(factors),
         expected=expected,
@@ -304,7 +298,7 @@ def solution_to_dict(spec: SolutionSpec) -> dict:
     return {
         "id": spec.id,
         "group": G.id,
-        "subgroups": {n: list(g) for n, g in spec.subgroup_generators.items()},
+        "subgroups": {n: [G.format(g) for g in s.generators] for n, s in spec.subgroups.items()},
         "cycles": {n: [G.format(v) for v in c.verts] for n, c in spec.cycles.items()},
         "factors": [{"cycles": list(names), "subgroup": sub} for names, sub in spec.factors],
         "expected": dict(zip(("v", "r", "s"), spec.expected)),

@@ -151,6 +151,7 @@ def test_acceptance_3_difference_partition():
 
 def test_acceptance_4_stabilizers_and_orbits():
     problems = []
+    member_claims = 0
     for sid in SOLUTION_IDS:
         spec = load_solution(sid)
         G = spec.group
@@ -159,6 +160,10 @@ def test_acceptance_4_stabilizers_and_orbits():
             want = {G.identity} if claim == "trivial" else set(spec.cycles[cn].verts)
             if stab != want:
                 problems.append(f"{sid}/{cn}: claim {claim!r}, stabilizer {stab}")
+        for sn, texts in spec.subgroup_member_claims.items():
+            member_claims += 1
+            if sorted(G.parse(t) for t in texts) != list(spec.subgroups[sn].members):
+                problems.append(f"{sid}/{sn}: claimed members {list(texts)}")
         orbits = []
         for recipe, (_, sub_name) in zip(solution_recipes(spec), spec.factors):
             f = assemble_factor(G, recipe)
@@ -170,6 +175,8 @@ def test_acceptance_4_stabilizers_and_orbits():
             problems.append(f"{sid}: orbit lengths {orbits}")
     if not set(EXPECTED_ORBITS["48-5-18"]) <= {3, 1, 4}:
         problems.append("48-5-18 orbit lengths outside {3, 1, 4}")
+    if member_claims != 8:  # 24-7-4 and 24-9-2: H, K, L; 24-5-6: Q, H
+        problems.append(f"{member_claims} subgroup member claims checked, expected 8")
     _report(4, "stabilizers-and-orbits", not problems, "; ".join(problems))
 
 

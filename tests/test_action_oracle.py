@@ -81,7 +81,7 @@ def _searcher(G, subgroups):
         SignatureEntry(3, len(G) // sub.order, name)
         for name, sub in zip(["G", *subgroups], subs)
     )
-    target = SearchTarget(G, 0, 0, entries, dict(subgroups), {})
+    target = SearchTarget(G, 0, 0, entries, dict(subgroups))
     return _Searcher(target, SearchStats()), subs
 
 

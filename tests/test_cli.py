@@ -236,11 +236,19 @@ def test_export_dot(capsys):
     assert labels == {"F1", "F2", "F3", "F4"}
 
 
-def test_export_out_writes_file_only(tmp_path, capsys):
-    path = tmp_path / "doc.json"
-    code, out, _ = run(capsys, "export", "24-7-4", "--out", str(path))
+@pytest.mark.parametrize(
+    "argv",
+    [["list"], ["omega", "24-9-2", "C1"], ["orbit", "24-9-2", "C4", "H"], ["export", "24-7-4"]],
+    ids=["list", "omega", "orbit", "export"],
+)
+def test_export_out_writes_file_only(tmp_path, capsys, argv):
+    """Outside verify and search, --out replaces stdout."""
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and expected
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
-    assert json.loads(path.read_text(encoding="utf-8"))["id"] == "24-7-4"
+    assert path.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("command", ["verify", "export"])

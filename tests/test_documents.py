@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import hwpreg
+from hwpreg.cli import main
 from hwpreg.search import TargetFormatError, parse_target_dict, parse_target_text, search_hwp
 from hwpreg.solutions import (
     SOLUTION_IDS,
@@ -111,6 +112,18 @@ def test_solution_to_dict_reproduces_a_found_document():
     assert outcome.verdict == "found"
     again = solution_to_dict(parse_solution_dict(outcome.solution))
     assert json.dumps(again) == json.dumps(outcome.solution)  # key order too
+
+
+def test_generators_are_written_in_canonical_spelling(doc_copy, tmp_path, capsys):
+    doc = doc_copy("24-9-2")
+    doc["subgroups"]["L"] = ["a2b", "a03", "a03"]
+    spec = parse_solution_dict(doc)
+    assert solution_to_dict(spec)["subgroups"]["L"] == ["a2b", "a3"]
+    assert parse_solution_dict(solution_to_dict(spec)).subgroups == spec.subgroups
+    path = tmp_path / "spelled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["export", str(path), "--format", "canonical"]) == 0
+    assert json.loads(capsys.readouterr().out)["subgroups"]["L"] == ["a2b", "a3"]
 
 
 PUBLIC_NAMES = [
