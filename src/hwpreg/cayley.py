@@ -12,7 +12,7 @@ Cay[G:G\\{1, inv}].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .groups import FiniteGroup, GroupError
@@ -99,6 +99,9 @@ def cayley_graph(group: FiniteGroup, connection: ConnectionSet) -> CayleyGraph:
     return CayleyGraph(group, connection)
 
 
+@lru_cache(maxsize=None)
 def cocktail_party_graph(group: FiniteGroup) -> CayleyGraph:
-    """K_v minus the involution matching; the graph all solutions decompose."""
+    """K_v minus the involution matching; the graph all solutions decompose.
+
+    Cached per group, so its edge set is built once per group."""
     return CayleyGraph(group, cocktail_party_connection(group))

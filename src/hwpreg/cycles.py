@@ -2,10 +2,14 @@
 
 A cycle is stored in canonical form: the lexicographically least among
 all rotations of both orientations, so equality means equality as a
-subgraph.  The group acts on cycles by right translation.  Stabilizers
-are computed from the multiplication table on vertex sequences, so the
-searcher uses them on plain paths; only the orbit functions pick a
-transversal and build canonical cycles, one per distinct translate.
+subgraph.  The group acts on cycles by right translation, which keeps
+the difference a * v^-1 of every edge {v, a}.  So a stabilizer is read
+off vertex sequences: x fixes a set of cycles exactly when every vertex
+v*x has the same pair of neighbour differences as v, one comparison of
+a per-vertex code tuple with its image under the precomputed column
+v -> v*x of the multiplication table.  The searcher uses this on plain
+paths; only the orbit functions pick a transversal and build canonical
+cycles, one per distinct translate.
 The list of partial differences of a cycle C = (c_1, ..., c_l) is the
 inverse-closed set collecting c_{t+1} * c_t^-1 for every consecutive
 pair (indices mod l); when the orbit of C under the full group tiles
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 from .cayley import ConnectionSet, connection_set, edge
@@ -89,29 +94,43 @@ def _stabilizer(
     """Elements of G whose right translation fixes vertex-disjoint cycles,
     each given as a vertex sequence in cycle order.
 
-    x fixes the cycles exactly when it maps the neighbours of every vertex
-    v onto the neighbours of v*x.  Such an x sends min(V) into V, so the
-    only candidates are min(V)^-1 * w for w in V.
+    Right translation keeps a * v^-1 for every edge {v, a}, as
+    (a*x) * (v*x)^-1 = a * v^-1.  So each vertex v of the cycles gets a
+    code, the unordered pair {a*v^-1, b*v^-1} for its neighbours a and b,
+    and every other vertex gets -1.  x fixes the cycles exactly when the
+    codes are invariant under v -> v*x: then the neighbours of v*x are
+    a*x and b*x, so x maps edges onto edges.  Such an x sends min(V) to a
+    vertex w with the same code, so the only candidates are min(V)^-1 * w
+    for those w; w = min(V) gives the identity.
     """
-    T = group.table
-    nbr: dict[int, tuple[int, int]] = {}
+    T, inv, n = group.table, group.inv_table, len(group)
+    code = [-1] * n
+    base = n
     for vs in paths:
-        for t, v in enumerate(vs):
-            nbr[v] = (vs[t - 1], vs[(t + 1) % len(vs)])
-    base_inv = group.inv_table[min(nbr)]
-    found: set[int] = set()
-    for w in nbr:
-        x = T[base_inv][w]
-        for v, (a, b) in nbr.items():
-            image = nbr.get(T[v][x])
-            ax, bx = T[a][x], T[b][x]
-            if image != (ax, bx) and image != (bx, ax):
-                break
-        else:
-            found.add(x)
-    for a in found:
-        for b in found:
-            if T[a][b] not in found:
+        a, v = vs[-2], vs[-1]
+        for b in vs:
+            vi = inv[v]
+            da, db = T[a][vi], T[b][vi]
+            code[v] = da * n + db if da < db else db * n + da
+            a, v = v, b
+        base = min(base, *vs)
+    c0 = code[base]
+    found = {group.identity}
+    others = code.count(c0) - 1
+    if others:
+        codes = tuple(code)
+        translations = group.right_translations
+        row = T[inv[base]]
+        w = base
+        for _ in range(others):
+            w = code.index(c0, w + 1)
+            x = row[w]
+            if translations[x](codes) == codes:
+                found.add(x)
+    if len(found) > 1:  # {1} is closed
+        pick = itemgetter(*found)
+        for a in found:
+            if not found.issuperset(pick(T[a])):
                 raise GroupError(f"{what} stabilizer is not closed")
     return found
 

@@ -10,7 +10,8 @@ Supported groups, by id:
 
 Each group is enumerated once in a fixed canonical order, and its full
 multiplication table and ASCII element texts (``1/r2``; ``parse`` also
-accepts ``1/√2``) are built once, at construction; every later operation
+accepts ``1/√2``) are built once, at construction; the table's columns,
+as right translations, are built on first use.  Every later operation
 works on element indices.  Quaternion coordinates are kept exact as
 pairs (p, q) denoting (p + q*sqrt(2))/2, so equality tests are sound.
 
@@ -24,6 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 GROUP_IDS = ("2O", "Q24", "SL23")
@@ -429,6 +431,13 @@ class FiniteGroup:
                 f"{self.id}: subgroup order {len(members)} violates Lagrange"
             )
         return Subgroup(self, tuple(sorted(members)), gens)
+
+    @cached_property
+    def right_translations(self) -> tuple[itemgetter, ...]:
+        """For each x, a getter that reads a per-element sequence s as
+        (s[0*x], s[1*x], ..., s[(n-1)*x]).  Built on first use."""
+        T, n = self.table, len(self)
+        return tuple(itemgetter(*(T[v][x] for v in range(n))) for x in range(n))
 
     def whole_subgroup(self) -> Subgroup:
         return Subgroup(self, tuple(range(len(self))), (self.identity,))

@@ -234,12 +234,18 @@ class _Searcher:
         self.pair_mask = [
             (1 << d) | (1 << G.inv(d)) for d in range(self.n)
         ]
-        # per entry with subgroup S, the vertex mask of v*S for every vertex v
-        self.coset_masks = [
-            [sum(1 << T[v][x] for x in sub.members) for v in range(self.n)]
-            for sub in self.subs
-        ]
         self.full_cover = (1 << self.n) - 1
+        # per entry with subgroup S, the vertex mask of v*S for every vertex v;
+        # entries with the same subgroup share one list, and v*G is everything
+        masks: dict[str, list[int]] = {}
+        for e, sub in zip(self.sig, self.subs):
+            if e.subgroup not in masks:
+                masks[e.subgroup] = (
+                    [self.full_cover] * self.n
+                    if sub.order == self.n
+                    else [sum(1 << T[v][x] for x in sub.members) for v in range(self.n)]
+                )
+        self.coset_masks = [masks[e.subgroup] for e in self.sig]
         self.dead: set[tuple[int, int]] = set()
         self.budget = target.budget_nodes
 

@@ -6,6 +6,9 @@ group element is re-canonicalised by trying all rotations of both
 orientations.  Tests compare the library against it, and compare the
 searcher, which works on vertex paths and bit masks, against
 `closed_path`, the same questions answered through canonical cycles.
+`neighbour_map_stabilizer` is the table-driven stabilizer hwpreg used
+before it compared neighbour-difference codes: each candidate is checked
+vertex by vertex against a map of neighbours.
 """
 
 from __future__ import annotations
@@ -14,12 +17,45 @@ from typing import Iterable, Optional, Sequence
 
 from hwpreg.cycles import Cycle, CycleOrbit, cycle, forward_differences
 from hwpreg.factors import TwoFactor
-from hwpreg.groups import GroupError, Subgroup
+from hwpreg.groups import FiniteGroup, GroupError, Subgroup
 
 
 def canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
     n = len(verts)
     return min(seq[r:] + seq[:r] for seq in (verts, verts[::-1]) for r in range(n))
+
+
+def neighbour_map_stabilizer(
+    group: FiniteGroup, paths: Iterable[Sequence[int]], what: str
+) -> set[int]:
+    """Elements of G whose right translation fixes vertex-disjoint cycles,
+    each given as a vertex sequence in cycle order.
+
+    x fixes the cycles exactly when it maps the neighbours of every vertex
+    v onto the neighbours of v*x.  Such an x sends min(V) into V, so the
+    only candidates are min(V)^-1 * w for w in V.
+    """
+    T = group.table
+    nbr: dict[int, tuple[int, int]] = {}
+    for vs in paths:
+        for t, v in enumerate(vs):
+            nbr[v] = (vs[t - 1], vs[(t + 1) % len(vs)])
+    base_inv = group.inv_table[min(nbr)]
+    found: set[int] = set()
+    for w in nbr:
+        x = T[base_inv][w]
+        for v, (a, b) in nbr.items():
+            image = nbr.get(T[v][x])
+            ax, bx = T[a][x], T[b][x]
+            if image != (ax, bx) and image != (bx, ax):
+                break
+        else:
+            found.add(x)
+    for a in found:
+        for b in found:
+            if T[a][b] not in found:
+                raise GroupError(f"{what} stabilizer is not closed")
+    return found
 
 
 def translate_cycle(c: Cycle, x: int) -> Cycle:

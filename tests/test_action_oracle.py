@@ -1,16 +1,23 @@
 """The table-driven stabilizers, orbits and searcher masks agree with the
-slow reference."""
+slow reference, and the difference-code stabilizer kernel agrees with the
+neighbour-map one."""
 
 import random
 
 import pytest
 
 import action_oracle as oracle
-from hwpreg.cycles import cycle, cycle_orbit, cycle_stabilizer
+from hwpreg.cycles import _stabilizer, cycle, cycle_orbit, cycle_stabilizer
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.search import SearchStats, SearchTarget, SignatureEntry, _Searcher
 from hwpreg.solutions import SOLUTION_IDS, load_solution, resolve_subgroup, solution_recipes
+
+
+def assert_kernel_agrees(G, paths, what="family"):
+    got = _stabilizer(G, paths, what)
+    assert got == oracle.neighbour_map_stabilizer(G, paths, what), paths
+    return got
 
 
 def assert_cycle_agrees(c, subs):
@@ -37,6 +44,81 @@ def test_bundled_factors_match_oracle(sid):
         f = assemble_factor(spec.group, recipe)
         assert factor_stabilizer(f) == oracle.factor_stabilizer(f)
         assert factor_orbit(f) == oracle.factor_orbit(f)
+
+
+@pytest.mark.parametrize("sid", SOLUTION_IDS)
+def test_kernel_matches_neighbour_map_on_bundled_cycles_and_factors(sid):
+    spec = load_solution(sid)
+    G = spec.group
+    for c in spec.cycles.values():
+        assert_kernel_agrees(G, (c.verts,), "cycle")
+    for recipe in solution_recipes(spec):
+        assert_kernel_agrees(G, assemble_factor(G, recipe).key(), "factor")
+
+
+def _presented(rng, path):
+    """path from a random start vertex, in a random direction."""
+    r = rng.randrange(len(path))
+    seq = list(path[r:] + path[:r])
+    return seq[::-1] if rng.random() < 0.5 else seq
+
+
+def _cut(rng, verts):
+    """verts cut into consecutive paths of length 3 to 6."""
+    paths, i = [], 0
+    while len(verts) - i >= 3:
+        k = rng.choice([k for k in range(3, 7) if len(verts) - i - k not in (1, 2)])
+        paths.append(verts[i:i + k])
+        i += k
+    return paths
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_kernel_matches_neighbour_map_on_random_families(gid):
+    G = build_group(gid)
+    n = len(G)
+    rng = random.Random(f"kernel-{gid}")
+    for k in range(300):
+        verts = rng.sample(range(n), n if k % 3 == 0 else rng.randint(3, n - 3))
+        assert_kernel_agrees(G, _cut(rng, verts))
+    # the translates of one path by a subgroup S, when they are disjoint,
+    # are fixed by S; alone and next to an unrelated path
+    fixed = 0
+    while fixed < 100:
+        S = G.subgroup_closure(rng.sample(range(n), rng.randint(1, 2)))
+        path = rng.sample(range(n), rng.randint(3, 6))
+        family = [[G.mul(v, x) for v in path] for x in S.members]
+        if len({v for p in family for v in p}) < len(path) * S.order:
+            continue
+        family = [_presented(rng, p) for p in family]
+        assert S.member_set <= assert_kernel_agrees(G, family)
+        rest = [v for v in range(n) if all(v not in p for p in family)]
+        if len(rest) >= 3:
+            extra = rng.sample(rest, rng.randint(3, min(6, len(rest))))
+            assert_kernel_agrees(G, family + [extra])
+        fixed += 1
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_kernel_matches_neighbour_map_on_coset_cycles(gid):
+    # the right cosets <a>b, each walked as (b, a*b, a^2*b, ...), together
+    # are fixed by every element; one of them is fixed by b^-1 * <a> * b
+    G = build_group(gid)
+    n = len(G)
+    rng = random.Random(f"kernel-coset-{gid}")
+    for a in range(n):
+        k = G.element_order(a)
+        if k < 3:
+            continue
+        cosets, seen = [], set()
+        for b in range(n):
+            if b not in seen:
+                cosets.append([G.mul(G.power(a, i), b) for i in range(k)])
+                seen.update(cosets[-1])
+        assert len(assert_kernel_agrees(G, [cosets[0]])) >= k
+        family = [_presented(rng, p) for p in cosets]
+        assert assert_kernel_agrees(G, family) == set(range(n))
+        assert_kernel_agrees(G, family[: rng.randint(1, len(family) - 1)])
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -125,11 +207,15 @@ def test_random_paths_match_closed_path_oracle(gid):
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
 def test_translated_paths_give_the_factor_stabilizer(sid):
     spec = load_solution(sid)
-    searcher, _ = _searcher(spec.group, spec.subgroups)
+    searcher, subs = _searcher(spec.group, spec.subgroups)
     names = ["G", *spec.subgroups]
     for (cycle_names, sub_name), recipe in zip(spec.factors, solution_recipes(spec)):
         paths = [spec.cycles[cn].verts for cn in cycle_names]
-        got = searcher.factor_stabilizer_of(names.index(sub_name), paths)
+        idx = names.index(sub_name)
+        got = searcher.factor_stabilizer_of(idx, paths)
+        T = spec.group.table
+        translated = [[T[v][x] for v in p] for p in paths for x in subs[idx].members]
+        assert got == assert_kernel_agrees(spec.group, translated, "factor")
         f = assemble_factor(spec.group, recipe)
         assert sorted(got) == list(factor_stabilizer(f).members)
         assert sorted(got) == list(oracle.factor_stabilizer(f).members)

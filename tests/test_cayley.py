@@ -47,6 +47,7 @@ def test_graph_sizes(gid):
     v = len(G)
     assert complete_graph(G).edge_count() == v * (v - 1) // 2
     assert cocktail_party_graph(G).edge_count() == v * (v - 2) // 2
+    assert cocktail_party_graph(G) is cocktail_party_graph(G)  # once per group
     assert one_factor(G).edge_count() == v // 2
     assert len(full_connection(G)) == v - 1
     assert len(cocktail_party_connection(G)) == v - 2

@@ -2,12 +2,18 @@
 
 import pytest
 
+from hwpreg.cycles import cycle, cycle_stabilizer
 from hwpreg.groups import (
     GROUP_IDS,
     ElementError,
+    FiniteGroup,
     GroupError,
     build_group,
+    dicyclic_elements,
+    dicyclic_mul,
+    format_dicyclic,
     octahedral_elements,
+    parse_dicyclic,
     quat_conj,
     quat_mul,
     quat_norm2_times4,
@@ -24,6 +30,19 @@ def test_group_ids_and_orders():
 
 def test_build_group_is_cached():
     assert build_group("Q24") is build_group("Q24")
+
+
+def test_right_translations_are_built_on_first_use():
+    # building a group (and so importing hwpreg) does no work for the
+    # stabilizer kernel's table; a fresh group, not the cached one
+    G = FiniteGroup("Q24", dicyclic_elements(), dicyclic_mul, parse_dicyclic, format_dicyclic)
+    assert "right_translations" not in vars(G)
+    a = G.parse("a4")  # order 3, so (1, a4, a8) is fixed by <a4>
+    assert cycle_stabilizer(cycle(G, [G.identity, a, G.mul(a, a)])).order == 3
+    assert "right_translations" in vars(G)
+    n = len(G)
+    for x in range(n):
+        assert G.right_translations[x](range(n)) == tuple(G.mul(v, x) for v in range(n))
 
 
 def test_build_group_rejects_unknown():

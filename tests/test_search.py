@@ -13,6 +13,7 @@ import pytest
 from hwpreg.factors import canonical_json
 from hwpreg.groups import build_group
 from hwpreg.search import (
+    SearchStats,
     SignatureEntry,
     _Searcher,
     TargetFormatError,
@@ -185,6 +186,16 @@ def test_target_from_solution_names_stabilizers():
     assert [e.subgroup for e in target.entries] == ["G", "G", "S1", "S2"]
     assert target.subgroups["S1"].order == 8
     assert target.subgroups["S2"].order == 4
+
+
+def test_coset_masks_are_built_once_per_subgroup():
+    target = target_from_solution(load_solution("48-17-6"))
+    searcher = _Searcher(target, SearchStats())
+    by_name = {}
+    for entry, masks in zip(target.entries, searcher.coset_masks):
+        assert by_name.setdefault(entry.subgroup, masks) is masks
+    assert sorted(by_name) == ["G", "S1", "S2"]
+    assert by_name["G"] == [searcher.full_cover] * len(target.group)
 
 
 def _counters(stats):
