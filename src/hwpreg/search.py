@@ -6,9 +6,32 @@ length under the full group, and the acting subgroup, which must be the
 factor's full stabilizer.  The searcher restricts itself to solutions in
 which the base cycles have pairwise disjoint difference sets; every
 bundled solution is of this kind, and under that restriction a base
-cycle is viable exactly when its full-group orbit tiles the Cayley graph
-of its own differences, which reduces to the arithmetic test
-2 * length == |Omega| * |stabilizer|.
+cycle c of length l is viable exactly when its full-group orbit tiles
+the Cayley graph of its own differences, which reduces to the arithmetic
+test 2 * l == |Omega(c)| * |Stab_G(c)|.
+
+Both stabilizer questions are answered without computing a stabilizer
+in the common case.  Right translation keeps the difference pair
+{a * v^-1, v * a^-1} of every edge {v, a}.
+
+* A closed cycle whose Omega has 2l bits has l edges with l distinct
+  two-element pairs.  An x that fixes c maps each edge to an edge with
+  the same pair, so to itself.  If x keeps both ends of an edge, x = 1.
+  If it swaps them, v*x = a and a*x = v, so x*x = 1 and x is the unique
+  involution i, which is central; then a * v^-1 = v * i * v^-1 = i, and
+  the pair {i} has one bit, which a 2l-bit Omega cannot contain.  So
+  Stab_G(c) = {1}.  The tiling test therefore reads the stabilizer order
+  as 2l / |Omega|, rejects c when |Omega| does not divide 2l, and runs
+  the stabilizer kernel only when that order is above 1.
+* A complete cover F = acc * S, for the base paths acc of an entry with
+  subgroup S, is fixed by S, and its stabilizer is a group, hence a
+  union of right cosets S*x.  So Stab_G(F) = S exactly when no
+  representative of a coset other than S fixes F, and x fixes F exactly
+  when the per-vertex neighbour-difference codes (see
+  ``cycles._stabilizer``) are invariant under v -> v*x.  A base path's
+  codes carry over to all its translates by S, so the codes are filled
+  from the base paths alone, and |G|/|S| - 1 translations are compared:
+  none when S = G.
 
 The search is depth-first and deterministic: each factor is grown one
 sub-orbit at a time, the base cycle of a sub-orbit starts at the least
@@ -21,9 +44,10 @@ are built only for a found solution.  Dead entry states, keyed by
 their subtree was exhausted normally, so the memo stays sound when a
 node budget aborts the search.  Anything found is written with
 ``solution_to_dict`` and re-verified by reading that document back
-through the solution pipeline before it is reported.  The searcher
-changes no process-wide state; its recursion stays within the default
-limit (see ``search_hwp``).
+through the solution pipeline before it is reported; that check
+recomputes every factor's full stabilizer.  The searcher changes no
+process-wide state; its recursion stays within the default limit (see
+``search_hwp``).
 
 A target document is read as strictly as a solution document, by the
 same field readers (see ``solutions.py``): wrong types, unknown keys and
@@ -34,9 +58,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
-from .cycles import Cycle, _stabilizer, cycle
+from .cycles import Cycle, _stabilizer, _transversal, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
@@ -235,17 +259,32 @@ class _Searcher:
             (1 << d) | (1 << G.inv(d)) for d in range(self.n)
         ]
         self.full_cover = (1 << self.n) - 1
-        # per entry with subgroup S, the vertex mask of v*S for every vertex v;
-        # entries with the same subgroup share one list, and v*G is everything
-        masks: dict[str, list[int]] = {}
+        self.trivial = frozenset((G.identity,))
+        # per entry with subgroup S, shared by the entries with the same
+        # subgroup: the vertex mask of v*S for every vertex v, the vertices
+        # v*S themselves, and the first element of every right coset S*x
+        # other than S.  v*G is everything and G has no other coset, so G's
+        # translates are never read.
+        per_sub: dict[str, tuple[list[int], list[list[int]], list[int]]] = {}
         for e, sub in zip(self.sig, self.subs):
-            if e.subgroup not in masks:
-                masks[e.subgroup] = (
-                    [self.full_cover] * self.n
-                    if sub.order == self.n
-                    else [sum(1 << T[v][x] for x in sub.members) for v in range(self.n)]
-                )
-        self.coset_masks = [masks[e.subgroup] for e in self.sig]
+            if e.subgroup in per_sub:
+                continue
+            if sub.order == self.n:
+                per_sub[e.subgroup] = ([self.full_cover] * self.n, [], [])
+                continue
+            translates = [[T[v][x] for x in sub.members] for v in range(self.n)]
+            per_sub[e.subgroup] = (
+                [sum(1 << w for w in ws) for ws in translates],
+                translates,
+                [
+                    x
+                    for x in _transversal(G, sub.members, range(self.n))
+                    if x not in sub.member_set
+                ],
+            )
+        self.coset_masks, self.translates, self.coset_reps = (
+            [per_sub[e.subgroup][k] for e in self.sig] for k in range(3)
+        )
         self.dead: set[tuple[int, int]] = set()
         self.budget = target.budget_nodes
 
@@ -263,12 +302,22 @@ class _Searcher:
             mask |= pair_mask[T[v][inv[path[t - 1]]]]
         return mask
 
-    def cycle_action(self, idx: int, path: list) -> tuple[int, int, int, bool]:
-        """|Stab_G(c)|, |Stab_G(c) & S|, the vertex mask of c*S, and whether
-        the |S| / |Stab & S| cycles of c's sub-orbit under S are disjoint
+    def cycle_stabilizer(self, path: list, osize: int) -> AbstractSet[int]:
+        """Stab_G of the cycle through path, whose Omega has osize bits:
+        {1} without a computation when osize is 2 * len(path) (see the
+        module docstring), else the kernel's answer."""
+        if osize == 2 * len(path):
+            return self.trivial
+        return _stabilizer(self.group, (path,), "cycle")
+
+    def cycle_action(
+        self, idx: int, path: list, stab: AbstractSet[int]
+    ) -> tuple[int, int, bool]:
+        """|Stab & S|, the vertex mask of c*S, and whether the
+        |S| / |Stab & S| cycles of c's sub-orbit under S are disjoint
         (c*S has l * |S| / |Stab & S| vertices, and never more), for the
-        cycle c through path and entry idx's subgroup S."""
-        stab = _stabilizer(self.group, (path,), "cycle")
+        cycle c through path with stabilizer stab and entry idx's
+        subgroup S."""
         sub = self.subs[idx]
         in_sub = len(stab & sub.member_set)
         cosets = self.coset_masks[idx]
@@ -278,14 +327,31 @@ class _Searcher:
         spread, tiled = vmask.bit_count() * in_sub, len(path) * sub.order
         if spread > tiled:
             raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
-        return len(stab), in_sub, vmask, spread == tiled
+        return in_sub, vmask, spread == tiled
 
-    def factor_stabilizer_of(self, idx: int, acc: list) -> set[int]:
-        """Stab_G of the factor made of the base paths acc and their
-        translates by entry idx's subgroup."""
-        T = self.table
-        cycles = [[T[v][x] for v in p] for p in acc for x in self.subs[idx].members]
-        return _stabilizer(self.group, cycles, "factor")
+    def factor_has_extra_symmetry(self, idx: int, acc: list) -> bool:
+        """Whether an x outside entry idx's subgroup S fixes the complete
+        cover made of the base paths acc and their translates by S, that
+        is, whether its stabilizer is larger than S."""
+        reps = self.coset_reps[idx]
+        if not reps:
+            return False
+        T, inv, n = self.table, self.inv, self.n
+        translates = self.translates[idx]
+        # the code of cycles._stabilizer, copied from each base vertex v to v*S
+        code = [-1] * n
+        for p in acc:
+            a, v = p[-2], p[-1]
+            for b in p:
+                vi = inv[v]
+                da, db = T[a][vi], T[b][vi]
+                c = da * n + db if da < db else db * n + da
+                for w in translates[v]:
+                    code[w] = c
+                a, v = v, b
+        codes = tuple(code)
+        translations = self.group.right_translations
+        return any(translations[x](codes) == codes for x in reps)
 
     def entry_start(self, idx: int, used: int, picked: list) -> None:
         if idx == len(self.sig):
@@ -307,7 +373,8 @@ class _Searcher:
         if covered == self.full_cover:
             if fused.bit_count() != 2 * entry.orbit_length:
                 return
-            if len(self.factor_stabilizer_of(idx, acc)) * entry.orbit_length != self.n:
+            # the factor's full stabilizer must be S itself
+            if self.factor_has_extra_symmetry(idx, acc):
                 return
             # identical adjacent entries commute; keep one ordering
             if idx and self.sig[idx - 1] == entry:
@@ -374,10 +441,20 @@ class _Searcher:
         ndiffs = fused.bit_count() + osize
         if ndiffs > budget:
             return
-        stab_order, _, vmask, disjoint = self.cycle_action(idx, path)
-        # exact tiling of Cay[G : Omega(c)] by the full-group orbit of c
-        if 2 * entry.cycle_length != osize * stab_order:
+        # exact tiling of Cay[G : Omega(c)] by the full-group orbit of c,
+        # 2l = |Omega| * |Stab_G(c)|.  A 2l-bit Omega has l distinct
+        # two-element pairs, and then only the identity fixes c: an x that
+        # fixes c keeps each pair, so it maps every edge to itself, and
+        # swapping an edge's ends would make x the involution i and the
+        # edge's difference i, a one-bit pair.  So the kernel runs only for
+        # the cycles that need |Stab_G(c)| > 1.
+        stab_order, rest = divmod(2 * entry.cycle_length, osize)
+        if rest:
             return
+        stab = self.cycle_stabilizer(path, osize)
+        if len(stab) != stab_order:
+            return
+        _, vmask, disjoint = self.cycle_action(idx, path, stab)
         if vmask & covered or not disjoint:
             return
         remaining = self.n - (covered | vmask).bit_count()

@@ -1,13 +1,20 @@
 """The table-driven stabilizers, orbits and searcher masks agree with the
-slow reference, and the difference-code stabilizer kernel agrees with the
-neighbour-map one."""
+slow reference, the difference-code stabilizer kernel agrees with the
+neighbour-map one, and the searcher's shortcuts to the stabilizer
+questions agree with both."""
 
 import random
 
 import pytest
 
 import action_oracle as oracle
-from hwpreg.cycles import _stabilizer, cycle, cycle_orbit, cycle_stabilizer
+from hwpreg.cycles import (
+    _stabilizer,
+    cycle,
+    cycle_orbit,
+    cycle_stabilizer,
+    translate_cycle,
+)
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.search import SearchStats, SearchTarget, SignatureEntry, _Searcher
@@ -169,9 +176,22 @@ def _searcher(G, subgroups):
 
 def assert_path_agrees(searcher, subs, path):
     G = searcher.group
+    omega = searcher.omega_mask(list(path))
+    stab = searcher.cycle_stabilizer(list(path), omega.bit_count())
     for idx, sub in enumerate(subs):
-        got = (searcher.omega_mask(list(path)), *searcher.cycle_action(idx, list(path)))
+        got = (omega, len(stab), *searcher.cycle_action(idx, list(path), stab))
         assert got == oracle.closed_path(G, path, sub), (path, sub)
+
+
+def _random_and_coset_paths(G, rng):
+    n = len(G)
+    paths = [rng.sample(range(n), 3 + k % 2) for k in range(200)]
+    # paths (b, a*b, a^2*b[, a^3*b]) have stabilizers of order >= 3
+    for a in range(n):
+        if G.element_order(a) in (3, 4):
+            b = rng.randrange(n)
+            paths.append([G.mul(G.power(a, i), b) for i in range(G.element_order(a))])
+    return paths
 
 
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
@@ -194,28 +214,66 @@ def test_random_paths_match_closed_path_oracle(gid):
         subgroups[f"C{k}"] = G.subgroup_closure([rng.randrange(n)])
         subgroups[f"D{k}"] = G.subgroup_closure(rng.sample(range(n), 2))
     searcher, subs = _searcher(G, subgroups)
-    for k in range(200):
-        assert_path_agrees(searcher, subs, rng.sample(range(n), 3 + k % 2))
-    # paths (b, a*b, a^2*b[, a^3*b]) have stabilizers of order >= 3
-    for a in range(n):
-        if G.element_order(a) in (3, 4):
-            b = rng.randrange(n)
-            path = [G.mul(G.power(a, i), b) for i in range(G.element_order(a))]
-            assert_path_agrees(searcher, subs, path)
+    for path in _random_and_coset_paths(G, rng):
+        assert_path_agrees(searcher, subs, path)
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_full_omega_gives_a_trivial_cycle_stabilizer(gid):
+    # l distinct difference pairs of two elements each leave only the
+    # identity to fix a cycle of length l; the searcher skips the kernel then
+    G = build_group(gid)
+    searcher, _ = _searcher(G, {})
+    paths = [
+        c.verts
+        for sid in SOLUTION_IDS
+        if (spec := load_solution(sid)).group.id == gid
+        for c in spec.cycles.values()
+    ]
+    paths += _random_and_coset_paths(G, random.Random(f"full-omega-{gid}"))
+    full = set()
+    for path in paths:
+        osize = searcher.omega_mask(list(path)).bit_count()
+        want = oracle.cycle_stabilizer(cycle(G, path)).order
+        if osize == 2 * len(path):
+            assert want == 1, path
+        assert len(searcher.cycle_stabilizer(list(path), osize)) == want, path
+        full.add(osize == 2 * len(path))
+    assert full == {True, False}
+
+
+def _base_paths(f, sub):
+    """One cycle of every sub-orbit of f's cycles under sub."""
+    seen, paths = set(), []
+    for c in f.cycles:
+        if c not in seen:
+            paths.append(c.verts)
+            seen.update(translate_cycle(c, x) for x in sub.members)
+    return paths
 
 
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
 def test_translated_paths_give_the_factor_stabilizer(sid):
+    # each factor's stabilizer H is its acting subgroup; the searcher finds
+    # no symmetry beyond H, and finds some beyond every subgroup inside H
     spec = load_solution(sid)
-    searcher, subs = _searcher(spec.group, spec.subgroups)
-    names = ["G", *spec.subgroups]
+    G = spec.group
+    T = G.table
     for (cycle_names, sub_name), recipe in zip(spec.factors, solution_recipes(spec)):
+        H = resolve_subgroup(spec, sub_name)
         paths = [spec.cycles[cn].verts for cn in cycle_names]
-        idx = names.index(sub_name)
-        got = searcher.factor_stabilizer_of(idx, paths)
-        T = spec.group.table
-        translated = [[T[v][x] for v in p] for p in paths for x in subs[idx].members]
-        assert got == assert_kernel_agrees(spec.group, translated, "factor")
-        f = assemble_factor(spec.group, recipe)
-        assert sorted(got) == list(factor_stabilizer(f).members)
-        assert sorted(got) == list(oracle.factor_stabilizer(f).members)
+        translated = [[T[v][x] for v in p] for p in paths for x in H.members]
+        stab = assert_kernel_agrees(G, translated, "factor")
+        f = assemble_factor(G, recipe)
+        assert sorted(stab) == list(factor_stabilizer(f).members)
+        assert sorted(stab) == list(oracle.factor_stabilizer(f).members)
+        assert stab == H.member_set
+        inner = {}
+        for K in [G.trivial_subgroup(), *(G.subgroup_closure([h]) for h in H.members)]:
+            inner.setdefault(K.members, K)
+        inner.pop(H.members, None)
+        named = {f"K{k}": K for k, K in enumerate(inner.values())}
+        searcher, subs = _searcher(G, {"H": H, **named})
+        assert not searcher.factor_has_extra_symmetry(1, paths)
+        for idx in range(2, len(subs)):
+            assert searcher.factor_has_extra_symmetry(idx, _base_paths(f, subs[idx]))

@@ -190,12 +190,26 @@ def test_target_from_solution_names_stabilizers():
 
 def test_coset_masks_are_built_once_per_subgroup():
     target = target_from_solution(load_solution("48-17-6"))
+    G = target.group
+    n = len(G)
     searcher = _Searcher(target, SearchStats())
+    per_entry = zip(searcher.coset_masks, searcher.translates, searcher.coset_reps)
     by_name = {}
-    for entry, masks in zip(target.entries, searcher.coset_masks):
-        assert by_name.setdefault(entry.subgroup, masks) is masks
+    for entry, sub, lists in zip(target.entries, searcher.subs, per_entry):
+        shared = by_name.setdefault(entry.subgroup, lists)
+        assert all(a is b for a, b in zip(shared, lists))
+        masks, translates, reps = lists
+        # one representative of every right coset S*x other than S
+        assert len(reps) == n // sub.order - 1
+        assert not sub.member_set & set(reps)
+        cosets = {G.mul(s, x) for s in sub.members for x in [G.identity, *reps]}
+        assert cosets == set(range(n))
+        if sub.order < n:
+            assert translates == [[G.mul(v, x) for x in sub.members] for v in range(n)]
+            assert masks == [sum(1 << w for w in ws) for ws in translates]
     assert sorted(by_name) == ["G", "S1", "S2"]
-    assert by_name["G"] == [searcher.full_cover] * len(target.group)
+    assert by_name["G"] == ([searcher.full_cover] * n, [], [])
+    assert [len(by_name[name][2]) for name in ("S1", "S2")] == [2, 3]
 
 
 def _counters(stats):
