@@ -24,14 +24,14 @@ in the common case.  Right translation keeps the difference pair
   as 2l / |Omega|, rejects c when |Omega| does not divide 2l, and runs
   the stabilizer kernel only when that order is above 1.
 * A complete cover F = acc * S, for the base paths acc of an entry with
-  subgroup S, is fixed by S, and its stabilizer is a group, hence a
-  union of right cosets S*x.  So Stab_G(F) = S exactly when no
-  representative of a coset other than S fixes F, and x fixes F exactly
-  when the per-vertex neighbour-difference codes (see
-  ``cycles._stabilizer``) are invariant under v -> v*x.  A base path's
-  codes carry over to all its translates by S, so the codes are filled
-  from the base paths alone, and |G|/|S| - 1 translations are compared:
-  none when S = G.
+  subgroup S and orbit length L = |G|/|S|, is a 2-factor, so it has |G|
+  edges.  Once its Omega has 2L bits, it has L two-element pairs (the
+  involution is never a difference), and the G-orbit of F holds every
+  edge of Cay[G : Omega(F)], |G| * L of them, since x = v'^-1 * v maps an
+  edge {v', a'} of F to the edge at v with the same difference.  That
+  orbit has |G|/|Stab_G(F)| factors of |G| edges, so |Stab_G(F)| <= |S|,
+  and as S fixes F, Stab_G(F) = S.  A complete cover thus needs no
+  stabilizer test at all.
 
 The search is depth-first and deterministic: each factor is grown one
 sub-orbit at a time, the base cycle of a sub-orbit starts at the least
@@ -60,7 +60,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import AbstractSet, Mapping, Optional
 
-from .cycles import Cycle, _stabilizer, _transversal, cycle
+from .cycles import Cycle, _stabilizer, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
@@ -260,31 +260,17 @@ class _Searcher:
         ]
         self.full_cover = (1 << self.n) - 1
         self.trivial = frozenset((G.identity,))
-        # per entry with subgroup S, shared by the entries with the same
-        # subgroup: the vertex mask of v*S for every vertex v, the vertices
-        # v*S themselves, and the first element of every right coset S*x
-        # other than S.  v*G is everything and G has no other coset, so G's
-        # translates are never read.
-        per_sub: dict[str, tuple[list[int], list[list[int]], list[int]]] = {}
+        # per entry with subgroup S, the vertex mask of v*S for every vertex v;
+        # entries with the same subgroup share one list, and v*G is everything
+        masks: dict[str, list[int]] = {}
         for e, sub in zip(self.sig, self.subs):
-            if e.subgroup in per_sub:
-                continue
-            if sub.order == self.n:
-                per_sub[e.subgroup] = ([self.full_cover] * self.n, [], [])
-                continue
-            translates = [[T[v][x] for x in sub.members] for v in range(self.n)]
-            per_sub[e.subgroup] = (
-                [sum(1 << w for w in ws) for ws in translates],
-                translates,
-                [
-                    x
-                    for x in _transversal(G, sub.members, range(self.n))
-                    if x not in sub.member_set
-                ],
-            )
-        self.coset_masks, self.translates, self.coset_reps = (
-            [per_sub[e.subgroup][k] for e in self.sig] for k in range(3)
-        )
+            if e.subgroup not in masks:
+                masks[e.subgroup] = (
+                    [self.full_cover] * self.n
+                    if sub.order == self.n
+                    else [sum(1 << T[v][x] for x in sub.members) for v in range(self.n)]
+                )
+        self.coset_masks = [masks[e.subgroup] for e in self.sig]
         self.dead: set[tuple[int, int]] = set()
         self.budget = target.budget_nodes
 
@@ -329,30 +315,6 @@ class _Searcher:
             raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
         return in_sub, vmask, spread == tiled
 
-    def factor_has_extra_symmetry(self, idx: int, acc: list) -> bool:
-        """Whether an x outside entry idx's subgroup S fixes the complete
-        cover made of the base paths acc and their translates by S, that
-        is, whether its stabilizer is larger than S."""
-        reps = self.coset_reps[idx]
-        if not reps:
-            return False
-        T, inv, n = self.table, self.inv, self.n
-        translates = self.translates[idx]
-        # the code of cycles._stabilizer, copied from each base vertex v to v*S
-        code = [-1] * n
-        for p in acc:
-            a, v = p[-2], p[-1]
-            for b in p:
-                vi = inv[v]
-                da, db = T[a][vi], T[b][vi]
-                c = da * n + db if da < db else db * n + da
-                for w in translates[v]:
-                    code[w] = c
-                a, v = v, b
-        codes = tuple(code)
-        translations = self.group.right_translations
-        return any(translations[x](codes) == codes for x in reps)
-
     def entry_start(self, idx: int, used: int, picked: list) -> None:
         if idx == len(self.sig):
             raise _Solved(picked)
@@ -371,10 +333,9 @@ class _Searcher:
     ) -> None:
         entry = self.sig[idx]
         if covered == self.full_cover:
+            # with all 2 * orbit_length differences used, the factor's full
+            # stabilizer is S itself (see the module docstring)
             if fused.bit_count() != 2 * entry.orbit_length:
-                return
-            # the factor's full stabilizer must be S itself
-            if self.factor_has_extra_symmetry(idx, acc):
                 return
             # identical adjacent entries commute; keep one ordering
             if idx and self.sig[idx - 1] == entry:

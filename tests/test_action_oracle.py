@@ -8,13 +8,7 @@ import random
 import pytest
 
 import action_oracle as oracle
-from hwpreg.cycles import (
-    _stabilizer,
-    cycle,
-    cycle_orbit,
-    cycle_stabilizer,
-    translate_cycle,
-)
+from hwpreg.cycles import _stabilizer, cycle, cycle_orbit, cycle_stabilizer
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.search import SearchStats, SearchTarget, SignatureEntry, _Searcher
@@ -242,38 +236,24 @@ def test_full_omega_gives_a_trivial_cycle_stabilizer(gid):
     assert full == {True, False}
 
 
-def _base_paths(f, sub):
-    """One cycle of every sub-orbit of f's cycles under sub."""
-    seen, paths = set(), []
-    for c in f.cycles:
-        if c not in seen:
-            paths.append(c.verts)
-            seen.update(translate_cycle(c, x) for x in sub.members)
-    return paths
-
-
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
 def test_translated_paths_give_the_factor_stabilizer(sid):
-    # each factor's stabilizer H is its acting subgroup; the searcher finds
-    # no symmetry beyond H, and finds some beyond every subgroup inside H
+    # each factor uses 2 * |G|/|H| differences and its stabilizer is its
+    # acting subgroup H, as the searcher assumes of a complete cover
     spec = load_solution(sid)
     G = spec.group
     T = G.table
+    searcher, _ = _searcher(G, {})
     for (cycle_names, sub_name), recipe in zip(spec.factors, solution_recipes(spec)):
         H = resolve_subgroup(spec, sub_name)
         paths = [spec.cycles[cn].verts for cn in cycle_names]
+        fused = 0
+        for p in paths:
+            fused |= searcher.omega_mask(list(p))
+        assert fused.bit_count() == 2 * len(G) // H.order
         translated = [[T[v][x] for v in p] for p in paths for x in H.members]
         stab = assert_kernel_agrees(G, translated, "factor")
         f = assemble_factor(G, recipe)
         assert sorted(stab) == list(factor_stabilizer(f).members)
         assert sorted(stab) == list(oracle.factor_stabilizer(f).members)
         assert stab == H.member_set
-        inner = {}
-        for K in [G.trivial_subgroup(), *(G.subgroup_closure([h]) for h in H.members)]:
-            inner.setdefault(K.members, K)
-        inner.pop(H.members, None)
-        named = {f"K{k}": K for k, K in enumerate(inner.values())}
-        searcher, subs = _searcher(G, {"H": H, **named})
-        assert not searcher.factor_has_extra_symmetry(1, paths)
-        for idx in range(2, len(subs)):
-            assert searcher.factor_has_extra_symmetry(idx, _base_paths(f, subs[idx]))
