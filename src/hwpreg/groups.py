@@ -439,6 +439,14 @@ class FiniteGroup:
         T, n = self.table, len(self)
         return tuple(itemgetter(*(T[v][x] for v in range(n))) for x in range(n))
 
+    @cached_property
+    def pair_columns(self) -> tuple[tuple[int, ...], ...]:
+        """For each u, the bit masks {d, d^-1} of d = w * u^-1 for every w:
+        the difference pair of the edge {u, w}.  Built on first use."""
+        T, inv, n = self.table, self.inv_table, len(self)
+        pair = [(1 << d) | (1 << inv[d]) for d in range(n)]
+        return tuple(tuple(pair[T[w][inv[u]]] for w in range(n)) for u in range(n))
+
     def whole_subgroup(self) -> Subgroup:
         return Subgroup(self, tuple(range(len(self))), (self.identity,))
 

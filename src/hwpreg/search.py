@@ -39,14 +39,19 @@ vertex the factor does not cover yet, and reflections are broken by
 orienting the base cycle so its second vertex precedes its last.  Base
 cycles stay vertex paths: their differences, stabilizers and sub-orbit
 vertex masks come from the multiplication table, and canonical cycles
-are built only for a found solution.  Dead entry states, keyed by
-(entry index, consumed-difference bitmask), are memoized only when
-their subtree was exhausted normally, so the memo stays sound when a
-node budget aborts the search.  Anything found is written with
-``solution_to_dict`` and re-verified by reading that document back
-through the solution pipeline before it is reported; that check
-recomputes every factor's full stabilizer.  The searcher changes no
-process-wide state; its recursion stays within the default limit (see
+are built only for a found solution.  An open path carries the Omega
+mask of its edges and the union of its vertices' cosets v*S, and tries
+the free vertices in ascending order.  The scan for the last vertex w
+closes each cycle in place: Omega(c) is the path's mask plus the pairs
+of the edges into and out of w (``FiniteGroup.pair_columns``), and the
+sub-orbit's vertex mask is the path's union plus w*S.  Dead entry
+states, keyed by (entry index, consumed-difference bitmask), are
+memoized only when their subtree was exhausted normally, so the memo
+stays sound when a node budget aborts the search.  Anything found is
+written with ``solution_to_dict`` and re-verified by reading that
+document back through the solution pipeline before it is reported; that
+check recomputes every factor's full stabilizer.  The searcher changes
+no process-wide state; its recursion stays within the default limit (see
 ``search_hwp``).
 
 A target document is read as strictly as a solution document, by the
@@ -56,9 +61,10 @@ unreadable files raise ``TargetFormatError``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
-from typing import AbstractSet, Mapping, Optional
+from typing import Mapping, Optional
 
 from .cycles import Cycle, _stabilizer, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
@@ -250,16 +256,13 @@ class _Searcher:
         G = target.group
         self.group = G
         self.table = T = G.table
-        self.inv = G.inv_table
         self.n = len(G)
         self.stats = stats
         self.sig = target.entries
         self.subs = [resolve_subgroup(target, e.subgroup) for e in target.entries]
-        self.pair_mask = [
-            (1 << d) | (1 << G.inv(d)) for d in range(self.n)
-        ]
+        # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
+        self.pair_columns = G.pair_columns
         self.full_cover = (1 << self.n) - 1
-        self.trivial = frozenset((G.identity,))
         # per entry with subgroup S, the vertex mask of v*S for every vertex v;
         # entries with the same subgroup share one list, and v*G is everything
         masks: dict[str, list[int]] = {}
@@ -272,48 +275,12 @@ class _Searcher:
                 )
         self.coset_masks = [masks[e.subgroup] for e in self.sig]
         self.dead: set[tuple[int, int]] = set()
-        self.budget = target.budget_nodes
+        self.budget = math.inf if target.budget_nodes is None else target.budget_nodes
 
     def _node(self) -> None:
         self.stats.nodes += 1
-        if self.budget is not None and self.stats.nodes > self.budget:
+        if self.stats.nodes > self.budget:
             raise _Budget()
-
-    def omega_mask(self, path: list) -> int:
-        """Omega of the cycle through path: the pairs {d, d^-1} of its
-        differences path[t+1] * path[t]^-1, as a bit mask."""
-        T, inv, pair_mask = self.table, self.inv, self.pair_mask
-        mask = 0
-        for t, v in enumerate(path):
-            mask |= pair_mask[T[v][inv[path[t - 1]]]]
-        return mask
-
-    def cycle_stabilizer(self, path: list, osize: int) -> AbstractSet[int]:
-        """Stab_G of the cycle through path, whose Omega has osize bits:
-        {1} without a computation when osize is 2 * len(path) (see the
-        module docstring), else the kernel's answer."""
-        if osize == 2 * len(path):
-            return self.trivial
-        return _stabilizer(self.group, (path,), "cycle")
-
-    def cycle_action(
-        self, idx: int, path: list, stab: AbstractSet[int]
-    ) -> tuple[int, int, bool]:
-        """|Stab & S|, the vertex mask of c*S, and whether the
-        |S| / |Stab & S| cycles of c's sub-orbit under S are disjoint
-        (c*S has l * |S| / |Stab & S| vertices, and never more), for the
-        cycle c through path with stabilizer stab and entry idx's
-        subgroup S."""
-        sub = self.subs[idx]
-        in_sub = len(stab & sub.member_set)
-        cosets = self.coset_masks[idx]
-        vmask = 0
-        for v in path:
-            vmask |= cosets[v]
-        spread, tiled = vmask.bit_count() * in_sub, len(path) * sub.order
-        if spread > tiled:
-            raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
-        return in_sub, vmask, spread == tiled
 
     def entry_start(self, idx: int, used: int, picked: list) -> None:
         if idx == len(self.sig):
@@ -345,12 +312,17 @@ class _Searcher:
             self.stats.factors_completed += 1
             self.entry_start(idx + 1, used, picked + [(acc, fused)])
             return
-        v0 = 0
-        while covered >> v0 & 1:
-            v0 += 1
+        v0 = (~covered & (covered + 1)).bit_length() - 1  # least uncovered vertex
         self._node()
-        self._extend_cycle(idx, used, covered, fused, acc, picked, [v0], 1 << v0)
+        self._extend_cycle(
+            idx, used, covered, fused, acc, picked, [v0], 1 << v0, 0,
+            self.coset_masks[idx][v0],
+        )
 
+    # The open path carries `omega`, the Omega mask of its edges, and
+    # `vmask`, the OR of its vertices' coset masks v*S.  Candidates are the
+    # free vertices in ascending order; the scan for the last vertex w
+    # closes the cycle through path + [w] itself.
     def _extend_cycle(
         self,
         idx: int,
@@ -361,77 +333,94 @@ class _Searcher:
         picked: list,
         path: list,
         path_mask: int,
-    ) -> None:
-        if len(path) == self.sig[idx].cycle_length:
-            self._close_cycle(idx, used, covered, fused, acc, picked, path)
-            return
-        T = self.table
-        cur_inv = self.inv[path[-1]]
-        blocked = covered | path_mask
-        for w in range(self.n):
-            bit = 1 << w
-            if blocked & bit:
-                continue
-            if self.pair_mask[T[w][cur_inv]] & used:
-                continue
-            self._node()
-            path.append(w)
-            self._extend_cycle(
-                idx, used, covered, fused, acc, picked, path, path_mask | bit
-            )
-            path.pop()
-
-    def _close_cycle(
-        self,
-        idx: int,
-        used: int,
-        covered: int,
-        fused: int,
-        acc: list,
-        picked: list,
-        path: list,
+        omega: int,
+        vmask: int,
     ) -> None:
         entry = self.sig[idx]
-        if self.pair_mask[self.table[path[0]][self.inv[path[-1]]]] & used:
+        cosets = self.coset_masks[idx]
+        step = self.pair_columns[path[-1]]
+        free = self.full_cover & ~(covered | path_mask)
+        if len(path) + 1 < entry.cycle_length:
+            while free:
+                bit = free & -free
+                free ^= bit
+                w = bit.bit_length() - 1
+                d = step[w]
+                if d & used:
+                    continue
+                self._node()
+                path.append(w)
+                self._extend_cycle(
+                    idx, used, covered, fused, acc, picked, path, path_mask | bit,
+                    omega | d, vmask | cosets[w],
+                )
+                path.pop()
             return
-        if path[1] > path[-1]:  # reflection of an enumerated orientation
-            return
-        omega_mask = self.omega_mask(path)
-        osize = omega_mask.bit_count()
+        stats, limit = self.stats, self.budget
+        close, second = self.pair_columns[path[0]], path[1]
+        length, sub = entry.cycle_length, self.subs[idx]
+        tiled = length * sub.order
         budget = 2 * entry.orbit_length
-        ndiffs = fused.bit_count() + osize
-        if ndiffs > budget:
-            return
-        # exact tiling of Cay[G : Omega(c)] by the full-group orbit of c,
-        # 2l = |Omega| * |Stab_G(c)|.  A 2l-bit Omega has l distinct
-        # two-element pairs, and then only the identity fixes c: an x that
-        # fixes c keeps each pair, so it maps every edge to itself, and
-        # swapping an edge's ends would make x the involution i and the
-        # edge's difference i, a one-bit pair.  So the kernel runs only for
-        # the cycles that need |Stab_G(c)| > 1.
-        stab_order, rest = divmod(2 * entry.cycle_length, osize)
-        if rest:
-            return
-        stab = self.cycle_stabilizer(path, osize)
-        if len(stab) != stab_order:
-            return
-        _, vmask, disjoint = self.cycle_action(idx, path, stab)
-        if vmask & covered or not disjoint:
-            return
-        remaining = self.n - (covered | vmask).bit_count()
-        if remaining:
-            least_orbits = -(-remaining // (entry.cycle_length * self.subs[idx].order))
-            if ndiffs + 2 * least_orbits > budget:
-                return
-        self.stats.cycles_closed += 1
-        self._extend_factor(
-            idx,
-            used | omega_mask,
-            covered | vmask,
-            fused | omega_mask,
-            acc + [tuple(path)],
-            picked,
-        )
+        fused_bits = fused.bit_count()
+        while free:
+            bit = free & -free
+            free ^= bit
+            w = bit.bit_length() - 1
+            d = step[w]
+            if d & used:
+                continue
+            stats.nodes += 1
+            if stats.nodes > limit:
+                raise _Budget()
+            if w < second:  # reflection of an enumerated orientation
+                continue
+            d_close = close[w]
+            if d_close & used:
+                continue
+            cyc_omega = omega | d | d_close
+            osize = cyc_omega.bit_count()
+            ndiffs = fused_bits + osize
+            if ndiffs > budget:
+                continue
+            # exact tiling of Cay[G : Omega(c)] by the full-group orbit of c,
+            # 2l = |Omega| * |Stab_G(c)|.  A 2l-bit Omega has l distinct
+            # two-element pairs, and then only the identity fixes c: an x that
+            # fixes c keeps each pair, so it maps every edge to itself, and
+            # swapping an edge's ends would make x the involution i and the
+            # edge's difference i, a one-bit pair.  So the kernel runs only for
+            # the cycles that need |Stab_G(c)| > 1.
+            stab_order, rest = divmod(2 * length, osize)
+            if rest:
+                continue
+            if stab_order == 1:
+                in_sub = 1
+            else:
+                stab = _stabilizer(self.group, (path + [w],), "cycle")
+                if len(stab) != stab_order:
+                    continue
+                in_sub = len(stab & sub.member_set)
+            # c*S has l * |S| / |Stab & S| vertices when the cycles of c's
+            # sub-orbit under S are disjoint, and never more
+            cyc_vmask = vmask | cosets[w]
+            spread = cyc_vmask.bit_count() * in_sub
+            if spread > tiled:
+                raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
+            if cyc_vmask & covered or spread != tiled:
+                continue
+            remaining = self.n - (covered | cyc_vmask).bit_count()
+            if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
+                continue
+            stats.cycles_closed += 1
+            path.append(w)
+            self._extend_factor(
+                idx,
+                used | cyc_omega,
+                covered | cyc_vmask,
+                fused | cyc_omega,
+                acc + [tuple(path)],
+                picked,
+            )
+            path.pop()
 
 
 def _infeasible(target: SearchTarget) -> Optional[str]:
@@ -496,13 +485,14 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     searcher = _Searcher(target, stats)
     G = target.group
     # identity cannot occur as a difference; the involution marks I-edges
-    start_used = (1 << G.identity) | searcher.pair_mask[G.unique_involution()]
+    start_used = (1 << G.identity) | G.pair_columns[G.identity][G.unique_involution()]
 
     # The default recursion limit is enough.  A cycle's stabilizer acts
     # semiregularly on its l vertices, so a sub-orbit under S covers at
     # least |S| vertices and an entry grows at most v/|S| = orbit_length
-    # sub-orbits of l + 2 <= 6 frames.  A feasible target therefore nests
-    # at most 2E + 6(v/2 - 1) + 1 frames for E entries: 185 at v = 48.
+    # sub-orbits of l <= 4 frames (one _extend_factor, l - 1 _extend_cycle).
+    # A feasible target therefore nests at most 2E + 4(v/2 - 1) + 1 frames
+    # for E entries: 139 at v = 48.
     began = time.perf_counter()
     verdict, solution, cert = VERDICT_EXHAUSTED, None, None
     try:

@@ -1,17 +1,19 @@
 """The table-driven stabilizers, orbits and searcher masks agree with the
 slow reference, the difference-code stabilizer kernel agrees with the
-neighbour-map one, and the searcher's shortcuts to the stabilizer
-questions agree with both."""
+neighbour-map one, and the closed-path masks and stabilizer shortcuts
+of the slow-path searcher (`search_oracle.py`), which the searcher is
+checked against node by node, agree with both."""
 
 import random
 
 import pytest
 
 import action_oracle as oracle
+from search_oracle import SlowSearcher
 from hwpreg.cycles import _stabilizer, cycle, cycle_orbit, cycle_stabilizer
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
-from hwpreg.search import SearchStats, SearchTarget, SignatureEntry, _Searcher
+from hwpreg.search import SearchStats, SearchTarget, SignatureEntry
 from hwpreg.solutions import SOLUTION_IDS, load_solution, resolve_subgroup, solution_recipes
 
 
@@ -157,15 +159,15 @@ def test_coset_cycles_match_oracle(gid):
 
 
 def _searcher(G, subgroups):
-    """A searcher with one entry per subgroup, G first: entry k acts by
-    the k-th of G and the named subgroups."""
+    """A slow-path searcher with one entry per subgroup, G first: entry k
+    acts by the k-th of G and the named subgroups."""
     subs = [G.whole_subgroup(), *subgroups.values()]
     entries = tuple(
         SignatureEntry(3, len(G) // sub.order, name)
         for name, sub in zip(["G", *subgroups], subs)
     )
     target = SearchTarget(G, 0, 0, entries, dict(subgroups))
-    return _Searcher(target, SearchStats()), subs
+    return SlowSearcher(target, SearchStats()), subs
 
 
 def assert_path_agrees(searcher, subs, path):

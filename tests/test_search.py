@@ -307,10 +307,10 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch, sid, budget, verdi
     outcome = search_hwp(target)
     assert (outcome.verdict, outcome.stats.nodes) == (verdict, nodes)
     # searcher frames between search_hwp and counting_node, against the
-    # bound stated in search_hwp: 2E + 6(v/2 - 1) + 1
+    # bound stated in search_hwp: 2E + 4(v/2 - 1) + 1
     depth = deepest[0] - _frames() - 2
     v = len(target.group)
-    assert 0 < depth <= 2 * len(target.entries) + 6 * (v // 2 - 1) + 1
+    assert 0 < depth <= 2 * len(target.entries) + 4 * (v // 2 - 1) + 1
 
 
 def test_budget_exceeded():
