@@ -118,7 +118,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
     c = _cycle_of(spec, args.cycle)
     G = spec.group
     reps = [G.format(d) for d in omega_representatives(c)]
-    members = [G.format(d) for d in partial_differences(c).sorted_members()]
+    members = [G.format(d) for d in sorted(partial_differences(c))]
     if args.format == "canonical":
         doc = {
             "solution": spec.id,

@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import AbstractSet, Collection, Iterable, Sequence
 
-from .cayley import ConnectionSet, connection_set, edge
+from .cayley import edge
 from .groups import FiniteGroup, GroupError, Subgroup
 
 
@@ -193,14 +193,10 @@ def forward_differences(c: Cycle) -> list[int]:
     ]
 
 
-def partial_differences(c: Cycle) -> ConnectionSet:
+def partial_differences(c: Cycle) -> frozenset[int]:
     """Inverse-closed set of the differences realized by edges of c."""
-    G = c.group
-    out: set[int] = set()
-    for d in forward_differences(c):
-        out.add(d)
-        out.add(G.inv(d))
-    return connection_set(G, out)
+    inv = c.group.inv
+    return frozenset(x for d in forward_differences(c) for x in (d, inv(d)))
 
 
 def omega_representatives(c: Cycle) -> list[int]:
@@ -230,11 +226,11 @@ class PartitionReport:
 
 
 def verify_partition(
-    group: FiniteGroup, omegas: Iterable[ConnectionSet]
+    group: FiniteGroup, omegas: Iterable[AbstractSet[int]]
 ) -> PartitionReport:
     counts: Counter[int] = Counter()
     for om in omegas:
-        counts.update(om.members)
+        counts.update(om)
     excluded = {group.identity, group.unique_involution()}
     universe = set(range(len(group))) - excluded
     overlaps = tuple(

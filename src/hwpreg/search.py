@@ -400,12 +400,13 @@ class _Searcher:
                     continue
                 in_sub = len(stab & sub.member_set)
             # c*S has l * |S| / |Stab & S| vertices when the cycles of c's
-            # sub-orbit under S are disjoint, and never more
+            # sub-orbit under S are disjoint, and never more.  It misses
+            # `covered`, a union of cosets v*S, as every vertex of c is free.
             cyc_vmask = vmask | cosets[w]
             spread = cyc_vmask.bit_count() * in_sub
             if spread > tiled:
                 raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
-            if cyc_vmask & covered or spread != tiled:
+            if spread != tiled:
                 continue
             remaining = self.n - (covered | cyc_vmask).bit_count()
             if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:

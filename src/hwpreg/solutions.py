@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING, Collection, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Collection, Mapping
 
 from .cycles import Cycle, CycleError, cycle, partial_differences, verify_partition
 from .factors import (
@@ -346,7 +346,7 @@ def solution_recipes(spec: SolutionSpec) -> list[FactorRecipe]:
     return recipes
 
 
-def _closure_texts(group: FiniteGroup, members: set[int]) -> tuple[str, ...]:
+def _closure_texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, ...]:
     return tuple(group.format(x) for x in sorted(members))
 
 
@@ -355,7 +355,7 @@ def omega_reports(spec: SolutionSpec) -> tuple[OmegaReport, ...]:
     G = spec.group
     reports = []
     for cn, c in spec.cycles.items():
-        recomputed = set(partial_differences(c).members)
+        recomputed = partial_differences(c)
         printed_texts = spec.printed_omega.get(cn)
         if printed_texts is None:
             reports.append(OmegaReport(cn, _closure_texts(G, recomputed), None, None))

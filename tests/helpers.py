@@ -7,23 +7,21 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from hwpreg.cayley import CayleyGraph, ConnectionSet, cayley_graph, connection_set
+from hwpreg.cayley import CayleyGraph
 from hwpreg.cycles import Cycle, cycle_orbit, partial_differences
 from hwpreg.factors import Certificate
 from hwpreg.groups import FiniteGroup
 from hwpreg.solutions import load_solution, verify_solution
 
 
-def full_connection(group: FiniteGroup) -> ConnectionSet:
+def full_connection(group: FiniteGroup) -> frozenset[int]:
     """G minus the identity: generates the complete graph."""
-    return connection_set(
-        group, (x for x in range(len(group)) if x != group.identity)
-    )
+    return frozenset(range(len(group))) - {group.identity}
 
 
 def one_factor(group: FiniteGroup) -> CayleyGraph:
     """The perfect matching I induced by the unique involution."""
-    return CayleyGraph(group, connection_set(group, {group.unique_involution()}))
+    return CayleyGraph(group, frozenset({group.unique_involution()}))
 
 
 def complete_graph(group: FiniteGroup) -> CayleyGraph:
@@ -43,7 +41,7 @@ class DecompositionReport:
     """Outcome of checking that Orb_G(C) decomposes Cay[G:Omega(C)]."""
 
     ok: bool
-    omega: ConnectionSet
+    omega: frozenset[int]
     orbit_length: int
     edges_expected: int
     edges_seen: int
@@ -59,7 +57,7 @@ def verify_orbit_decomposition(c: Cycle) -> DecompositionReport:
     counts: Counter[tuple[int, int]] = Counter()
     for cc in orbit.cycles:
         counts.update(cc.edges())
-    target = cayley_graph(G, omega).edges
+    target = CayleyGraph(G, omega).edges
     for e, n in counts.items():
         if n > 1:
             return DecompositionReport(

@@ -105,7 +105,8 @@ class SlowSearcher(_Searcher):
         if len(stab) != stab_order:
             return
         _, vmask, disjoint = self.cycle_action(idx, path, stab)
-        if vmask & covered or not disjoint:
+        assert not vmask & covered  # covered is a union of cosets v*S
+        if not disjoint:
             return
         remaining = self.n - (covered | vmask).bit_count()
         if remaining:

@@ -17,7 +17,6 @@ from hwpreg.cycles import (
     translate_cycle,
     verify_partition,
 )
-from hwpreg.cayley import connection_set
 from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.solutions import SOLUTION_IDS, load_solution
 
@@ -95,7 +94,7 @@ def test_forward_differences_and_closure():
         sorted([G.parse("a11"), G.parse("a11"), G.parse("a2")]),
     )
     omega = partial_differences(c)
-    assert set(omega.members) == {
+    assert omega == {
         G.parse("a"),
         G.parse("a11"),
         G.parse("a2"),
@@ -113,7 +112,7 @@ def test_omega_representatives_cover_each_pair_once():
             for d in reps:
                 assert d not in closure  # one member per inverse pair
                 closure.update((d, G.inv(d)))
-            assert closure == set(partial_differences(c).members)
+            assert closure == partial_differences(c)
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -138,9 +137,11 @@ def test_partial_differences_translation_invariant_on_bundled_cycles():
         spec = load_solution(sid)
         G = spec.group
         for c in spec.cycles.values():
-            omega = set(partial_differences(c).members)
+            omega = partial_differences(c)
+            assert G.identity not in omega
+            assert {G.inv(d) for d in omega} == omega
             for x in range(len(G)):
-                assert set(partial_differences(translate_cycle(c, x)).members) == omega
+                assert partial_differences(translate_cycle(c, x)) == omega
 
 
 def test_verify_orbit_decomposition_accepts_bundled_cycles():
@@ -177,5 +178,5 @@ def test_verify_partition_witnesses():
     assert not short.ok and short.missing and not short.overlaps
     doubled = verify_partition(G, omegas + [omegas[0]])
     assert not doubled.ok and doubled.overlaps
-    with_inv = verify_partition(G, omegas + [connection_set(G, {G.unique_involution()})])
+    with_inv = verify_partition(G, omegas + [{G.unique_involution()}])
     assert not with_inv.ok and with_inv.forbidden == (G.unique_involution(),)
