@@ -8,21 +8,15 @@ bundled and can be re-verified from scratch; a backtracking searcher
 looks for new ones with a prescribed orbit-type signature.
 """
 
-from .cayley import cocktail_party_graph, edge
 from .cycles import (
     Cycle,
     CycleError,
     CycleOrbit,
-    PartitionReport,
     cycle,
-    cycle_from_texts,
     cycle_orbit,
     cycle_stabilizer,
-    forward_differences,
     omega_representatives,
     partial_differences,
-    translate_cycle,
-    verify_partition,
 )
 from .factors import (
     CERTIFICATE_FORMAT,
@@ -31,12 +25,10 @@ from .factors import (
     FactorReport,
     OmegaReport,
     RecipeError,
-    RecipePart,
     TwoFactor,
     assemble_factor,
     factor_orbit,
     factor_stabilizer,
-    hwp_feasibility,
     verify_factorization,
 )
 from .groups import (
@@ -63,14 +55,11 @@ from .solutions import (
     SOLUTION_IDS,
     SolutionFormatError,
     SolutionSpec,
-    list_solutions,
     load_solution,
     load_solution_file,
-    omega_reports,
     parse_solution_dict,
     parse_solution_text,
     resolve_subgroup,
-    solution_recipes,
     solution_to_dict,
     verify_solution,
 )
@@ -90,9 +79,7 @@ __all__ = [
     "GROUP_IDS",
     "GroupError",
     "OmegaReport",
-    "PartitionReport",
     "RecipeError",
-    "RecipePart",
     "SOLUTION_IDS",
     "SearchOutcome",
     "SearchStats",
@@ -105,21 +92,14 @@ __all__ = [
     "TwoFactor",
     "assemble_factor",
     "build_group",
-    "cocktail_party_graph",
     "cycle",
-    "cycle_from_texts",
     "cycle_orbit",
     "cycle_stabilizer",
-    "edge",
     "factor_orbit",
     "factor_stabilizer",
-    "forward_differences",
-    "hwp_feasibility",
-    "list_solutions",
     "load_solution",
     "load_solution_file",
     "load_target_file",
-    "omega_reports",
     "omega_representatives",
     "parse_solution_dict",
     "parse_solution_text",
@@ -128,11 +108,8 @@ __all__ = [
     "partial_differences",
     "resolve_subgroup",
     "search_hwp",
-    "solution_recipes",
     "solution_to_dict",
     "target_from_solution",
-    "translate_cycle",
     "verify_factorization",
-    "verify_partition",
     "verify_solution",
 ]

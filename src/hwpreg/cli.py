@@ -28,11 +28,9 @@ from .solutions import (
     SOLUTION_IDS,
     SolutionFormatError,
     SolutionSpec,
-    list_solutions,
     load_solution,
     load_solution_file,
     resolve_subgroup,
-    solution_recipes,
     solution_to_dict,
     verify_solution,
 )
@@ -80,7 +78,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_list(args: argparse.Namespace) -> int:
     rows = []
-    for sid in list_solutions():
+    for sid in SOLUTION_IDS:
         spec = load_solution(sid)
         v, r, s = spec.expected
         rows.append({"id": sid, "group": spec.group.id, "v": v, "r": r, "s": s})
@@ -184,7 +182,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _dot_text(spec: SolutionSpec) -> str:
     G = spec.group
     labelled: dict[tuple[int, int], str] = {}
-    for recipe in solution_recipes(spec):
+    for recipe in spec.factors:
         f = assemble_factor(G, recipe)
         for t in factor_orbit(f):
             for cc in t.cycles:

@@ -54,9 +54,6 @@ class Cycle:
         v = self.verts
         return [edge(v[t], v[(t + 1) % len(v)]) for t in range(len(v))]
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.verts)
-
     def format(self) -> str:
         inner = ", ".join(self.group.format(v) for v in self.verts)
         return f"({inner})"
@@ -76,10 +73,6 @@ def cycle(group: FiniteGroup, verts: Sequence[int]) -> Cycle:
             f"repeated vertex {group.format(dup)} in cycle"
         )
     return Cycle(group, _canonical_rotation(vt))
-
-
-def cycle_from_texts(group: FiniteGroup, texts: Sequence[str]) -> Cycle:
-    return cycle(group, [group.parse(t) for t in texts])
 
 
 def translate_cycle(c: Cycle, x: int) -> Cycle:
@@ -171,7 +164,7 @@ class CycleOrbit:
 def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
     """Distinct translates of c under sub, with the orbit-stabilizer check."""
     G = c.group
-    found = _stabilizer(G, (c.verts,), "cycle")
+    found = cycle_stabilizer(c).member_set
     stab_members = tuple(x for x in sub.members if x in found)
     stab = Subgroup(G, stab_members, stab_members)
     transversal = _transversal(G, stab_members, sub.members)

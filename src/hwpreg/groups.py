@@ -47,8 +47,6 @@ class ElementError(ValueError):
 Coord = tuple[int, int]  # (p, q) encodes the real number (p + q*sqrt(2)) / 2
 Quat = tuple[Coord, Coord, Coord, Coord]
 
-QUAT_ONE: Quat = ((2, 0), (0, 0), (0, 0), (0, 0))
-
 
 def _cprod(x: Coord, y: Coord) -> tuple[int, int]:
     # product of two coordinates, landing over denominator 4
@@ -77,12 +75,6 @@ def quat_mul(x: Quat, y: Quat) -> Quat:
         _csum4((_cprod(a1, c2), _cprod(b1, d2), _cprod(c1, a2), _cprod(d1, b2)), (1, -1, 1, 1)),
         _csum4((_cprod(a1, d2), _cprod(b1, c2), _cprod(c1, b2), _cprod(d1, a2)), (1, 1, -1, 1)),
     )
-
-
-def quat_conj(x: Quat) -> Quat:
-    """Conjugate; equals the inverse for unit quaternions."""
-    a, b, c, d = x
-    return a, (-b[0], -b[1]), (-c[0], -c[1]), (-d[0], -d[1])
 
 
 def quat_norm2_times4(x: Quat) -> tuple[int, int]:
@@ -386,22 +378,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inv_table[a]
 
-    def power(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inv_table[a], -n)
-        acc = self.identity
-        for _ in range(n):
-            acc = self.table[acc][a]
-        return acc
-
-    def element_order(self, a: int) -> int:
-        acc = a
-        n = 1
-        while acc != self.identity:
-            acc = self.table[acc][a]
-            n += 1
-        return n
-
     def unique_involution(self) -> int:
         """The one element x != 1 with x*x = 1 (verified at construction)."""
         return self._involution
@@ -449,9 +425,6 @@ class FiniteGroup:
 
     def whole_subgroup(self) -> Subgroup:
         return Subgroup(self, tuple(range(len(self))), (self.identity,))
-
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, (self.identity,), ())
 
     # -- text form ---------------------------------------------------------
 

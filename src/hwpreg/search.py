@@ -71,6 +71,7 @@ from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasib
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
     SolutionSpec,
+    _factor_recipes,
     _parse_json,
     _read_group,
     _read_json_file,
@@ -81,7 +82,6 @@ from .solutions import (
     _strict_int,
     parse_solution_dict,
     resolve_subgroup,
-    solution_recipes,
     solution_to_dict,
     verify_solution,
 )
@@ -217,7 +217,7 @@ def target_from_solution(
     group = spec.group
     entries = []
     names: dict[Subgroup, str] = {}  # factor stabilizers other than G: S1, S2, ...
-    for recipe in solution_recipes(spec):
+    for recipe in spec.factors:
         f = assemble_factor(group, recipe)
         stab = factor_stabilizer(f)
         length = f.cycle_length
@@ -465,7 +465,7 @@ def _found_spec(target: SearchTarget, picked: list) -> SolutionSpec:
         group=G,
         subgroups=target.subgroups,
         cycles=cycles,
-        factors=tuple(factors),
+        factors=_factor_recipes(G, target.subgroups, cycles, factors),
         expected=(len(G), target.r, target.s),
     )
 

@@ -38,16 +38,10 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING, AbstractSet, Collection, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Mapping, Sequence
 
 from .cycles import Cycle, CycleError, cycle, partial_differences, verify_partition
-from .factors import (
-    Certificate,
-    FactorRecipe,
-    OmegaReport,
-    RecipePart,
-    verify_factorization,
-)
+from .factors import Certificate, FactorRecipe, OmegaReport, verify_factorization
 from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
 
 if TYPE_CHECKING:
@@ -80,7 +74,7 @@ class SolutionSpec:
     group: FiniteGroup
     subgroups: Mapping[str, Subgroup]
     cycles: Mapping[str, Cycle]
-    factors: tuple[tuple[tuple[str, ...], str], ...]  # (cycle names, subgroup)
+    factors: tuple[FactorRecipe, ...]  # labelled F1, F2, ... in document order
     expected: tuple[int, int, int]
     # annotations; only printed_omega is checked beyond its form
     printed_omega: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -88,11 +82,6 @@ class SolutionSpec:
     subgroup_member_claims: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     expected_omega_mismatches: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
-
-
-def list_solutions() -> tuple[str, ...]:
-    """Deterministically ordered ids of the bundled solutions."""
-    return SOLUTION_IDS
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +186,25 @@ def _read_json_file(path: str, what: str, error: Err):
 # solution documents
 
 
+def _factor_recipes(
+    group: FiniteGroup,
+    subgroups: Mapping[str, Subgroup],
+    cycles: Mapping[str, Cycle],
+    factors: Iterable[tuple[Sequence[str], str]],
+) -> tuple[FactorRecipe, ...]:
+    """The factors of a solution from (cycle names, subgroup name) pairs in
+    document order, labelled F1, F2, ...; the subgroup G is the group."""
+    return tuple(
+        FactorRecipe(
+            f"F{n}",
+            tuple((cn, cycles[cn]) for cn in names),
+            sub,
+            group.whole_subgroup() if sub == "G" else subgroups[sub],
+        )
+        for n, (names, sub) in enumerate(factors, start=1)
+    )
+
+
 def _annotation_map(ann: Mapping, kind: str, known: Collection[str], what: str) -> Mapping:
     raw = ann.get(kind, {})
     where = f"annotations.{kind}"
@@ -281,7 +289,7 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
         group=group,
         subgroups=subgroups,
         cycles=cycles,
-        factors=tuple(factors),
+        factors=_factor_recipes(group, subgroups, cycles, factors),
         expected=expected,
         printed_omega=printed_omega,
         stabilizer_claims=stab_claims,
@@ -300,7 +308,10 @@ def solution_to_dict(spec: SolutionSpec) -> dict:
         "group": G.id,
         "subgroups": {n: [G.format(g) for g in s.generators] for n, s in spec.subgroups.items()},
         "cycles": {n: [G.format(v) for v in c.verts] for n, c in spec.cycles.items()},
-        "factors": [{"cycles": list(names), "subgroup": sub} for names, sub in spec.factors],
+        "factors": [
+            {"cycles": [cn for cn, _ in f.cycles], "subgroup": f.subgroup_name}
+            for f in spec.factors
+        ],
         "expected": dict(zip(("v", "r", "s"), spec.expected)),
     }
 
@@ -332,18 +343,6 @@ def resolve_subgroup(spec: SolutionSpec | SearchTarget, name: str) -> Subgroup:
     if name == "G":
         return spec.group.whole_subgroup()
     return spec.subgroups[name]
-
-
-def solution_recipes(spec: SolutionSpec) -> list[FactorRecipe]:
-    """The factor recipes of a solution, in document order, labelled F1.."""
-    recipes = []
-    for n, (names, sub_name) in enumerate(spec.factors, start=1):
-        sub = resolve_subgroup(spec, sub_name)
-        parts = tuple(
-            RecipePart(spec.cycles[cn], sub, cn, sub_name) for cn in names
-        )
-        recipes.append(FactorRecipe(f"F{n}", parts))
-    return recipes
 
 
 def _closure_texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, ...]:
@@ -381,12 +380,11 @@ def omega_reports(spec: SolutionSpec) -> tuple[OmegaReport, ...]:
 def verify_solution(spec: SolutionSpec) -> Certificate:
     """Certify a solution end to end; annotation diffs never affect the verdict,
     except that the recomputed difference sets must partition G."""
-    recipes = solution_recipes(spec)
     omegas = omega_reports(spec)
     partition = verify_partition(
         spec.group, [partial_differences(c) for c in spec.cycles.values()]
     )
-    cert = verify_factorization(spec.group, recipes, expected=spec.expected)
+    cert = verify_factorization(spec.group, spec.factors, expected=spec.expected)
     cert = replace(
         cert,
         solution_id=spec.id,

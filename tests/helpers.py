@@ -1,17 +1,43 @@
-"""Graph and verification helpers that only the tests use; the library
-does not export them."""
+"""Group, cycle, graph and verification helpers that only the tests use;
+the library does not export them."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from hwpreg.cayley import CayleyGraph
-from hwpreg.cycles import Cycle, cycle_orbit, partial_differences
+from hwpreg.cycles import Cycle, cycle, cycle_orbit, partial_differences
 from hwpreg.factors import Certificate
-from hwpreg.groups import FiniteGroup
+from hwpreg.groups import FiniteGroup, Quat
 from hwpreg.solutions import load_solution, verify_solution
+
+
+def power(group: FiniteGroup, a: int, n: int) -> int:
+    """a^n for n >= 0, by repeated multiplication."""
+    acc = group.identity
+    for _ in range(n):
+        acc = group.mul(acc, a)
+    return acc
+
+
+def element_order(group: FiniteGroup, a: int) -> int:
+    """The least n >= 1 with a^n = 1."""
+    acc, n = a, 1
+    while acc != group.identity:
+        acc, n = group.mul(acc, a), n + 1
+    return n
+
+
+def quat_conj(x: Quat) -> Quat:
+    """Conjugate; equals the inverse for unit quaternions."""
+    a, b, c, d = x
+    return a, (-b[0], -b[1]), (-c[0], -c[1]), (-d[0], -d[1])
+
+
+def cycle_from_texts(group: FiniteGroup, texts: Sequence[str]) -> Cycle:
+    return cycle(group, [group.parse(t) for t in texts])
 
 
 def full_connection(group: FiniteGroup) -> frozenset[int]:

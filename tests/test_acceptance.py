@@ -33,7 +33,6 @@ from hwpreg.solutions import (
     load_solution,
     parse_solution_dict,
     resolve_subgroup,
-    solution_recipes,
     verify_solution,
 )
 
@@ -165,11 +164,11 @@ def test_acceptance_4_stabilizers_and_orbits():
             if sorted(G.parse(t) for t in texts) != list(spec.subgroups[sn].members):
                 problems.append(f"{sid}/{sn}: claimed members {list(texts)}")
         orbits = []
-        for recipe, (_, sub_name) in zip(solution_recipes(spec), spec.factors):
+        for recipe in spec.factors:
             f = assemble_factor(G, recipe)
-            declared = resolve_subgroup(spec, sub_name)
+            declared = resolve_subgroup(spec, recipe.subgroup_name)
             if factor_stabilizer(f).member_set != declared.member_set:
-                problems.append(f"{sid}/{recipe.label}: stabilizer != {sub_name}")
+                problems.append(f"{sid}/{recipe.label}: stabilizer != {recipe.subgroup_name}")
             orbits.append(len(factor_orbit(f)))
         if orbits != EXPECTED_ORBITS[sid]:
             problems.append(f"{sid}: orbit lengths {orbits}")

@@ -9,12 +9,13 @@ import random
 import pytest
 
 import action_oracle as oracle
+from helpers import element_order, power
 from search_oracle import SlowSearcher
 from hwpreg.cycles import _stabilizer, cycle, cycle_orbit, cycle_stabilizer
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.search import SearchStats, SearchTarget, SignatureEntry
-from hwpreg.solutions import SOLUTION_IDS, load_solution, resolve_subgroup, solution_recipes
+from hwpreg.solutions import SOLUTION_IDS, load_solution, resolve_subgroup
 
 
 def assert_kernel_agrees(G, paths, what="family"):
@@ -43,7 +44,7 @@ def test_bundled_cycles_match_oracle(sid):
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
 def test_bundled_factors_match_oracle(sid):
     spec = load_solution(sid)
-    for recipe in solution_recipes(spec):
+    for recipe in spec.factors:
         f = assemble_factor(spec.group, recipe)
         assert factor_stabilizer(f) == oracle.factor_stabilizer(f)
         assert factor_orbit(f) == oracle.factor_orbit(f)
@@ -55,7 +56,7 @@ def test_kernel_matches_neighbour_map_on_bundled_cycles_and_factors(sid):
     G = spec.group
     for c in spec.cycles.values():
         assert_kernel_agrees(G, (c.verts,), "cycle")
-    for recipe in solution_recipes(spec):
+    for recipe in spec.factors:
         assert_kernel_agrees(G, assemble_factor(G, recipe).key(), "factor")
 
 
@@ -110,13 +111,13 @@ def test_kernel_matches_neighbour_map_on_coset_cycles(gid):
     n = len(G)
     rng = random.Random(f"kernel-coset-{gid}")
     for a in range(n):
-        k = G.element_order(a)
+        k = element_order(G, a)
         if k < 3:
             continue
         cosets, seen = [], set()
         for b in range(n):
             if b not in seen:
-                cosets.append([G.mul(G.power(a, i), b) for i in range(k)])
+                cosets.append([G.mul(power(G, a, i), b) for i in range(k)])
                 seen.update(cosets[-1])
         assert len(assert_kernel_agrees(G, [cosets[0]])) >= k
         family = [_presented(rng, p) for p in cosets]
@@ -129,7 +130,7 @@ def test_random_cycles_match_oracle(gid):
     G = build_group(gid)
     n = len(G)
     rng = random.Random(f"action-{gid}")
-    subs = [G.whole_subgroup(), G.trivial_subgroup()]
+    subs = [G.whole_subgroup(), G.subgroup_closure([])]
     for _ in range(4):
         subs.append(G.subgroup_closure([rng.randrange(n)]))
         subs.append(G.subgroup_closure(rng.sample(range(n), 2)))
@@ -144,14 +145,14 @@ def test_coset_cycles_match_oracle(gid):
     G = build_group(gid)
     n = len(G)
     rng = random.Random(f"coset-{gid}")
-    subs = [G.whole_subgroup(), G.trivial_subgroup()]
+    subs = [G.whole_subgroup(), G.subgroup_closure([])]
     subs += [G.subgroup_closure(rng.sample(range(n), 2)) for _ in range(3)]
     for a in range(n):
-        k = G.element_order(a)
+        k = element_order(G, a)
         if k < 3:
             continue
         b = rng.randrange(n)
-        c = cycle(G, [G.mul(G.power(a, i), b) for i in range(k)])
+        c = cycle(G, [G.mul(power(G, a, i), b) for i in range(k)])
         conj = G.mul(G.mul(G.inv(b), a), b)
         assert conj in cycle_stabilizer(c)
         assert cycle_stabilizer(c).order >= k
@@ -184,9 +185,9 @@ def _random_and_coset_paths(G, rng):
     paths = [rng.sample(range(n), 3 + k % 2) for k in range(200)]
     # paths (b, a*b, a^2*b[, a^3*b]) have stabilizers of order >= 3
     for a in range(n):
-        if G.element_order(a) in (3, 4):
+        if element_order(G, a) in (3, 4):
             b = rng.randrange(n)
-            paths.append([G.mul(G.power(a, i), b) for i in range(G.element_order(a))])
+            paths.append([G.mul(power(G, a, i), b) for i in range(element_order(G, a))])
     return paths
 
 
@@ -205,7 +206,7 @@ def test_random_paths_match_closed_path_oracle(gid):
     G = build_group(gid)
     n = len(G)
     rng = random.Random(f"paths-{gid}")
-    subgroups = {"T": G.trivial_subgroup()}
+    subgroups = {"T": G.subgroup_closure([])}
     for k in range(3):
         subgroups[f"C{k}"] = G.subgroup_closure([rng.randrange(n)])
         subgroups[f"D{k}"] = G.subgroup_closure(rng.sample(range(n), 2))
@@ -246,9 +247,9 @@ def test_translated_paths_give_the_factor_stabilizer(sid):
     G = spec.group
     T = G.table
     searcher, _ = _searcher(G, {})
-    for (cycle_names, sub_name), recipe in zip(spec.factors, solution_recipes(spec)):
-        H = resolve_subgroup(spec, sub_name)
-        paths = [spec.cycles[cn].verts for cn in cycle_names]
+    for recipe in spec.factors:
+        H = resolve_subgroup(spec, recipe.subgroup_name)
+        paths = [spec.cycles[cn].verts for cn, _ in recipe.cycles]
         fused = 0
         for p in paths:
             fused |= searcher.omega_mask(list(p))

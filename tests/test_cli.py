@@ -1,11 +1,12 @@
 """End-to-end checks of the command line interface via ``main``."""
 
+import hashlib
 import json
 
 import pytest
 
 from hwpreg.cli import main
-from hwpreg.solutions import SOLUTION_IDS, parse_solution_dict, verify_solution
+from hwpreg.solutions import SOLUTION_IDS, load_solution, parse_solution_dict, verify_solution
 
 TARGET_24_9_2 = {
     "group": "Q24",
@@ -270,3 +271,43 @@ def test_verify_24_5_6_prints_notes(capsys):
 def test_verify_every_bundled_solution(capsys, sid):
     code, out, _ = run(capsys, "verify", sid)
     assert code == 0 and "PASS" in out
+
+
+def _golden_calls(sid):
+    """`list`, or every read-only command on one bundled solution, in both
+    formats; `export --dot` has one."""
+    if sid == "list":
+        return [["list", "--format", "human"], ["list", "--format", "canonical"]]
+    spec = load_solution(sid)
+    commands = [["verify", sid], ["export", sid]]
+    for cn in spec.cycles:
+        commands.append(["omega", sid, cn])
+        commands += [["orbit", sid, cn, sub] for sub in ("G", *spec.subgroups)]
+    calls = [[*argv, "--format", fmt] for argv in commands for fmt in ("human", "canonical")]
+    return calls + [["export", sid, "--dot"]]
+
+
+# one SHA-256 per id over argv, exit code, stdout and stderr of each call:
+# any change to the text or JSON a command prints moves one of them
+GOLDEN_DIGESTS = {
+    "list": "f067e910960944608fb2215b53cbf16a06dae2219d3528f19ccb1125b043f94c",
+    "48-5-18": "89c099fe6493ad99892834d2ed98c1acfe560ffd5e9584342b6c2af88afecf0e",
+    "48-7-16": "fa215e6be37a36e55417401197f0b0917e8e7e30215e3d40ebdae13878eb3f8a",
+    "48-9-14": "f3ced7f2ec4b6f50aa4d9939e150f1c7204a2cbbdde52c0e8c4e3db814bb8f7e",
+    "48-13-10": "74c403cda43448b1d4a5bc0ea1100470c26a09efa70a788beff4c2559a8f785c",
+    "48-15-8": "51bd3252092393726d96fd1cbbff3249a2b7c676fa6adafee2d93e7335763adb",
+    "48-17-6": "121dd1ad11cdb03e41b70040388fa3f7451adf64f798f6199a0c412366538f61",
+    "24-7-4": "d544907795d46a0524d27a89d8c44ad2cf1704adaa0f3b82888f4603fba87fac",
+    "24-9-2": "281a049e9a42b548e36296ad310c28c80a2e71ed1eeaf651ffc78e7ae5a2def0",
+    "24-5-6": "496792713bdbf82c09e37050fc690e5c135e24e73a0d6b394743d0dc341d0475",
+}
+
+
+@pytest.mark.parametrize("sid", ["list", *SOLUTION_IDS])
+def test_cli_outputs_match_golden_digests(capsys, sid):
+    h = hashlib.sha256()
+    for argv in _golden_calls(sid):
+        code, out, err = run(capsys, *argv)
+        h.update(f"{argv} -> {code}\n".encode())
+        h.update(out.encode() + b"\0" + err.encode() + b"\0")
+    assert h.hexdigest() == GOLDEN_DIGESTS[sid]

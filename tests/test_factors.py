@@ -1,16 +1,16 @@
 """Factor assembly, orbits, certification, and failure witnesses."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from action_oracle import translate_factor, translation_permutes_factors
-from hwpreg.cycles import cycle_from_texts
+from helpers import cycle_from_texts
 from hwpreg.factors import (
     CERTIFICATE_FORMAT,
     FactorRecipe,
     RecipeError,
-    RecipePart,
     assemble_factor,
     factor_orbit,
     factor_stabilizer,
@@ -18,12 +18,12 @@ from hwpreg.factors import (
     verify_factorization,
 )
 from hwpreg.groups import build_group
-from hwpreg.solutions import load_solution, resolve_subgroup, solution_recipes, verify_solution
+from hwpreg.solutions import load_solution, resolve_subgroup, verify_solution
 
 
 def _recipes(sid):
     spec = load_solution(sid)
-    return spec, solution_recipes(spec)
+    return spec, list(spec.factors)
 
 
 def test_assemble_factor_spans_the_group():
@@ -36,7 +36,7 @@ def test_assemble_factor_spans_the_group():
 def test_assemble_composite_factor():
     spec, recipes = _recipes("24-9-2")
     composite = recipes[3]  # two sub-orbits under H
-    assert len(composite.parts) == 2
+    assert len(composite.cycles) == 2
     f = assemble_factor(spec.group, composite)
     assert len(f.cycles) == 8 and f.cycle_length == 3
 
@@ -44,7 +44,7 @@ def test_assemble_composite_factor():
 def test_assemble_gap_witness():
     spec, recipes = _recipes("24-9-2")
     composite = recipes[3]
-    half = FactorRecipe(composite.label, composite.parts[:1])
+    half = replace(composite, cycles=composite.cycles[:1])
     with pytest.raises(RecipeError) as err:
         assemble_factor(spec.group, half)
     assert err.value.witness["kind"] == "gap"
@@ -52,19 +52,18 @@ def test_assemble_gap_witness():
 
 def test_assemble_overlap_witness():
     spec, recipes = _recipes("24-9-2")
-    part = recipes[3].parts[0]
-    grown = RecipePart(part.cycle, spec.group.whole_subgroup(), part.cycle_name, "G")
+    grown = FactorRecipe("F", recipes[3].cycles[:1], "G", spec.group.whole_subgroup())
     with pytest.raises(RecipeError) as err:
-        assemble_factor(spec.group, FactorRecipe("F", (grown,)))
+        assemble_factor(spec.group, grown)
     assert err.value.witness["kind"] == "overlap"
 
 
 def test_factor_stabilizer_and_orbit():
     spec, recipes = _recipes("24-9-2")
-    for recipe, (_, sub_name) in zip(recipes, spec.factors):
+    for recipe in recipes:
         f = assemble_factor(spec.group, recipe)
         stab = factor_stabilizer(f)
-        assert stab.member_set == resolve_subgroup(spec, sub_name).member_set
+        assert stab.member_set == resolve_subgroup(spec, recipe.subgroup_name).member_set
         orbit = factor_orbit(f)
         assert len(orbit) * stab.order == 24
         assert f in orbit
@@ -150,11 +149,8 @@ def test_verify_factorization_foreign_edge():
         ["a4", "a4b", "a10", "a10b"],
         ["a5", "a11", "a5b", "a11b"],  # {a5, a11} is an I-edge
     ]
-    parts = tuple(
-        RecipePart(cycle_from_texts(G, t), G.trivial_subgroup(), f"X{i}", "T")
-        for i, t in enumerate(texts)
-    )
-    cert = verify_factorization(G, [FactorRecipe("F1", parts)])
+    cycles = tuple((f"X{i}", cycle_from_texts(G, t)) for i, t in enumerate(texts))
+    cert = verify_factorization(G, [FactorRecipe("F1", cycles, "T", G.subgroup_closure([]))])
     assert not cert.ok
     assert cert.witness["kind"] in ("duplicate-edge", "foreign-edge")
 
@@ -164,7 +160,7 @@ def test_verify_factorization_rejects_wrong_cycle_length():
     G = build_group("Q24")
     hexagon = cycle_from_texts(G, ["1", "a2", "a4", "a6", "a8", "a10"])
     cert = verify_factorization(
-        G, [FactorRecipe("F1", (RecipePart(hexagon, G.whole_subgroup(), "C1", "G"),))]
+        G, [FactorRecipe("F1", (("C1", hexagon),), "G", G.whole_subgroup())]
     )
     assert not cert.ok
     assert cert.witness["kind"] == "cycle-length"
@@ -179,7 +175,7 @@ def test_verify_factorization_expected_mismatch():
 
 def test_verify_factorization_recipe_error_becomes_certificate():
     spec, recipes = _recipes("24-9-2")
-    broken = [FactorRecipe(recipes[3].label, recipes[3].parts[:1])] + recipes[:3]
+    broken = [replace(recipes[3], cycles=recipes[3].cycles[:1])] + recipes[:3]
     cert = verify_factorization(spec.group, broken)
     assert not cert.ok
     assert cert.witness["kind"] == "gap"
@@ -194,9 +190,8 @@ def test_originally_listed_quadrangle_fails():
         G,
         ["[[1,0],[0,1]]", "[[1,0],[2,1]]", "[[2,2],[0,2]]", "[[1,1],[0,1]]"],
     )
-    recipes = solution_recipes(spec)
-    patched = list(recipes)
-    bad = FactorRecipe("F4", (RecipePart(orig, G.whole_subgroup(), "C4", "G"),))
+    patched = list(spec.factors)
+    bad = FactorRecipe("F4", (("C4", orig),), "G", G.whole_subgroup())
     patched[3] = bad
     cert = verify_factorization(G, patched, expected=spec.expected)
     assert not cert.ok
