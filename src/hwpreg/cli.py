@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -261,9 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser as it found it, so main builds one per process,
+# on its first call; build_parser itself returns a fresh parser each time
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as err:

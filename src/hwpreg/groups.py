@@ -11,9 +11,11 @@ Supported groups, by id:
 Each group is enumerated once in a fixed canonical order, and its full
 multiplication table and ASCII element texts (``1/r2``; ``parse`` also
 accepts ``1/√2``) are built once, at construction; the table's columns,
-as right translations, are built on first use.  Every later operation
-works on element indices.  Quaternion coordinates are kept exact as
-pairs (p, q) denoting (p + q*sqrt(2))/2, so equality tests are sound.
+as right translations, and the map from canonical texts back to indices,
+which ``parse`` tries before the group's parser, are built on first use.
+Every later operation works on element indices.  Quaternion coordinates
+are kept exact as pairs (p, q) denoting (p + q*sqrt(2))/2, so equality
+tests are sound.
 
 All three groups have exactly one involution, which is what makes them
 usable as regular automorphism groups of a cocktail party graph.
@@ -428,8 +430,17 @@ class FiniteGroup:
 
     # -- text form ---------------------------------------------------------
 
+    @cached_property
+    def _text_index(self) -> dict[str, int]:
+        # canonical text -> index, built on first use
+        return {t: i for i, t in enumerate(self.texts)}
+
     def parse(self, text: str) -> int:
-        """Index of the element denoted by ``text``; raises ElementError."""
+        """Index of the element denoted by ``text``; raises ElementError.
+        Canonical texts are looked up; other spellings go to the parser."""
+        idx = self._text_index.get(text)
+        if idx is not None:
+            return idx
         value = self._parser(text)
         idx = self._index.get(value)
         if idx is None:

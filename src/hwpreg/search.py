@@ -41,17 +41,19 @@ cycles stay vertex paths: their differences, stabilizers and sub-orbit
 vertex masks come from the multiplication table, and canonical cycles
 are built only for a found solution.  An open path carries the Omega
 mask of its edges and the union of its vertices' cosets v*S, and tries
-the free vertices in ascending order.  The scan for the last vertex w
-closes each cycle in place: Omega(c) is the path's mask plus the pairs
-of the edges into and out of w (``FiniteGroup.pair_columns``), and the
-sub-orbit's vertex mask is the path's union plus w*S.  Dead entry
-states, keyed by (entry index, consumed-difference bitmask), are
-memoized only when their subtree was exhausted normally, so the memo
-stays sound when a node budget aborts the search.  Anything found is
-written with ``solution_to_dict`` and re-verified by reading that
-document back through the solution pipeline before it is reported; that
-check recomputes every factor's full stabilizer.  The searcher changes
-no process-wide state; its recursion stays within the default limit (see
+the free vertices in ascending order.  The coset masks are built in one
+pass over the left cosets of each subgroup, which gives every vertex of
+a coset v*S the same mask.  The scan for the last vertex w closes each
+cycle in place: Omega(c) is the path's mask plus the pairs of the edges
+into and out of w (``FiniteGroup.pair_columns``), and the sub-orbit's
+vertex mask is the path's union plus w*S.  Dead entry states, keyed by
+(entry index, consumed-difference bitmask), are memoized only when their
+subtree was exhausted normally, so the memo stays sound when a node
+budget aborts the search.  Anything found is written with
+``solution_to_dict`` and re-verified by reading that document back
+through the solution pipeline before it is reported; that check
+recomputes every factor's full stabilizer.  The searcher changes no
+process-wide state; its recursion stays within the default limit (see
 ``search_hwp``).
 
 A target document is read as strictly as a solution document, by the
@@ -263,16 +265,19 @@ class _Searcher:
         # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
         self.pair_columns = G.pair_columns
         self.full_cover = (1 << self.n) - 1
-        # per entry with subgroup S, the vertex mask of v*S for every vertex v;
-        # entries with the same subgroup share one list, and v*G is everything
+        # per entry with subgroup S, the vertex mask of v*S for every vertex v,
+        # one pass over the left cosets; entries with the same subgroup share
+        # one list
         masks: dict[str, list[int]] = {}
         for e, sub in zip(self.sig, self.subs):
             if e.subgroup not in masks:
-                masks[e.subgroup] = (
-                    [self.full_cover] * self.n
-                    if sub.order == self.n
-                    else [sum(1 << T[v][x] for x in sub.members) for v in range(self.n)]
-                )
+                masks[e.subgroup] = per_vertex = [0] * self.n
+                for v in range(self.n):
+                    if not per_vertex[v]:
+                        coset = [T[v][x] for x in sub.members]
+                        mask = sum(1 << u for u in coset)
+                        for u in coset:
+                            per_vertex[u] = mask
         self.coset_masks = [masks[e.subgroup] for e in self.sig]
         self.dead: set[tuple[int, int]] = set()
         self.budget = math.inf if target.budget_nodes is None else target.budget_nodes

@@ -8,7 +8,9 @@ Everything else (entries, factors, the memo, node counting) is inherited
 from `hwpreg.search._Searcher`, so the two must visit the same nodes,
 close the same cycles and find the same documents.  `omega_mask`,
 `cycle_stabilizer` and `cycle_action` also answer the closed-path
-questions the tests put to the action oracle.
+questions the tests put to the action oracle.  `coset_masks` computes
+the searcher's coset masks vertex by vertex, the reference for its one
+pass over the cosets.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ from typing import AbstractSet
 from hwpreg.cycles import _stabilizer
 from hwpreg.groups import GroupError
 from hwpreg.search import _Searcher
+
+
+def coset_masks(group, sub) -> list[int]:
+    """The vertex mask of v*S for every vertex v, one vertex at a time."""
+    T = group.table
+    return [sum(1 << T[v][x] for x in sub.members) for v in range(len(group))]
 
 
 class SlowSearcher(_Searcher):

@@ -1,10 +1,13 @@
 """End-to-end checks of the command line interface via ``main``."""
 
+import argparse
 import hashlib
 import json
+import re
 
 import pytest
 
+from hwpreg import cli
 from hwpreg.cli import main
 from hwpreg.solutions import SOLUTION_IDS, load_solution, parse_solution_dict, verify_solution
 
@@ -311,3 +314,66 @@ def test_cli_outputs_match_golden_digests(capsys, sid):
         h.update(f"{argv} -> {code}\n".encode())
         h.update(out.encode() + b"\0" + err.encode() + b"\0")
     assert h.hexdigest() == GOLDEN_DIGESTS[sid]
+
+
+def _mixed_calls(tmp_path):
+    """Every subcommand, --out, --budget-nodes and --format, an argparse
+    error and CliError exits, with the files --out writes to."""
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(TARGET_24_9_2), encoding="utf-8")
+    cert, found, dot = (tmp_path / name for name in ("cert.json", "found.json", "g.dot"))
+    calls = [
+        ["list", "--format", "canonical"],
+        ["verify", "24-9-2", "--out", str(cert)],
+        ["omega", "24-9-2", "C3", "--format", "canonical"],
+        ["verify"],  # argparse error: missing positional
+        ["orbit", "24-9-2", "C4", "H"],
+        ["search", str(target), "--budget-nodes", "30", "--format", "canonical"],
+        ["search", str(target), "--budget-nodes", "ten"],  # argparse error
+        ["search", str(target), "--out", str(found)],
+        ["search", str(target), "--budget-nodes", "0"],  # CliError
+        ["export", "24-7-4", "--dot", "--out", str(dot)],
+        ["verify", "no-such-id"],  # CliError
+        ["orbit", "24-9-2", "C1", "Z"],  # CliError
+        ["list"],
+    ]
+    return calls, (cert, found, dot)
+
+
+# a search reports its wall-clock time, the one output that may differ
+_SECONDS = re.compile(r'"seconds":[0-9.]+|[0-9.]+s$', re.MULTILINE)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, _SECONDS.sub("<s>", captured.out), captured.err
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._shared_parser.cache_clear()
+    calls, outs = _mixed_calls(tmp_path)
+    passes = []
+    for _ in range(2):
+        built.clear()
+        results = [_outcome(capsys, argv) for argv in calls]
+        files = [path.read_text(encoding="utf-8") for path in outs]
+        passes.append((results, files, len(built)))
+    (first, first_files, first_built), (second, second_files, second_built) = passes
+    assert first == second and first_files == second_files
+    assert first_built > 0 and second_built == 0
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 0, "SystemExit(2)", 0, 1, "SystemExit(2)", 0, 2, 0, 2, 2, 0]
+    assert "the following arguments are required: solution" in first[3][2]
+    assert "invalid int value: 'ten'" in first[6][2]

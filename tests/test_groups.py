@@ -45,6 +45,47 @@ def test_right_translations_are_built_on_first_use():
         assert G.right_translations[x](range(n)) == tuple(G.mul(v, x) for v in range(n))
 
 
+def test_text_index_is_built_on_first_parse():
+    G = FiniteGroup("Q24", dicyclic_elements(), dicyclic_mul, parse_dicyclic, format_dicyclic)
+    G.format(G.identity)
+    assert "_text_index" not in vars(G)
+    assert G.parse("a4") == G.elements.index((4, 0))
+    assert "_text_index" in vars(G)
+
+
+def _other_spellings(gid, text):
+    """Non-canonical texts for the element whose canonical text is text."""
+    yield f"  {text}\n"
+    if gid == "2O":
+        if "1/r2" in text:
+            yield text.replace("1/r2", "1/√2")
+            yield text.replace("1/r2", " 1/√2 ")
+        if not text.startswith("-"):
+            yield "+" + text
+        if "(" in text and text[text.index("(") + 1] != "-":
+            yield text.replace("(", "(+", 1)
+    elif gid == "Q24":
+        i, j = parse_dicyclic(text)
+        b = "b" if j else ""
+        if i < 10:  # "a05" for "a5"
+            yield f"a0{i}{b}"
+        if i < 2:  # "a0b" for "b", "a1" for "a"
+            yield f"a{i}{b}"
+    else:
+        yield text.replace(",", " , ").replace("[", "[ ").replace("]", " ]")
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_parse_lookup_agrees_with_the_groups_parser(gid):
+    G = build_group(gid)
+    for idx, text in enumerate(G.texts):
+        assert G.parse(text) == G._index[G._parser(text)] == idx
+        others = set(_other_spellings(gid, text))
+        assert others and not others & set(G.texts)
+        for other in others:
+            assert G.parse(other) == idx, other
+
+
 def test_build_group_rejects_unknown():
     with pytest.raises(GroupError):
         build_group("S5")

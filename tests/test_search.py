@@ -15,6 +15,7 @@ from hwpreg.factors import canonical_json
 from hwpreg.groups import build_group
 from hwpreg.search import (
     SearchStats,
+    SearchTarget,
     SignatureEntry,
     _Searcher,
     TargetFormatError,
@@ -24,7 +25,8 @@ from hwpreg.search import (
     search_hwp,
     target_from_solution,
 )
-from hwpreg.solutions import load_solution, parse_solution_dict, verify_solution
+from hwpreg.solutions import SOLUTION_IDS, load_solution, parse_solution_dict, verify_solution
+from search_oracle import coset_masks
 
 TARGET_24_9_2 = {
     "group": "Q24",
@@ -197,6 +199,28 @@ def test_coset_masks_are_built_once_per_subgroup():
         assert by_name.setdefault(entry.subgroup, masks) is masks
     assert sorted(by_name) == ["G", "S1", "S2"]
     assert by_name["G"] == [searcher.full_cover] * len(target.group)
+
+
+@pytest.mark.parametrize("sid", SOLUTION_IDS)
+def test_coset_masks_match_the_per_vertex_formula(sid):
+    # G, the solution's subgroups and its derived target's, each
+    # conjugated by every g in G
+    spec = load_solution(sid)
+    G = spec.group
+    subs = [
+        G.whole_subgroup(),
+        *spec.subgroups.values(),
+        *target_from_solution(spec).subgroups.values(),
+    ]
+    for g in range(len(G)):
+        gi = G.inv(g)
+        named = {
+            f"S{k}": G.subgroup_closure(G.mul(G.mul(gi, x), g) for x in sub.members)
+            for k, sub in enumerate(subs)
+        }
+        entries = tuple(SignatureEntry(3, 1, name) for name in named)
+        searcher = _Searcher(SearchTarget(G, 0, 0, entries, named), SearchStats())
+        assert searcher.coset_masks == [coset_masks(G, sub) for sub in named.values()]
 
 
 @pytest.mark.parametrize(
