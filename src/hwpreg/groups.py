@@ -8,12 +8,16 @@ Supported groups, by id:
            b^-1 a b = a^-1), elements in normal form a^i b^j;
 * ``SL23`` the 2x2 matrices over Z_3 with determinant 1 (order 24).
 
-Each group is enumerated once in a fixed canonical order, and its full
-multiplication table and ASCII element texts (``1/r2``; ``parse`` also
-accepts ``1/√2``) are built once, at construction; the table's columns,
-as right translations, and the map from canonical texts back to indices,
-which ``parse`` tries before the group's parser, are built on first use.
-Every later operation works on element indices.  Quaternion coordinates
+Each group is one row of data: its order, two generators, and its
+multiplication, parser and formatter.  ``build_group`` generates the
+elements once, as the closure of the generators under multiplication
+(the same closure ``subgroup_closure`` runs on indices), and sorts them
+into a fixed canonical order.  The full multiplication table and ASCII
+element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are built
+once, at construction; the table's columns, as right translations, and
+the map from canonical texts back to indices, which ``parse`` tries
+before the group's parser, are built on first use.  Every later
+operation works on element indices.  Quaternion coordinates
 are kept exact as pairs (p, q) denoting (p + q*sqrt(2))/2, so equality
 tests are sound.
 
@@ -26,11 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
-
-GROUP_IDS = ("2O", "Q24", "SL23")
 
 _UNIT_NAMES = ("1", "i", "j", "k")
 
@@ -77,39 +78,6 @@ def quat_mul(x: Quat, y: Quat) -> Quat:
         _csum4((_cprod(a1, c2), _cprod(b1, d2), _cprod(c1, a2), _cprod(d1, b2)), (1, -1, 1, 1)),
         _csum4((_cprod(a1, d2), _cprod(b1, c2), _cprod(c1, b2), _cprod(d1, a2)), (1, 1, -1, 1)),
     )
-
-
-def quat_norm2_times4(x: Quat) -> tuple[int, int]:
-    """4 * |x|^2 as (rational, sqrt2-multiple) numerators."""
-    p4 = sum(p * p + 2 * q * q for p, q in x)
-    q4 = sum(2 * p * q for p, q in x)
-    return p4, q4
-
-
-def octahedral_elements() -> list[Quat]:
-    """The 48 elements: 8 of unit type, 16 half-integer, 24 sqrt2 type."""
-    elems: list[Quat] = []
-    zero: Coord = (0, 0)
-    for pos in range(4):
-        for sign in (2, -2):
-            coords = [zero] * 4
-            coords[pos] = (sign, 0)
-            elems.append(tuple(coords))  # type: ignore[arg-type]
-    for signs in product((1, -1), repeat=4):
-        elems.append(tuple((s, 0) for s in signs))  # type: ignore[arg-type]
-    for x, y in combinations(range(4), 2):
-        for sx in (1, -1):
-            for sy in (1, -1):
-                coords = [zero] * 4
-                coords[x] = (0, sx)
-                coords[y] = (0, sy)
-                elems.append(tuple(coords))  # type: ignore[arg-type]
-    if len(set(elems)) != 48:
-        raise GroupError("binary octahedral enumeration is not 48 distinct elements")
-    for q in elems:
-        if quat_norm2_times4(q) != (4, 0):
-            raise GroupError(f"non-unit quaternion in enumeration: {q!r}")
-    return sorted(elems)
 
 
 _QUAT_OUTER = re.compile(
@@ -186,10 +154,6 @@ def _signed_sum(coeffs: Sequence[int]) -> str:
 Dic = tuple[int, int]  # (i, j) encodes a^i b^j, 0 <= i < 12, j in {0, 1}
 
 
-def dicyclic_elements() -> list[Dic]:
-    return [(i, j) for i in range(12) for j in (0, 1)]
-
-
 def dicyclic_mul(x: Dic, y: Dic) -> Dic:
     # rewriting rules: b a^m = a^-m b and b^2 = a^6
     i, s = x
@@ -232,15 +196,6 @@ def format_dicyclic(x: Dic) -> str:
 Mat = tuple[int, int, int, int]  # row-major (a, b, c, d)
 
 
-def sl23_elements() -> list[Mat]:
-    elems = [
-        m
-        for m in product(range(3), repeat=4)
-        if (m[0] * m[3] - m[1] * m[2]) % 3 == 1
-    ]
-    return sorted(elems)  # type: ignore[return-value]
-
-
 def sl23_mul(x: Mat, y: Mat) -> Mat:
     a, b, c, d = x
     e, f, g, h = y
@@ -274,6 +229,21 @@ def format_sl23(x: Mat) -> str:
 
 # ---------------------------------------------------------------------------
 # the uniform table-backed group interface
+
+
+def _closure(start: Iterable, gens: Sequence, mul: Callable) -> set:
+    """Everything reached from ``start`` by repeated right multiplication
+    by ``gens``."""
+    members = set(start)
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
 
 
 @dataclass(frozen=True)
@@ -321,7 +291,7 @@ class FiniteGroup:
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
-            raise GroupError(f"{gid}: duplicate elements in enumeration")
+            raise GroupError(f"{gid}: duplicate elements")
         self._parser = parser
         self.texts: tuple[str, ...] = tuple(formatter(e) for e in self.elements)
 
@@ -392,15 +362,7 @@ class FiniteGroup:
         for g in gens:
             if not 0 <= g < len(self):
                 raise GroupError(f"{self.id}: generator index {g} out of range")
-        members = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.table[x][g]
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
+        members = _closure((self.identity,), gens, self.mul)
         for x in members:
             if self.inv_table[x] not in members:
                 raise GroupError(f"{self.id}: closure not inverse-closed at {x}")
@@ -451,13 +413,25 @@ class FiniteGroup:
         return self.texts[idx]
 
 
+# id -> (order, generator texts, multiplication, parser, formatter)
+_GROUPS = {
+    "2O": (48, ("1/2(1+i+j+k)", "1/r2(1+i)"), quat_mul, parse_quat, format_quat),
+    "Q24": (24, ("a", "b"), dicyclic_mul, parse_dicyclic, format_dicyclic),
+    "SL23": (24, ("[[1,1],[0,1]]", "[[1,0],[1,1]]"), sl23_mul, parse_sl23, format_sl23),
+}
+GROUP_IDS = tuple(_GROUPS)
+
+
 @lru_cache(maxsize=None)
 def build_group(gid: str) -> FiniteGroup:
     """Build (once) and return the group for ``gid`` in GROUP_IDS."""
-    if gid == "2O":
-        return FiniteGroup(gid, octahedral_elements(), quat_mul, parse_quat, format_quat)
-    if gid == "Q24":
-        return FiniteGroup(gid, dicyclic_elements(), dicyclic_mul, parse_dicyclic, format_dicyclic)
-    if gid == "SL23":
-        return FiniteGroup(gid, sl23_elements(), sl23_mul, parse_sl23, format_sl23)
-    raise GroupError(f"unknown group id {gid!r}; expected one of {GROUP_IDS}")
+    if gid not in _GROUPS:
+        raise GroupError(f"unknown group id {gid!r}; expected one of {GROUP_IDS}")
+    order, gen_texts, mul, parser, formatter = _GROUPS[gid]
+    gens = [parser(t) for t in gen_texts]
+    # in a finite group every inverse is a power, so the words in the
+    # generators already hold the identity and every inverse
+    elements = sorted(_closure(gens, gens, mul))
+    if len(elements) != order:
+        raise GroupError(f"{gid}: generators give {len(elements)} elements, not {order}")
+    return FiniteGroup(gid, elements, mul, parser, formatter)

@@ -38,6 +38,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Mapping, Sequence
 
 from .cycles import Cycle, CycleError, cycle, partial_differences, verify_partition
@@ -284,16 +285,17 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     if not all(isinstance(x, str) for x in notes):
         raise E("annotations.notes must be a list of strings")
 
+    # read-only views: load_solution hands the same spec to every caller
     return SolutionSpec(
         id=sid,
         group=group,
-        subgroups=subgroups,
-        cycles=cycles,
+        subgroups=MappingProxyType(subgroups),
+        cycles=MappingProxyType(cycles),
         factors=_factor_recipes(group, subgroups, cycles, factors),
         expected=expected,
-        printed_omega=printed_omega,
-        stabilizer_claims=stab_claims,
-        subgroup_member_claims=member_claims,
+        printed_omega=MappingProxyType(printed_omega),
+        stabilizer_claims=MappingProxyType(stab_claims),
+        subgroup_member_claims=MappingProxyType(member_claims),
         expected_omega_mismatches=mismatches,
         notes=notes,
     )

@@ -36,6 +36,13 @@ def quat_conj(x: Quat) -> Quat:
     return a, (-b[0], -b[1]), (-c[0], -c[1]), (-d[0], -d[1])
 
 
+def quat_norm2_times4(x: Quat) -> tuple[int, int]:
+    """4 * |x|^2 as (rational, sqrt2-multiple) numerators."""
+    p4 = sum(p * p + 2 * q * q for p, q in x)
+    q4 = sum(2 * p * q for p, q in x)
+    return p4, q4
+
+
 def cycle_from_texts(group: FiniteGroup, texts: Sequence[str]) -> Cycle:
     return cycle(group, [group.parse(t) for t in texts])
 

@@ -1,8 +1,12 @@
 """Group kernel: exact arithmetic, tables, subgroups, element notation."""
 
+import hashlib
+import json
+
 import pytest
 
-from helpers import element_order, power, quat_conj
+from helpers import element_order, power, quat_conj, quat_norm2_times4
+from hwpreg import groups
 from hwpreg.cycles import cycle, cycle_stabilizer
 from hwpreg.groups import (
     GROUP_IDS,
@@ -10,16 +14,29 @@ from hwpreg.groups import (
     FiniteGroup,
     GroupError,
     build_group,
-    dicyclic_elements,
     dicyclic_mul,
     format_dicyclic,
-    octahedral_elements,
     parse_dicyclic,
     quat_mul,
-    quat_norm2_times4,
 )
 
 ORDERS = {"2O": 48, "Q24": 24, "SL23": 24}
+
+# one SHA-256 per group over its element texts, multiplication table,
+# inverse table, identity and involution: canonical bytes depend on all
+# of them, so moving an element or changing its notation must fail here
+TABLE_DIGESTS = {
+    "2O": "5454336ca9d6f6b6525d6d8fd1ad7c30838f3b18851e183747b276a47217da1f",
+    "Q24": "9655f3d40b3a144aea46d5f9035da217e1b41fb7ccf0b5088ca36dc00c7e4551",
+    "SL23": "733b80d5c76f41bb4d33f065267c3fb9e9c1405e05546f473f838baf60b09fd0",
+}
+
+
+def _fresh_q24():
+    # a new instance, not the cached one, so first-use state can be seen
+    return FiniteGroup(
+        "Q24", build_group("Q24").elements, dicyclic_mul, parse_dicyclic, format_dicyclic
+    )
 
 
 def test_group_ids_and_orders():
@@ -28,14 +45,24 @@ def test_group_ids_and_orders():
         assert len(build_group(gid)) == ORDERS[gid]
 
 
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_group_tables_are_pinned(gid):
+    G = build_group(gid)
+    blob = json.dumps(
+        [G.texts, G.table, G.inv_table, G.identity, G.unique_involution()],
+        separators=(",", ":"),
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGESTS[gid]
+
+
 def test_build_group_is_cached():
     assert build_group("Q24") is build_group("Q24")
 
 
 def test_right_translations_are_built_on_first_use():
     # building a group (and so importing hwpreg) does no work for the
-    # stabilizer kernel's table; a fresh group, not the cached one
-    G = FiniteGroup("Q24", dicyclic_elements(), dicyclic_mul, parse_dicyclic, format_dicyclic)
+    # stabilizer kernel's table
+    G = _fresh_q24()
     assert "right_translations" not in vars(G)
     a = G.parse("a4")  # order 3, so (1, a4, a8) is fixed by <a4>
     assert cycle_stabilizer(cycle(G, [G.identity, a, G.mul(a, a)])).order == 3
@@ -46,7 +73,7 @@ def test_right_translations_are_built_on_first_use():
 
 
 def test_text_index_is_built_on_first_parse():
-    G = FiniteGroup("Q24", dicyclic_elements(), dicyclic_mul, parse_dicyclic, format_dicyclic)
+    G = _fresh_q24()
     G.format(G.identity)
     assert "_text_index" not in vars(G)
     assert G.parse("a4") == G.elements.index((4, 0))
@@ -89,6 +116,13 @@ def test_parse_lookup_agrees_with_the_groups_parser(gid):
 def test_build_group_rejects_unknown():
     with pytest.raises(GroupError):
         build_group("S5")
+
+
+def test_build_group_checks_the_stated_order(monkeypatch):
+    order, *rest = groups._GROUPS["Q24"]
+    monkeypatch.setitem(groups._GROUPS, "Q24", (order // 2, *rest))
+    with pytest.raises(GroupError, match="24 elements, not 12"):
+        build_group.__wrapped__("Q24")
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -135,7 +169,7 @@ def test_parse_format_round_trip_every_element(gid):
 
 
 def test_octahedral_census():
-    els = octahedral_elements()
+    els = build_group("2O").elements
     assert len(els) == len(set(els)) == 48
     for q in els:
         assert quat_norm2_times4(q) == (4, 0)  # unit quaternions
@@ -160,7 +194,7 @@ def test_quaternion_identities():
 
 
 def test_quat_conj_is_inverse_for_units():
-    for q in octahedral_elements():
+    for q in build_group("2O").elements:
         prod = quat_mul(q, quat_conj(q))
         assert prod == ((2, 0), (0, 0), (0, 0), (0, 0))
 

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from helpers import verify_solution_by_id
+from hwpreg import cli
 from hwpreg.solutions import (
     SOLUTION_IDS,
     SolutionFormatError,
@@ -39,6 +40,27 @@ def test_load_solution_unknown_id():
 def test_verify_by_id(sid):
     cert = verify_solution_by_id(sid)
     assert cert.ok and cert.solution_id == sid
+
+
+def test_loaded_spec_mappings_are_read_only(capsys):
+    # load_solution is cached, so a caller that could edit its spec would
+    # change what every later caller in the process verifies; the attempts
+    # below leave a plain dict as it was, so a failure here spoils no other test
+    spec = load_solution("24-9-2")
+    for mapping in (
+        spec.subgroups,
+        spec.cycles,
+        spec.printed_omega,
+        spec.stabilizer_claims,
+        spec.subgroup_member_claims,
+    ):
+        with pytest.raises(TypeError):
+            del mapping["no such key"]
+    with pytest.raises(TypeError):
+        spec.cycles["C5"] = spec.cycles["C5"]
+    assert not hasattr(spec.cycles, "pop")
+    assert cli.main(["verify", "24-9-2"]) == 0
+    assert capsys.readouterr().out.startswith("solution 24-9-2: PASS")
 
 
 def test_every_cycle_used_exactly_once():
