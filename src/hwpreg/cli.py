@@ -22,7 +22,9 @@ import sys
 from typing import Optional, Sequence
 
 from .cycles import CycleError, cycle_orbit, omega_representatives, partial_differences
-from .factors import RecipeError, assemble_factor, canonical_json, factor_orbit
+from .factors import (
+    RecipeError, _orbit_edge_ids, assemble_factor, canonical_json, factor_stabilizer
+)
 from .groups import ElementError, GroupError
 from .search import TargetFormatError, load_target_file, search_hwp
 from .solutions import (
@@ -182,15 +184,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def _dot_text(spec: SolutionSpec) -> str:
     G = spec.group
-    labelled: dict[tuple[int, int], str] = {}
+    labelled: dict[int, str] = {}
     for recipe in spec.factors:
         f = assemble_factor(G, recipe)
-        for t in factor_orbit(f):
-            for cc in t.cycles:
-                for e in cc.edges():
-                    labelled.setdefault(e, recipe.label)
+        for e in _orbit_edge_ids(f, factor_stabilizer(f).members):
+            labelled.setdefault(e, recipe.label)
     lines = [f'graph "{spec.id}" {{']
-    for (u, v), label in sorted(labelled.items()):
+    for e, label in sorted(labelled.items()):
+        u, v = divmod(e, len(G))
         lines.append(f'  "{G.format(u)}" -- "{G.format(v)}" [factor="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

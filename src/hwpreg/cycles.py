@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Collection, Iterable, Sequence
 
-from .cayley import edge
 from .groups import FiniteGroup, GroupError, Subgroup
 
 
@@ -49,10 +48,6 @@ class Cycle:
     @property
     def length(self) -> int:
         return len(self.verts)
-
-    def edges(self) -> list[tuple[int, int]]:
-        v = self.verts
-        return [edge(v[t], v[(t + 1) % len(v)]) for t in range(len(v))]
 
     def format(self) -> str:
         inner = ", ".join(self.group.format(v) for v in self.verts)

@@ -4,10 +4,12 @@ A factor recipe names base cycles and one subgroup acting on all of
 them; the union of the sub-orbits must tile the group, giving one
 2-factor.  The full-group orbits of the recipe factors are then expected
 to partition the edge set of the cocktail party graph K_v minus I.
-Verification is by brute force: every edge of every expanded factor is
-counted exactly once against the target edge set, and the outcome is
-wrapped in a certificate that renders both as readable text and as
-byte-stable JSON.
+Verification is by brute force: once every factor has assembled, each
+orbit is read off the multiplication table and its edges {u, w}, u < w,
+are counted as ids u*v + w.  Every edge of K_v minus I must be counted
+exactly once, so a pass has the checksum of K_v minus I's edge list,
+computed once per group.  The outcome is wrapped in a certificate that
+renders both as readable text and as byte-stable JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Collection, Iterable, Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import Cycle, _stabilizer, _transversal, cycle_orbit, translate_cycle
@@ -118,6 +121,25 @@ def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
     if len(seen) * len(stab) != len(G):
         raise GroupError("factor orbit-stabilizer mismatch")
     return tuple(seen[k] for k in sorted(seen))
+
+
+def _orbit_edge_ids(f: TwoFactor, stab: Collection[int]) -> list[int]:
+    """Edge ids min*v + max of f's right translates, read from the table
+    rows over a transversal of stab, checked to be |G|/|stab| distinct."""
+    G = f.group
+    T, v = G.table, len(G)
+    xs = _transversal(G, stab, range(v))
+    columns = []  # one per edge {a, b} of f: its id in each translate
+    for c in f.cycles:
+        vs = c.verts
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            ta, tb = T[a], T[b]
+            columns.append(
+                [p * v + q if p < q else q * v + p for p, q in ((ta[x], tb[x]) for x in xs)]
+            )
+    if len({frozenset(ids) for ids in zip(*columns)}) * len(stab) != v:
+        raise GroupError("factor orbit-stabilizer mismatch")
+    return [e for ids in columns for e in ids]
 
 
 def hwp_feasibility(v: int, r: int, s: int) -> tuple[bool, Optional[str]]:
@@ -304,9 +326,13 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _edge_checksum(group: FiniteGroup, edges: Iterable[tuple[int, int]]) -> str:
-    lines = sorted(f"{group.format(u)}|{group.format(v)}" for u, v in edges)
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+@lru_cache(maxsize=None)
+def _target(group: FiniteGroup) -> tuple[frozenset[int], str]:
+    """K_v - I as edge ids, and the SHA-256 of its sorted edge list."""
+    v, edges = len(group), cocktail_party_graph(group).edges
+    lines = sorted(f"{group.format(u)}|{group.format(w)}" for u, w in edges)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return frozenset(u * v + w for u, w in edges), digest
 
 
 def verify_factorization(
@@ -318,6 +344,15 @@ def verify_factorization(
 
     The check is independent of how the recipes were found: it never trusts
     difference-set reasoning, it just counts edges.
+
+    A foreign edge (an I-edge {g, ig}, i the central involution) is
+    reported as a duplicate first.  If i is not in stab(F), F and F*i
+    both carry it.  If it is, i fixes F's cycle through {g, ig}: a
+    quadrangle (g, ig, x, ix) whose stabilizer is {1, i} in every
+    supported group, so its two I-edges lie in distinct stab(F)-orbits
+    and the orbit of F covers each I-edge 2k/|stab(F)| >= 2 times, k being
+    F's number of I-edges.  The foreign check stays as the guard that
+    does not rely on this argument.
     """
     v = len(group)
     base = dict(
@@ -336,23 +371,22 @@ def verify_factorization(
     )
 
     reports: list[FactorReport] = []
-    expanded: list[TwoFactor] = []
+    assembled: list[tuple[TwoFactor, tuple[int, ...]]] = []
     try:
         for recipe in recipes:
             f = assemble_factor(group, recipe)
-            # factor_orbit has checked |orbit| * |stabilizer| == |G|
-            orbit = factor_orbit(f)
+            stab = factor_stabilizer(f).members
+            assembled.append((f, stab))
             reports.append(
                 FactorReport(
                     recipe.label,
                     tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles),
                     f.cycle_length,
                     len(f.cycles),
-                    v // len(orbit),
-                    len(orbit),
+                    len(stab),
+                    v // len(stab),
                 )
             )
-            expanded.extend(orbit)
     except RecipeError as err:
         return Certificate(
             **{**base, "factors": tuple(reports)},
@@ -369,14 +403,13 @@ def verify_factorization(
             witness={"kind": "cycle-length", "factor": bad_length[0].label},
         )
 
-    counts: Counter[tuple[int, int]] = Counter()
-    for f in expanded:
-        for c in f.cycles:
-            counts.update(c.edges())
-    target = cocktail_party_graph(group).edges
+    counts: Counter[int] = Counter()
+    for f, stab in assembled:
+        counts.update(_orbit_edge_ids(f, stab))
+    target, digest = _target(group)
 
     duplicates = sorted(e for e, n in counts.items() if n > 1)
-    foreign = sorted(e for e in counts if e not in target)
+    foreign = sorted(counts.keys() - target)
     missing = sorted(target - counts.keys())
     covered_once = sum(1 for e, n in counts.items() if n == 1 and e in target)
     base.update(
@@ -385,8 +418,8 @@ def verify_factorization(
         missing_edges=len(missing),
     )
 
-    def fmt_edge(e: tuple[int, int]) -> list[str]:
-        return [group.format(e[0]), group.format(e[1])]
+    def fmt_edge(e: int) -> list[str]:
+        return [group.format(u) for u in divmod(e, v)]
 
     if duplicates:
         e = duplicates[0]
@@ -414,7 +447,7 @@ def verify_factorization(
     # together they cover the v(v-2)/2 edges once: r + s = v/2 - 1 here
     r = sum(fr.orbit_length for fr in reports if fr.cycle_length == 3)
     s = sum(fr.orbit_length for fr in reports if fr.cycle_length == 4)
-    base.update(r=r, s=s, edges_sha256=_edge_checksum(group, counts))
+    base.update(r=r, s=s, edges_sha256=digest)
 
     if expected is not None and (v, r, s) != expected:
         return Certificate(

@@ -275,8 +275,9 @@ class FiniteGroup:
 
     Elements are referred to by index into :attr:`elements`; ``mul``,
     ``inv`` and ``format`` are table lookups.  Instances are immutable
-    after construction and safe to share; use :func:`build_group` to
-    obtain the cached instance for a group id.
+    after construction, as setting an attribute then raises
+    AttributeError, and safe to share; use :func:`build_group` to obtain
+    the cached instance for a group id.
     """
 
     def __init__(
@@ -335,6 +336,13 @@ class FiniteGroup:
                 f"{gid}: needs exactly one involution, found {len(involutions)}"
             )
         self._involution: int = involutions[0]
+        self._frozen = True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # cached_property writes vars(self) directly, so it is not refused
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"{self!r} is immutable: cannot set {name!r}")
+        super().__setattr__(name, value)
 
     # -- basic operations --------------------------------------------------
 

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from hwpreg.cayley import CayleyGraph
+from hwpreg.cayley import CayleyGraph, edge
 from hwpreg.cycles import Cycle, cycle, cycle_orbit, partial_differences
 from hwpreg.factors import Certificate
 from hwpreg.groups import FiniteGroup, Quat
@@ -45,6 +45,12 @@ def quat_norm2_times4(x: Quat) -> tuple[int, int]:
 
 def cycle_from_texts(group: FiniteGroup, texts: Sequence[str]) -> Cycle:
     return cycle(group, [group.parse(t) for t in texts])
+
+
+def cycle_edges(c: Cycle) -> list[tuple[int, int]]:
+    """The edges of c in cycle order, each ordered min first."""
+    v = c.verts
+    return [edge(v[t], v[(t + 1) % len(v)]) for t in range(len(v))]
 
 
 def full_connection(group: FiniteGroup) -> frozenset[int]:
@@ -89,7 +95,7 @@ def verify_orbit_decomposition(c: Cycle) -> DecompositionReport:
     orbit = cycle_orbit(c, G.whole_subgroup())
     counts: Counter[tuple[int, int]] = Counter()
     for cc in orbit.cycles:
-        counts.update(cc.edges())
+        counts.update(cycle_edges(cc))
     target = CayleyGraph(G, omega).edges
     for e, n in counts.items():
         if n > 1:

@@ -1,5 +1,6 @@
 """Factor assembly, orbits, certification, and failure witnesses."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 from action_oracle import translate_factor, translation_permutes_factors
 from helpers import cycle_from_texts
+from hwpreg.cycles import cycle, cycle_stabilizer
 from hwpreg.factors import (
     CERTIFICATE_FORMAT,
     FactorRecipe,
@@ -17,7 +19,7 @@ from hwpreg.factors import (
     hwp_feasibility,
     verify_factorization,
 )
-from hwpreg.groups import build_group
+from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.solutions import load_solution, resolve_subgroup, verify_solution
 
 
@@ -139,7 +141,9 @@ def test_verify_factorization_missing_witness():
 
 def test_verify_factorization_foreign_edge():
     # a quadrangle factor built from explicit cycles, one of which steps
-    # through the removed 1-factor (difference a6)
+    # through the removed 1-factor (difference a6); the factor's orbit
+    # covers that I-edge twice, so the duplicate check fires first (see
+    # verify_factorization and the quadrangle test below)
     G = build_group("Q24")
     texts = [
         ["1", "b", "a6", "a6b"],
@@ -152,7 +156,22 @@ def test_verify_factorization_foreign_edge():
     cycles = tuple((f"X{i}", cycle_from_texts(G, t)) for i, t in enumerate(texts))
     cert = verify_factorization(G, [FactorRecipe("F1", cycles, "T", G.subgroup_closure([]))])
     assert not cert.ok
-    assert cert.witness["kind"] in ("duplicate-edge", "foreign-edge")
+    assert cert.failure == "an edge is covered by more than one factor"
+    assert cert.witness == {"kind": "duplicate-edge", "edge": ["1", "b"], "count": 4}
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_quadrangles_of_two_i_edges_have_stabilizer_one_and_i(gid):
+    # why no orbit-expanded factor reaches the foreign-edge check: a factor
+    # fixed by the involution i holds each I-edge in such a quadrangle
+    G = build_group(gid)
+    i = G.unique_involution()
+    halves = sorted({min(g, G.mul(i, g)) for g in range(len(G))})
+    assert len(halves) == len(G) // 2
+    for a, b in itertools.combinations(halves, 2):
+        ia, ib = G.mul(i, a), G.mul(i, b)
+        for quad in ((a, ia, b, ib), (a, ia, ib, b)):
+            assert cycle_stabilizer(cycle(G, quad)).member_set == {G.identity, i}
 
 
 def test_verify_factorization_rejects_wrong_cycle_length():

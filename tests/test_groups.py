@@ -6,7 +6,7 @@ import json
 import pytest
 
 from helpers import element_order, power, quat_conj, quat_norm2_times4
-from hwpreg import groups
+from hwpreg import cli, groups
 from hwpreg.cycles import cycle, cycle_stabilizer
 from hwpreg.groups import (
     GROUP_IDS,
@@ -78,6 +78,23 @@ def test_text_index_is_built_on_first_parse():
     assert "_text_index" not in vars(G)
     assert G.parse("a4") == G.elements.index((4, 0))
     assert "_text_index" in vars(G)
+
+
+def test_group_refuses_attribute_rebinding(capsys):
+    # build_group is cached, and verify caches per-group data, so a caller
+    # that could rebind a table or a text would change what every later
+    # caller in the process computes
+    G = build_group("Q24")
+    texts = G.texts
+    try:
+        with pytest.raises(AttributeError):
+            G.texts = tuple(reversed(texts))
+        with pytest.raises(AttributeError):
+            G.right_translations = ()
+    finally:
+        vars(G)["texts"] = texts  # a rebinding that got through spoils no other test
+    assert cli.main(["verify", "24-9-2"]) == 0
+    assert capsys.readouterr().out.startswith("solution 24-9-2: PASS")
 
 
 def _other_spellings(gid, text):

@@ -1,0 +1,139 @@
+"""verify_factorization against its slow-path oracle, certificate by certificate.
+
+`verify_oracle.verify_factorization` expands every factor's orbit into
+canonical cycles as it assembles the factors and counts (min, max) edge
+tuples; the library assembles every factor first, then counts integer
+edge ids read from the multiplication table.  Both must render the same
+canonical and human text on the bundled documents, on a seeded
+corruption of every base-cycle vertex, and on hand-built failures, and
+raise the same error when a factor's stabilizer is wrong.
+"""
+
+import copy
+import random
+from dataclasses import replace
+
+import pytest
+
+import hwpreg.factors
+import verify_oracle
+from helpers import cycle_from_texts
+from hwpreg import SOLUTION_IDS
+from hwpreg.factors import FactorRecipe, verify_factorization
+from hwpreg.groups import GroupError, Subgroup, build_group
+from hwpreg.solutions import load_solution, parse_solution_dict
+
+
+def _outcome(verify, group, recipes, expected):
+    try:
+        cert = verify(group, recipes, expected=expected)
+    except GroupError as err:
+        return "GroupError", str(err)
+    return cert.canonical_text(), cert.human_text()
+
+
+def assert_lockstep(group, recipes, expected=None):
+    want = _outcome(verify_oracle.verify_factorization, group, recipes, expected)
+    assert _outcome(verify_factorization, group, recipes, expected) == want
+    return want
+
+
+def _corruptions(doc, rng):
+    """One corruption per vertex position of every base cycle: the vertex
+    is replaced by an element absent from its cycle, picked by rng."""
+    G = build_group(doc["group"])
+    for cn, verts in doc["cycles"].items():
+        used = {G.parse(t) for t in verts}
+        absent = [x for x in range(len(G)) if x not in used]
+        for pos in range(len(verts)):
+            bad = copy.deepcopy(doc)
+            bad["cycles"][cn][pos] = G.format(rng.choice(absent))
+            yield bad
+
+
+@pytest.mark.parametrize("sid", SOLUTION_IDS)
+def test_bundled_documents_match_oracle(sid):
+    spec = load_solution(sid)
+    canonical, _ = assert_lockstep(spec.group, spec.factors, spec.expected)
+    assert '"verdict":"pass"' in canonical
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_corruptions_match_oracle(raw_docs, seed):
+    rng = random.Random(seed)
+    verdicts = []
+    for sid in SOLUTION_IDS:
+        for bad in _corruptions(raw_docs[sid], rng):
+            spec = parse_solution_dict(bad)
+            canonical, _ = assert_lockstep(spec.group, spec.factors, spec.expected)
+            verdicts.append('"verdict":"pass"' in canonical)
+    assert len(verdicts) == 225 and not all(verdicts)
+
+
+def _q24_case(name):
+    spec = load_solution("24-9-2")
+    G, recipes = spec.group, list(spec.factors)
+    if name == "gap":
+        return G, [replace(recipes[3], cycles=recipes[3].cycles[:1])] + recipes[:3], None
+    if name == "overlap":
+        grown = FactorRecipe("F", recipes[3].cycles[:1], "G", G.whole_subgroup())
+        return G, recipes[:2] + [grown], None
+    if name == "cycle-length":
+        hexagon = cycle_from_texts(G, ["1", "a2", "a4", "a6", "a8", "a10"])
+        return G, [FactorRecipe("F1", (("C1", hexagon),), "G", G.whole_subgroup())], None
+    if name == "duplicate-edge":
+        return G, [recipes[0], recipes[0]] + recipes[2:], None
+    if name == "i-edge":
+        texts = [
+            ["1", "b", "a6", "a6b"],
+            ["a", "ab", "a7", "a7b"],
+            ["a2", "a2b", "a8", "a8b"],
+            ["a3", "a3b", "a9", "a9b"],
+            ["a4", "a4b", "a10", "a10b"],
+            ["a5", "a11", "a5b", "a11b"],
+        ]
+        cycles = tuple((f"X{i}", cycle_from_texts(G, t)) for i, t in enumerate(texts))
+        return G, [FactorRecipe("F1", cycles, "T", G.subgroup_closure([]))], None
+    if name == "missing-edge":
+        return G, recipes[:-1], None
+    assert name == "expected-mismatch"
+    return G, recipes, (24, 8, 3)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["gap", "overlap", "cycle-length", "duplicate-edge", "i-edge", "missing-edge",
+     "expected-mismatch"],
+)
+def test_hand_built_failures_match_oracle(name):
+    G, recipes, expected = _q24_case(name)
+    canonical, _ = assert_lockstep(G, recipes, expected)
+    kind = "duplicate-edge" if name == "i-edge" else name
+    assert f'"kind":"{kind}"' in canonical
+
+
+def test_originally_listed_quadrangle_matches_oracle():
+    spec = load_solution("24-5-6")
+    G = spec.group
+    orig = cycle_from_texts(
+        G, ["[[1,0],[0,1]]", "[[1,0],[2,1]]", "[[2,2],[0,2]]", "[[1,1],[0,1]]"]
+    )
+    patched = list(spec.factors)
+    patched[3] = FactorRecipe("F4", (("C4", orig),), "G", G.whole_subgroup())
+    assert_lockstep(G, patched, spec.expected)
+
+
+@pytest.mark.parametrize("sid", ["24-9-2", "48-17-6"])
+def test_wrong_stabilizer_raises_like_oracle(monkeypatch, sid):
+    # a stabilizer that misses elements gives more translates than the
+    # orbit has distinct ones: both paths must refuse to report it
+    def trivial(f):
+        one = (f.group.identity,)
+        return Subgroup(f.group, one, one)
+
+    monkeypatch.setattr(hwpreg.factors, "factor_stabilizer", trivial)
+    spec = load_solution(sid)
+    assert assert_lockstep(spec.group, spec.factors, spec.expected) == (
+        "GroupError",
+        "factor orbit-stabilizer mismatch",
+    )

@@ -1,0 +1,154 @@
+"""Slow reference for `verify_factorization`.
+
+This is the certification hwpreg used before it counted edges as integer
+ids read from the multiplication table: every factor's orbit is expanded
+with `factor_orbit` into canonical cycles while the factors are still
+being assembled, every edge is counted as a (min, max) tuple, and the
+checksum is taken over the covered edges on every pass.  The lockstep
+tests compare the library's certificates against it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import Counter
+from typing import Iterable, Optional, Sequence
+
+from helpers import cycle_edges
+from hwpreg.cayley import cocktail_party_graph
+from hwpreg.factors import (
+    Certificate,
+    FactorRecipe,
+    FactorReport,
+    RecipeError,
+    TwoFactor,
+    assemble_factor,
+    factor_orbit,
+    hwp_feasibility,
+)
+from hwpreg.groups import FiniteGroup
+
+
+def _edge_checksum(group: FiniteGroup, edges: Iterable[tuple[int, int]]) -> str:
+    lines = sorted(f"{group.format(u)}|{group.format(v)}" for u, v in edges)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def verify_factorization(
+    group: FiniteGroup,
+    recipes: Sequence[FactorRecipe],
+    expected: Optional[tuple[int, int, int]] = None,
+) -> Certificate:
+    """Expand every recipe's orbit into canonical cycles and certify exact
+    edge coverage of K_v - I by counting (min, max) edge tuples."""
+    v = len(group)
+    base = dict(
+        group_id=group.id,
+        v=v,
+        ok=False,
+        r=None,
+        s=None,
+        expected=expected,
+        factors=(),
+        edges_expected=v * (v - 2) // 2,
+        edges_covered_once=0,
+        duplicate_edges=0,
+        missing_edges=0,
+        edges_sha256=None,
+    )
+
+    reports: list[FactorReport] = []
+    expanded: list[TwoFactor] = []
+    try:
+        for recipe in recipes:
+            f = assemble_factor(group, recipe)
+            # factor_orbit has checked |orbit| * |stabilizer| == |G|
+            orbit = factor_orbit(f)
+            reports.append(
+                FactorReport(
+                    recipe.label,
+                    tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles),
+                    f.cycle_length,
+                    len(f.cycles),
+                    v // len(orbit),
+                    len(orbit),
+                )
+            )
+            expanded.extend(orbit)
+    except RecipeError as err:
+        return Certificate(
+            **{**base, "factors": tuple(reports)},
+            failure=str(err),
+            witness=err.witness or None,
+        )
+
+    base["factors"] = tuple(reports)
+    bad_length = [fr for fr in reports if fr.cycle_length not in (3, 4)]
+    if bad_length:
+        return Certificate(
+            **base,
+            failure=f"{bad_length[0].label}: factor cycle length must be uniformly 3 or 4",
+            witness={"kind": "cycle-length", "factor": bad_length[0].label},
+        )
+
+    counts: Counter[tuple[int, int]] = Counter()
+    for f in expanded:
+        for c in f.cycles:
+            counts.update(cycle_edges(c))
+    target = cocktail_party_graph(group).edges
+
+    duplicates = sorted(e for e, n in counts.items() if n > 1)
+    foreign = sorted(e for e in counts if e not in target)
+    missing = sorted(target - counts.keys())
+    covered_once = sum(1 for e, n in counts.items() if n == 1 and e in target)
+    base.update(
+        edges_covered_once=covered_once,
+        duplicate_edges=len(duplicates),
+        missing_edges=len(missing),
+    )
+
+    def fmt_edge(e: tuple[int, int]) -> list[str]:
+        return [group.format(e[0]), group.format(e[1])]
+
+    if duplicates:
+        e = duplicates[0]
+        return Certificate(
+            **base,
+            failure="an edge is covered by more than one factor",
+            witness={"kind": "duplicate-edge", "edge": fmt_edge(e), "count": counts[e]},
+        )
+    if foreign:
+        e = foreign[0]
+        return Certificate(
+            **base,
+            failure="a factor uses an edge outside K_v minus I",
+            witness={"kind": "foreign-edge", "edge": fmt_edge(e)},
+        )
+    if missing:
+        e = missing[0]
+        return Certificate(
+            **base,
+            failure="an edge of K_v minus I is not covered",
+            witness={"kind": "missing-edge", "edge": fmt_edge(e)},
+        )
+
+    # each factor is spanning with C3 or C4 cycles, so it has v edges, and
+    # together they cover the v(v-2)/2 edges once: r + s = v/2 - 1 here
+    r = sum(fr.orbit_length for fr in reports if fr.cycle_length == 3)
+    s = sum(fr.orbit_length for fr in reports if fr.cycle_length == 4)
+    base.update(r=r, s=s, edges_sha256=_edge_checksum(group, counts))
+
+    if expected is not None and (v, r, s) != expected:
+        return Certificate(
+            **base,
+            failure=f"computed (v,r,s)=({v},{r},{s}) differs from expected {expected}",
+            witness={"kind": "expected-mismatch", "computed": [v, r, s]},
+        )
+    feasible, reason = hwp_feasibility(v, r, s)
+    if not feasible:
+        return Certificate(
+            **base,
+            failure=f"infeasible parameters: {reason}",
+            witness={"kind": "infeasible", "reason": reason},
+        )
+    return Certificate(**{**base, "ok": True})
