@@ -8,8 +8,8 @@ off vertex sequences: x fixes a set of cycles exactly when every vertex
 v*x has the same pair of neighbour differences as v, one comparison of
 a per-vertex code tuple with its image under the precomputed column
 v -> v*x of the multiplication table.  The searcher uses this on plain
-paths; only the orbit functions pick a transversal and build canonical
-cycles, one per distinct translate.
+paths.  An orbit reads each translate of a vertex tuple off the table
+rows, one per coset of the stabilizer, and canonicalises it.
 The list of partial differences of a cycle C = (c_1, ..., c_l) is the
 inverse-closed set collecting c_{t+1} * c_t^-1 for every consecutive
 pair (indices mod l); when the orbit of C under the full group tiles
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import AbstractSet, Collection, Iterable, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Optional, Sequence
 
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -77,7 +77,7 @@ def translate_cycle(c: Cycle, x: int) -> Cycle:
 
 
 def _stabilizer(
-    group: FiniteGroup, paths: Iterable[Sequence[int]], what: str
+    group: FiniteGroup, paths: Iterable[Sequence[int]], what: str, sub: Optional[Subgroup] = None
 ) -> set[int]:
     """Elements of G whose right translation fixes vertex-disjoint cycles,
     each given as a vertex sequence in cycle order.
@@ -90,6 +90,10 @@ def _stabilizer(
     a*x and b*x, so x maps edges onto edges.  Such an x sends min(V) to a
     vertex w with the same code, so the only candidates are min(V)^-1 * w
     for those w; w = min(V) gives the identity.
+
+    A subgroup sub said to fix the cycles (GroupError if a generator does
+    not) lies in the stabilizer, which is then a union of right cosets
+    sub*x, as s*x fixes the cycles when x does: one x per coset is tested.
     """
     T, inv, n = group.table, group.inv_table, len(group)
     code = [-1] * n
@@ -102,20 +106,24 @@ def _stabilizer(
             code[v] = da * n + db if da < db else db * n + da
             a, v = v, b
         base = min(base, *vs)
-    c0 = code[base]
-    found = {group.identity}
-    others = code.count(c0) - 1
-    if others:
-        codes = tuple(code)
-        translations = group.right_translations
-        row = T[inv[base]]
-        w = base
-        for _ in range(others):
+    known, gens = ((group.identity,), ()) if sub is None else (sub.members, sub.generators)
+    found = set(known)
+    c0, codes, translations = code[base], tuple(code), group.right_translations
+    candidates = code.count(c0)
+    for g in gens:
+        if translations[g](codes) != codes:
+            raise GroupError(f"{what} is not fixed by its acting subgroup")
+    if candidates > len(known):
+        tested, row, w = set(found), T[inv[base]], base
+        for _ in range(candidates - 1):
             w = code.index(c0, w + 1)
             x = row[w]
-            if translations[x](codes) == codes:
-                found.add(x)
-    if len(found) > 1:  # {1} is closed
+            if x not in tested:
+                coset = [T[s][x] for s in known]
+                tested.update(coset)
+                if translations[x](codes) == codes:
+                    found.update(coset)
+    if len(found) > len(known):  # sub (or {1}) is closed
         pick = itemgetter(*found)
         for a in found:
             if not found.issuperset(pick(T[a])):
@@ -123,18 +131,19 @@ def _stabilizer(
     return found
 
 
-def _transversal(
+def _transversal_getter(
     group: FiniteGroup, stabilizer: Collection[int], members: Sequence[int]
-) -> list[int]:
-    """The first x in members of each right coset Stab*x (Stab in members)."""
-    T = group.table
-    transversal: list[int] = []
-    covered: set[int] = set()
-    for x in members:
-        if x not in covered:
-            transversal.append(x)
-            covered.update(T[s][x] for s in stabilizer)
-    return transversal
+) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A getter that reads row[x], for the first x in members of each right
+    coset Stab*x (Stab in members), as one tuple."""
+    xs = list(members)
+    if len(stabilizer) > 1:
+        T, covered, xs = group.table, set(), []
+        for x in members:
+            if x not in covered:
+                xs.append(x)
+                covered.update(T[s][x] for s in stabilizer)
+    return itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
 
 
 def cycle_stabilizer(c: Cycle) -> Subgroup:
@@ -156,20 +165,22 @@ class CycleOrbit:
         return len(self.cycles)
 
 
+def _sub_orbit(c: Cycle, sub: Subgroup) -> tuple[list[tuple[int, ...]], Subgroup]:
+    """The sorted canonical translates of c's vertex tuple over a transversal
+    of Stab_sub(c) in sub, read off the table rows of c; and Stab_sub(c)."""
+    fixed = cycle_stabilizer(c).member_set
+    stab = tuple(x for x in sub.members if x in fixed)
+    pick, T = _transversal_getter(c.group, stab, sub.members), c.group.table
+    orbit = sorted({_canonical_rotation(t) for t in zip(*(pick(T[u]) for u in c.verts))})
+    if len(orbit) * len(stab) != sub.order:
+        raise GroupError(f"orbit-stabilizer mismatch: {len(orbit)} * {len(stab)} != {sub.order}")
+    return orbit, Subgroup(c.group, stab, stab)
+
+
 def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
     """Distinct translates of c under sub, with the orbit-stabilizer check."""
-    G = c.group
-    found = cycle_stabilizer(c).member_set
-    stab_members = tuple(x for x in sub.members if x in found)
-    stab = Subgroup(G, stab_members, stab_members)
-    transversal = _transversal(G, stab_members, sub.members)
-    translates = {translate_cycle(c, x) for x in transversal}
-    orbit = tuple(sorted(translates, key=lambda cc: cc.verts))
-    if len(orbit) * stab.order != sub.order:
-        raise GroupError(
-            f"orbit-stabilizer mismatch: {len(orbit)} * {stab.order} != {sub.order}"
-        )
-    return CycleOrbit(c, sub, orbit, stab)
+    orbit, stab = _sub_orbit(c, sub)
+    return CycleOrbit(c, sub, tuple(Cycle(c.group, t) for t in orbit), stab)
 
 
 def forward_differences(c: Cycle) -> list[int]:

@@ -1,15 +1,16 @@
 """Assembling 2-factors from cycle orbits and certifying factorizations.
 
-A factor recipe names base cycles and one subgroup acting on all of
-them; the union of the sub-orbits must tile the group, giving one
-2-factor.  The full-group orbits of the recipe factors are then expected
-to partition the edge set of the cocktail party graph K_v minus I.
+A factor recipe names base cycles and one subgroup S acting on all of
+them; each sub-orbit is read off the multiplication table rows as vertex
+tuples, and together they must tile the group, giving one 2-factor.  S
+fixes that factor, so its stabilizer is a union of right cosets S*x and
+is tested with one x per coset.  The full-group orbits of the recipe
+factors are then expected to partition the edge set of K_v minus I.
 Verification is by brute force: once every factor has assembled, each
-orbit is read off the multiplication table and its edges {u, w}, u < w,
-are counted as ids u*v + w.  Every edge of K_v minus I must be counted
-exactly once, so a pass has the checksum of K_v minus I's edge list,
-computed once per group.  The outcome is wrapped in a certificate that
-renders both as readable text and as byte-stable JSON.
+orbit is read off the table and its edges {u, w}, u < w, are counted as
+ids u*v + w.  Every edge of K_v minus I must be counted exactly once, so
+a pass has the checksum of K_v minus I's edge list, computed once per
+group.  The certificate renders as readable text and as byte-stable JSON.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .cayley import cocktail_party_graph
-from .cycles import Cycle, _stabilizer, _transversal, cycle_orbit, translate_cycle
+from .cycles import Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter
 from .groups import FiniteGroup, GroupError, Subgroup
 
 CERTIFICATE_FORMAT = "hwp-regular-certificate/1"
@@ -57,6 +58,8 @@ class TwoFactor:
 
     group: FiniteGroup
     cycles: tuple[Cycle, ...]
+    # the subgroup its recipe acted by, known to fix it; None: trivial
+    subgroup: Optional[Subgroup] = field(default=None, compare=False)
 
     @property
     def cycle_length(self) -> Optional[int]:
@@ -67,46 +70,37 @@ class TwoFactor:
         return tuple(c.verts for c in self.cycles)
 
 
-def _sorted_cycles(cycles: Iterable[Cycle]) -> tuple[Cycle, ...]:
-    return tuple(sorted(cycles, key=lambda c: c.verts))
-
-
 def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
-    """Expand the recipe's sub-orbits and check they tile the group."""
+    """Read the recipe's sub-orbits off the table and check they tile the group."""
     if not recipe.cycles:
         raise RecipeError(f"{recipe.label}: empty recipe")
-    if recipe.subgroup.group is not group:
+    sub = recipe.subgroup
+    if sub.group is not group:
         raise RecipeError(f"{recipe.label}: subgroup bound to a different group")
-    covered: dict[int, str] = {}
-    cycles: list[Cycle] = []
+    owner: list[Optional[str]] = [None] * len(group)  # cycle name per vertex
+    cycles: list[tuple[int, ...]] = []
     for name, base in recipe.cycles:
         if base.group is not group:
             raise RecipeError(f"{recipe.label}: cycle bound to a different group")
-        for c in cycle_orbit(base, recipe.subgroup).cycles:
-            for v in c.verts:
-                if v in covered:
-                    raise RecipeError(
-                        f"{recipe.label}: vertex {group.format(v)} covered twice",
-                        {
-                            "kind": "overlap",
-                            "vertex": group.format(v),
-                            "parts": [covered[v], name],
-                        },
-                    )
-                covered[v] = name
-            cycles.append(c)
-    if len(covered) != len(group):
-        gap = min(v for v in range(len(group)) if v not in covered)
-        raise RecipeError(
-            f"{recipe.label}: vertex {group.format(gap)} not covered",
-            {"kind": "gap", "vertex": group.format(gap)},
-        )
-    return TwoFactor(group, _sorted_cycles(cycles))
+        orbit, _ = _sub_orbit(base, sub)
+        for u in (u for t in orbit for u in t):
+            if owner[u] is not None:
+                w = group.format(u)
+                raise RecipeError(
+                    f"{recipe.label}: vertex {w} covered twice",
+                    {"kind": "overlap", "vertex": w, "parts": [owner[u], name]},
+                )
+            owner[u] = name
+        cycles.extend(orbit)
+    if None in owner:
+        w = group.format(owner.index(None))
+        raise RecipeError(f"{recipe.label}: vertex {w} not covered", {"kind": "gap", "vertex": w})
+    return TwoFactor(group, tuple(Cycle(group, t) for t in sorted(cycles)), sub)
 
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
-    """Set-wise stabilizer of the whole factor under right translation."""
-    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor")))
+    """Set-wise stabilizer of the factor, tested per right coset of f.subgroup."""
+    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor", f.subgroup)))
     return Subgroup(f.group, members, members)
 
 
@@ -114,28 +108,25 @@ def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
     """Distinct right translates of f under the full group, sorted."""
     G = f.group
     stab = factor_stabilizer(f).members
-    seen: dict[tuple, TwoFactor] = {}
-    for x in _transversal(G, stab, range(len(G))):
-        t = TwoFactor(G, _sorted_cycles(translate_cycle(c, x) for c in f.cycles))
-        seen.setdefault(t.key(), t)
+    pick = _transversal_getter(G, stab, range(len(G)))
+    per_cycle = [zip(*(pick(G.table[u]) for u in c.verts)) for c in f.cycles]
+    seen = {tuple(sorted(map(_canonical_rotation, ts))) for ts in zip(*per_cycle)}
     if len(seen) * len(stab) != len(G):
         raise GroupError("factor orbit-stabilizer mismatch")
-    return tuple(seen[k] for k in sorted(seen))
+    return tuple(TwoFactor(G, tuple(Cycle(G, t) for t in k)) for k in sorted(seen))
 
 
 def _orbit_edge_ids(f: TwoFactor, stab: Collection[int]) -> list[int]:
     """Edge ids min*v + max of f's right translates, read from the table
     rows over a transversal of stab, checked to be |G|/|stab| distinct."""
-    G = f.group
-    T, v = G.table, len(G)
-    xs = _transversal(G, stab, range(v))
+    T, v = f.group.table, len(f.group)
+    pick = _transversal_getter(f.group, stab, range(v))
     columns = []  # one per edge {a, b} of f: its id in each translate
     for c in f.cycles:
         vs = c.verts
         for a, b in zip(vs, vs[1:] + vs[:1]):
-            ta, tb = T[a], T[b]
             columns.append(
-                [p * v + q if p < q else q * v + p for p, q in ((ta[x], tb[x]) for x in xs)]
+                [p * v + q if p < q else q * v + p for p, q in zip(pick(T[a]), pick(T[b]))]
             )
     if len({frozenset(ids) for ids in zip(*columns)}) * len(stab) != v:
         raise GroupError("factor orbit-stabilizer mismatch")
@@ -411,37 +402,23 @@ def verify_factorization(
     duplicates = sorted(e for e, n in counts.items() if n > 1)
     foreign = sorted(counts.keys() - target)
     missing = sorted(target - counts.keys())
-    covered_once = sum(1 for e, n in counts.items() if n == 1 and e in target)
+    covered_once = len(counts.keys() & target) - len(target.intersection(duplicates))
     base.update(
         edges_covered_once=covered_once,
         duplicate_edges=len(duplicates),
         missing_edges=len(missing),
     )
 
-    def fmt_edge(e: int) -> list[str]:
-        return [group.format(u) for u in divmod(e, v)]
-
-    if duplicates:
-        e = duplicates[0]
-        return Certificate(
-            **base,
-            failure="an edge is covered by more than one factor",
-            witness={"kind": "duplicate-edge", "edge": fmt_edge(e), "count": counts[e]},
-        )
-    if foreign:
-        e = foreign[0]
-        return Certificate(
-            **base,
-            failure="a factor uses an edge outside K_v minus I",
-            witness={"kind": "foreign-edge", "edge": fmt_edge(e)},
-        )
-    if missing:
-        e = missing[0]
-        return Certificate(
-            **base,
-            failure="an edge of K_v minus I is not covered",
-            witness={"kind": "missing-edge", "edge": fmt_edge(e)},
-        )
+    for ids, kind, failure in (
+        (duplicates, "duplicate-edge", "an edge is covered by more than one factor"),
+        (foreign, "foreign-edge", "a factor uses an edge outside K_v minus I"),
+        (missing, "missing-edge", "an edge of K_v minus I is not covered"),
+    ):
+        if ids:
+            witness = {"kind": kind, "edge": [group.format(u) for u in divmod(ids[0], v)]}
+            if ids is duplicates:
+                witness["count"] = counts[ids[0]]
+            return Certificate(**base, failure=failure, witness=witness)
 
     # each factor is spanning with C3 or C4 cycles, so it has v edges, and
     # together they cover the v(v-2)/2 edges once: r + s = v/2 - 1 here

@@ -248,7 +248,7 @@ def _closure(start: Iterable, gens: Sequence, mul: Callable) -> set:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A verified subgroup, stored as a sorted tuple of element indices."""
+    """A verified subgroup: its sorted element indices and elements generating it."""
 
     group: "FiniteGroup"
     members: tuple[int, ...]
@@ -395,8 +395,18 @@ class FiniteGroup:
         pair = [(1 << d) | (1 << inv[d]) for d in range(n)]
         return tuple(tuple(pair[T[w][inv[u]]] for w in range(n)) for u in range(n))
 
+    @cached_property
+    def _whole(self) -> Subgroup:
+        # generated by each element that the earlier generators do not reach
+        gens, reached = [], {self.identity}
+        for x in range(len(self)):
+            if x not in reached:
+                gens.append(x)
+                reached = _closure(reached, gens, self.mul)
+        return Subgroup(self, tuple(range(len(self))), tuple(gens))
+
     def whole_subgroup(self) -> Subgroup:
-        return Subgroup(self, tuple(range(len(self))), (self.identity,))
+        return self._whole
 
     # -- text form ---------------------------------------------------------
 

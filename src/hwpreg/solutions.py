@@ -351,12 +351,12 @@ def _closure_texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, 
     return tuple(group.format(x) for x in sorted(members))
 
 
-def omega_reports(spec: SolutionSpec) -> tuple[OmegaReport, ...]:
-    """Diff recomputed difference sets against the annotated listings."""
+def omega_reports(spec: SolutionSpec, omegas: Mapping | None = None) -> tuple[OmegaReport, ...]:
+    """Diff recomputed difference sets (omegas, if given) against the annotated listings."""
     G = spec.group
     reports = []
     for cn, c in spec.cycles.items():
-        recomputed = partial_differences(c)
+        recomputed = partial_differences(c) if omegas is None else omegas[cn]
         printed_texts = spec.printed_omega.get(cn)
         if printed_texts is None:
             reports.append(OmegaReport(cn, _closure_texts(G, recomputed), None, None))
@@ -382,17 +382,16 @@ def omega_reports(spec: SolutionSpec) -> tuple[OmegaReport, ...]:
 def verify_solution(spec: SolutionSpec) -> Certificate:
     """Certify a solution end to end; annotation diffs never affect the verdict,
     except that the recomputed difference sets must partition G."""
-    omegas = omega_reports(spec)
-    partition = verify_partition(
-        spec.group, [partial_differences(c) for c in spec.cycles.values()]
-    )
+    omegas = {cn: partial_differences(c) for cn, c in spec.cycles.items()}
+    reports = omega_reports(spec, omegas)
+    partition = verify_partition(spec.group, omegas.values())
     cert = verify_factorization(spec.group, spec.factors, expected=spec.expected)
     cert = replace(
         cert,
         solution_id=spec.id,
         partition_ok=partition.ok,
         partition_size=partition.union_size,
-        omega=omegas,
+        omega=reports,
         notes=spec.notes,
     )
     if cert.ok and not partition.ok:

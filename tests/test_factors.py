@@ -2,10 +2,15 @@
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import hwpreg.cli
+import hwpreg.cycles
+import hwpreg.factors
+import hwpreg.solutions
 from action_oracle import translate_factor, translation_permutes_factors
 from helpers import cycle_from_texts
 from hwpreg.cycles import cycle, cycle_stabilizer
@@ -19,7 +24,7 @@ from hwpreg.factors import (
     hwp_feasibility,
     verify_factorization,
 )
-from hwpreg.groups import GROUP_IDS, build_group
+from hwpreg.groups import GROUP_IDS, FiniteGroup, build_group
 from hwpreg.solutions import load_solution, resolve_subgroup, verify_solution
 
 
@@ -58,6 +63,34 @@ def test_assemble_overlap_witness():
     with pytest.raises(RecipeError) as err:
         assemble_factor(spec.group, grown)
     assert err.value.witness["kind"] == "overlap"
+
+
+def test_verify_reads_orbits_off_the_table(monkeypatch):
+    # assembly reads each sub-orbit off the table rows: no cycle_orbit,
+    # translate_cycle or FiniteGroup.mul call, and the whole verify of
+    # 48-17-6 translates no Cycle; every module that imported a function
+    # by name gets the counting version, as perfbench/spans.py does
+    spec = load_solution("48-17-6")
+    calls = Counter()
+
+    def counting(name, orig):
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+
+        return wrapper
+
+    for name in ("cycle_orbit", "translate_cycle"):
+        orig = getattr(hwpreg.cycles, name)
+        for module in (hwpreg, hwpreg.cli, hwpreg.cycles, hwpreg.factors, hwpreg.solutions):
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counting(name, orig))
+    monkeypatch.setattr(FiniteGroup, "mul", counting("mul", FiniteGroup.mul))
+    for recipe in spec.factors:
+        assemble_factor(spec.group, recipe)
+    assert calls == Counter()
+    assert verify_solution(spec).ok
+    assert calls["translate_cycle"] == 0 and calls["mul"] > 0  # the latter: differences
 
 
 def test_factor_stabilizer_and_orbit():

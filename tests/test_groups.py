@@ -297,6 +297,15 @@ def test_whole_and_trivial_subgroups():
     assert G.parse("a5") not in trivial
 
 
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_whole_subgroup_generators_generate_the_group(gid):
+    # factor_stabilizer checks a subgroup by its generators alone
+    G = build_group(gid)
+    whole = G.whole_subgroup()
+    assert G.subgroup_closure(whole.generators).members == whole.members
+    assert G.identity not in whole.generators
+
+
 def test_subgroup_closure_rejects_bad_index():
     G = build_group("Q24")
     with pytest.raises(GroupError):

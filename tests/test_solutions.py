@@ -6,7 +6,7 @@ import re
 import pytest
 
 from helpers import verify_solution_by_id
-from hwpreg import cli
+from hwpreg import cli, solutions
 from hwpreg.solutions import (
     SOLUTION_IDS,
     SolutionFormatError,
@@ -84,6 +84,20 @@ def test_omega_reports_all_match():
             assert report.only_recomputed == () and report.only_printed == ()
             assert set(report.recomputed) == set(report.printed)
         assert spec.expected_omega_mismatches == ()
+
+
+def test_verify_solution_computes_each_difference_set_once(monkeypatch):
+    spec = load_solution("48-17-6")
+    calls = []
+    orig = solutions.partial_differences
+
+    def counted(c):
+        calls.append(c)
+        return orig(c)
+
+    monkeypatch.setattr(solutions, "partial_differences", counted)
+    assert verify_solution(spec).ok
+    assert sorted(c.verts for c in calls) == sorted(c.verts for c in spec.cycles.values())
 
 
 def test_omega_report_without_annotation(doc_copy):

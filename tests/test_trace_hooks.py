@@ -11,6 +11,7 @@ from pathlib import Path
 import hwpreg.cli
 import hwpreg.cycles
 import hwpreg.search
+import hwpreg.solutions
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,6 +32,9 @@ def test_tracer_installs_and_uninstalls(capsys):
         tracer.install()
         assert hwpreg.search.search_hwp is not search_hwp
         assert hwpreg.cli.main(["verify", "24-7-4", "--format", "canonical"]) == 0
+        # verify reads every orbit off the table; count a direct call
+        c = hwpreg.solutions.load_solution("24-7-4").cycles["C1"]
+        assert hwpreg.cycles.translate_cycle(c, c.group.identity) == c
     finally:
         tracer.uninstall()
     capsys.readouterr()

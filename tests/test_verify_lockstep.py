@@ -1,12 +1,13 @@
 """verify_factorization against its slow-path oracle, certificate by certificate.
 
-`verify_oracle.verify_factorization` expands every factor's orbit into
-canonical cycles as it assembles the factors and counts (min, max) edge
-tuples; the library assembles every factor first, then counts integer
-edge ids read from the multiplication table.  Both must render the same
-canonical and human text on the bundled documents, on a seeded
-corruption of every base-cycle vertex, and on hand-built failures, and
-raise the same error when a factor's stabilizer is wrong.
+`verify_oracle.verify_factorization` builds every sub-orbit and every
+factor orbit as canonical cycles, takes each factor's stabilizer with the
+full kernel, and counts (min, max) edge tuples; the library reads
+sub-orbits and orbit edge ids off the multiplication table and tests a
+factor's stabilizer once per right coset of its acting subgroup.  Both
+must render the same canonical and human text on the bundled documents,
+on a seeded corruption of every base-cycle vertex, and on hand-built
+failures, and raise the same error when a factor's stabilizer is wrong.
 """
 
 import copy
@@ -19,7 +20,14 @@ import hwpreg.factors
 import verify_oracle
 from helpers import cycle_from_texts
 from hwpreg import SOLUTION_IDS
-from hwpreg.factors import FactorRecipe, verify_factorization
+from hwpreg.factors import (
+    FactorRecipe,
+    RecipeError,
+    TwoFactor,
+    assemble_factor,
+    factor_stabilizer,
+    verify_factorization,
+)
 from hwpreg.groups import GroupError, Subgroup, build_group
 from hwpreg.solutions import load_solution, parse_solution_dict
 
@@ -132,8 +140,69 @@ def test_wrong_stabilizer_raises_like_oracle(monkeypatch, sid):
         return Subgroup(f.group, one, one)
 
     monkeypatch.setattr(hwpreg.factors, "factor_stabilizer", trivial)
+    monkeypatch.setattr(verify_oracle, "factor_stabilizer", trivial)
     spec = load_solution(sid)
     assert assert_lockstep(spec.group, spec.factors, spec.expected) == (
         "GroupError",
         "factor orbit-stabilizer mismatch",
     )
+
+
+def _assembled(recipe, group):
+    """The library's and the oracle's outcome: the factor, or the error as
+    (type name, message, witness)."""
+    outcomes = []
+    for assemble in (assemble_factor, verify_oracle.assemble_factor):
+        try:
+            outcomes.append(assemble(group, recipe))
+        except (RecipeError, GroupError) as err:
+            outcomes.append((type(err).__name__, str(err), getattr(err, "witness", None)))
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
+    # every factor that assembles, in the bundled documents (seed None)
+    # and in a seeded corruption of every base-cycle vertex
+    rng = random.Random(seed)
+    docs = [raw_docs[sid] for sid in SOLUTION_IDS]
+    if seed is not None:
+        docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
+    checked = 0
+    for doc in docs:
+        spec = parse_solution_dict(doc)
+        for recipe in spec.factors:
+            got, want = _assembled(recipe, spec.group)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert got == want and got.subgroup is recipe.subgroup
+            assert factor_stabilizer(got) == verify_oracle.factor_stabilizer(want)
+            checked += 1
+    assert checked >= (64 if seed is None else 225)  # all 64 bundled factors
+
+
+def test_stabilizer_larger_than_the_acting_subgroup(doc_copy):
+    # the seed-1 corruption 24-9-2/C3[2]: C3 becomes the coset (1, a4, a8)
+    # of <a4>, and F3 = Orb[L](C3) is fixed by all of G, not only by L
+    doc = doc_copy("24-9-2")
+    doc["cycles"]["C3"][2] = "a8"
+    spec = parse_solution_dict(doc)
+    f = assemble_factor(spec.group, spec.factors[2])
+    assert (f.subgroup.order, factor_stabilizer(f).order) == (8, 24)
+    assert factor_stabilizer(f) == verify_oracle.factor_stabilizer(f)
+
+
+@pytest.mark.parametrize("sid", ["24-9-2", "48-17-6"])
+def test_factor_labelled_with_a_subgroup_that_moves_it_raises(sid):
+    spec = load_solution(sid)
+    G = spec.group
+    for recipe in spec.factors:
+        f = assemble_factor(G, recipe)
+        if factor_stabilizer(f).order == len(G):
+            continue
+        mislabelled = TwoFactor(G, f.cycles, G.whole_subgroup())
+        with pytest.raises(GroupError, match="not fixed by its acting subgroup"):
+            factor_stabilizer(mislabelled)
+        # unlabelled, the same cycles get the full kernel
+        assert factor_stabilizer(TwoFactor(G, f.cycles)) == factor_stabilizer(f)

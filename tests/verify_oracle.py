@@ -1,32 +1,120 @@
 """Slow reference for `verify_factorization`.
 
-This is the certification hwpreg used before it counted edges as integer
-ids read from the multiplication table: every factor's orbit is expanded
-with `factor_orbit` into canonical cycles while the factors are still
-being assembled, every edge is counted as a (min, max) tuple, and the
-checksum is taken over the covered edges on every pass.  The lockstep
-tests compare the library's certificates against it.
+This is the certification hwpreg used before it read orbits off the
+multiplication table.  Each sub-orbit of a recipe is built as canonical
+`Cycle` objects with `cycle_orbit` and `translate_cycle`, a factor's
+stabilizer is the full difference-code kernel over every candidate, and
+every factor's orbit is expanded with `factor_orbit` into canonical
+cycles while the factors are still being assembled.  Every edge is
+counted as a (min, max) tuple, and the checksum is taken over the
+covered edges on every pass.  The lockstep tests compare the library's
+certificates against it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from helpers import cycle_edges
 from hwpreg.cayley import cocktail_party_graph
+from hwpreg.cycles import Cycle, CycleOrbit, _stabilizer, cycle_stabilizer, translate_cycle
 from hwpreg.factors import (
     Certificate,
     FactorRecipe,
     FactorReport,
     RecipeError,
     TwoFactor,
-    assemble_factor,
-    factor_orbit,
     hwp_feasibility,
 )
-from hwpreg.groups import FiniteGroup
+from hwpreg.groups import FiniteGroup, GroupError, Subgroup
+
+
+def _transversal(
+    group: FiniteGroup, stabilizer: Collection[int], members: Sequence[int]
+) -> list[int]:
+    """The first x in members of each right coset Stab*x (Stab in members)."""
+    T = group.table
+    transversal: list[int] = []
+    covered: set[int] = set()
+    for x in members:
+        if x not in covered:
+            transversal.append(x)
+            covered.update(T[s][x] for s in stabilizer)
+    return transversal
+
+
+def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
+    """Distinct translates of c under sub, with the orbit-stabilizer check."""
+    G = c.group
+    found = cycle_stabilizer(c).member_set
+    stab_members = tuple(x for x in sub.members if x in found)
+    stab = Subgroup(G, stab_members, stab_members)
+    transversal = _transversal(G, stab_members, sub.members)
+    translates = {translate_cycle(c, x) for x in transversal}
+    orbit = tuple(sorted(translates, key=lambda cc: cc.verts))
+    if len(orbit) * stab.order != sub.order:
+        raise GroupError(
+            f"orbit-stabilizer mismatch: {len(orbit)} * {stab.order} != {sub.order}"
+        )
+    return CycleOrbit(c, sub, orbit, stab)
+
+
+def _sorted_cycles(cycles: Iterable[Cycle]) -> tuple[Cycle, ...]:
+    return tuple(sorted(cycles, key=lambda c: c.verts))
+
+
+def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
+    """Expand the recipe's sub-orbits and check they tile the group."""
+    if not recipe.cycles:
+        raise RecipeError(f"{recipe.label}: empty recipe")
+    if recipe.subgroup.group is not group:
+        raise RecipeError(f"{recipe.label}: subgroup bound to a different group")
+    covered: dict[int, str] = {}
+    cycles: list[Cycle] = []
+    for name, base in recipe.cycles:
+        if base.group is not group:
+            raise RecipeError(f"{recipe.label}: cycle bound to a different group")
+        for c in cycle_orbit(base, recipe.subgroup).cycles:
+            for v in c.verts:
+                if v in covered:
+                    raise RecipeError(
+                        f"{recipe.label}: vertex {group.format(v)} covered twice",
+                        {
+                            "kind": "overlap",
+                            "vertex": group.format(v),
+                            "parts": [covered[v], name],
+                        },
+                    )
+                covered[v] = name
+            cycles.append(c)
+    if len(covered) != len(group):
+        gap = min(v for v in range(len(group)) if v not in covered)
+        raise RecipeError(
+            f"{recipe.label}: vertex {group.format(gap)} not covered",
+            {"kind": "gap", "vertex": group.format(gap)},
+        )
+    return TwoFactor(group, _sorted_cycles(cycles))
+
+
+def factor_stabilizer(f: TwoFactor) -> Subgroup:
+    """Set-wise stabilizer of the whole factor under right translation."""
+    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor")))
+    return Subgroup(f.group, members, members)
+
+
+def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
+    """Distinct right translates of f under the full group, sorted."""
+    G = f.group
+    stab = factor_stabilizer(f).members
+    seen: dict[tuple, TwoFactor] = {}
+    for x in _transversal(G, stab, range(len(G))):
+        t = TwoFactor(G, _sorted_cycles(translate_cycle(c, x) for c in f.cycles))
+        seen.setdefault(t.key(), t)
+    if len(seen) * len(stab) != len(G):
+        raise GroupError("factor orbit-stabilizer mismatch")
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def _edge_checksum(group: FiniteGroup, edges: Iterable[tuple[int, int]]) -> str:
