@@ -91,9 +91,10 @@ def _stabilizer(
     vertex w with the same code, so the only candidates are min(V)^-1 * w
     for those w; w = min(V) gives the identity.
 
-    A subgroup sub said to fix the cycles (GroupError if a generator does
-    not) lies in the stabilizer, which is then a union of right cosets
-    sub*x, as s*x fixes the cycles when x does: one x per coset is tested.
+    A subgroup sub said to fix the cycles lies in the stabilizer, which
+    is then a union of right cosets sub*x, as s*x fixes the cycles when x
+    does: one x per coset is tested.  GroupError unless sub's generators
+    generate its members and each fixes the cycles.
     """
     T, inv, n = group.table, group.inv_table, len(group)
     code = [-1] * n
@@ -110,6 +111,8 @@ def _stabilizer(
     found = set(known)
     c0, codes, translations = code[base], tuple(code), group.right_translations
     candidates = code.count(c0)
+    if sub is not None and not sub.generated:
+        raise GroupError(f"{what}: acting subgroup is not generated by its generators")
     for g in gens:
         if translations[g](codes) != codes:
             raise GroupError(f"{what} is not fixed by its acting subgroup")

@@ -409,16 +409,30 @@ def verify_factorization(
         missing_edges=len(missing),
     )
 
-    for ids, kind, failure in (
-        (duplicates, "duplicate-edge", "an edge is covered by more than one factor"),
-        (foreign, "foreign-edge", "a factor uses an edge outside K_v minus I"),
-        (missing, "missing-edge", "an edge of K_v minus I is not covered"),
-    ):
-        if ids:
-            witness = {"kind": kind, "edge": [group.format(u) for u in divmod(ids[0], v)]}
-            if ids is duplicates:
-                witness["count"] = counts[ids[0]]
-            return Certificate(**base, failure=failure, witness=witness)
+    def fmt_edge(e: int) -> list[str]:
+        return [group.format(u) for u in divmod(e, v)]
+
+    if duplicates:
+        e = duplicates[0]
+        return Certificate(
+            **base,
+            failure="an edge is covered by more than one factor",
+            witness={"kind": "duplicate-edge", "edge": fmt_edge(e), "count": counts[e]},
+        )
+    if foreign:
+        e = foreign[0]
+        return Certificate(
+            **base,
+            failure="a factor uses an edge outside K_v minus I",
+            witness={"kind": "foreign-edge", "edge": fmt_edge(e)},
+        )
+    if missing:
+        e = missing[0]
+        return Certificate(
+            **base,
+            failure="an edge of K_v minus I is not covered",
+            witness={"kind": "missing-edge", "edge": fmt_edge(e)},
+        )
 
     # each factor is spanning with C3 or C4 cycles, so it has v edges, and
     # together they cover the v(v-2)/2 edges once: r + s = v/2 - 1 here

@@ -258,6 +258,11 @@ class Subgroup:
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
+    @cached_property
+    def generated(self) -> bool:
+        """Whether the generators generate exactly the members."""
+        return _closure((self.group.identity,), self.generators, self.group.mul) == self.member_set
+
     @property
     def order(self) -> int:
         return len(self.members)

@@ -351,12 +351,13 @@ def _closure_texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, 
     return tuple(group.format(x) for x in sorted(members))
 
 
-def omega_reports(spec: SolutionSpec, omegas: Mapping | None = None) -> tuple[OmegaReport, ...]:
-    """Diff recomputed difference sets (omegas, if given) against the annotated listings."""
+def omega_reports(spec: SolutionSpec, omegas: Mapping) -> tuple[OmegaReport, ...]:
+    """Diff the recomputed difference sets omegas, by cycle name, against
+    the annotated listings."""
     G = spec.group
     reports = []
     for cn, c in spec.cycles.items():
-        recomputed = partial_differences(c) if omegas is None else omegas[cn]
+        recomputed = omegas[cn]
         printed_texts = spec.printed_omega.get(cn)
         if printed_texts is None:
             reports.append(OmegaReport(cn, _closure_texts(G, recomputed), None, None))

@@ -206,3 +206,20 @@ def test_factor_labelled_with_a_subgroup_that_moves_it_raises(sid):
             factor_stabilizer(mislabelled)
         # unlabelled, the same cycles get the full kernel
         assert factor_stabilizer(TwoFactor(G, f.cycles)) == factor_stabilizer(f)
+
+
+@pytest.mark.parametrize("sid", ["24-9-2", "48-17-6"])
+def test_acting_subgroup_must_be_generated_by_its_generators(sid):
+    # only the generators are tested against the factor, so a label whose
+    # generators miss some of its members is refused, whatever it claims
+    spec = load_solution(sid)
+    G = spec.group
+    everything = Subgroup(G, tuple(range(len(G))), (G.identity,))
+    for recipe in spec.factors:
+        f = assemble_factor(G, recipe)
+        with pytest.raises(GroupError, match="not generated by its generators"):
+            factor_stabilizer(TwoFactor(G, f.cycles, everything))
+        if recipe.subgroup.order > 1:
+            bare = Subgroup(G, recipe.subgroup.members, (G.identity,))
+            with pytest.raises(GroupError, match="not generated by its generators"):
+                verify_factorization(G, [replace(recipe, subgroup=bare)])
