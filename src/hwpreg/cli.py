@@ -189,7 +189,8 @@ def _dot_text(spec: SolutionSpec) -> str:
         f = assemble_factor(G, recipe)
         for e in _orbit_edge_ids(f, factor_stabilizer(f).members):
             labelled.setdefault(e, recipe.label)
-    lines = [f'graph "{spec.id}" {{']
+    quoted = spec.id.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'graph "{quoted}" {{']
     for e, label in sorted(labelled.items()):
         u, v = divmod(e, len(G))
         lines.append(f'  "{G.format(u)}" -- "{G.format(v)}" [factor="{label}"];')

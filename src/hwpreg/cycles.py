@@ -215,32 +215,26 @@ def omega_representatives(c: Cycle) -> list[int]:
     return reps
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    """Outcome of checking difference sets partition G minus {1, involution}."""
-
-    ok: bool
-    union_size: int
-    expected_size: int
-    overlaps: tuple[tuple[int, int], ...]  # (element, multiplicity > 1)
-    missing: tuple[int, ...]
-    forbidden: tuple[int, ...]  # identity or involution showing up
-
-
 def verify_partition(
     group: FiniteGroup, omegas: Iterable[AbstractSet[int]]
-) -> PartitionReport:
+) -> tuple[int, Optional[dict]]:
+    """The number of elements the difference sets omegas cover, and a witness
+    that they do not partition G minus the identity and the involution, or
+    None when they do: the least element used twice, with its count; else
+    the least element missing; else the identity or the involution."""
     counts: Counter[int] = Counter()
     for om in omegas:
         counts.update(om)
     excluded = {group.identity, group.unique_involution()}
-    universe = set(range(len(group))) - excluded
-    overlaps = tuple(
-        (x, n) for x, n in sorted(counts.items()) if n > 1
-    )
-    missing = tuple(sorted(universe - counts.keys()))
-    forbidden = tuple(sorted(set(counts) & excluded))
-    ok = not overlaps and not missing and not forbidden
-    return PartitionReport(
-        ok, len(set(counts)), len(universe), overlaps, missing, forbidden
-    )
+    twice = [x for x, k in counts.items() if k > 1]
+    missing = set(range(len(group))) - excluded - counts.keys()
+    forbidden = excluded & counts.keys()
+    witness = None
+    if twice:
+        x = min(twice)
+        witness = {"kind": "difference-overlap", "element": group.format(x), "count": counts[x]}
+    elif missing or forbidden:
+        x = min(missing or forbidden)
+        kind = "missing" if missing else "forbidden"
+        witness = {"kind": f"difference-{kind}", "element": group.format(x)}
+    return len(counts), witness

@@ -14,11 +14,9 @@ A solution document is JSON with exactly these top-level keys:
 ``expected``   ``{"v": int, "r": int, "s": int}`` with v the group order;
 ``annotations``  optional; allowed keys are ``omega`` (map cycle name to
                the difference listing being reproduced, one member per
-               inverse pair), ``stabilizers`` (map cycle name to
-               ``trivial`` or ``vertices``), ``subgroup_members`` (map
-               subgroup name to the full claimed member list),
-               ``omega_mismatches_expected`` (cycle names whose annotated
-               listing is known not to match), and ``notes`` (strings).
+               inverse pair) and ``notes`` (strings).  The kinds
+               ``stabilizers``, ``subgroup_members`` and
+               ``omega_mismatches_expected`` are rejected as unknown keys.
 
 Every field is type-checked and unknown keys anywhere are rejected; a
 malformed or unreadable document raises ``SolutionFormatError``.  The
@@ -28,8 +26,8 @@ read by them too.  ``solution_to_dict`` writes the six required keys.
 ``verify_solution`` recomputes all difference sets, checks they
 partition the group minus the identity and its involution, certifies
 exact edge coverage of K_v minus I, and diffs the recomputed difference
-sets against the annotated ``omega`` listings.  The other annotation
-kinds are checked for form only.
+sets against the annotated ``omega`` listings, which are read once into
+the inverse closure of their element indices.
 """
 
 from __future__ import annotations
@@ -60,8 +58,6 @@ SOLUTION_IDS: tuple[str, ...] = (
     "24-5-6",
 )
 
-_STABILIZER_CLAIMS = ("trivial", "vertices")
-
 Err = type[ValueError]  # the format error a field reader raises
 
 
@@ -77,11 +73,8 @@ class SolutionSpec:
     cycles: Mapping[str, Cycle]
     factors: tuple[FactorRecipe, ...]  # labelled F1, F2, ... in document order
     expected: tuple[int, int, int]
-    # annotations; only printed_omega is checked beyond its form
-    printed_omega: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    stabilizer_claims: Mapping[str, str] = field(default_factory=dict)
-    subgroup_member_claims: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    expected_omega_mismatches: tuple[str, ...] = ()
+    # annotations: each omega listing as the inverse closure of its elements
+    printed_omega: Mapping[str, frozenset[int]] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
 
@@ -206,14 +199,6 @@ def _factor_recipes(
     )
 
 
-def _annotation_map(ann: Mapping, kind: str, known: Collection[str], what: str) -> Mapping:
-    raw = ann.get(kind, {})
-    where = f"annotations.{kind}"
-    for key in _read_map(raw, where, SolutionFormatError):
-        _read_ref(key, known, what, where, SolutionFormatError)
-    return raw
-
-
 def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     """Validate a solution document and resolve it against its group."""
     E = SolutionFormatError
@@ -257,30 +242,12 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     if expected[0] != len(group):
         raise E(f"expected.v={expected[0]} does not match |{group.id}|={len(group)}")
 
-    ann = _read_keys(
-        doc.get("annotations", {}),
-        set(),
-        {"omega", "stabilizers", "subgroup_members", "omega_mismatches_expected", "notes"},
-        "annotations",
-        E,
-    )
+    ann = _read_keys(doc.get("annotations", {}), set(), {"omega", "notes"}, "annotations", E)
     printed_omega = {}
-    for cn, texts in _annotation_map(ann, "omega", cycles, "cycle").items():
-        _read_elements(group, texts, f"annotations.omega.{cn}", E)
-        printed_omega[cn] = tuple(texts)
-    stab_claims = dict(_annotation_map(ann, "stabilizers", cycles, "cycle"))
-    for cn, claim in stab_claims.items():
-        if claim not in _STABILIZER_CLAIMS:
-            raise E(f"annotations.stabilizers.{cn}: claim must be one of {_STABILIZER_CLAIMS}")
-    member_claims = {}
-    for sn, texts in _annotation_map(ann, "subgroup_members", subgroups, "subgroup").items():
-        _read_elements(group, texts, f"annotations.subgroup_members.{sn}", E)
-        member_claims[sn] = tuple(texts)
-    where = "annotations.omega_mismatches_expected"
-    mismatches = tuple(
-        _read_ref(cn, cycles, "cycle", where, E)
-        for cn in _read_list(ann.get("omega_mismatches_expected", []), where, E, allow_empty=True)
-    )
+    for cn, texts in _read_map(ann.get("omega", {}), "annotations.omega", E).items():
+        _read_ref(cn, cycles, "cycle", "annotations.omega", E)
+        listed = _read_elements(group, texts, f"annotations.omega.{cn}", E)
+        printed_omega[cn] = frozenset(listed).union(map(group.inv, listed))
     notes = tuple(_read_list(ann.get("notes", []), "annotations.notes", E, allow_empty=True))
     if not all(isinstance(x, str) for x in notes):
         raise E("annotations.notes must be a list of strings")
@@ -294,9 +261,6 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
         factors=_factor_recipes(group, subgroups, cycles, factors),
         expected=expected,
         printed_omega=MappingProxyType(printed_omega),
-        stabilizer_claims=MappingProxyType(stab_claims),
-        subgroup_member_claims=MappingProxyType(member_claims),
-        expected_omega_mismatches=mismatches,
         notes=notes,
     )
 
@@ -356,17 +320,12 @@ def omega_reports(spec: SolutionSpec, omegas: Mapping) -> tuple[OmegaReport, ...
     the annotated listings."""
     G = spec.group
     reports = []
-    for cn, c in spec.cycles.items():
+    for cn in spec.cycles:
         recomputed = omegas[cn]
-        printed_texts = spec.printed_omega.get(cn)
-        if printed_texts is None:
+        printed = spec.printed_omega.get(cn)
+        if printed is None:
             reports.append(OmegaReport(cn, _closure_texts(G, recomputed), None, None))
             continue
-        printed: set[int] = set()
-        for t in printed_texts:
-            x = G.parse(t)
-            printed.add(x)
-            printed.add(G.inv(x))
         reports.append(
             OmegaReport(
                 cn,
@@ -385,33 +344,17 @@ def verify_solution(spec: SolutionSpec) -> Certificate:
     except that the recomputed difference sets must partition G."""
     omegas = {cn: partial_differences(c) for cn, c in spec.cycles.items()}
     reports = omega_reports(spec, omegas)
-    partition = verify_partition(spec.group, omegas.values())
+    union_size, witness = verify_partition(spec.group, omegas.values())
     cert = verify_factorization(spec.group, spec.factors, expected=spec.expected)
     cert = replace(
         cert,
         solution_id=spec.id,
-        partition_ok=partition.ok,
-        partition_size=partition.union_size,
+        partition_ok=witness is None,
+        partition_size=union_size,
         omega=reports,
         notes=spec.notes,
     )
-    if cert.ok and not partition.ok:
-        if partition.overlaps:
-            witness = {
-                "kind": "difference-overlap",
-                "element": spec.group.format(partition.overlaps[0][0]),
-                "count": partition.overlaps[0][1],
-            }
-        elif partition.missing:
-            witness = {
-                "kind": "difference-missing",
-                "element": spec.group.format(partition.missing[0]),
-            }
-        else:
-            witness = {
-                "kind": "difference-forbidden",
-                "element": spec.group.format(partition.forbidden[0]),
-            }
+    if cert.ok and witness is not None:
         cert = replace(
             cert,
             ok=False,

@@ -51,6 +51,41 @@ EXPECTED_ORBITS = {
 
 EXPECTED_SUBGROUP_ORDERS = {"2O": {16, 12}, "Q24": {4, 6, 8}, "SL23": {8, 6}}
 
+# the paper's stabilizer claims: these cycles are stabilized by their own
+# vertex set (a subgroup), and every other base cycle only by the identity
+VERTEX_STABILIZED = {
+    "48-5-18": {"C2", "C3", "C4", "C5"},
+    "48-7-16": {"C3"},
+    "48-9-14": {"C7", "C8"},
+    "48-13-10": {"C5", "C8", "C9"},
+    "48-15-8": set(),
+    "48-17-6": {"C6", "C7", "C8", "C9"},
+    "24-7-4": {"C3"},
+    "24-9-2": {"C1", "C2"},
+    "24-5-6": {"C2", "C3", "C4", "C5"},
+}
+
+# the subgroup member lists the paper prints, in its order
+_Q24_MEMBERS = {
+    "H": ["1", "b", "a6", "a6b"],
+    "K": ["1", "a2", "a4", "a6", "a8", "a10"],
+    "L": ["1", "a3", "a6", "a9", "a2b", "a8b", "a5b", "a11b"],
+}
+SUBGROUP_MEMBERS = {
+    "24-7-4": _Q24_MEMBERS,
+    "24-9-2": _Q24_MEMBERS,
+    "24-5-6": {
+        "Q": [
+            "[[1,0],[0,1]]", "[[2,0],[0,2]]", "[[1,1],[1,2]]", "[[2,2],[2,1]]",
+            "[[0,2],[1,0]]", "[[0,1],[2,0]]", "[[1,2],[2,2]]", "[[2,1],[1,1]]",
+        ],
+        "H": [
+            "[[1,0],[0,1]]", "[[0,1],[2,1]]", "[[2,1],[2,0]]",
+            "[[2,0],[0,2]]", "[[0,2],[1,2]]", "[[1,2],[1,0]]",
+        ],
+    },
+}
+
 
 def _report(number, name, ok, detail=""):
     print(f"acceptance {number} {name}: {'PASS' if ok else 'FAIL'}")
@@ -127,16 +162,11 @@ def test_acceptance_3_difference_partition():
     problems = []
     for sid in SOLUTION_IDS:
         spec = load_solution(sid)
-        report = verify_partition(
+        union, witness = verify_partition(
             spec.group, [partial_differences(c) for c in spec.cycles.values()]
         )
-        if not report.ok or report.union_size != len(spec.group) - 2:
-            problems.append(
-                f"{sid}: partition ok={report.ok} union={report.union_size} "
-                f"overlaps={report.overlaps} missing={len(report.missing)}"
-            )
-        if spec.expected_omega_mismatches:
-            problems.append(f"{sid}: expects omega mismatches")
+        if witness is not None or union != len(spec.group) - 2:
+            problems.append(f"{sid}: partition union={union} witness={witness}")
         for om in verify_solution(spec).omega:
             if om.match is None:
                 continue
@@ -154,12 +184,12 @@ def test_acceptance_4_stabilizers_and_orbits():
     for sid in SOLUTION_IDS:
         spec = load_solution(sid)
         G = spec.group
-        for cn, claim in spec.stabilizer_claims.items():
-            stab = set(cycle_stabilizer(spec.cycles[cn]).members)
-            want = {G.identity} if claim == "trivial" else set(spec.cycles[cn].verts)
+        for cn, c in spec.cycles.items():
+            stab = set(cycle_stabilizer(c).members)
+            want = set(c.verts) if cn in VERTEX_STABILIZED[sid] else {G.identity}
             if stab != want:
-                problems.append(f"{sid}/{cn}: claim {claim!r}, stabilizer {stab}")
-        for sn, texts in spec.subgroup_member_claims.items():
+                problems.append(f"{sid}/{cn}: stabilizer {stab}, claimed {want}")
+        for sn, texts in SUBGROUP_MEMBERS.get(sid, {}).items():
             member_claims += 1
             if sorted(G.parse(t) for t in texts) != list(spec.subgroups[sn].members):
                 problems.append(f"{sid}/{sn}: claimed members {list(texts)}")

@@ -240,6 +240,17 @@ def test_export_dot(capsys):
     assert labels == {"F1", "F2", "F3", "F4"}
 
 
+@pytest.mark.parametrize("sid", ['a"b', "a\\"])
+def test_export_dot_escapes_the_id(tmp_path, capsys, doc_copy, sid):
+    doc = doc_copy("24-9-2")
+    doc["id"] = sid
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "export", str(path), "--dot")
+    assert code == 0
+    assert re.fullmatch(r'graph "(?:[^"\\]|\\.)*" \{', out.splitlines()[0])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["list"], ["omega", "24-9-2", "C1"], ["orbit", "24-9-2", "C4", "H"], ["export", "24-7-4"]],

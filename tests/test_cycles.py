@@ -164,18 +164,18 @@ def test_verify_orbit_decomposition_flags_duplicates():
 def test_verify_partition_on_a_solution():
     spec = load_solution("48-5-18")
     omegas = [partial_differences(c) for c in spec.cycles.values()]
-    report = verify_partition(spec.group, omegas)
-    assert report.ok
-    assert report.union_size == report.expected_size == 46
+    assert verify_partition(spec.group, omegas) == (46, None)
 
 
 def test_verify_partition_witnesses():
     spec = load_solution("48-5-18")
     G = spec.group
     omegas = [partial_differences(c) for c in spec.cycles.values()]
-    short = verify_partition(G, omegas[1:])
-    assert not short.ok and short.missing and not short.overlaps
-    doubled = verify_partition(G, omegas + [omegas[0]])
-    assert not doubled.ok and doubled.overlaps
-    with_inv = verify_partition(G, omegas + [{G.unique_involution()}])
-    assert not with_inv.ok and with_inv.forbidden == (G.unique_involution(),)
+    first = min(omegas[0])
+    missing = {"kind": "difference-missing", "element": G.format(first)}
+    assert verify_partition(G, omegas[1:]) == (46 - len(omegas[0]), missing)
+    overlap = {"kind": "difference-overlap", "element": G.format(first), "count": 2}
+    assert verify_partition(G, omegas + [omegas[0]]) == (46, overlap)
+    involution = G.unique_involution()
+    forbidden = {"kind": "difference-forbidden", "element": G.format(involution)}
+    assert verify_partition(G, omegas + [{involution}]) == (47, forbidden)

@@ -8,6 +8,7 @@ import pytest
 from helpers import verify_solution_by_id
 from hwpreg import cli, solutions
 from hwpreg.cycles import partial_differences
+from hwpreg.groups import FiniteGroup
 from hwpreg.solutions import (
     SOLUTION_IDS,
     SolutionFormatError,
@@ -52,8 +53,6 @@ def test_loaded_spec_mappings_are_read_only(capsys):
         spec.subgroups,
         spec.cycles,
         spec.printed_omega,
-        spec.stabilizer_claims,
-        spec.subgroup_member_claims,
     ):
         with pytest.raises(TypeError):
             del mapping["no such key"]
@@ -88,7 +87,21 @@ def test_omega_reports_all_match():
             assert report.match is True, (sid, report.cycle_name)
             assert report.only_recomputed == () and report.only_printed == ()
             assert set(report.recomputed) == set(report.printed)
-        assert spec.expected_omega_mismatches == ()
+
+
+def test_verify_solution_parses_no_element_text(monkeypatch):
+    # the omega listings are read into element indices with the document
+    spec = load_solution("48-17-6")
+    calls = []
+    orig = FiniteGroup.parse
+
+    def counted(self, text):
+        calls.append(text)
+        return orig(self, text)
+
+    monkeypatch.setattr(FiniteGroup, "parse", counted)
+    assert verify_solution(spec).ok
+    assert calls == []
 
 
 def test_verify_solution_computes_each_difference_set_once(monkeypatch):
@@ -223,10 +236,24 @@ def test_rejects_unknown_annotation_key(doc_copy):
     _expect_format_error(doc, "unknown keys")
 
 
-def test_rejects_bad_stabilizer_claim(doc_copy):
+# annotation kinds that verify never checked, each with a value it once accepted
+REMOVED_ANNOTATIONS = {
+    "stabilizers": {"C1": "vertices"},
+    "subgroup_members": {"H": ["1", "b", "a6", "a6b"]},
+    "omega_mismatches_expected": [],
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_ANNOTATIONS)
+def test_removed_annotation_kinds_are_refused(doc_copy, tmp_path, capsys, key):
     doc = doc_copy("24-9-2")
-    doc["annotations"]["stabilizers"] = {"C1": "huge"}
-    _expect_format_error(doc, "stabilizers")
+    doc["annotations"][key] = REMOVED_ANNOTATIONS[key]
+    _expect_format_error(doc, re.escape(f"annotations: unknown keys ['{key}']"))
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and key in err
 
 
 def test_rejects_omega_for_unknown_cycle(doc_copy):
