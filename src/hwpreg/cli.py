@@ -22,9 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cycles import CycleError, cycle_orbit, omega_representatives, partial_differences
-from .factors import (
-    RecipeError, _orbit_edge_ids, assemble_factor, canonical_json, factor_stabilizer
-)
+from .factors import RecipeError, assemble_factor, canonical_json
 from .groups import ElementError, GroupError
 from .search import TargetFormatError, load_target_file, search_hwp
 from .solutions import (
@@ -183,17 +181,21 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _dot_text(spec: SolutionSpec) -> str:
+    """Each edge of a factor's orbit, labelled by the first such factor: an
+    orbit holds every translate of its base cycles, so every {g, d*g}."""
     G = spec.group
-    labelled: dict[int, str] = {}
+    owner: dict[int, str] = {}  # difference -> label of the first factor using it
     for recipe in spec.factors:
-        f = assemble_factor(G, recipe)
-        for e in _orbit_edge_ids(f, factor_stabilizer(f).members):
-            labelled.setdefault(e, recipe.label)
+        assemble_factor(G, recipe)
+        omega = set().union(*(partial_differences(c) for _, c in recipe.cycles))
+        owner.update(dict.fromkeys(omega - owner.keys(), recipe.label))
+    T, inv, n = G.table, G.inv_table, len(G)
     quoted = spec.id.replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'graph "{quoted}" {{']
-    for e, label in sorted(labelled.items()):
-        u, v = divmod(e, len(G))
-        lines.append(f'  "{G.format(u)}" -- "{G.format(v)}" [factor="{label}"];')
+    lines += [
+        f'  "{G.format(u)}" -- "{G.format(w)}" [factor="{owner[d]}"];'
+        for u in range(n) for w in range(u + 1, n) if (d := T[w][inv[u]]) in owner
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

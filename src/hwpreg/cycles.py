@@ -76,29 +76,11 @@ def translate_cycle(c: Cycle, x: int) -> Cycle:
     return Cycle(G, _canonical_rotation(tuple(G.mul(v, x) for v in c.verts)))
 
 
-def _stabilizer(
-    group: FiniteGroup, paths: Iterable[Sequence[int]], what: str, sub: Optional[Subgroup] = None
-) -> set[int]:
-    """Elements of G whose right translation fixes vertex-disjoint cycles,
-    each given as a vertex sequence in cycle order.
-
-    Right translation keeps a * v^-1 for every edge {v, a}, as
-    (a*x) * (v*x)^-1 = a * v^-1.  So each vertex v of the cycles gets a
-    code, the unordered pair {a*v^-1, b*v^-1} for its neighbours a and b,
-    and every other vertex gets -1.  x fixes the cycles exactly when the
-    codes are invariant under v -> v*x: then the neighbours of v*x are
-    a*x and b*x, so x maps edges onto edges.  Such an x sends min(V) to a
-    vertex w with the same code, so the only candidates are min(V)^-1 * w
-    for those w; w = min(V) gives the identity.
-
-    A subgroup sub said to fix the cycles lies in the stabilizer, which
-    is then a union of right cosets sub*x, as s*x fixes the cycles when x
-    does: one x per coset is tested.  GroupError unless sub's generators
-    generate its members and each fixes the cycles.
-    """
+def _vertex_codes(group: FiniteGroup, paths: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Per vertex v of cycles given in cycle order, its neighbours a and b's
+    differences {a*v^-1, b*v^-1} as min*n + max; -1 off the cycles."""
     T, inv, n = group.table, group.inv_table, len(group)
     code = [-1] * n
-    base = n
     for vs in paths:
         a, v = vs[-2], vs[-1]
         for b in vs:
@@ -106,11 +88,33 @@ def _stabilizer(
             da, db = T[a][vi], T[b][vi]
             code[v] = da * n + db if da < db else db * n + da
             a, v = v, b
-        base = min(base, *vs)
+    return tuple(code)
+
+
+def _stabilizer(
+    group: FiniteGroup, paths: Sequence[Sequence[int]], what: str, sub: Optional[Subgroup] = None
+) -> set[int]:
+    """Elements of G whose right translation fixes vertex-disjoint cycles,
+    each given as a vertex sequence in cycle order.
+
+    Right translation keeps a * v^-1 for every edge {v, a}, as
+    (a*x) * (v*x)^-1 = a * v^-1.  So x fixes the cycles exactly when their
+    _vertex_codes are invariant under v -> v*x: then the neighbours of
+    v*x are a*x and b*x, so x maps edges onto edges.  Such an x sends
+    min(V) to a vertex w with the same code, so the only candidates are
+    min(V)^-1 * w for those w; w = min(V) gives the identity.
+
+    A subgroup sub said to fix the cycles lies in the stabilizer, which
+    is then a union of right cosets sub*x, as s*x fixes the cycles when x
+    does: one x per coset is tested.  GroupError unless sub's generators
+    generate its members and each fixes the cycles.
+    """
+    T, inv = group.table, group.inv_table
+    codes, base = _vertex_codes(group, paths), min(map(min, paths))
     known, gens = ((group.identity,), ()) if sub is None else (sub.members, sub.generators)
     found = set(known)
-    c0, codes, translations = code[base], tuple(code), group.right_translations
-    candidates = code.count(c0)
+    c0, translations = codes[base], group.right_translations
+    candidates = codes.count(c0)
     if sub is not None and not sub.generated:
         raise GroupError(f"{what}: acting subgroup is not generated by its generators")
     for g in gens:
@@ -119,7 +123,7 @@ def _stabilizer(
     if candidates > len(known):
         tested, row, w = set(found), T[inv[base]], base
         for _ in range(candidates - 1):
-            w = code.index(c0, w + 1)
+            w = codes.index(c0, w + 1)
             x = row[w]
             if x not in tested:
                 coset = [T[s][x] for s in known]

@@ -5,12 +5,14 @@ them; each sub-orbit is read off the multiplication table rows as vertex
 tuples, and together they must tile the group, giving one 2-factor.  S
 fixes that factor, so its stabilizer is a union of right cosets S*x and
 is tested with one x per coset.  The full-group orbits of the recipe
-factors are then expected to partition the edge set of K_v minus I.
-Verification is by brute force: once every factor has assembled, each
-orbit is read off the table and its edges {u, w}, u < w, are counted as
-ids u*v + w.  Every edge of K_v minus I must be counted exactly once, so
-a pass has the checksum of K_v minus I's edge list, computed once per
-group.  The certificate renders as readable text and as byte-stable JSON.
+factors are then expected to partition the edge set of K_v minus I,
+which is counted per difference, with no orbit expanded: the orbit of a
+factor with stabilizer T and m(d) edges of difference d covers each
+edge {g, d*g} (m(d) + m(d^-1))/|T| times (verify_factorization proves
+it, and a guard checks T).  Every edge of K_v minus I must be covered
+exactly once, so a pass has the checksum of K_v minus I's edge list,
+computed once per group.  The certificate renders as readable
+text and as byte-stable JSON.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from functools import lru_cache
 from typing import Collection, Optional, Sequence
 
 from .cayley import cocktail_party_graph
-from .cycles import Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter
+from .cycles import (
+    Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter, _vertex_codes
+)
 from .groups import FiniteGroup, GroupError, Subgroup
 
 CERTIFICATE_FORMAT = "hwp-regular-certificate/1"
@@ -116,21 +120,33 @@ def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
     return tuple(TwoFactor(G, tuple(Cycle(G, t) for t in k)) for k in sorted(seen))
 
 
-def _orbit_edge_ids(f: TwoFactor, stab: Collection[int]) -> list[int]:
-    """Edge ids min*v + max of f's right translates, read from the table
-    rows over a transversal of stab, checked to be |G|/|stab| distinct."""
-    T, v = f.group.table, len(f.group)
-    pick = _transversal_getter(f.group, stab, range(v))
-    columns = []  # one per edge {a, b} of f: its id in each translate
-    for c in f.cycles:
-        vs = c.verts
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            columns.append(
-                [p * v + q if p < q else q * v + p for p, q in zip(pick(T[a]), pick(T[b]))]
-            )
-    if len({frozenset(ids) for ids in zip(*columns)}) * len(stab) != v:
-        raise GroupError("factor orbit-stabilizer mismatch")
-    return [e for ids in columns for e in ids]
+def _orbit_coverage(f: TwoFactor, stab: Collection[int]) -> dict[int, int]:
+    """How many times the orbit of f covers each edge {g, d*g}, by the
+    lesser d of each pair {d, d^-1} f uses (see verify_factorization),
+    from f's _vertex_codes: an edge {u, w} shows at u as w*u^-1 and at w
+    as its inverse.  stab must be all of f's stabilizer.  f*x = f only if
+    x = 0^-1 * w for a w with vertex 0's code, |stab| of them from stab;
+    any other such x is tested, with GroupError("factor orbit-stabilizer
+    mismatch") if it fixes f, or if |stab| does not divide a count."""
+    G = f.group
+    inv, i, n = G.inv_table, G.unique_involution(), len(G)
+    codes = _vertex_codes(G, f.key())
+    if codes.count(codes[0]) > len(stab):
+        row, inside, translations = G.table[inv[0]], set(stab), G.right_translations
+        for w, c in enumerate(codes):
+            x = row[w]
+            if c == codes[0] and x not in inside and translations[x](codes) == codes:
+                raise GroupError("factor orbit-stabilizer mismatch")
+    ends: Counter[int] = Counter()  # edge ends per pair, two per edge
+    for code, k in Counter(codes).items():
+        for d in divmod(code, n):
+            ends[min(d, inv[d])] += k
+    cover = {}
+    for d, k in ends.items():
+        cover[d], rest = divmod(k, len(stab) if d == i else 2 * len(stab))
+        if rest:
+            raise GroupError("factor orbit-stabilizer mismatch")
+    return cover
 
 
 def hwp_feasibility(v: int, r: int, s: int) -> tuple[bool, Optional[str]]:
@@ -318,12 +334,14 @@ class Certificate:
 
 
 @lru_cache(maxsize=None)
-def _target(group: FiniteGroup) -> tuple[frozenset[int], str]:
-    """K_v - I as edge ids, and the SHA-256 of its sorted edge list."""
-    v, edges = len(group), cocktail_party_graph(group).edges
-    lines = sorted(f"{group.format(u)}|{group.format(w)}" for u, w in edges)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return frozenset(u * v + w for u, w in edges), digest
+def _target(group: FiniteGroup) -> tuple[tuple[tuple[int, int], ...], str]:
+    """Each difference pair {d, d^-1}, d != 1, as (w, d) sorted by w: d the
+    lesser, {0, w} the least edge {g, d*g}, w the lesser of d*0 and
+    d^-1*0.  And the SHA-256 of K_v - I's sorted edge list."""
+    T, inv, i, fmt = group.table, group.inv_table, group.unique_involution(), group.format
+    pairs = sorted((min(T[d][0], T[inv[d]][0]), d) for d, e in enumerate(inv) if d < e or d == i)
+    lines = sorted(f"{fmt(u)}|{fmt(w)}" for u, w in cocktail_party_graph(group).edges)
+    return tuple(pairs), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def verify_factorization(
@@ -331,19 +349,19 @@ def verify_factorization(
     recipes: Sequence[FactorRecipe],
     expected: Optional[tuple[int, int, int]] = None,
 ) -> Certificate:
-    """Expand every recipe's orbit and certify exact edge coverage of K_v - I.
+    """Certify that the recipes' orbits cover every edge of K_v - I once.
 
-    The check is independent of how the recipes were found: it never trusts
-    difference-set reasoning, it just counts edges.
-
-    A foreign edge (an I-edge {g, ig}, i the central involution) is
-    reported as a duplicate first.  If i is not in stab(F), F and F*i
-    both carry it.  If it is, i fixes F's cycle through {g, ig}: a
-    quadrangle (g, ig, x, ix) whose stabilizer is {1, i} in every
-    supported group, so its two I-edges lie in distinct stab(F)-orbits
-    and the orbit of F covers each I-edge 2k/|stab(F)| >= 2 times, k being
-    F's number of I-edges.  The foreign check stays as the guard that
-    does not rely on this argument.
+    No orbit is expanded; coverage is counted per difference pair.  Let
+    F have stabilizer T and m(d) edges of forward difference d = w*u^-1,
+    u to w in cycle order, which right translation keeps.  As x runs
+    over G, F*x carries each such edge, and each of difference d^-1,
+    onto every {g, d*g} once; an I-edge {g, i*g} is reached from both
+    ends.  The x of one coset T*x give one translate, so the orbit of F
+    covers each of the v edges of a pair (m(d) + m(d^-1))/|T| times and
+    each of the v/2 I-edges 2*m(i)/|T| times, if T is F's whole
+    stabilizer, as _orbit_coverage checks.  These counts decide every
+    edge and witness, a pair's least edge id lying at vertex 0.  A
+    duplicated edge is reported first, then an I-edge, then a missing one.
     """
     v = len(group)
     base = dict(
@@ -379,78 +397,54 @@ def verify_factorization(
                 )
             )
     except RecipeError as err:
-        return Certificate(
-            **{**base, "factors": tuple(reports)},
-            failure=str(err),
-            witness=err.witness or None,
-        )
+        base["factors"] = tuple(reports)
+        return Certificate(**base, failure=str(err), witness=err.witness or None)
 
     base["factors"] = tuple(reports)
-    bad_length = [fr for fr in reports if fr.cycle_length not in (3, 4)]
+
+    def fail(failure: str, kind: str, **witness) -> Certificate:
+        return Certificate(**base, failure=failure, witness={"kind": kind, **witness})
+
+    def fmt_edge(w: int) -> list[str]:
+        return [group.format(0), group.format(w)]
+
+    bad_length = [fr.label for fr in reports if fr.cycle_length not in (3, 4)]
     if bad_length:
-        return Certificate(
-            **base,
-            failure=f"{bad_length[0].label}: factor cycle length must be uniformly 3 or 4",
-            witness={"kind": "cycle-length", "factor": bad_length[0].label},
-        )
+        failure = f"{bad_length[0]}: factor cycle length must be uniformly 3 or 4"
+        return fail(failure, "cycle-length", factor=bad_length[0])
 
-    counts: Counter[int] = Counter()
+    cover: Counter[int] = Counter()
     for f, stab in assembled:
-        counts.update(_orbit_edge_ids(f, stab))
-    target, digest = _target(group)
-
-    duplicates = sorted(e for e, n in counts.items() if n > 1)
-    foreign = sorted(counts.keys() - target)
-    missing = sorted(target - counts.keys())
-    covered_once = len(counts.keys() & target) - len(target.intersection(duplicates))
+        cover.update(_orbit_coverage(f, stab))
+    pairs, digest = _target(group)
+    i = group.unique_involution()
+    duplicated = [(w, d) for w, d in pairs if cover[d] > 1]
+    missing = [w for w, d in pairs if d != i and not cover[d]]
     base.update(
-        edges_covered_once=covered_once,
-        duplicate_edges=len(duplicates),
-        missing_edges=len(missing),
+        edges_covered_once=v * sum(1 for _, d in pairs if d != i and cover[d] == 1),
+        duplicate_edges=sum(v // 2 if d == i else v for _, d in duplicated),
+        missing_edges=v * len(missing),
     )
-
-    def fmt_edge(e: int) -> list[str]:
-        return [group.format(u) for u in divmod(e, v)]
-
-    if duplicates:
-        e = duplicates[0]
-        return Certificate(
-            **base,
-            failure="an edge is covered by more than one factor",
-            witness={"kind": "duplicate-edge", "edge": fmt_edge(e), "count": counts[e]},
-        )
-    if foreign:
-        e = foreign[0]
-        return Certificate(
-            **base,
-            failure="a factor uses an edge outside K_v minus I",
-            witness={"kind": "foreign-edge", "edge": fmt_edge(e)},
-        )
+    if duplicated:
+        w, d = duplicated[0]
+        failure = "an edge is covered by more than one factor"
+        return fail(failure, "duplicate-edge", edge=fmt_edge(w), count=cover[d])
+    if cover[i]:
+        failure = "a factor uses an edge outside K_v minus I"
+        return fail(failure, "foreign-edge", edge=fmt_edge(group.table[i][0]))
     if missing:
-        e = missing[0]
-        return Certificate(
-            **base,
-            failure="an edge of K_v minus I is not covered",
-            witness={"kind": "missing-edge", "edge": fmt_edge(e)},
-        )
+        failure = "an edge of K_v minus I is not covered"
+        return fail(failure, "missing-edge", edge=fmt_edge(missing[0]))
 
     # each factor is spanning with C3 or C4 cycles, so it has v edges, and
     # together they cover the v(v-2)/2 edges once: r + s = v/2 - 1 here
     r = sum(fr.orbit_length for fr in reports if fr.cycle_length == 3)
     s = sum(fr.orbit_length for fr in reports if fr.cycle_length == 4)
     base.update(r=r, s=s, edges_sha256=digest)
-
     if expected is not None and (v, r, s) != expected:
-        return Certificate(
-            **base,
-            failure=f"computed (v,r,s)=({v},{r},{s}) differs from expected {expected}",
-            witness={"kind": "expected-mismatch", "computed": [v, r, s]},
-        )
+        failure = f"computed (v,r,s)=({v},{r},{s}) differs from expected {expected}"
+        return fail(failure, "expected-mismatch", computed=[v, r, s])
     feasible, reason = hwp_feasibility(v, r, s)
     if not feasible:
-        return Certificate(
-            **base,
-            failure=f"infeasible parameters: {reason}",
-            witness={"kind": "infeasible", "reason": reason},
-        )
+        return fail(f"infeasible parameters: {reason}", "infeasible", reason=reason)
     return Certificate(**{**base, "ok": True})

@@ -7,6 +7,8 @@ import re
 
 import pytest
 
+import verify_oracle
+from helpers import cycle_edges
 from hwpreg import cli
 from hwpreg.cli import main
 from hwpreg.solutions import SOLUTION_IDS, load_solution, parse_solution_dict, verify_solution
@@ -238,6 +240,36 @@ def test_export_dot(capsys):
     assert all(" -- " in line for line in lines[1:-1])
     labels = {line.split('factor="')[1].rstrip('"];') for line in lines[1:-1]}
     assert labels == {"F1", "F2", "F3", "F4"}
+
+
+@pytest.mark.parametrize(
+    "sid, cn, pos, text", [("24-9-2", "C4", 0, "b"), ("48-7-16", "C2", 0, "-i")]
+)
+def test_export_dot_of_overlapping_orbits_matches_the_expanded_orbits(
+    tmp_path, capsys, doc_copy, sid, cn, pos, text
+):
+    # seed-1 corruptions whose factors assemble but whose orbits overlap:
+    # each edge is labelled by the first factor whose expanded orbit has it
+    doc = doc_copy(sid)
+    doc["cycles"][cn][pos] = text
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--format", "canonical")
+    assert code == 1 and json.loads(out)["witness"]["kind"] == "duplicate-edge"
+    spec = parse_solution_dict(doc)
+    G = spec.group
+    labels: dict[tuple[int, int], str] = {}
+    for recipe in spec.factors:
+        for f in verify_oracle.factor_orbit(verify_oracle.assemble_factor(G, recipe)):
+            for e in (e for c in f.cycles for e in cycle_edges(c)):
+                labels.setdefault(e, recipe.label)
+    want = [f'graph "{sid}" {{']
+    want += [
+        f'  "{G.format(u)}" -- "{G.format(w)}" [factor="{label}"];'
+        for (u, w), label in sorted(labels.items())
+    ]
+    code, out, _ = run(capsys, "export", str(path), "--dot")
+    assert code == 0 and out == "\n".join(want + ["}"]) + "\n"
 
 
 @pytest.mark.parametrize("sid", ['a"b', "a\\"])

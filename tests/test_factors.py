@@ -174,9 +174,10 @@ def test_verify_factorization_missing_witness():
 
 def test_verify_factorization_foreign_edge():
     # a quadrangle factor built from explicit cycles, one of which steps
-    # through the removed 1-factor (difference a6); the factor's orbit
-    # covers that I-edge twice, so the duplicate check fires first (see
-    # verify_factorization and the quadrangle test below)
+    # through the removed 1-factor (difference a6); its orbit covers each
+    # I-edge 2*m(i)/|stab| = 4 times (verify_factorization's count), so
+    # the duplicate check fires first (the quadrangle test below shows
+    # why that count is never 1)
     G = build_group("Q24")
     texts = [
         ["1", "b", "a6", "a6b"],
@@ -195,8 +196,11 @@ def test_verify_factorization_foreign_edge():
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_quadrangles_of_two_i_edges_have_stabilizer_one_and_i(gid):
-    # why no orbit-expanded factor reaches the foreign-edge check: a factor
-    # fixed by the involution i holds each I-edge in such a quadrangle
+    # why no factor reaches the foreign-edge check: a factor F fixed by
+    # the involution i holds each I-edge in such a quadrangle, whose two
+    # I-edges lie in distinct stab(F)-orbits, so m(i) >= |stab(F)| and
+    # each I-edge is covered 2*m(i)/|stab(F)| >= 2 times; if i does not
+    # fix F, F and F*i both carry it
     G = build_group(gid)
     i = G.unique_involution()
     halves = sorted({min(g, G.mul(i, g)) for g in range(len(G))})

@@ -3,27 +3,31 @@
 `verify_oracle.verify_factorization` builds every sub-orbit and every
 factor orbit as canonical cycles, takes each factor's stabilizer with the
 full kernel, and counts (min, max) edge tuples; the library reads
-sub-orbits and orbit edge ids off the multiplication table and tests a
-factor's stabilizer once per right coset of its acting subgroup.  Both
-must render the same canonical and human text on the bundled documents,
-on a seeded corruption of every base-cycle vertex, and on hand-built
-failures, and raise the same error when a factor's stabilizer is wrong.
+sub-orbits off the multiplication table, tests a factor's stabilizer
+once per right coset of its acting subgroup and counts coverage per
+difference pair without expanding any orbit.  Both must render the
+same canonical and human text on the bundled documents, on a seeded
+corruption of every base-cycle vertex (seeds 1 and 2 here, 1 to 40 in
+`verify_sweep.py`), and on hand-built failures, and raise the same
+error when a factor's stabilizer is wrong.
 """
 
 import copy
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import hwpreg.factors
 import verify_oracle
-from helpers import cycle_from_texts
+from helpers import cycle_edges, cycle_from_texts
 from hwpreg import SOLUTION_IDS
 from hwpreg.factors import (
     FactorRecipe,
     RecipeError,
     TwoFactor,
+    _orbit_coverage,
     assemble_factor,
     factor_stabilizer,
     verify_factorization,
@@ -180,6 +184,55 @@ def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
             assert factor_stabilizer(got) == verify_oracle.factor_stabilizer(want)
             checked += 1
     assert checked >= (64 if seed is None else 225)  # all 64 bundled factors
+
+
+def _pairs_checked(group, recipes):
+    """Check the counting identity behind verify_factorization on every
+    recipe that assembles: the oracle's expanded orbit covers all edges
+    {g, d*g} of one pair {d, d^-1} equally often, and as often as the
+    library counts from the factor's differences.  Returns the factors
+    checked and the pairs they use."""
+    T, inv, i = group.table, group.inv_table, group.unique_involution()
+    checked, pairs = 0, set()
+    for recipe in recipes:
+        got, want = _assembled(recipe, group)
+        if isinstance(want, tuple):
+            continue
+        orbit = verify_oracle.factor_orbit(want)
+        counts = Counter(e for f in orbit for c in f.cycles for e in cycle_edges(c))
+        per_pair: dict[int, Counter] = {}  # pair -> {times covered: edges}
+        for (u, w), k in counts.items():
+            d = T[w][inv[u]]
+            per_pair.setdefault(min(d, inv[d]), Counter())[k] += 1
+        expanded = {}
+        for d, edges in per_pair.items():
+            ((k, n),) = edges.items()
+            assert n == (len(group) // 2 if d == i else len(group))
+            expanded[d] = k
+        assert _orbit_coverage(got, factor_stabilizer(got).members) == expanded
+        checked += 1
+        pairs.update(expanded)
+    return checked, pairs
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_pair_coverage_matches_the_expanded_orbit(raw_docs, seed):
+    rng = random.Random(seed)
+    docs = [raw_docs[sid] for sid in SOLUTION_IDS]
+    if seed is not None:
+        docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
+    checked = 0
+    for doc in docs:
+        spec = parse_solution_dict(doc)
+        checked += _pairs_checked(spec.group, spec.factors)[0]
+    assert checked >= (64 if seed is None else 225)
+
+
+def test_pair_coverage_of_i_edges_matches_the_expanded_orbit():
+    # a hand-built factor that steps through the removed 1-factor
+    G, recipes, _ = _q24_case("i-edge")
+    checked, pairs = _pairs_checked(G, recipes)
+    assert checked == 1 and G.unique_involution() in pairs
 
 
 def test_stabilizer_larger_than_the_acting_subgroup(doc_copy):
