@@ -92,7 +92,8 @@ def _vertex_codes(group: FiniteGroup, paths: Iterable[Sequence[int]]) -> tuple[i
 
 
 def _stabilizer(
-    group: FiniteGroup, paths: Sequence[Sequence[int]], what: str, sub: Optional[Subgroup] = None
+    group: FiniteGroup, paths: Sequence[Sequence[int]], what: str,
+    sub: Optional[Subgroup] = None, codes: Optional[tuple[int, ...]] = None,
 ) -> set[int]:
     """Elements of G whose right translation fixes vertex-disjoint cycles,
     each given as a vertex sequence in cycle order.
@@ -107,10 +108,11 @@ def _stabilizer(
     A subgroup sub said to fix the cycles lies in the stabilizer, which
     is then a union of right cosets sub*x, as s*x fixes the cycles when x
     does: one x per coset is tested.  GroupError unless sub's generators
-    generate its members and each fixes the cycles.
+    generate its members and each fixes the cycles.  codes, if given, are
+    the paths' _vertex_codes.
     """
     T, inv = group.table, group.inv_table
-    codes, base = _vertex_codes(group, paths), min(map(min, paths))
+    codes, base = codes or _vertex_codes(group, paths), min(map(min, paths))
     known, gens = ((group.identity,), ()) if sub is None else (sub.members, sub.generators)
     found = set(known)
     c0, translations = codes[base], group.right_translations

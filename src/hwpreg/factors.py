@@ -21,7 +21,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Collection, Optional, Sequence
 
 from .cayley import cocktail_party_graph
@@ -73,6 +73,10 @@ class TwoFactor:
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c.verts for c in self.cycles)
 
+    @cached_property
+    def _codes(self) -> tuple[int, ...]:  # for factor_stabilizer and _orbit_coverage
+        return _vertex_codes(self.group, self.key())
+
 
 def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
     """Read the recipe's sub-orbits off the table and check they tile the group."""
@@ -104,7 +108,7 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the factor, tested per right coset of f.subgroup."""
-    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor", f.subgroup)))
+    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor", f.subgroup, f._codes)))
     return Subgroup(f.group, members, members)
 
 
@@ -130,7 +134,7 @@ def _orbit_coverage(f: TwoFactor, stab: Collection[int]) -> dict[int, int]:
     mismatch") if it fixes f, or if |stab| does not divide a count."""
     G = f.group
     inv, i, n = G.inv_table, G.unique_involution(), len(G)
-    codes = _vertex_codes(G, f.key())
+    codes = f._codes
     if codes.count(codes[0]) > len(stab):
         row, inside, translations = G.table[inv[0]], set(stab), G.right_translations
         for w, c in enumerate(codes):

@@ -11,15 +11,15 @@ Supported groups, by id:
 Each group is one row of data: its order, two generators, and its
 multiplication, parser and formatter.  ``build_group`` generates the
 elements once, as the closure of the generators under multiplication
-(the same closure ``subgroup_closure`` runs on indices), and sorts them
-into a fixed canonical order.  The full multiplication table and ASCII
-element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are built
-once, at construction; the table's columns, as right translations, and
-the map from canonical texts back to indices, which ``parse`` tries
-before the group's parser, are built on first use.  Every later
-operation works on element indices.  Quaternion coordinates
-are kept exact as pairs (p, q) denoting (p + q*sqrt(2))/2, so equality
-tests are sound.
+(the same closure ``subgroup_closure`` runs on the table's rows), and
+sorts them into a fixed canonical order.  The full multiplication table
+and ASCII element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are
+built once, at construction; the table's columns, as right translations,
+the searcher's difference rows, and the map from canonical texts back to
+indices, which ``parse`` tries before the group's parser, are built on
+first use.  Every later operation works on element indices.  Quaternion
+coordinates are kept exact as pairs (p, q) denoting (p + q*sqrt(2))/2,
+so equality tests are sound.
 
 All three groups have exactly one involution, which is what makes them
 usable as regular automorphism groups of a cocktail party graph.
@@ -231,15 +231,15 @@ def format_sl23(x: Mat) -> str:
 # the uniform table-backed group interface
 
 
-def _closure(start: Iterable, gens: Sequence, mul: Callable) -> set:
+def _closure(start: Iterable, gens: Sequence, rows: Callable) -> set:
     """Everything reached from ``start`` by repeated right multiplication
-    by ``gens``."""
+    by ``gens``; ``rows(x)[g]`` is x * g."""
     members = set(start)
     frontier = list(members)
     while frontier:
-        x = frontier.pop()
+        row = rows(frontier.pop())
         for g in gens:
-            y = mul(x, g)
+            y = row[g]
             if y not in members:
                 members.add(y)
                 frontier.append(y)
@@ -261,7 +261,8 @@ class Subgroup:
     @cached_property
     def generated(self) -> bool:
         """Whether the generators generate exactly the members."""
-        return _closure((self.group.identity,), self.generators, self.group.mul) == self.member_set
+        G = self.group
+        return _closure((G.identity,), self.generators, G.table.__getitem__) == self.member_set
 
     @property
     def order(self) -> int:
@@ -375,7 +376,7 @@ class FiniteGroup:
         for g in gens:
             if not 0 <= g < len(self):
                 raise GroupError(f"{self.id}: generator index {g} out of range")
-        members = _closure((self.identity,), gens, self.mul)
+        members = _closure((self.identity,), gens, self.table.__getitem__)
         for x in members:
             if self.inv_table[x] not in members:
                 raise GroupError(f"{self.id}: closure not inverse-closed at {x}")
@@ -401,13 +402,20 @@ class FiniteGroup:
         return tuple(tuple(pair[T[w][inv[u]]] for w in range(n)) for u in range(n))
 
     @cached_property
+    def difference_rows(self) -> tuple[bytes, ...]:
+        """For each u, the differences w * u^-1 as bytes, w from n-1 down to 0,
+        one binary digit of a vertex mask each.  Built on first use."""
+        T, inv, n = self.table, self.inv_table, len(self)
+        return tuple(bytes(T[w][inv[u]] for w in reversed(range(n))) for u in range(n))
+
+    @cached_property
     def _whole(self) -> Subgroup:
         # generated by each element that the earlier generators do not reach
         gens, reached = [], {self.identity}
         for x in range(len(self)):
             if x not in reached:
                 gens.append(x)
-                reached = _closure(reached, gens, self.mul)
+                reached = _closure(reached, gens, self.table.__getitem__)
         return Subgroup(self, tuple(range(len(self))), tuple(gens))
 
     def whole_subgroup(self) -> Subgroup:
@@ -454,7 +462,7 @@ def build_group(gid: str) -> FiniteGroup:
     gens = [parser(t) for t in gen_texts]
     # in a finite group every inverse is a power, so the words in the
     # generators already hold the identity and every inverse
-    elements = sorted(_closure(gens, gens, mul))
+    elements = sorted(_closure(gens, gens, lambda x: {g: mul(x, g) for g in gens}))
     if len(elements) != order:
         raise GroupError(f"{gid}: generators give {len(elements)} elements, not {order}")
     return FiniteGroup(gid, elements, mul, parser, formatter)

@@ -41,19 +41,27 @@ cycles stay vertex paths: their differences, stabilizers and sub-orbit
 vertex masks come from the multiplication table, and canonical cycles
 are built only for a found solution.  An open path carries the Omega
 mask of its edges and the union of its vertices' cosets v*S, and tries
-the free vertices in ascending order.  The coset masks are built in one
-pass over the left cosets of each subgroup, which gives every vertex of
-a coset v*S the same mask.  The scan for the last vertex w closes each
-cycle in place: Omega(c) is the path's mask plus the pairs of the edges
-into and out of w (``FiniteGroup.pair_columns``), and the sub-orbit's
-vertex mask is the path's union plus w*S.  Dead entry states, keyed by
-(entry index, consumed-difference bitmask), are memoized only when their
-subtree was exhausted normally, so the memo stays sound when a node
-budget aborts the search.  Anything found is written with
-``solution_to_dict`` and re-verified by reading that document back
-through the solution pipeline before it is reported; that check
-recomputes every factor's full stabilizer.  The searcher changes no
-process-wide state; its recursion stays within the default limit (see
+in ascending order the free w whose step difference w * u^-1 from its
+end u is unused: u's row of ``FiniteGroup.difference_rows``, translated
+through a table marking the used differences, masks out all others at
+once, exactly, as the used set is inverse-closed and an edge's pair
+{d, d^-1} meets it just when d is in it.  The closing scan masks out the
+w blocked at the path's start and the reflections below its second
+vertex as well, but still counts them as nodes, by popcount before each
+w it examines and at the scan's end: in scan order, so any node budget
+stops at the same candidate as a one-by-one scan would.  The coset masks
+are built in one pass over the left cosets of each subgroup, which gives
+every vertex of a coset v*S the same mask.  The scan for the last vertex
+w closes each cycle in place: Omega(c) is the path's mask plus the pairs
+of the edges into and out of w (``FiniteGroup.pair_columns``), and the
+sub-orbit's vertex mask is the path's union plus w*S.  Dead entry
+states, keyed by (entry index, consumed-difference bitmask), are
+memoized only when their subtree was exhausted normally, so the memo
+stays sound when a node budget aborts the search.  Anything found is
+written with ``solution_to_dict`` and re-verified by reading that
+document back through the solution pipeline before it is reported; that
+check recomputes every factor's full stabilizer.  The searcher changes
+no process-wide state; its recursion stays within the default limit (see
 ``search_hwp``).
 
 A target document is read as strictly as a solution document, by the
@@ -264,6 +272,7 @@ class _Searcher:
         self.subs = [resolve_subgroup(target, e.subgroup) for e in target.entries]
         # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
         self.pair_columns = G.pair_columns
+        self.difference_rows = G.difference_rows
         self.full_cover = (1 << self.n) - 1
         # per entry with subgroup S, the vertex mask of v*S for every vertex v,
         # one pass over the left cosets; entries with the same subgroup share
@@ -279,6 +288,12 @@ class _Searcher:
                         for u in coset:
                             per_vertex[u] = mask
         self.coset_masks = [masks[e.subgroup] for e in self.sig]
+        # per entry: the l * |S| vertices a sub-orbit tiles, the
+        # 2 * orbit_length differences of a factor, and S's members
+        self.closing = [
+            (e.cycle_length * sub.order, 2 * e.orbit_length, sub.member_set)
+            for e, sub in zip(self.sig, self.subs)
+        ]
         self.dead: set[tuple[int, int]] = set()
         self.budget = math.inf if target.budget_nodes is None else target.budget_nodes
 
@@ -319,70 +334,60 @@ class _Searcher:
             return
         v0 = (~covered & (covered + 1)).bit_length() - 1  # least uncovered vertex
         self._node()
+        # b"1" at every used difference, for the difference rows to translate
+        marks = bin(used)[:1:-1].encode().ljust(256, b"0")
         self._extend_cycle(
             idx, used, covered, fused, acc, picked, [v0], 1 << v0, 0,
-            self.coset_masks[idx][v0],
+            self.coset_masks[idx][v0], marks,
         )
 
     # The open path carries `omega`, the Omega mask of its edges, and
     # `vmask`, the OR of its vertices' coset masks v*S.  Candidates are the
-    # free vertices in ascending order; the scan for the last vertex w
-    # closes the cycle through path + [w] itself.
+    # free vertices whose step difference is unused, in ascending order; the
+    # scan for the last vertex w closes the cycle through path + [w] itself.
     def _extend_cycle(
-        self,
-        idx: int,
-        used: int,
-        covered: int,
-        fused: int,
-        acc: list,
-        picked: list,
-        path: list,
-        path_mask: int,
-        omega: int,
-        vmask: int,
+        self, idx: int, used: int, covered: int, fused: int, acc: list, picked: list,
+        path: list, path_mask: int, omega: int, vmask: int, marks: bytes,
     ) -> None:
         entry = self.sig[idx]
         cosets = self.coset_masks[idx]
+        rows = self.difference_rows
         step = self.pair_columns[path[-1]]
-        free = self.full_cover & ~(covered | path_mask)
+        forbidden = int(rows[path[-1]].translate(marks), 2)
+        cands = self.full_cover & ~(covered | path_mask | forbidden)
         if len(path) + 1 < entry.cycle_length:
-            while free:
-                bit = free & -free
-                free ^= bit
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
                 w = bit.bit_length() - 1
-                d = step[w]
-                if d & used:
-                    continue
                 self._node()
                 path.append(w)
                 self._extend_cycle(
                     idx, used, covered, fused, acc, picked, path, path_mask | bit,
-                    omega | d, vmask | cosets[w],
+                    omega | step[w], vmask | cosets[w], marks,
                 )
                 path.pop()
             return
+        # `live`: the candidates above path[1] (the rest are reflections)
+        # whose closing difference is unused; every candidate is charged as
+        # a node in scan order, up to w before w is examined
         stats, limit = self.stats, self.budget
         close, second = self.pair_columns[path[0]], path[1]
-        length, sub = entry.cycle_length, self.subs[idx]
-        tiled = length * sub.order
-        budget = 2 * entry.orbit_length
+        length = entry.cycle_length
+        tiled, budget, members = self.closing[idx]
         fused_bits = fused.bit_count()
-        while free:
-            bit = free & -free
-            free ^= bit
-            w = bit.bit_length() - 1
-            d = step[w]
-            if d & used:
-                continue
-            stats.nodes += 1
+        live = (cands >> second << second) & ~int(rows[path[0]].translate(marks), 2)
+        while live:
+            bit = live & -live
+            live ^= bit
+            later = cands & -(bit << 1)
+            stats.nodes += (cands ^ later).bit_count()
+            cands = later
             if stats.nodes > limit:
+                stats.nodes = limit + 1
                 raise _Budget()
-            if w < second:  # reflection of an enumerated orientation
-                continue
-            d_close = close[w]
-            if d_close & used:
-                continue
-            cyc_omega = omega | d | d_close
+            w = bit.bit_length() - 1
+            cyc_omega = omega | step[w] | close[w]
             osize = cyc_omega.bit_count()
             ndiffs = fused_bits + osize
             if ndiffs > budget:
@@ -403,7 +408,7 @@ class _Searcher:
                 stab = _stabilizer(self.group, (path + [w],), "cycle")
                 if len(stab) != stab_order:
                     continue
-                in_sub = len(stab & sub.member_set)
+                in_sub = len(stab & members)
             # c*S has l * |S| / |Stab & S| vertices when the cycles of c's
             # sub-orbit under S are disjoint, and never more.  It misses
             # `covered`, a union of cosets v*S, as every vertex of c is free.
@@ -427,6 +432,10 @@ class _Searcher:
                 picked,
             )
             path.pop()
+        stats.nodes += cands.bit_count()
+        if stats.nodes > limit:
+            stats.nodes = limit + 1
+            raise _Budget()
 
 
 def _infeasible(target: SearchTarget) -> Optional[str]:

@@ -72,6 +72,17 @@ def test_right_translations_are_built_on_first_use():
         assert G.right_translations[x](range(n)) == tuple(G.mul(v, x) for v in range(n))
 
 
+def test_difference_rows_are_built_on_first_use():
+    # building a group does no work for the searcher's candidate filter
+    G = _fresh_q24()
+    assert "difference_rows" not in vars(G)
+    rows = G.difference_rows
+    assert "difference_rows" in vars(G)
+    n = len(G)
+    for u in range(n):
+        assert list(rows[u]) == [G.mul(w, G.inv(u)) for w in reversed(range(n))]
+
+
 def test_text_index_is_built_on_first_parse():
     G = _fresh_q24()
     G.format(G.identity)

@@ -223,6 +223,29 @@ def test_coset_masks_match_the_per_vertex_formula(sid):
         assert searcher.coset_masks == [coset_masks(G, sub) for sub in named.values()]
 
 
+@pytest.mark.parametrize("sid", ["48-17-6", "24-9-2", "24-5-6"])  # 2O, Q24, SL23
+def test_translated_difference_rows_mask_the_blocked_steps(sid):
+    # the marks _extend_factor hands down for a consumed-difference mask
+    # `used`, which is inverse-closed, turn each difference row into the
+    # vertex mask of the w with pair_columns[u][w] & used
+    target = target_from_solution(load_solution(sid))
+    searcher = _Searcher(target, SearchStats())
+    seen = []
+    searcher._extend_cycle = lambda *args: seen.append(args[-1])
+    G = target.group
+    n, pairs = len(G), G.pair_columns
+    rng = random.Random(f"difference-rows-{sid}")
+    for _ in range(40):
+        used = pairs[G.identity][G.unique_involution()] | 1 << G.identity
+        for d in rng.sample(range(n), rng.randrange(n)):
+            used |= pairs[G.identity][d]  # {d, d^-1}
+        searcher._extend_factor(0, used, 0, 0, [], [])
+        marks = seen.pop()
+        for u in range(n):
+            want = sum(1 << w for w in range(n) if pairs[u][w] & used)
+            assert int(G.difference_rows[u].translate(marks), 2) == want, (used, u)
+
+
 @pytest.mark.parametrize(
     "sid, budget",
     [("24-5-6", None), ("24-7-4", None), ("24-9-2", None), ("48-17-6", 50_000)],

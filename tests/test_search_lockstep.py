@@ -97,6 +97,7 @@ def _verdict_and_counters(monkeypatch, cls, target):
         ("24-7-4", range(1, 61)),
         ("24-9-2", range(1, 601)),
         ("48-17-6", range(1, 5001, 97)),
+        ("48-15-8", range(1, 3001, 89)),
     ],
 )
 def test_budget_stops_both_searchers_at_the_same_node(monkeypatch, sid, budgets):
