@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import AbstractSet, Callable, Collection, Iterable, Optional, Sequence
 
@@ -52,6 +53,10 @@ class Cycle:
     def format(self) -> str:
         inner = ", ".join(self.group.format(v) for v in self.verts)
         return f"({inner})"
+
+    @cached_property
+    def _omega(self) -> frozenset[int]:  # for verify: each cycle's Omega once
+        return partial_differences(self)
 
 
 def cycle(group: FiniteGroup, verts: Sequence[int]) -> Cycle:
@@ -93,7 +98,7 @@ def _vertex_codes(group: FiniteGroup, paths: Iterable[Sequence[int]]) -> tuple[i
 
 def _stabilizer(
     group: FiniteGroup, paths: Sequence[Sequence[int]], what: str,
-    sub: Optional[Subgroup] = None, codes: Optional[tuple[int, ...]] = None,
+    sub: Optional[Subgroup] = None,
 ) -> set[int]:
     """Elements of G whose right translation fixes vertex-disjoint cycles,
     each given as a vertex sequence in cycle order.
@@ -108,11 +113,10 @@ def _stabilizer(
     A subgroup sub said to fix the cycles lies in the stabilizer, which
     is then a union of right cosets sub*x, as s*x fixes the cycles when x
     does: one x per coset is tested.  GroupError unless sub's generators
-    generate its members and each fixes the cycles.  codes, if given, are
-    the paths' _vertex_codes.
+    generate its members and each fixes the cycles.
     """
     T, inv = group.table, group.inv_table
-    codes, base = codes or _vertex_codes(group, paths), min(map(min, paths))
+    codes, base = _vertex_codes(group, paths), min(map(min, paths))
     known, gens = ((group.identity,), ()) if sub is None else (sub.members, sub.generators)
     found = set(known)
     c0, translations = codes[base], group.right_translations
@@ -194,29 +198,26 @@ def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
 
 def forward_differences(c: Cycle) -> list[int]:
     """Consecutive differences c_{t+1} * c_t^-1 in cycle order (with repeats)."""
-    G = c.group
-    v = c.verts
-    return [
-        G.mul(v[(t + 1) % len(v)], G.inv(v[t])) for t in range(len(v))
-    ]
+    T, inv, v = c.group.table, c.group.inv_table, c.verts
+    return [T[b][inv[a]] for a, b in zip(v, v[1:] + v[:1])]
 
 
 def partial_differences(c: Cycle) -> frozenset[int]:
     """Inverse-closed set of the differences realized by edges of c."""
-    inv = c.group.inv
-    return frozenset(x for d in forward_differences(c) for x in (d, inv(d)))
+    inv = c.group.inv_table
+    return frozenset(x for d in forward_differences(c) for x in (d, inv[d]))
 
 
 def omega_representatives(c: Cycle) -> list[int]:
     """One member per inverse pair of partial_differences(c), in the order
     the pairs are first realized walking the cycle."""
-    G = c.group
+    inv = c.group.inv_table
     reps: list[int] = []
     seen: set[int] = set()
     for d in forward_differences(c):
         if d in seen:
             continue
-        seen.update((d, G.inv(d)))
+        seen.update((d, inv[d]))
         reps.append(d)
     return reps
 

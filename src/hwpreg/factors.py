@@ -5,28 +5,26 @@ them; each sub-orbit is read off the multiplication table rows as vertex
 tuples, and together they must tile the group, giving one 2-factor.  S
 fixes that factor, so its stabilizer is a union of right cosets S*x and
 is tested with one x per coset.  The full-group orbits of the recipe
-factors are then expected to partition the edge set of K_v minus I,
-which is counted per difference, with no orbit expanded: the orbit of a
-factor with stabilizer T and m(d) edges of difference d covers each
-edge {g, d*g} (m(d) + m(d^-1))/|T| times (verify_factorization proves
-it, and a guard checks T).  Every edge of K_v minus I must be covered
-exactly once, so a pass has the checksum of K_v minus I's edge list,
-computed once per group.  The certificate renders as readable
-text and as byte-stable JSON.
+factors are then expected to partition the edge set of K_v minus I.
+No orbit is expanded and no edge is counted: by the difference theorem
+in verify_factorization, they do exactly when the base cycles'
+difference sets Omega partition G minus the identity and the involution
+and each factor F has |Omega(F)| = 2 * |G|/|Stab(F)|.  A pass has the
+checksum of K_v minus I's edge list, computed once per group.  The
+certificate renders as readable text and as byte-stable JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Collection, Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import (
-    Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter, _vertex_codes
+    Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter, verify_partition
 )
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -73,10 +71,6 @@ class TwoFactor:
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c.verts for c in self.cycles)
 
-    @cached_property
-    def _codes(self) -> tuple[int, ...]:  # for factor_stabilizer and _orbit_coverage
-        return _vertex_codes(self.group, self.key())
-
 
 def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
     """Read the recipe's sub-orbits off the table and check they tile the group."""
@@ -108,7 +102,7 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the factor, tested per right coset of f.subgroup."""
-    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor", f.subgroup, f._codes)))
+    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor", f.subgroup)))
     return Subgroup(f.group, members, members)
 
 
@@ -122,35 +116,6 @@ def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
     if len(seen) * len(stab) != len(G):
         raise GroupError("factor orbit-stabilizer mismatch")
     return tuple(TwoFactor(G, tuple(Cycle(G, t) for t in k)) for k in sorted(seen))
-
-
-def _orbit_coverage(f: TwoFactor, stab: Collection[int]) -> dict[int, int]:
-    """How many times the orbit of f covers each edge {g, d*g}, by the
-    lesser d of each pair {d, d^-1} f uses (see verify_factorization),
-    from f's _vertex_codes: an edge {u, w} shows at u as w*u^-1 and at w
-    as its inverse.  stab must be all of f's stabilizer.  f*x = f only if
-    x = 0^-1 * w for a w with vertex 0's code, |stab| of them from stab;
-    any other such x is tested, with GroupError("factor orbit-stabilizer
-    mismatch") if it fixes f, or if |stab| does not divide a count."""
-    G = f.group
-    inv, i, n = G.inv_table, G.unique_involution(), len(G)
-    codes = f._codes
-    if codes.count(codes[0]) > len(stab):
-        row, inside, translations = G.table[inv[0]], set(stab), G.right_translations
-        for w, c in enumerate(codes):
-            x = row[w]
-            if c == codes[0] and x not in inside and translations[x](codes) == codes:
-                raise GroupError("factor orbit-stabilizer mismatch")
-    ends: Counter[int] = Counter()  # edge ends per pair, two per edge
-    for code, k in Counter(codes).items():
-        for d in divmod(code, n):
-            ends[min(d, inv[d])] += k
-    cover = {}
-    for d, k in ends.items():
-        cover[d], rest = divmod(k, len(stab) if d == i else 2 * len(stab))
-        if rest:
-            raise GroupError("factor orbit-stabilizer mismatch")
-    return cover
 
 
 def hwp_feasibility(v: int, r: int, s: int) -> tuple[bool, Optional[str]]:
@@ -286,14 +251,7 @@ class Certificate:
         if self.expected is not None:
             ev, er, es = self.expected
             lines.append(f"  expected: v={ev}, r={er}, s={es}")
-        lines.append(
-            f"  edges: {self.edges_covered_once}/{self.edges_expected} covered once"
-            + (
-                f" ({self.duplicate_edges} duplicated, {self.missing_edges} missing)"
-                if self.duplicate_edges or self.missing_edges
-                else ""
-            )
-        )
+        lines.append(f"  edges: {self.edges_covered_once}/{self.edges_expected} covered once")
         if self.partition_ok is not None:
             lines.append(
                 f"  difference partition: "
@@ -338,14 +296,11 @@ class Certificate:
 
 
 @lru_cache(maxsize=None)
-def _target(group: FiniteGroup) -> tuple[tuple[tuple[int, int], ...], str]:
-    """Each difference pair {d, d^-1}, d != 1, as (w, d) sorted by w: d the
-    lesser, {0, w} the least edge {g, d*g}, w the lesser of d*0 and
-    d^-1*0.  And the SHA-256 of K_v - I's sorted edge list."""
-    T, inv, i, fmt = group.table, group.inv_table, group.unique_involution(), group.format
-    pairs = sorted((min(T[d][0], T[inv[d]][0]), d) for d, e in enumerate(inv) if d < e or d == i)
+def _target_digest(group: FiniteGroup) -> str:
+    """The SHA-256 of K_v - I's sorted edge list."""
+    fmt = group.format
     lines = sorted(f"{fmt(u)}|{fmt(w)}" for u, w in cocktail_party_graph(group).edges)
-    return tuple(pairs), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def verify_factorization(
@@ -355,19 +310,40 @@ def verify_factorization(
 ) -> Certificate:
     """Certify that the recipes' orbits cover every edge of K_v - I once.
 
-    No orbit is expanded; coverage is counted per difference pair.  Let
-    F have stabilizer T and m(d) edges of forward difference d = w*u^-1,
-    u to w in cycle order, which right translation keeps.  As x runs
-    over G, F*x carries each such edge, and each of difference d^-1,
-    onto every {g, d*g} once; an I-edge {g, i*g} is reached from both
-    ends.  The x of one coset T*x give one translate, so the orbit of F
-    covers each of the v edges of a pair (m(d) + m(d^-1))/|T| times and
-    each of the v/2 I-edges 2*m(i)/|T| times, if T is F's whole
-    stabilizer, as _orbit_coverage checks.  These counts decide every
-    edge and witness, a pair's least edge id lying at vertex 0.  A
-    duplicated edge is reported first, then an I-edge, then a missing one.
+    No orbit is expanded and no edge counted: the verdict rests on the
+    difference sets Omega of the base cycles.  Let F be a spanning
+    2-factor with stabilizer T* and Omega(F) the differences w*u^-1 of its
+    edges {u, w}: the union of its base cycles' Omega, as right
+    translation keeps w*u^-1.  G has one involution i, so every other
+    pair P = {d, d^-1} in G minus {1, i} has two members and v edges
+    {g, d*g}, one per g.  Let e(P) count F's edges with a difference in
+    P.  As x runs over G, F*x carries them onto each edge of P e(P)
+    times, and the x of one coset T*x give one translate, so the orbit
+    of F covers each edge of P e(P)/|T*| times: an integer, at least 1
+    when P lies in Omega(F).  If i is not in Omega(F), F's v edges give
+    v = sum e(P) >= |T*| * |Omega(F)|/2, with equality exactly when the
+    orbit covers every edge of each pair in Omega(F) once.  So if the
+    base cycles' Omega partition G minus {1, i}, each pair lies in the
+    Omega(F) of exactly one factor and no factor has an I-edge; if also
+    |Omega(F)| = 2 * |G|/|T*| for every F, every edge of K_v - I is
+    covered exactly once.
+
+    T = factor_stabilizer(F) needs no guard: it admits only elements
+    that pass the code-tuple test, which fix F, so T lies in T*.  A T
+    that is too small makes the orbit length L = v/|T| too large, and
+    2L > 2v/|T*| >= |Omega(F)| rejects; it never gives a false pass.
+
+    The checks, in order: every recipe assembles; every factor is all
+    triangles or all quadrangles; the base cycles' Omega partition G
+    minus {1, i} (partition_ok and partition_size on every certificate);
+    the first factor with |Omega(F)| != 2L is an orbit-overlap; then the
+    computed (v, r, s) against expected, then feasibility.  The edge
+    fields read v(v-2)/2 covered once and the checksum only on a pass.
     """
     v = len(group)
+    # a cycle bound to another group fails assembly; its Omega means nothing here
+    cycles = [c for recipe in recipes for _, c in recipe.cycles if c.group is group]
+    partition_size, partition_witness = verify_partition(group, (c._omega for c in cycles))
     base = dict(
         group_id=group.id,
         v=v,
@@ -381,23 +357,23 @@ def verify_factorization(
         duplicate_edges=0,
         missing_edges=0,
         edges_sha256=None,
+        partition_ok=partition_witness is None,
+        partition_size=partition_size,
     )
 
     reports: list[FactorReport] = []
-    assembled: list[tuple[TwoFactor, tuple[int, ...]]] = []
     try:
         for recipe in recipes:
             f = assemble_factor(group, recipe)
-            stab = factor_stabilizer(f).members
-            assembled.append((f, stab))
+            order = factor_stabilizer(f).order
             reports.append(
                 FactorReport(
                     recipe.label,
                     tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles),
                     f.cycle_length,
                     len(f.cycles),
-                    len(stab),
-                    v // len(stab),
+                    order,
+                    v // order,
                 )
             )
     except RecipeError as err:
@@ -406,49 +382,33 @@ def verify_factorization(
 
     base["factors"] = tuple(reports)
 
-    def fail(failure: str, kind: str, **witness) -> Certificate:
-        return Certificate(**base, failure=failure, witness={"kind": kind, **witness})
-
-    def fmt_edge(w: int) -> list[str]:
-        return [group.format(0), group.format(w)]
+    def fail(failure: str, witness: dict) -> Certificate:
+        return Certificate(**base, failure=failure, witness=witness)
 
     bad_length = [fr.label for fr in reports if fr.cycle_length not in (3, 4)]
     if bad_length:
         failure = f"{bad_length[0]}: factor cycle length must be uniformly 3 or 4"
-        return fail(failure, "cycle-length", factor=bad_length[0])
-
-    cover: Counter[int] = Counter()
-    for f, stab in assembled:
-        cover.update(_orbit_coverage(f, stab))
-    pairs, digest = _target(group)
-    i = group.unique_involution()
-    duplicated = [(w, d) for w, d in pairs if cover[d] > 1]
-    missing = [w for w, d in pairs if d != i and not cover[d]]
-    base.update(
-        edges_covered_once=v * sum(1 for _, d in pairs if d != i and cover[d] == 1),
-        duplicate_edges=sum(v // 2 if d == i else v for _, d in duplicated),
-        missing_edges=v * len(missing),
-    )
-    if duplicated:
-        w, d = duplicated[0]
-        failure = "an edge is covered by more than one factor"
-        return fail(failure, "duplicate-edge", edge=fmt_edge(w), count=cover[d])
-    if cover[i]:
-        failure = "a factor uses an edge outside K_v minus I"
-        return fail(failure, "foreign-edge", edge=fmt_edge(group.table[i][0]))
-    if missing:
-        failure = "an edge of K_v minus I is not covered"
-        return fail(failure, "missing-edge", edge=fmt_edge(missing[0]))
+        return fail(failure, {"kind": "cycle-length", "factor": bad_length[0]})
+    if partition_witness is not None:
+        failure = "difference sets do not partition G minus the identity and involution"
+        return fail(failure, partition_witness)
+    for recipe, fr in zip(recipes, reports):
+        k = len(frozenset().union(*(c._omega for _, c in recipe.cycles)))
+        if k != 2 * fr.orbit_length:
+            failure = f"{fr.label}: the factor's orbit covers an edge more than once"
+            witness = {"factor": fr.label, "differences": k, "orbit_length": fr.orbit_length}
+            return fail(failure, {"kind": "orbit-overlap", **witness})
 
     # each factor is spanning with C3 or C4 cycles, so it has v edges, and
     # together they cover the v(v-2)/2 edges once: r + s = v/2 - 1 here
     r = sum(fr.orbit_length for fr in reports if fr.cycle_length == 3)
     s = sum(fr.orbit_length for fr in reports if fr.cycle_length == 4)
-    base.update(r=r, s=s, edges_sha256=digest)
+    base.update(r=r, s=s)
     if expected is not None and (v, r, s) != expected:
         failure = f"computed (v,r,s)=({v},{r},{s}) differs from expected {expected}"
-        return fail(failure, "expected-mismatch", computed=[v, r, s])
+        return fail(failure, {"kind": "expected-mismatch", "computed": [v, r, s]})
     feasible, reason = hwp_feasibility(v, r, s)
     if not feasible:
-        return fail(f"infeasible parameters: {reason}", "infeasible", reason=reason)
-    return Certificate(**{**base, "ok": True})
+        return fail(f"infeasible parameters: {reason}", {"kind": "infeasible", "reason": reason})
+    base.update(ok=True, edges_covered_once=v * (v - 2) // 2, edges_sha256=_target_digest(group))
+    return Certificate(**base)

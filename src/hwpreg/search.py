@@ -269,6 +269,8 @@ class _Searcher:
         self.n = len(G)
         self.stats = stats
         self.sig = target.entries
+        # per entry: whether it equals the one before it (see _extend_factor)
+        self.repeats = [idx > 0 and e == self.sig[idx - 1] for idx, e in enumerate(self.sig)]
         self.subs = [resolve_subgroup(target, e.subgroup) for e in target.entries]
         # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
         self.pair_columns = G.pair_columns
@@ -325,7 +327,7 @@ class _Searcher:
             if fused.bit_count() != 2 * entry.orbit_length:
                 return
             # identical adjacent entries commute; keep one ordering
-            if idx and self.sig[idx - 1] == entry:
+            if self.repeats[idx]:
                 prev_fused = picked[-1][1]
                 if (fused & -fused) <= (prev_fused & -prev_fused):
                     return

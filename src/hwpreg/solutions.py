@@ -23,11 +23,11 @@ malformed or unreadable document raises ``SolutionFormatError``.  The
 field readers below take the caller's error type, so search targets are
 read by them too.  ``solution_to_dict`` writes the six required keys.
 
-``verify_solution`` recomputes all difference sets, checks they
-partition the group minus the identity and its involution, certifies
-exact edge coverage of K_v minus I, and diffs the recomputed difference
-sets against the annotated ``omega`` listings, which are read once into
-the inverse closure of their element indices.
+``verify_solution`` certifies exact edge coverage of K_v minus I with
+``verify_factorization``, from the recomputed difference sets of the
+base cycles, and diffs those sets against the annotated ``omega``
+listings, which are read once into the inverse closure of their element
+indices.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Mapping, Sequence
 
-from .cycles import Cycle, CycleError, cycle, partial_differences, verify_partition
+from .cycles import Cycle, CycleError, cycle
 from .factors import Certificate, FactorRecipe, OmegaReport, verify_factorization
 from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
 
@@ -340,25 +340,10 @@ def omega_reports(spec: SolutionSpec, omegas: Mapping) -> tuple[OmegaReport, ...
 
 
 def verify_solution(spec: SolutionSpec) -> Certificate:
-    """Certify a solution end to end; annotation diffs never affect the verdict,
-    except that the recomputed difference sets must partition G."""
-    omegas = {cn: partial_differences(c) for cn, c in spec.cycles.items()}
-    reports = omega_reports(spec, omegas)
-    union_size, witness = verify_partition(spec.group, omegas.values())
+    """Certify a solution end to end (see verify_factorization); the diffs
+    against the annotated omega listings never affect the verdict."""
     cert = verify_factorization(spec.group, spec.factors, expected=spec.expected)
-    cert = replace(
-        cert,
-        solution_id=spec.id,
-        partition_ok=witness is None,
-        partition_size=union_size,
-        omega=reports,
-        notes=spec.notes,
+    omegas = {cn: c._omega for cn, c in spec.cycles.items()}
+    return replace(
+        cert, solution_id=spec.id, omega=omega_reports(spec, omegas), notes=spec.notes
     )
-    if cert.ok and witness is not None:
-        cert = replace(
-            cert,
-            ok=False,
-            failure="difference sets do not partition G minus the identity and involution",
-            witness=witness,
-        )
-    return cert

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 from hwpreg.cayley import CayleyGraph, edge
 from hwpreg.cycles import Cycle, cycle, cycle_orbit, partial_differences
 from hwpreg.factors import Certificate
-from hwpreg.groups import FiniteGroup, Quat
+from hwpreg.groups import FiniteGroup, Quat, build_group
 from hwpreg.solutions import load_solution, verify_solution
 
 
@@ -45,6 +45,44 @@ def quat_norm2_times4(x: Quat) -> tuple[int, int]:
 
 def cycle_from_texts(group: FiniteGroup, texts: Sequence[str]) -> Cycle:
     return cycle(group, [group.parse(t) for t in texts])
+
+
+def orbit_overlap_document(forbidden: bool = False) -> dict:
+    """A Q24 document whose factors all assemble and whose base cycles'
+    difference sets partition G minus {1, a6}, but whose F1 = Orb[H](C1) +
+    Orb[H](C2), H = <b>, is not a factor of a solution: C1 = (1, a2, a4,
+    a11) steps by a2 twice, so F1 has 8 differences for orbit length 6
+    and its orbit covers the edge {1, a2} twice.  Every other factor is
+    the right cosets of <x> for one x of order 3 or 4.  With forbidden,
+    F4 = Orb[<a>]((1, a6, a6b, b)) replaces the cosets of <b>: its
+    I-edges put a6 among the differences, with none doubled or missing."""
+    G = build_group("Q24")
+
+    def coset(x: str) -> list[str]:  # the cycle (1, x, x^2, ...) on <x>
+        y = G.parse(x)
+        powers = [G.identity]
+        while G.mul(powers[-1], y) != G.identity:
+            powers.append(G.mul(powers[-1], y))
+        return [G.format(g) for g in powers]
+
+    cycles = {"C1": ["1", "a2", "a4", "a11"], "C2": ["a", "a3b", "a7", "a9b"]}
+    factors = [{"cycles": ["C1", "C2"], "subgroup": "H"}]
+    for n, x in enumerate(["a3", "a4", "b", "ab", "a2b", "a3b", "a5b"], start=3):
+        cycles[f"C{n}"] = coset(x)
+        factors.append({"cycles": [f"C{n}"], "subgroup": "G"})
+    subgroups = {"H": ["b"]}
+    if forbidden:
+        cycles["C5"] = ["1", "a6", "a6b", "b"]
+        subgroups["A"] = ["a"]
+        factors[3]["subgroup"] = "A"
+    return {
+        "id": "orbit-overlap",
+        "group": "Q24",
+        "subgroups": subgroups,
+        "cycles": cycles,
+        "factors": factors,
+        "expected": {"v": 24, "r": 1, "s": 10},
+    }
 
 
 def cycle_edges(c: Cycle) -> list[tuple[int, int]]:

@@ -248,14 +248,15 @@ def test_export_dot(capsys):
 def test_export_dot_of_overlapping_orbits_matches_the_expanded_orbits(
     tmp_path, capsys, doc_copy, sid, cn, pos, text
 ):
-    # seed-1 corruptions whose factors assemble but whose orbits overlap:
-    # each edge is labelled by the first factor whose expanded orbit has it
+    # seed-1 corruptions whose factors assemble but whose orbits overlap,
+    # as two base cycles share a difference: each edge is labelled by the
+    # first factor whose expanded orbit has it
     doc = doc_copy(sid)
     doc["cycles"][cn][pos] = text
     path = tmp_path / "overlap.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, "verify", str(path), "--format", "canonical")
-    assert code == 1 and json.loads(out)["witness"]["kind"] == "duplicate-edge"
+    assert code == 1 and json.loads(out)["witness"]["kind"] == "difference-overlap"
     spec = parse_solution_dict(doc)
     G = spec.group
     labels: dict[tuple[int, int], str] = {}

@@ -12,7 +12,7 @@ import hwpreg.cycles
 import hwpreg.factors
 import hwpreg.solutions
 from action_oracle import translate_factor, translation_permutes_factors
-from helpers import cycle_from_texts
+from helpers import cycle_from_texts, orbit_overlap_document
 from hwpreg.cycles import cycle, cycle_stabilizer
 from hwpreg.factors import (
     CERTIFICATE_FORMAT,
@@ -25,7 +25,10 @@ from hwpreg.factors import (
     verify_factorization,
 )
 from hwpreg.groups import GROUP_IDS, FiniteGroup, build_group
-from hwpreg.solutions import load_solution, resolve_subgroup, verify_solution
+from hwpreg.search import search_hwp, target_from_solution
+from hwpreg.solutions import (
+    SOLUTION_IDS, load_solution, parse_solution_dict, resolve_subgroup, verify_solution
+)
 
 
 def _recipes(sid):
@@ -68,8 +71,9 @@ def test_assemble_overlap_witness():
 def test_verify_reads_orbits_off_the_table(monkeypatch):
     # assembly reads each sub-orbit off the table rows: no cycle_orbit,
     # translate_cycle or FiniteGroup.mul call, and the whole verify of
-    # 48-17-6 translates no Cycle; every module that imported a function
-    # by name gets the counting version, as perfbench/spans.py does
+    # 48-17-6 builds no orbit of Cycle objects and translates no Cycle;
+    # every module that imported a function by name gets the counting
+    # version, as perfbench/spans.py does
     spec = load_solution("48-17-6")
     calls = Counter()
 
@@ -90,7 +94,7 @@ def test_verify_reads_orbits_off_the_table(monkeypatch):
         assemble_factor(spec.group, recipe)
     assert calls == Counter()
     assert verify_solution(spec).ok
-    assert calls["translate_cycle"] == 0 and calls["mul"] > 0  # the latter: differences
+    assert calls["translate_cycle"] == calls["cycle_orbit"] == 0
 
 
 def test_factor_stabilizer_and_orbit():
@@ -156,28 +160,52 @@ def test_verify_factorization_passes_and_counts():
     assert cert.edges_sha256
 
 
+def _edge_fields(cert):
+    return (
+        cert.edges_covered_once, cert.duplicate_edges, cert.missing_edges, cert.edges_sha256
+    )
+
+
 def test_verify_factorization_duplicate_witness():
+    # F1 twice and F2 left out: C1's differences are used twice
     spec, recipes = _recipes("24-9-2")
     cert = verify_factorization(spec.group, [recipes[0], recipes[0]] + recipes[2:])
-    assert not cert.ok
-    assert cert.witness["kind"] == "duplicate-edge"
-    assert cert.duplicate_edges > 0
+    assert not cert.ok and cert.partition_ok is False
+    assert cert.witness == {"kind": "difference-overlap", "element": "b", "count": 2}
+    assert _edge_fields(cert) == (0, 0, 0, None)
 
 
 def test_verify_factorization_missing_witness():
     spec, recipes = _recipes("24-9-2")
     cert = verify_factorization(spec.group, recipes[:-1])
-    assert not cert.ok
-    assert cert.witness["kind"] == "missing-edge"
-    assert cert.missing_edges > 0
+    assert not cert.ok and cert.partition_ok is False
+    assert cert.witness == {"kind": "difference-missing", "element": "a"}
+    assert _edge_fields(cert) == (0, 0, 0, None)
+
+
+def test_verify_factorization_orbit_overlap():
+    # the partition holds and every factor assembles, yet F1's orbit
+    # covers {1, a2} twice: 8 differences for orbit length 6
+    spec = parse_solution_dict(orbit_overlap_document())
+    cert = verify_factorization(spec.group, spec.factors, spec.expected)
+    assert not cert.ok and cert.partition_ok is True and cert.partition_size == 22
+    assert cert.witness == {
+        "kind": "orbit-overlap", "factor": "F1", "differences": 8, "orbit_length": 6
+    }
+    assert cert.failure == "F1: the factor's orbit covers an edge more than once"
+    assert _edge_fields(cert) == (0, 0, 0, None)
 
 
 def test_verify_factorization_foreign_edge():
-    # a quadrangle factor built from explicit cycles, one of which steps
-    # through the removed 1-factor (difference a6); its orbit covers each
-    # I-edge 2*m(i)/|stab| = 4 times (verify_factorization's count), so
-    # the duplicate check fires first (the quadrangle test below shows
-    # why that count is never 1)
+    # a quadrangle factor whose cycles step through the removed 1-factor
+    # puts the involution a6 among the differences, which the partition
+    # check rejects; here alone, with nothing doubled or missing
+    spec = parse_solution_dict(orbit_overlap_document(forbidden=True))
+    cert = verify_factorization(spec.group, spec.factors, spec.expected)
+    assert not cert.ok and cert.partition_size == 23
+    assert cert.witness == {"kind": "difference-forbidden", "element": "a6"}
+    # explicit cycles of one factor, one of them on the I-edge {a5, a11}:
+    # they share the difference b before a6 is reached
     G = build_group("Q24")
     texts = [
         ["1", "b", "a6", "a6b"],
@@ -190,17 +218,17 @@ def test_verify_factorization_foreign_edge():
     cycles = tuple((f"X{i}", cycle_from_texts(G, t)) for i, t in enumerate(texts))
     cert = verify_factorization(G, [FactorRecipe("F1", cycles, "T", G.subgroup_closure([]))])
     assert not cert.ok
-    assert cert.failure == "an edge is covered by more than one factor"
-    assert cert.witness == {"kind": "duplicate-edge", "edge": ["1", "b"], "count": 4}
+    assert cert.failure == "difference sets do not partition G minus the identity and involution"
+    assert cert.witness == {"kind": "difference-overlap", "element": "b", "count": 2}
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_quadrangles_of_two_i_edges_have_stabilizer_one_and_i(gid):
-    # why no factor reaches the foreign-edge check: a factor F fixed by
-    # the involution i holds each I-edge in such a quadrangle, whose two
-    # I-edges lie in distinct stab(F)-orbits, so m(i) >= |stab(F)| and
-    # each I-edge is covered 2*m(i)/|stab(F)| >= 2 times; if i does not
-    # fix F, F and F*i both carry it
+    # a factor F fixed by the involution i holds each I-edge in such a
+    # quadrangle, whose two I-edges lie in distinct stab(F)-orbits, so
+    # the orbit of F covers each I-edge at least twice; if i does not fix
+    # F, F and F*i both carry it.  An I-edge is never covered once, and
+    # verify rejects the involution as a difference before any orbit
     G = build_group(gid)
     i = G.unique_involution()
     halves = sorted({min(g, G.mul(i, g)) for g in range(len(G))})
@@ -235,6 +263,16 @@ def test_verify_factorization_recipe_error_becomes_certificate():
     cert = verify_factorization(spec.group, broken)
     assert not cert.ok
     assert cert.witness["kind"] == "gap"
+
+
+def test_verify_factorization_reports_a_cycle_of_another_group():
+    # assembly rejects it; the partition is taken over the other cycles
+    spec, recipes = _recipes("24-9-2")
+    alien = cycle(build_group("2O"), [40, 41, 42])
+    bad = FactorRecipe("F9", (("X", alien),), "G", spec.group.whole_subgroup())
+    cert = verify_factorization(spec.group, recipes + [bad])
+    assert not cert.ok and cert.failure == "F9: cycle bound to a different group"
+    assert (cert.partition_ok, cert.partition_size) == (True, 22)
 
 
 def test_originally_listed_quadrangle_fails():
@@ -273,3 +311,40 @@ def test_edge_checksum_distinguishes_solutions():
     # SL23 has different vertex names
     assert a == b
     assert a != c
+
+
+def _found_or_bundled(source):
+    """A bundled solution, or for found-<id> the document the searcher
+    finds for the target derived from that solution."""
+    if not source.startswith("found-"):
+        return load_solution(source)
+    target = target_from_solution(load_solution(source[6:]), budget_nodes=10_000_000)
+    outcome = search_hwp(target)
+    assert outcome.verdict == "found"
+    return parse_solution_dict(outcome.solution)
+
+
+@pytest.mark.parametrize(
+    "source", [*SOLUTION_IDS, "found-24-7-4", "found-24-9-2", "found-24-5-6"]
+)
+def test_passing_documents_meet_the_difference_theorem(source):
+    # the necessary half of verify_factorization's theorem: in a solution
+    # that passes, the base cycles' Omega are pairwise disjoint, and each
+    # base cycle c carries each of its difference pairs on exactly
+    # |Stab_G(c)| edges, so 2 * l = |Omega(c)| * |Stab_G(c)|
+    spec = _found_or_bundled(source)
+    G = spec.group
+    assert verify_solution(spec).ok
+    seen: set[int] = set()
+    for c in spec.cycles.values():
+        pairs = Counter()
+        for a, b in zip(c.verts, c.verts[1:] + c.verts[:1]):
+            d = G.mul(b, G.inv(a))
+            pairs[min(d, G.inv(d))] += 1
+        stab = cycle_stabilizer(c).order
+        assert set(pairs.values()) == {stab}
+        omega = {x for d in pairs for x in (d, G.inv(d))}
+        assert 2 * c.length == len(omega) * stab
+        assert not seen & omega
+        seen |= omega
+    assert seen == set(range(len(G))) - {G.identity, G.unique_involution()}

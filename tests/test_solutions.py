@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+import hwpreg.cycles
 from helpers import verify_solution_by_id
-from hwpreg import cli, solutions
+from hwpreg import cli
 from hwpreg.cycles import partial_differences
 from hwpreg.groups import FiniteGroup
 from hwpreg.solutions import (
@@ -104,17 +105,19 @@ def test_verify_solution_parses_no_element_text(monkeypatch):
     assert calls == []
 
 
-def test_verify_solution_computes_each_difference_set_once(monkeypatch):
-    spec = load_solution("48-17-6")
+def test_verify_solution_computes_each_difference_set_once(monkeypatch, raw_docs):
+    # one Omega per base cycle serves the partition, the orbit-length
+    # test and the omega reports, and a second verify computes none
+    spec = parse_solution_dict(raw_docs["48-17-6"])
     calls = []
-    orig = solutions.partial_differences
+    orig = hwpreg.cycles.partial_differences
 
     def counted(c):
         calls.append(c)
         return orig(c)
 
-    monkeypatch.setattr(solutions, "partial_differences", counted)
-    assert verify_solution(spec).ok
+    monkeypatch.setattr(hwpreg.cycles, "partial_differences", counted)
+    assert verify_solution(spec).ok and verify_solution(spec).ok
     assert sorted(c.verts for c in calls) == sorted(c.verts for c in spec.cycles.values())
 
 

@@ -1,53 +1,82 @@
-"""verify_factorization against its slow-path oracle, certificate by certificate.
+"""verify_solution against its slow-path oracle, document by document.
 
-`verify_oracle.verify_factorization` builds every sub-orbit and every
-factor orbit as canonical cycles, takes each factor's stabilizer with the
-full kernel, and counts (min, max) edge tuples; the library reads
-sub-orbits off the multiplication table, tests a factor's stabilizer
-once per right coset of its acting subgroup and counts coverage per
-difference pair without expanding any orbit.  Both must render the
-same canonical and human text on the bundled documents, on a seeded
-corruption of every base-cycle vertex (seeds 1 and 2 here, 1 to 40 in
-`verify_sweep.py`), and on hand-built failures, and raise the same
-error when a factor's stabilizer is wrong.
+`verify_oracle.verify_solution` builds every sub-orbit and every factor
+orbit as canonical cycles, takes each factor's stabilizer with the full
+kernel, counts (min, max) edge tuples and checks the difference
+partition last; the library reads sub-orbits off the multiplication
+table, tests a factor's stabilizer once per right coset of its acting
+subgroup and decides by the difference theorem in
+`verify_factorization`: the partition first, then |Omega(F)| = 2 * orbit
+length for every factor.  Both must give the same verdict, or raise the
+same error, on the bundled documents, on a seeded corruption of every
+base-cycle vertex (seeds 1 and 2 here, 1 to 40 in `verify_sweep.py`) and
+on hand-built failures.  Where the oracle passes, or rejects at assembly
+or at the cycle-length gate, the canonical and human certificates must
+be byte-identical too.
 """
 
 import copy
 import random
-from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import hwpreg.factors
 import verify_oracle
-from helpers import cycle_edges, cycle_from_texts
+from helpers import cycle_from_texts, orbit_overlap_document
 from hwpreg import SOLUTION_IDS
 from hwpreg.factors import (
     FactorRecipe,
     RecipeError,
     TwoFactor,
-    _orbit_coverage,
     assemble_factor,
     factor_stabilizer,
     verify_factorization,
 )
 from hwpreg.groups import GroupError, Subgroup, build_group
-from hwpreg.solutions import load_solution, parse_solution_dict
+from hwpreg.solutions import SolutionSpec, load_solution, parse_solution_dict, verify_solution
+
+# oracle rejects whose certificates the library must render byte for byte;
+# None: an assembly error without a witness
+EXACT_KINDS = {None, "overlap", "gap", "cycle-length"}
 
 
-def _outcome(verify, group, recipes, expected):
+def _outcome(verify, spec):
+    """The certificate, or the error as ("GroupError", message)."""
     try:
-        cert = verify(group, recipes, expected=expected)
+        return verify(spec)
     except GroupError as err:
         return "GroupError", str(err)
+
+
+def _texts(cert):
     return cert.canonical_text(), cert.human_text()
 
 
-def assert_lockstep(group, recipes, expected=None):
-    want = _outcome(verify_oracle.verify_factorization, group, recipes, expected)
-    assert _outcome(verify_factorization, group, recipes, expected) == want
-    return want
+def lockstep(spec):
+    """The oracle's and the library's outcome on spec, and whether they
+    agree: the same error, or the same verdict with byte-identical texts
+    wherever the oracle passes or rejects at an EXACT_KINDS check."""
+    want = _outcome(verify_oracle.verify_solution, spec)
+    got = _outcome(verify_solution, spec)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return want, got, want == got
+    exact = want.ok or (want.witness or {}).get("kind") in EXACT_KINDS
+    agree = want.ok == got.ok and (not exact or _texts(want) == _texts(got))
+    return want, got, agree
+
+
+def assert_lockstep(spec):
+    """The library's certificate, after checking it against the oracle's."""
+    want, got, agree = lockstep(spec)
+    assert agree, (want, got)
+    return got
+
+
+def _hand_built(group, recipes, expected=None):
+    """A solution made of recipes, its cycles the ones they name."""
+    cycles = {cn: c for recipe in recipes for cn, c in recipe.cycles}
+    return SolutionSpec("hand-built", group, {}, cycles, tuple(recipes), expected)
 
 
 def _corruptions(doc, rng):
@@ -65,20 +94,17 @@ def _corruptions(doc, rng):
 
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
 def test_bundled_documents_match_oracle(sid):
-    spec = load_solution(sid)
-    canonical, _ = assert_lockstep(spec.group, spec.factors, spec.expected)
-    assert '"verdict":"pass"' in canonical
+    assert assert_lockstep(load_solution(sid)).ok
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_seeded_corruptions_match_oracle(raw_docs, seed):
     rng = random.Random(seed)
-    verdicts = []
-    for sid in SOLUTION_IDS:
-        for bad in _corruptions(raw_docs[sid], rng):
-            spec = parse_solution_dict(bad)
-            canonical, _ = assert_lockstep(spec.group, spec.factors, spec.expected)
-            verdicts.append('"verdict":"pass"' in canonical)
+    verdicts = [
+        assert_lockstep(parse_solution_dict(bad)).ok
+        for sid in SOLUTION_IDS
+        for bad in _corruptions(raw_docs[sid], rng)
+    ]
     assert len(verdicts) == 225 and not all(verdicts)
 
 
@@ -112,16 +138,35 @@ def _q24_case(name):
     return G, recipes, (24, 8, 3)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["gap", "overlap", "cycle-length", "duplicate-edge", "i-edge", "missing-edge",
-     "expected-mismatch"],
-)
+# the library's witness for each hand-built case
+HAND_BUILT_KINDS = {
+    "gap": "gap",
+    "overlap": "overlap",
+    "cycle-length": "cycle-length",
+    "duplicate-edge": "difference-overlap",  # one recipe twice
+    "i-edge": "difference-overlap",  # its cycles share differences
+    "missing-edge": "difference-missing",  # one recipe left out
+    "expected-mismatch": "expected-mismatch",
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_KINDS)
 def test_hand_built_failures_match_oracle(name):
-    G, recipes, expected = _q24_case(name)
-    canonical, _ = assert_lockstep(G, recipes, expected)
-    kind = "duplicate-edge" if name == "i-edge" else name
-    assert f'"kind":"{kind}"' in canonical
+    cert = assert_lockstep(_hand_built(*_q24_case(name)))
+    assert not cert.ok and cert.witness["kind"] == HAND_BUILT_KINDS[name]
+
+
+@pytest.mark.parametrize(
+    "forbidden, kind", [(False, "orbit-overlap"), (True, "difference-forbidden")]
+)
+def test_orbit_overlap_document_matches_oracle(forbidden, kind):
+    # every factor assembles; without forbidden the partition holds too,
+    # and the oracle finds F1's orbit covering {1, a2} twice
+    spec = parse_solution_dict(orbit_overlap_document(forbidden))
+    assert assert_lockstep(spec).witness["kind"] == kind
+    if not forbidden:
+        want = verify_oracle.verify_solution(spec).witness
+        assert want == {"kind": "duplicate-edge", "edge": ["1", "a2"], "count": 2}
 
 
 def test_originally_listed_quadrangle_matches_oracle():
@@ -132,13 +177,15 @@ def test_originally_listed_quadrangle_matches_oracle():
     )
     patched = list(spec.factors)
     patched[3] = FactorRecipe("F4", (("C4", orig),), "G", G.whole_subgroup())
-    assert_lockstep(G, patched, spec.expected)
+    assert not assert_lockstep(_hand_built(G, patched, spec.expected)).ok
 
 
 @pytest.mark.parametrize("sid", ["24-9-2", "48-17-6"])
 def test_wrong_stabilizer_raises_like_oracle(monkeypatch, sid):
     # a stabilizer that misses elements gives more translates than the
-    # orbit has distinct ones: both paths must refuse to report it
+    # orbit has distinct ones: the oracle, expanding them, raises, and
+    # the library rejects the first factor, as 2 * orbit length = 2 * |G|
+    # exceeds its differences
     def trivial(f):
         one = (f.group.identity,)
         return Subgroup(f.group, one, one)
@@ -146,10 +193,15 @@ def test_wrong_stabilizer_raises_like_oracle(monkeypatch, sid):
     monkeypatch.setattr(hwpreg.factors, "factor_stabilizer", trivial)
     monkeypatch.setattr(verify_oracle, "factor_stabilizer", trivial)
     spec = load_solution(sid)
-    assert assert_lockstep(spec.group, spec.factors, spec.expected) == (
-        "GroupError",
-        "factor orbit-stabilizer mismatch",
-    )
+    with pytest.raises(GroupError, match="factor orbit-stabilizer mismatch"):
+        verify_oracle.verify_solution(spec)
+    cert = verify_solution(spec)
+    F1 = spec.factors[0]
+    differences = len(frozenset().union(*(c._omega for _, c in F1.cycles)))
+    assert not cert.ok and cert.witness == {
+        "kind": "orbit-overlap", "factor": "F1", "differences": differences,
+        "orbit_length": len(spec.group),
+    }
 
 
 def _assembled(recipe, group):
@@ -164,6 +216,21 @@ def _assembled(recipe, group):
     return outcomes
 
 
+def stabilizers_checked(spec):
+    """How many of spec's factors assemble, after checking that the library
+    assembles each as the oracle does and that factor_stabilizer gives the
+    oracle's full kernel on every one that assembles."""
+    checked = 0
+    for recipe in spec.factors:
+        got, want = _assembled(recipe, spec.group)
+        assert got == want
+        if not isinstance(want, tuple):
+            assert got.subgroup is recipe.subgroup
+            assert factor_stabilizer(got) == verify_oracle.factor_stabilizer(want)
+            checked += 1
+    return checked
+
+
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
     # every factor that assembles, in the bundled documents (seed None)
@@ -172,67 +239,8 @@ def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
     docs = [raw_docs[sid] for sid in SOLUTION_IDS]
     if seed is not None:
         docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
-    checked = 0
-    for doc in docs:
-        spec = parse_solution_dict(doc)
-        for recipe in spec.factors:
-            got, want = _assembled(recipe, spec.group)
-            if isinstance(want, tuple):
-                assert got == want
-                continue
-            assert got == want and got.subgroup is recipe.subgroup
-            assert factor_stabilizer(got) == verify_oracle.factor_stabilizer(want)
-            checked += 1
+    checked = sum(stabilizers_checked(parse_solution_dict(doc)) for doc in docs)
     assert checked >= (64 if seed is None else 225)  # all 64 bundled factors
-
-
-def _pairs_checked(group, recipes):
-    """Check the counting identity behind verify_factorization on every
-    recipe that assembles: the oracle's expanded orbit covers all edges
-    {g, d*g} of one pair {d, d^-1} equally often, and as often as the
-    library counts from the factor's differences.  Returns the factors
-    checked and the pairs they use."""
-    T, inv, i = group.table, group.inv_table, group.unique_involution()
-    checked, pairs = 0, set()
-    for recipe in recipes:
-        got, want = _assembled(recipe, group)
-        if isinstance(want, tuple):
-            continue
-        orbit = verify_oracle.factor_orbit(want)
-        counts = Counter(e for f in orbit for c in f.cycles for e in cycle_edges(c))
-        per_pair: dict[int, Counter] = {}  # pair -> {times covered: edges}
-        for (u, w), k in counts.items():
-            d = T[w][inv[u]]
-            per_pair.setdefault(min(d, inv[d]), Counter())[k] += 1
-        expanded = {}
-        for d, edges in per_pair.items():
-            ((k, n),) = edges.items()
-            assert n == (len(group) // 2 if d == i else len(group))
-            expanded[d] = k
-        assert _orbit_coverage(got, factor_stabilizer(got).members) == expanded
-        checked += 1
-        pairs.update(expanded)
-    return checked, pairs
-
-
-@pytest.mark.parametrize("seed", [None, 1, 2])
-def test_pair_coverage_matches_the_expanded_orbit(raw_docs, seed):
-    rng = random.Random(seed)
-    docs = [raw_docs[sid] for sid in SOLUTION_IDS]
-    if seed is not None:
-        docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
-    checked = 0
-    for doc in docs:
-        spec = parse_solution_dict(doc)
-        checked += _pairs_checked(spec.group, spec.factors)[0]
-    assert checked >= (64 if seed is None else 225)
-
-
-def test_pair_coverage_of_i_edges_matches_the_expanded_orbit():
-    # a hand-built factor that steps through the removed 1-factor
-    G, recipes, _ = _q24_case("i-edge")
-    checked, pairs = _pairs_checked(G, recipes)
-    assert checked == 1 and G.unique_involution() in pairs
 
 
 def test_stabilizer_larger_than_the_acting_subgroup(doc_copy):

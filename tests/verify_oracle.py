@@ -7,19 +7,25 @@ stabilizer is the full difference-code kernel over every candidate, and
 every factor's orbit is expanded with `factor_orbit` into canonical
 cycles while the factors are still being assembled.  Every edge is
 counted as a (min, max) tuple, and the checksum is taken over the
-covered edges on every pass.  The lockstep tests compare the library's
-certificates against it.
+covered edges on every pass.  `verify_solution` then checks that the
+base cycles' difference sets, each taken with `FiniteGroup.mul` and
+`FiniteGroup.inv`, partition G minus the identity and the involution,
+and overrides a pass when they do not.  The lockstep tests compare the
+library's verdicts and certificates against it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from typing import Collection, Iterable, Optional, Sequence
 
 from helpers import cycle_edges
 from hwpreg.cayley import cocktail_party_graph
-from hwpreg.cycles import Cycle, CycleOrbit, _stabilizer, cycle_stabilizer, translate_cycle
+from hwpreg.cycles import (
+    Cycle, CycleOrbit, _stabilizer, cycle_stabilizer, translate_cycle, verify_partition
+)
 from hwpreg.factors import (
     Certificate,
     FactorRecipe,
@@ -29,6 +35,7 @@ from hwpreg.factors import (
     hwp_feasibility,
 )
 from hwpreg.groups import FiniteGroup, GroupError, Subgroup
+from hwpreg.solutions import SolutionSpec, omega_reports
 
 
 def _transversal(
@@ -240,3 +247,36 @@ def verify_factorization(
             witness={"kind": "infeasible", "reason": reason},
         )
     return Certificate(**{**base, "ok": True})
+
+
+def partial_differences(c: Cycle) -> frozenset[int]:
+    """Every c_{t+1} * c_t^-1 around c and its inverse."""
+    G, v = c.group, c.verts
+    steps = (G.mul(v[(t + 1) % len(v)], G.inv(v[t])) for t in range(len(v)))
+    return frozenset(x for d in steps for x in (d, G.inv(d)))
+
+
+def verify_solution(spec: SolutionSpec) -> Certificate:
+    """verify_factorization, then the partition of G minus the identity
+    and the involution by the base cycles' difference sets, which turns a
+    pass into a fail when it is broken."""
+    omegas = {cn: partial_differences(c) for cn, c in spec.cycles.items()}
+    reports = omega_reports(spec, omegas)
+    union_size, witness = verify_partition(spec.group, omegas.values())
+    cert = verify_factorization(spec.group, spec.factors, expected=spec.expected)
+    cert = replace(
+        cert,
+        solution_id=spec.id,
+        partition_ok=witness is None,
+        partition_size=union_size,
+        omega=reports,
+        notes=spec.notes,
+    )
+    if cert.ok and witness is not None:
+        cert = replace(
+            cert,
+            ok=False,
+            failure="difference sets do not partition G minus the identity and involution",
+            witness=witness,
+        )
+    return cert
