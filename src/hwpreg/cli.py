@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cycles import CycleError, cycle_orbit, omega_representatives, partial_differences
-from .factors import RecipeError, assemble_factor, canonical_json
+from .factors import RecipeError, _tile, canonical_json
 from .groups import ElementError, GroupError
 from .search import TargetFormatError, load_target_file, search_hwp
 from .solutions import (
@@ -186,7 +186,7 @@ def _dot_text(spec: SolutionSpec) -> str:
     G = spec.group
     owner: dict[int, str] = {}  # difference -> label of the first factor using it
     for recipe in spec.factors:
-        assemble_factor(G, recipe)
+        _tile(G, recipe)
         omega = set().union(*(partial_differences(c) for _, c in recipe.cycles))
         owner.update(dict.fromkeys(omega - owner.keys(), recipe.label))
     T, inv, n = G.table, G.inv_table, len(G)

@@ -4,12 +4,13 @@ A cycle is stored in canonical form: the lexicographically least among
 all rotations of both orientations, so equality means equality as a
 subgraph.  The group acts on cycles by right translation, which keeps
 the difference a * v^-1 of every edge {v, a}.  So a stabilizer is read
-off vertex sequences: x fixes a set of cycles exactly when every vertex
-v*x has the same pair of neighbour differences as v, one comparison of
-a per-vertex code tuple with its image under the precomputed column
-v -> v*x of the multiplication table.  The searcher uses this on plain
-paths.  An orbit reads each translate of a vertex tuple off the table
-rows, one per coset of the stabilizer, and canonicalises it.
+off vertex codes, each vertex's pair of neighbour differences: x fixes
+cycles exactly when every v*x has v's code, as then the neighbours of
+v*x are those of v times x.  A cycle's stabilizer tests the at most l
+x that send its first vertex to one with its code; a family's compares
+a length-v code tuple with its image under the table column v -> v*x.
+An orbit reads each translate off the table rows, one per coset of the
+stabilizer, and canonicalises it.
 The list of partial differences of a cycle C = (c_1, ..., c_l) is the
 inverse-closed set collecting c_{t+1} * c_t^-1 for every consecutive
 pair (indices mod l); when the orbit of C under the full group tiles
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import AbstractSet, Callable, Collection, Iterable, Optional, Sequence
+from typing import AbstractSet, Callable, Collection, Container, Iterable, Optional, Sequence
 
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -81,34 +82,31 @@ def translate_cycle(c: Cycle, x: int) -> Cycle:
     return Cycle(G, _canonical_rotation(tuple(G.mul(v, x) for v in c.verts)))
 
 
+def _codes(group: FiniteGroup, vs: Sequence[int]) -> dict[int, int]:
+    """Per vertex v of a cycle given in cycle order, in that order, its
+    neighbours a and b's differences {a*v^-1, b*v^-1} as min*n + max."""
+    T, inv, n, out = group.table, group.inv_table, len(group), {}
+    for a, v, b in zip((vs[-1], *vs[:-1]), vs, (*vs[1:], vs[0])):
+        da, db = T[a][inv[v]], T[b][inv[v]]
+        out[v] = da * n + db if da < db else db * n + da
+    return out
+
+
 def _vertex_codes(group: FiniteGroup, paths: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Per vertex v of cycles given in cycle order, its neighbours a and b's
-    differences {a*v^-1, b*v^-1} as min*n + max; -1 off the cycles."""
-    T, inv, n = group.table, group.inv_table, len(group)
-    code = [-1] * n
+    """The _codes of cycles given in cycle order, per vertex; -1 off them."""
+    code = dict.fromkeys(range(len(group)), -1)
     for vs in paths:
-        a, v = vs[-2], vs[-1]
-        for b in vs:
-            vi = inv[v]
-            da, db = T[a][vi], T[b][vi]
-            code[v] = da * n + db if da < db else db * n + da
-            a, v = v, b
-    return tuple(code)
+        code.update(_codes(group, vs))
+    return tuple(code.values())
 
 
 def _stabilizer(
-    group: FiniteGroup, paths: Sequence[Sequence[int]], what: str,
-    sub: Optional[Subgroup] = None,
+    group: FiniteGroup, codes: tuple[int, ...], what: str, sub: Optional[Subgroup] = None,
 ) -> set[int]:
     """Elements of G whose right translation fixes vertex-disjoint cycles,
-    each given as a vertex sequence in cycle order.
-
-    Right translation keeps a * v^-1 for every edge {v, a}, as
-    (a*x) * (v*x)^-1 = a * v^-1.  So x fixes the cycles exactly when their
-    _vertex_codes are invariant under v -> v*x: then the neighbours of
-    v*x are a*x and b*x, so x maps edges onto edges.  Such an x sends
-    min(V) to a vertex w with the same code, so the only candidates are
-    min(V)^-1 * w for those w; w = min(V) gives the identity.
+    given by their _vertex_codes: the x under which the codes are invariant
+    (v -> v*x).  Such an x sends the least vertex base on the cycles to a
+    vertex w with the same code, so the only candidates are base^-1 * w.
 
     A subgroup sub said to fix the cycles lies in the stabilizer, which
     is then a union of right cosets sub*x, as s*x fixes the cycles when x
@@ -116,7 +114,7 @@ def _stabilizer(
     generate its members and each fixes the cycles.
     """
     T, inv = group.table, group.inv_table
-    codes, base = _vertex_codes(group, paths), min(map(min, paths))
+    base = next(v for v, cv in enumerate(codes) if cv >= 0)
     known, gens = ((group.identity,), ()) if sub is None else (sub.members, sub.generators)
     found = set(known)
     c0, translations = codes[base], group.right_translations
@@ -148,21 +146,37 @@ def _transversal_getter(
     group: FiniteGroup, stabilizer: Collection[int], members: Sequence[int]
 ) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """A getter that reads row[x], for the first x in members of each right
-    coset Stab*x (Stab in members), as one tuple."""
-    xs = list(members)
+    coset Stab*x (Stab in members), as one tuple.  Stab*x is the set of
+    inverses of the left coset x^-1*Stab, one row of the table."""
+    xs = members
     if len(stabilizer) > 1:
-        T, covered, xs = group.table, set(), []
+        T, inv, left = group.table, group.inv_table, itemgetter(*stabilizer)
+        covered, xs = set(), []
         for x in members:
-            if x not in covered:
+            if inv[x] not in covered:
                 xs.append(x)
-                covered.update(T[s][x] for s in stabilizer)
+                covered.update(left(T[inv[x]]))
     return itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
 
 
+def _cycle_stabilizer(group: FiniteGroup, codes: dict, within: Container[int]) -> set[int]:
+    """The x in within whose right translation fixes a cycle, given by its
+    _codes.  As in _stabilizer, x fixes it exactly when each v*x lies on it
+    with v's code, and then its first vertex u goes to a vertex w with u's
+    code: x is one of at most l candidates u^-1 * w, w = u giving 1."""
+    T, u = group.table, next(iter(codes))
+    row, cu = T[group.inv_table[u]], codes[u]
+    return {
+        x for w, cw in codes.items() if cw == cu and (x := row[w]) in within
+        and (w == u or all(codes.get(T[v][x]) == cv for v, cv in codes.items()))
+    }
+
+
 def cycle_stabilizer(c: Cycle) -> Subgroup:
-    """Set-wise stabilizer of c under right translation (checked subgroup)."""
-    members = tuple(sorted(_stabilizer(c.group, (c.verts,), "cycle")))
-    return Subgroup(c.group, members, members)
+    """Set-wise stabilizer of c under right translation, as a Subgroup."""
+    G = c.group
+    members = tuple(sorted(_cycle_stabilizer(G, _codes(G, c.verts), range(len(G)))))
+    return Subgroup(G, members, members)
 
 
 @dataclass(frozen=True)
@@ -178,22 +192,16 @@ class CycleOrbit:
         return len(self.cycles)
 
 
-def _sub_orbit(c: Cycle, sub: Subgroup) -> tuple[list[tuple[int, ...]], Subgroup]:
-    """The sorted canonical translates of c's vertex tuple over a transversal
-    of Stab_sub(c) in sub, read off the table rows of c; and Stab_sub(c)."""
-    fixed = cycle_stabilizer(c).member_set
-    stab = tuple(x for x in sub.members if x in fixed)
+def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
+    """Distinct translates of c under sub, read off the table rows of c over
+    a transversal of Stab_sub(c) in sub, with the orbit-stabilizer check."""
+    stab = tuple(sorted(_cycle_stabilizer(c.group, _codes(c.group, c.verts), sub.member_set)))
     pick, T = _transversal_getter(c.group, stab, sub.members), c.group.table
     orbit = sorted({_canonical_rotation(t) for t in zip(*(pick(T[u]) for u in c.verts))})
     if len(orbit) * len(stab) != sub.order:
         raise GroupError(f"orbit-stabilizer mismatch: {len(orbit)} * {len(stab)} != {sub.order}")
-    return orbit, Subgroup(c.group, stab, stab)
-
-
-def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
-    """Distinct translates of c under sub, with the orbit-stabilizer check."""
-    orbit, stab = _sub_orbit(c, sub)
-    return CycleOrbit(c, sub, tuple(Cycle(c.group, t) for t in orbit), stab)
+    cycles = tuple(Cycle(c.group, t) for t in orbit)
+    return CycleOrbit(c, sub, cycles, Subgroup(c.group, stab, stab))
 
 
 def forward_differences(c: Cycle) -> list[int]:

@@ -1,17 +1,15 @@
 """Assembling 2-factors from cycle orbits and certifying factorizations.
 
 A factor recipe names base cycles and one subgroup S acting on all of
-them; each sub-orbit is read off the multiplication table rows as vertex
-tuples, and together they must tile the group, giving one 2-factor.  S
-fixes that factor, so its stabilizer is a union of right cosets S*x and
-is tested with one x per coset.  The full-group orbits of the recipe
-factors are then expected to partition the edge set of K_v minus I.
-No orbit is expanded and no edge is counted: by the difference theorem
-in verify_factorization, they do exactly when the base cycles'
-difference sets Omega partition G minus the identity and the involution
-and each factor F has |Omega(F)| = 2 * |G|/|Stab(F)|.  A pass has the
-checksum of K_v minus I's edge list, computed once per group.  The
-certificate renders as readable text and as byte-stable JSON.
+them.  Assembly is one pass over table indices: each base cycle's
+stabilizer in S comes from its own codes (see cycles.py), and its
+translates over a transversal of it in S, read off the table rows,
+write the base cycle's codes into one length-v array.  S fixes the
+factor, so the factor's stabilizer is a union of right cosets S*x,
+tested on that array with one x per coset.  No orbit is expanded and no
+edge is counted: the difference theorem in verify_factorization decides.
+A pass has the checksum of K_v minus I's edge list, computed once per
+group.  The certificate renders as readable text and as byte-stable JSON.
 """
 
 from __future__ import annotations
@@ -20,11 +18,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import (
-    Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter, verify_partition
+    Cycle, _canonical_rotation, _codes, _cycle_stabilizer, _stabilizer, _transversal_getter,
+    _vertex_codes, verify_partition,
 )
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -72,37 +72,57 @@ class TwoFactor:
         return tuple(c.verts for c in self.cycles)
 
 
-def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
-    """Read the recipe's sub-orbits off the table and check they tile the group."""
+def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[tuple[int, ...], list]:
+    """The assembly pass: each vertex's code in the factor (cycles._codes),
+    and per base cycle c the rows c_i * x over a transversal x of Stab_S(c)
+    in S: its translates, which carry c's codes as translation keeps
+    differences.  RecipeError on a vertex never written, or written twice:
+    then the one met first in c's translates, canonical and sorted."""
     if not recipe.cycles:
         raise RecipeError(f"{recipe.label}: empty recipe")
     sub = recipe.subgroup
     if sub.group is not group:
         raise RecipeError(f"{recipe.label}: subgroup bound to a different group")
-    owner: list[Optional[str]] = [None] * len(group)  # cycle name per vertex
-    cycles: list[tuple[int, ...]] = []
+    T, free = group.table, len(group)
+    code, blocks = [-1] * free, []
     for name, base in recipe.cycles:
         if base.group is not group:
             raise RecipeError(f"{recipe.label}: cycle bound to a different group")
-        orbit, _ = _sub_orbit(base, sub)
-        for u in (u for t in orbit for u in t):
-            if owner[u] is not None:
-                w = group.format(u)
-                raise RecipeError(
-                    f"{recipe.label}: vertex {w} covered twice",
-                    {"kind": "overlap", "vertex": w, "parts": [owner[u], name]},
-                )
-            owner[u] = name
-        cycles.extend(orbit)
-    if None in owner:
-        w = group.format(owner.index(None))
+        codes = _codes(group, base.verts)
+        stab = _cycle_stabilizer(group, codes, sub.member_set)
+        pick = _transversal_getter(group, stab, sub.members)
+        block = [pick(T[u]) for u in codes]
+        for row, cu in zip(block, codes.values()):
+            for w in row:
+                code[w] = cu
+        free -= len(codes) * len(block[0])
+        if code.count(-1) != free:  # an overlap: rescan, against earlier blocks
+            owner = {u: n for (n, _), b in zip(recipe.cycles, blocks) for r in b for u in r}
+            for u in chain.from_iterable(sorted(map(_canonical_rotation, zip(*block)))):
+                if u in owner:
+                    break
+                owner[u] = name
+            w = group.format(u)
+            witness = {"kind": "overlap", "vertex": w, "parts": [owner[u], name]}
+            raise RecipeError(f"{recipe.label}: vertex {w} covered twice", witness)
+        blocks.append(block)
+    if free:
+        w = group.format(code.index(-1))
         raise RecipeError(f"{recipe.label}: vertex {w} not covered", {"kind": "gap", "vertex": w})
-    return TwoFactor(group, tuple(Cycle(group, t) for t in sorted(cycles)), sub)
+    return tuple(code), blocks
+
+
+def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
+    """The assembly pass, its translates canonicalised and sorted."""
+    _, blocks = _tile(group, recipe)
+    cycles = sorted(_canonical_rotation(t) for b in blocks for t in zip(*b))
+    return TwoFactor(group, tuple(Cycle(group, t) for t in cycles), recipe.subgroup)
 
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the factor, tested per right coset of f.subgroup."""
-    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor", f.subgroup)))
+    codes = _vertex_codes(f.group, f.key())
+    members = tuple(sorted(_stabilizer(f.group, codes, "factor", f.subgroup)))
     return Subgroup(f.group, members, members)
 
 
@@ -328,10 +348,10 @@ def verify_factorization(
     |Omega(F)| = 2 * |G|/|T*| for every F, every edge of K_v - I is
     covered exactly once.
 
-    T = factor_stabilizer(F) needs no guard: it admits only elements
-    that pass the code-tuple test, which fix F, so T lies in T*.  A T
-    that is too small makes the orbit length L = v/|T| too large, and
-    2L > 2v/|T*| >= |Omega(F)| rejects; it never gives a false pass.
+    The stabilizer T, from cycles._stabilizer on the assembly pass's codes,
+    needs no guard: it admits only elements that pass the code test, which
+    fix F, so T lies in T*.  A T that is too small makes the orbit length
+    L = v/|T| too large, and 2L > 2v/|T*| >= |Omega(F)| rejects.
 
     The checks, in order: every recipe assembles; every factor is all
     triangles or all quadrangles; the base cycles' Omega partition G
@@ -364,18 +384,12 @@ def verify_factorization(
     reports: list[FactorReport] = []
     try:
         for recipe in recipes:
-            f = assemble_factor(group, recipe)
-            order = factor_stabilizer(f).order
-            reports.append(
-                FactorReport(
-                    recipe.label,
-                    tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles),
-                    f.cycle_length,
-                    len(f.cycles),
-                    order,
-                    v // order,
-                )
-            )
+            codes, blocks = _tile(group, recipe)
+            order = len(_stabilizer(group, codes, "factor", recipe.subgroup))
+            parts = tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles)
+            length = len(blocks[0]) if all(len(b) == len(blocks[0]) for b in blocks) else None
+            count = sum(len(b[0]) for b in blocks)
+            reports.append(FactorReport(recipe.label, parts, length, count, order, v // order))
     except RecipeError as err:
         base["factors"] = tuple(reports)
         return Certificate(**base, failure=str(err), witness=err.witness or None)

@@ -3,35 +3,36 @@
 A search target prescribes the shape of a solution as a signature: one
 entry per factor orbit, giving the cycle length (3 or 4), the orbit
 length under the full group, and the acting subgroup, which must be the
-factor's full stabilizer.  The searcher restricts itself to solutions in
-which the base cycles have pairwise disjoint difference sets; every
-bundled solution is of this kind, and under that restriction a base
-cycle c of length l is viable exactly when its full-group orbit tiles
-the Cayley graph of its own differences, which reduces to the arithmetic
-test 2 * l == |Omega(c)| * |Stab_G(c)|.
+factor's full stabilizer T.  A factor F is grown as sub-orbits c*T of
+base cycles c with pairwise disjoint difference sets Omega, each passing
+the tiling test 2 * l == |Omega(c)| * |Stab_G(c)|.  Every G-regular
+solution has such base cycles, so ``exhausted`` means that no G-regular
+solution has the signature and its stabilizers.  The edges {g, d*g} of
+a pair P = {d, d^-1} (d != 1, i) form one orbit under right
+translation, in which only 1 fixes an edge.  So if an edge e on c has
+pair P, e*y lies in F exactly when F*y = F, as each edge lies in one
+factor: F's edges of P are e*T, all on c*T.  Of them, e*y lies on c
+exactly when c*y = c, as F's cycles are disjoint, so each pair of c
+has |Stab_G(c)| edges on c and l = |Stab_G(c)| * |Omega(c)|/2.  A base
+cycle of another sub-orbit of F, or of another factor orbit (e*y lies
+in F*y), thus has no difference of c.
 
 Both stabilizer questions are answered without computing a stabilizer
-in the common case.  Right translation keeps the difference pair
-{a * v^-1, v * a^-1} of every edge {v, a}.
+in the common case.
 
-* A closed cycle whose Omega has 2l bits has l edges with l distinct
-  two-element pairs.  An x that fixes c maps each edge to an edge with
-  the same pair, so to itself.  If x keeps both ends of an edge, x = 1.
-  If it swaps them, v*x = a and a*x = v, so x*x = 1 and x is the unique
-  involution i, which is central; then a * v^-1 = v * i * v^-1 = i, and
-  the pair {i} has one bit, which a 2l-bit Omega cannot contain.  So
-  Stab_G(c) = {1}.  The tiling test therefore reads the stabilizer order
-  as 2l / |Omega|, rejects c when |Omega| does not divide 2l, and runs
-  the stabilizer kernel only when that order is above 1.
+* A closed cycle c whose Omega has 2l bits has l edges of l distinct
+  two-element pairs.  An x that fixes c keeps each edge's pair, so it
+  fixes each edge, and only 1 does (above): Stab_G(c) = {1}.  The
+  tiling test therefore reads the stabilizer order as 2l / |Omega|,
+  rejects c when |Omega| does not divide 2l, and computes the stabilizer
+  only when that order is above 1.
 * A complete cover F = acc * S, for the base paths acc of an entry with
-  subgroup S and orbit length L = |G|/|S|, is a 2-factor, so it has |G|
-  edges.  Once its Omega has 2L bits, it has L two-element pairs (the
-  involution is never a difference), and the G-orbit of F holds every
-  edge of Cay[G : Omega(F)], |G| * L of them, since x = v'^-1 * v maps an
-  edge {v', a'} of F to the edge at v with the same difference.  That
-  orbit has |G|/|Stab_G(F)| factors of |G| edges, so |Stab_G(F)| <= |S|,
-  and as S fixes F, Stab_G(F) = S.  A complete cover thus needs no
-  stabilizer test at all.
+  subgroup S and orbit length L = |G|/|S|, whose Omega has 2L bits,
+  has Stab_G(F) = S: its G-orbit holds each of the |G| * L edges of
+  Cay[G : Omega(F)], as x = v'^-1 * v maps an edge {v', a'} of F to the
+  edge at v with the same difference, in |G|/|Stab_G(F)| factors of |G|
+  edges, so |Stab_G(F)| <= |S|, and S fixes F.  A complete cover thus
+  needs no stabilizer test at all.
 
 The search is depth-first and deterministic: each factor is grown one
 sub-orbit at a time, the base cycle of a sub-orbit starts at the least
@@ -76,7 +77,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
-from .cycles import Cycle, _stabilizer, cycle
+from .cycles import Cycle, _codes, _cycle_stabilizer, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
@@ -407,7 +408,7 @@ class _Searcher:
             if stab_order == 1:
                 in_sub = 1
             else:
-                stab = _stabilizer(self.group, (path + [w],), "cycle")
+                stab = _cycle_stabilizer(self.group, _codes(self.group, path + [w]), range(self.n))
                 if len(stab) != stab_order:
                     continue
                 in_sub = len(stab & members)
@@ -490,8 +491,9 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     """Run the backtracking search for a target signature.
 
     The verdict is ``found`` with a re-verified solution document,
-    ``exhausted`` when the restricted search space holds no solution
-    (with a reason when the signature is arithmetically impossible), or
+    ``exhausted`` when no G-regular solution has the signature and its
+    stabilizers (see the module docstring; with a reason when the
+    signature is arithmetically impossible), or
     ``budget-exceeded`` when the node budget ran out first.
     """
     stats = SearchStats()

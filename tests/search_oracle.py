@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import AbstractSet
 
-from hwpreg.cycles import _stabilizer
+from hwpreg.cycles import _stabilizer, _vertex_codes
 from hwpreg.groups import GroupError
 from hwpreg.search import _Searcher
 
@@ -51,7 +51,7 @@ class SlowSearcher(_Searcher):
         kernel's answer."""
         if osize == 2 * len(path):
             return self.trivial
-        return _stabilizer(self.group, (path,), "cycle")
+        return _stabilizer(self.group, _vertex_codes(self.group, (path,)), "cycle")
 
     def cycle_action(
         self, idx: int, path: list, stab: AbstractSet[int]

@@ -11,7 +11,7 @@ import pytest
 import action_oracle as oracle
 from helpers import element_order, power
 from search_oracle import SlowSearcher
-from hwpreg.cycles import _stabilizer, cycle, cycle_orbit, cycle_stabilizer
+from hwpreg.cycles import _stabilizer, _vertex_codes, cycle, cycle_orbit, cycle_stabilizer
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.search import SearchStats, SearchTarget, SignatureEntry
@@ -19,7 +19,7 @@ from hwpreg.solutions import SOLUTION_IDS, load_solution, resolve_subgroup
 
 
 def assert_kernel_agrees(G, paths, what="family"):
-    got = _stabilizer(G, paths, what)
+    got = _stabilizer(G, _vertex_codes(G, paths), what)
     assert got == oracle.neighbour_map_stabilizer(G, paths, what), paths
     return got
 

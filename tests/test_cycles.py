@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from helpers import cycle_from_texts, verify_orbit_decomposition
+from helpers import cycle_from_texts, element_order, power, verify_orbit_decomposition
 from hwpreg.cycles import (
     CycleError,
+    _codes,
+    _cycle_stabilizer,
     cycle,
     cycle_orbit,
     cycle_stabilizer,
@@ -129,6 +131,47 @@ def test_orbit_stabilizer_on_random_cycles(gid):
         orb = cycle_orbit(c, sub)
         assert len(orb) * orb.stabilizer.order == sub.order
         assert orb.stabilizer.member_set <= sub.member_set
+
+
+def _symmetric_path(G, rng, length):
+    """A vertex path whose cycle some x != 1 fixes, or None: m = l/k random
+    vertices p_j and an x of order k, either rotated (p, p*x, p*x^2, ...)
+    or, for the involution, reflected (p, reversed p*i)."""
+    orders = [k for k in (2, 3, 4, 6) if length % k == 0]
+    if not orders:
+        return None
+    k = rng.choice(orders)
+    x = rng.choice([x for x in range(len(G)) if element_order(G, x) == k])
+    ps = rng.sample(range(len(G)), length // k)
+    if k == 2 and rng.random() < 0.5:
+        path = ps + [G.mul(p, x) for p in reversed(ps)]
+    else:
+        path = [G.mul(p, power(G, x, e)) for e in range(k) for p in ps]
+    return path if len(set(path)) == length else None
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_cycle_stabilizer_matches_brute_force(gid):
+    # the at most l candidates vs[0]^-1 * w, w on the cycle, against every
+    # x in G, on random cycles and on cycles built with a symmetry; also for
+    # paths not in canonical order (the searcher's) and inside a subgroup
+    G = build_group(gid)
+    n = len(G)
+    rng = random.Random(17)
+    seen = set()
+    for trial in range(400):
+        length = rng.choice((3, 4, 5, 6))
+        path = rng.sample(range(n), length) if trial % 2 else _symmetric_path(G, rng, length)
+        if path is None:
+            continue
+        c = cycle(G, path)
+        brute = {x for x in range(n) if translate_cycle(c, x) == c}
+        assert cycle_stabilizer(c).member_set == brute, c
+        assert _cycle_stabilizer(G, _codes(G, path), range(n)) == brute
+        sub = G.subgroup_closure([rng.randrange(n)]).member_set
+        assert _cycle_stabilizer(G, _codes(G, path), sub) == brute & sub
+        seen.add(len(brute))
+    assert seen >= {1, 2, 3}
 
 
 def test_partial_differences_translation_invariant_on_bundled_cycles():

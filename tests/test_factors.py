@@ -70,10 +70,12 @@ def test_assemble_overlap_witness():
 
 def test_verify_reads_orbits_off_the_table(monkeypatch):
     # assembly reads each sub-orbit off the table rows: no cycle_orbit,
-    # translate_cycle or FiniteGroup.mul call, and the whole verify of
-    # 48-17-6 builds no orbit of Cycle objects and translates no Cycle;
-    # every module that imported a function by name gets the counting
-    # version, as perfbench/spans.py does
+    # translate_cycle or FiniteGroup.mul call; and the whole verify of
+    # 48-17-6, after parsing, canonicalises no translate (the parent of the
+    # one-pass assembly made 148 _canonical_rotation calls here), builds no
+    # orbit of Cycle objects and translates no Cycle; every module that
+    # imported a function by name gets the counting version, as
+    # perfbench/spans.py does
     spec = load_solution("48-17-6")
     calls = Counter()
 
@@ -84,17 +86,19 @@ def test_verify_reads_orbits_off_the_table(monkeypatch):
 
         return wrapper
 
-    for name in ("cycle_orbit", "translate_cycle"):
+    for name in ("cycle_orbit", "translate_cycle", "_canonical_rotation"):
         orig = getattr(hwpreg.cycles, name)
         for module in (hwpreg, hwpreg.cli, hwpreg.cycles, hwpreg.factors, hwpreg.solutions):
             if getattr(module, name, None) is orig:
                 monkeypatch.setattr(module, name, counting(name, orig))
     monkeypatch.setattr(FiniteGroup, "mul", counting("mul", FiniteGroup.mul))
-    for recipe in spec.factors:
-        assemble_factor(spec.group, recipe)
-    assert calls == Counter()
+    factors = [assemble_factor(spec.group, recipe) for recipe in spec.factors]
+    assert calls["mul"] == calls["translate_cycle"] == calls["cycle_orbit"] == 0
+    # the public assembly canonicalises each translate once, for its TwoFactor
+    assert calls["_canonical_rotation"] == sum(len(f.cycles) for f in factors)
+    calls.clear()
     assert verify_solution(spec).ok
-    assert calls["translate_cycle"] == calls["cycle_orbit"] == 0
+    assert calls["_canonical_rotation"] == calls["translate_cycle"] == calls["cycle_orbit"] == 0
 
 
 def test_factor_stabilizer_and_orbit():

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import element_order, power, quat_conj, quat_norm2_times4
 from hwpreg import cli, groups
-from hwpreg.cycles import cycle, cycle_stabilizer
+from hwpreg.cycles import _stabilizer, _vertex_codes, cycle, cycle_stabilizer
 from hwpreg.groups import (
     GROUP_IDS,
     ElementError,
@@ -61,11 +61,15 @@ def test_build_group_is_cached():
 
 def test_right_translations_are_built_on_first_use():
     # building a group (and so importing hwpreg) does no work for the
-    # stabilizer kernel's table
+    # stabilizer kernel's table, and a single cycle's stabilizer, read off
+    # its own vertices, needs none
     G = _fresh_q24()
     assert "right_translations" not in vars(G)
     a = G.parse("a4")  # order 3, so (1, a4, a8) is fixed by <a4>
-    assert cycle_stabilizer(cycle(G, [G.identity, a, G.mul(a, a)])).order == 3
+    c = cycle(G, [G.identity, a, G.mul(a, a)])
+    assert cycle_stabilizer(c).order == 3
+    assert "right_translations" not in vars(G)
+    assert len(_stabilizer(G, _vertex_codes(G, [c.verts]), "cycle")) == 3
     assert "right_translations" in vars(G)
     n = len(G)
     for x in range(n):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from hwpreg.cycles import _stabilizer
+from hwpreg.cycles import _stabilizer, _vertex_codes
 from hwpreg.factors import canonical_json
 from hwpreg.groups import build_group
 from hwpreg.search import (
@@ -261,7 +261,8 @@ def test_complete_covers_are_fixed_by_their_subgroup_alone(monkeypatch, sid, bud
             acc, _ = picked[-1]
             T, sub = self.table, self.subs[idx - 1]
             cycles = [[T[v][x] for v in p] for p in acc for x in sub.members]
-            assert _stabilizer(self.group, cycles, "factor") == sub.member_set
+            codes = _vertex_codes(self.group, cycles)
+            assert _stabilizer(self.group, codes, "factor") == sub.member_set
             checked.append(idx)
         entry_start(self, idx, used, picked)
 

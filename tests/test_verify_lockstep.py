@@ -25,10 +25,12 @@ import hwpreg.factors
 import verify_oracle
 from helpers import cycle_from_texts, orbit_overlap_document
 from hwpreg import SOLUTION_IDS
+from hwpreg.cycles import _vertex_codes
 from hwpreg.factors import (
     FactorRecipe,
     RecipeError,
     TwoFactor,
+    _tile,
     assemble_factor,
     factor_stabilizer,
     verify_factorization,
@@ -185,12 +187,15 @@ def test_wrong_stabilizer_raises_like_oracle(monkeypatch, sid):
     # a stabilizer that misses elements gives more translates than the
     # orbit has distinct ones: the oracle, expanding them, raises, and
     # the library rejects the first factor, as 2 * orbit length = 2 * |G|
-    # exceeds its differences
+    # exceeds its differences; verify calls the kernel, not factor_stabilizer
     def trivial(f):
         one = (f.group.identity,)
         return Subgroup(f.group, one, one)
 
-    monkeypatch.setattr(hwpreg.factors, "factor_stabilizer", trivial)
+    def trivial_kernel(group, codes, what, sub=None):
+        return {group.identity}
+
+    monkeypatch.setattr(hwpreg.factors, "_stabilizer", trivial_kernel)
     monkeypatch.setattr(verify_oracle, "factor_stabilizer", trivial)
     spec = load_solution(sid)
     with pytest.raises(GroupError, match="factor orbit-stabilizer mismatch"):
@@ -241,6 +246,30 @@ def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
         docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
     checked = sum(stabilizers_checked(parse_solution_dict(doc)) for doc in docs)
     assert checked >= (64 if seed is None else 225)  # all 64 bundled factors
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_assembly_pass_matches_the_oracle(raw_docs, seed):
+    # on every factor that assembles, in the bundled documents (seed None)
+    # and in a seeded corruption of every base-cycle vertex, the pass's
+    # code array is the _vertex_codes of the oracle's canonical cycles and
+    # its blocks hold as many translates as the oracle has cycles
+    rng = random.Random(seed)
+    docs = [raw_docs[sid] for sid in SOLUTION_IDS]
+    if seed is not None:
+        docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
+    checked = 0
+    for spec in map(parse_solution_dict, docs):
+        for recipe in spec.factors:
+            try:
+                want = verify_oracle.assemble_factor(spec.group, recipe)
+            except (RecipeError, GroupError):
+                continue
+            codes, blocks = _tile(spec.group, recipe)
+            assert codes == _vertex_codes(spec.group, want.key())
+            assert sum(len(b[0]) for b in blocks) == len(want.cycles)
+            checked += 1
+    assert checked >= (64 if seed is None else 225)
 
 
 def test_stabilizer_larger_than_the_acting_subgroup(doc_copy):

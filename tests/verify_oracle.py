@@ -24,7 +24,13 @@ from typing import Collection, Iterable, Optional, Sequence
 from helpers import cycle_edges
 from hwpreg.cayley import cocktail_party_graph
 from hwpreg.cycles import (
-    Cycle, CycleOrbit, _stabilizer, cycle_stabilizer, translate_cycle, verify_partition
+    Cycle,
+    CycleOrbit,
+    _stabilizer,
+    _vertex_codes,
+    cycle_stabilizer,
+    translate_cycle,
+    verify_partition,
 )
 from hwpreg.factors import (
     Certificate,
@@ -107,7 +113,7 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the whole factor under right translation."""
-    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor")))
+    members = tuple(sorted(_stabilizer(f.group, _vertex_codes(f.group, f.key()), "factor")))
     return Subgroup(f.group, members, members)
 
 
