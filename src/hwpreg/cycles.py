@@ -110,8 +110,9 @@ def _stabilizer(
 
     A subgroup sub said to fix the cycles lies in the stabilizer, which
     is then a union of right cosets sub*x, as s*x fixes the cycles when x
-    does: one x per coset is tested.  GroupError unless sub's generators
-    generate its members and each fixes the cycles.
+    does: one x per coset is tested.  sub is the closure of its
+    generators, so it fixes the cycles when each generator does;
+    GroupError when one does not.
     """
     T, inv = group.table, group.inv_table
     base = next(v for v, cv in enumerate(codes) if cv >= 0)
@@ -119,8 +120,6 @@ def _stabilizer(
     found = set(known)
     c0, translations = codes[base], group.right_translations
     candidates = codes.count(c0)
-    if sub is not None and not sub.generated:
-        raise GroupError(f"{what}: acting subgroup is not generated by its generators")
     for g in gens:
         if translations[g](codes) != codes:
             raise GroupError(f"{what} is not fixed by its acting subgroup")
@@ -172,11 +171,21 @@ def _cycle_stabilizer(group: FiniteGroup, codes: dict, within: Container[int]) -
     }
 
 
+def _sub_orbit(group: FiniteGroup, verts: Sequence[int], sub: Subgroup) -> tuple[dict, set, list]:
+    """One base cycle's step of a group action: its _codes, its stabilizer
+    in sub, and per vertex u, in cycle order, the row u*x over a
+    transversal x of that stabilizer in sub.  Read column by column, the
+    rows are the cycle's distinct translates under sub."""
+    codes = _codes(group, verts)
+    stab = _cycle_stabilizer(group, codes, sub.member_set)
+    pick, T = _transversal_getter(group, stab, sub.members), group.table
+    return codes, stab, [pick(T[u]) for u in codes]
+
+
 def cycle_stabilizer(c: Cycle) -> Subgroup:
     """Set-wise stabilizer of c under right translation, as a Subgroup."""
     G = c.group
-    members = tuple(sorted(_cycle_stabilizer(G, _codes(G, c.verts), range(len(G)))))
-    return Subgroup(G, members, members)
+    return Subgroup(G, tuple(sorted(_cycle_stabilizer(G, _codes(G, c.verts), range(len(G))))))
 
 
 @dataclass(frozen=True)
@@ -193,15 +202,14 @@ class CycleOrbit:
 
 
 def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
-    """Distinct translates of c under sub, read off the table rows of c over
-    a transversal of Stab_sub(c) in sub, with the orbit-stabilizer check."""
-    stab = tuple(sorted(_cycle_stabilizer(c.group, _codes(c.group, c.verts), sub.member_set)))
-    pick, T = _transversal_getter(c.group, stab, sub.members), c.group.table
-    orbit = sorted({_canonical_rotation(t) for t in zip(*(pick(T[u]) for u in c.verts))})
+    """Distinct translates of c under sub, read off the rows of _sub_orbit,
+    with the orbit-stabilizer check."""
+    _, stab, rows = _sub_orbit(c.group, c.verts, sub)
+    orbit = sorted({_canonical_rotation(t) for t in zip(*rows)})
     if len(orbit) * len(stab) != sub.order:
         raise GroupError(f"orbit-stabilizer mismatch: {len(orbit)} * {len(stab)} != {sub.order}")
     cycles = tuple(Cycle(c.group, t) for t in orbit)
-    return CycleOrbit(c, sub, cycles, Subgroup(c.group, stab, stab))
+    return CycleOrbit(c, sub, cycles, Subgroup(c.group, tuple(sorted(stab))))
 
 
 def forward_differences(c: Cycle) -> list[int]:

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import (
-    Cycle, _canonical_rotation, _codes, _cycle_stabilizer, _stabilizer, _transversal_getter,
-    _vertex_codes, verify_partition,
+    Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter, _vertex_codes,
+    verify_partition,
 )
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -74,8 +74,8 @@ class TwoFactor:
 
 def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[tuple[int, ...], list]:
     """The assembly pass: each vertex's code in the factor (cycles._codes),
-    and per base cycle c the rows c_i * x over a transversal x of Stab_S(c)
-    in S: its translates, which carry c's codes as translation keeps
+    and per base cycle c its translates under S, the rows of
+    cycles._sub_orbit, which carry c's codes as translation keeps
     differences.  RecipeError on a vertex never written, or written twice:
     then the one met first in c's translates, canonical and sorted."""
     if not recipe.cycles:
@@ -83,15 +83,11 @@ def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[tuple[int, ...], li
     sub = recipe.subgroup
     if sub.group is not group:
         raise RecipeError(f"{recipe.label}: subgroup bound to a different group")
-    T, free = group.table, len(group)
-    code, blocks = [-1] * free, []
+    code, blocks, free = [-1] * len(group), [], len(group)
     for name, base in recipe.cycles:
         if base.group is not group:
             raise RecipeError(f"{recipe.label}: cycle bound to a different group")
-        codes = _codes(group, base.verts)
-        stab = _cycle_stabilizer(group, codes, sub.member_set)
-        pick = _transversal_getter(group, stab, sub.members)
-        block = [pick(T[u]) for u in codes]
+        codes, _, block = _sub_orbit(group, base.verts, sub)
         for row, cu in zip(block, codes.values()):
             for w in row:
                 code[w] = cu
@@ -122,8 +118,7 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the factor, tested per right coset of f.subgroup."""
     codes = _vertex_codes(f.group, f.key())
-    members = tuple(sorted(_stabilizer(f.group, codes, "factor", f.subgroup)))
-    return Subgroup(f.group, members, members)
+    return Subgroup(f.group, tuple(sorted(_stabilizer(f.group, codes, "factor", f.subgroup))))
 
 
 def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
@@ -167,20 +162,39 @@ class FactorReport:
     orbit_length: int
 
 
+def _without(texts: tuple[str, ...], other: tuple[str, ...]) -> tuple[str, ...]:
+    drop = set(other)
+    return tuple(t for t in texts if t not in drop)
+
+
 @dataclass(frozen=True)
 class OmegaReport:
-    """Recomputed differences of one base cycle against an annotated listing."""
+    """Recomputed differences of one base cycle beside its annotated
+    listing (None: not annotated), both as texts in element order."""
 
     cycle_name: str
     recomputed: tuple[str, ...]
     printed: Optional[tuple[str, ...]]
-    match: Optional[bool]
-    only_recomputed: tuple[str, ...] = ()
-    only_printed: tuple[str, ...] = ()
+
+    @property
+    def match(self) -> Optional[bool]:
+        return None if self.printed is None else self.recomputed == self.printed
+
+    @property
+    def only_recomputed(self) -> tuple[str, ...]:
+        return () if self.printed is None else _without(self.recomputed, self.printed)
+
+    @property
+    def only_printed(self) -> tuple[str, ...]:
+        return () if self.printed is None else _without(self.printed, self.recomputed)
 
 
 @dataclass(frozen=True)
 class Certificate:
+    """A verdict and what it rests on.  Edge coverage follows from ok and
+    v: a pass covers each of K_v minus I's v(v-2)/2 edges once, and has
+    their checksum edges_sha256; a reject counts no edge."""
+
     group_id: str
     v: int
     ok: bool
@@ -188,10 +202,6 @@ class Certificate:
     s: Optional[int]
     expected: Optional[tuple[int, int, int]]
     factors: tuple[FactorReport, ...]
-    edges_expected: int
-    edges_covered_once: int
-    duplicate_edges: int
-    missing_edges: int
     edges_sha256: Optional[str]
     failure: Optional[str] = None
     witness: Optional[dict] = None
@@ -201,7 +211,12 @@ class Certificate:
     omega: tuple[OmegaReport, ...] = ()
     notes: tuple[str, ...] = ()
 
+    def _edges(self) -> tuple[int, int]:  # (covered once, edges of K_v - I)
+        total = self.v * (self.v - 2) // 2
+        return (total if self.ok else 0), total
+
     def to_dict(self) -> dict:
+        covered, total = self._edges()
         return {
             "format": CERTIFICATE_FORMAT,
             "solution": self.solution_id,
@@ -210,17 +225,11 @@ class Certificate:
             "verdict": "pass" if self.ok else "fail",
             "r": self.r,
             "s": self.s,
-            "expected": (
-                None
-                if self.expected is None
-                else {"v": self.expected[0], "r": self.expected[1], "s": self.expected[2]}
-            ),
+            "expected": None if self.expected is None else dict(zip("vrs", self.expected)),
             "factors": [
                 {
                     "label": fr.label,
-                    "parts": [
-                        {"cycle": cn, "subgroup": sn} for cn, sn in fr.parts
-                    ],
+                    "parts": [{"cycle": cn, "subgroup": sn} for cn, sn in fr.parts],
                     "cycle_length": fr.cycle_length,
                     "cycles_in_factor": fr.cycles_in_factor,
                     "stabilizer_order": fr.stabilizer_order,
@@ -229,10 +238,10 @@ class Certificate:
                 for fr in self.factors
             ],
             "edge_coverage": {
-                "expected": self.edges_expected,
-                "covered_once": self.edges_covered_once,
-                "duplicates": self.duplicate_edges,
-                "missing": self.missing_edges,
+                "expected": total,
+                "covered_once": covered,
+                "duplicates": 0,
+                "missing": 0,
                 "sha256": self.edges_sha256,
             },
             "difference_partition": {
@@ -271,7 +280,8 @@ class Certificate:
         if self.expected is not None:
             ev, er, es = self.expected
             lines.append(f"  expected: v={ev}, r={er}, s={es}")
-        lines.append(f"  edges: {self.edges_covered_once}/{self.edges_expected} covered once")
+        covered, total = self._edges()
+        lines.append(f"  edges: {covered}/{total} covered once")
         if self.partition_ok is not None:
             lines.append(
                 f"  difference partition: "
@@ -290,16 +300,10 @@ class Certificate:
             if mismatches:
                 lines.append(f"  annotated differences: {len(mismatches)} mismatch(es)")
                 for om in mismatches:
-                    if om.only_recomputed:
-                        lines.append(
-                            f"    {om.cycle_name} recomputed-only: "
-                            + ", ".join(om.only_recomputed)
-                        )
-                    if om.only_printed:
-                        lines.append(
-                            f"    {om.cycle_name} annotated-only: "
-                            + ", ".join(om.only_printed)
-                        )
+                    for side, texts in (("recomputed", om.only_recomputed),
+                                        ("annotated", om.only_printed)):
+                        if texts:
+                            lines.append(f"    {om.cycle_name} {side}-only: " + ", ".join(texts))
             else:
                 checked = sum(1 for om in self.omega if om.match is not None)
                 if checked:
@@ -357,28 +361,17 @@ def verify_factorization(
     triangles or all quadrangles; the base cycles' Omega partition G
     minus {1, i} (partition_ok and partition_size on every certificate);
     the first factor with |Omega(F)| != 2L is an orbit-overlap; then the
-    computed (v, r, s) against expected, then feasibility.  The edge
-    fields read v(v-2)/2 covered once and the checksum only on a pass.
+    computed (v, r, s) against expected, then feasibility.  Only a pass
+    carries the checksum; the certificate renders v(v-2)/2 edges covered
+    once on a pass and none on a reject.
     """
     v = len(group)
     # a cycle bound to another group fails assembly; its Omega means nothing here
     cycles = [c for recipe in recipes for _, c in recipe.cycles if c.group is group]
     partition_size, partition_witness = verify_partition(group, (c._omega for c in cycles))
     base = dict(
-        group_id=group.id,
-        v=v,
-        ok=False,
-        r=None,
-        s=None,
-        expected=expected,
-        factors=(),
-        edges_expected=v * (v - 2) // 2,
-        edges_covered_once=0,
-        duplicate_edges=0,
-        missing_edges=0,
-        edges_sha256=None,
-        partition_ok=partition_witness is None,
-        partition_size=partition_size,
+        group_id=group.id, v=v, ok=False, r=None, s=None, expected=expected, factors=(),
+        edges_sha256=None, partition_ok=partition_witness is None, partition_size=partition_size,
     )
 
     reports: list[FactorReport] = []
@@ -424,5 +417,5 @@ def verify_factorization(
     feasible, reason = hwp_feasibility(v, r, s)
     if not feasible:
         return fail(f"infeasible parameters: {reason}", {"kind": "infeasible", "reason": reason})
-    base.update(ok=True, edges_covered_once=v * (v - 2) // 2, edges_sha256=_target_digest(group))
+    base.update(ok=True, edges_sha256=_target_digest(group))
     return Certificate(**base)

@@ -11,10 +11,10 @@ Supported groups, by id:
 Each group is one row of data: its order, two generators, and its
 multiplication, parser and formatter.  ``build_group`` generates the
 elements once, as the closure of the generators under multiplication
-(the same closure ``subgroup_closure`` runs on the table's rows), and
-sorts them into a fixed canonical order.  The full multiplication table
-and ASCII element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are
-built once, at construction; the table's columns, as right translations,
+(the closure that makes a ``Subgroup``'s members of its generators, on
+the table's rows), and sorts them into a fixed canonical order.  The
+full multiplication table and ASCII element texts (``1/r2``; ``parse``
+also accepts ``1/√2``) are built once, at construction; the table's columns, as right translations,
 the searcher's difference rows, and the map from canonical texts back to
 indices, which ``parse`` tries before the group's parser, are built on
 first use.  Every later operation works on element indices.  Quaternion
@@ -248,21 +248,20 @@ def _closure(start: Iterable, gens: Sequence, rows: Callable) -> set:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A verified subgroup: its sorted element indices and elements generating it."""
+    """A subgroup, given by its generators (element indices): its members,
+    sorted, are their closure, built on first use."""
 
     group: "FiniteGroup"
-    members: tuple[int, ...]
     generators: tuple[int, ...]
 
     @cached_property
     def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+        G = self.group
+        return frozenset(_closure((G.identity,), self.generators, G.table.__getitem__))
 
     @cached_property
-    def generated(self) -> bool:
-        """Whether the generators generate exactly the members."""
-        G = self.group
-        return _closure((G.identity,), self.generators, G.table.__getitem__) == self.member_set
+    def members(self) -> tuple[int, ...]:
+        return tuple(sorted(self.member_set))
 
     @property
     def order(self) -> int:
@@ -371,20 +370,19 @@ class FiniteGroup:
     # -- subgroups ---------------------------------------------------------
 
     def subgroup_closure(self, generators: Iterable[int]) -> Subgroup:
-        """Smallest subgroup containing the generators, with a Lagrange check."""
-        gens = tuple(dict.fromkeys(generators))
-        for g in gens:
+        """The Subgroup of the distinct generators, in their first order,
+        after a range, an inverse-closure and a Lagrange check."""
+        sub = Subgroup(self, tuple(dict.fromkeys(generators)))
+        for g in sub.generators:
             if not 0 <= g < len(self):
                 raise GroupError(f"{self.id}: generator index {g} out of range")
-        members = _closure((self.identity,), gens, self.table.__getitem__)
+        members = sub.member_set
         for x in members:
             if self.inv_table[x] not in members:
                 raise GroupError(f"{self.id}: closure not inverse-closed at {x}")
         if len(self) % len(members) != 0:
-            raise GroupError(
-                f"{self.id}: subgroup order {len(members)} violates Lagrange"
-            )
-        return Subgroup(self, tuple(sorted(members)), gens)
+            raise GroupError(f"{self.id}: subgroup order {len(members)} violates Lagrange")
+        return sub
 
     @cached_property
     def right_translations(self) -> tuple[itemgetter, ...]:
@@ -410,13 +408,13 @@ class FiniteGroup:
 
     @cached_property
     def _whole(self) -> Subgroup:
-        # generated by each element that the earlier generators do not reach
+        # its generators: each element that the earlier ones do not reach
         gens, reached = [], {self.identity}
         for x in range(len(self)):
             if x not in reached:
                 gens.append(x)
                 reached = _closure(reached, gens, self.table.__getitem__)
-        return Subgroup(self, tuple(range(len(self))), tuple(gens))
+        return Subgroup(self, tuple(gens))
 
     def whole_subgroup(self) -> Subgroup:
         return self._whole

@@ -316,27 +316,17 @@ def _closure_texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, 
 
 
 def omega_reports(spec: SolutionSpec, omegas: Mapping) -> tuple[OmegaReport, ...]:
-    """Diff the recomputed difference sets omegas, by cycle name, against
-    the annotated listings."""
-    G = spec.group
-    reports = []
-    for cn in spec.cycles:
-        recomputed = omegas[cn]
-        printed = spec.printed_omega.get(cn)
-        if printed is None:
-            reports.append(OmegaReport(cn, _closure_texts(G, recomputed), None, None))
-            continue
-        reports.append(
-            OmegaReport(
-                cn,
-                _closure_texts(G, recomputed),
-                _closure_texts(G, printed),
-                printed == recomputed,
-                _closure_texts(G, recomputed - printed),
-                _closure_texts(G, printed - recomputed),
-            )
+    """The recomputed difference sets omegas, by cycle name, beside the
+    annotated listings."""
+    G, printed = spec.group, spec.printed_omega
+    return tuple(
+        OmegaReport(
+            cn,
+            _closure_texts(G, omegas[cn]),
+            _closure_texts(G, printed[cn]) if cn in printed else None,
         )
-    return tuple(reports)
+        for cn in spec.cycles
+    )
 
 
 def verify_solution(spec: SolutionSpec) -> Certificate:

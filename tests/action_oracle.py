@@ -69,7 +69,7 @@ def _checked_subgroup(G, members: tuple[int, ...], what: str) -> Subgroup:
         for b in members:
             if G.mul(a, b) not in mset:
                 raise GroupError(f"{what} stabilizer is not closed")
-    return Subgroup(G, members, members)
+    return Subgroup(G, members)
 
 
 def cycle_stabilizer(c: Cycle) -> Subgroup:
@@ -83,7 +83,7 @@ def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
     for x in sub.members:
         seen.setdefault(translate_cycle(c, x), None)
     stab_members = tuple(x for x in sub.members if translate_cycle(c, x) == c)
-    stab = Subgroup(c.group, stab_members, stab_members)
+    stab = Subgroup(c.group, stab_members)
     orbit = tuple(sorted(seen, key=lambda cc: cc.verts))
     if len(orbit) * stab.order != sub.order:
         raise GroupError(

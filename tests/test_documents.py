@@ -176,6 +176,16 @@ def test_public_surface_is_pinned():
     assert all(hasattr(hwpreg, name) for name in PUBLIC_NAMES)
 
 
+def test_readme_verify_example_is_the_start_of_its_output(capsys):
+    # the human certificate README shows, down to its "..." line
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("```\nsolution 24-9-2: PASS\n", 1)[1].split("```", 1)[0]
+    example = ["solution 24-9-2: PASS", *block.split("\n  ...\n", 1)[0].splitlines()]
+    assert main(["verify", "24-9-2"]) == 0
+    assert capsys.readouterr().out.splitlines()[: len(example)] == example
+    assert len(example) == 10
+
+
 def test_readme_library_section_names_only_public_api():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]

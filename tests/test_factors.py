@@ -159,15 +159,17 @@ def test_verify_factorization_passes_and_counts():
     spec, recipes = _recipes("24-7-4")
     cert = verify_factorization(spec.group, recipes, expected=(24, 7, 4))
     assert cert.ok and (cert.r, cert.s) == (7, 4)
-    assert cert.edges_covered_once == cert.edges_expected == 264
-    assert cert.duplicate_edges == cert.missing_edges == 0
-    assert cert.edges_sha256
+    assert cert.to_dict()["edge_coverage"]["expected"] == 264
+    # the SHA-256 of Q24's sorted K_24 - I edge list
+    q24_edges = "f2187b3a775818179904ef23647abb4459f2b7f17eb60b4dfaedf235d07c53c0"
+    assert _edge_fields(cert) == (264, 0, 0, q24_edges)
+    assert "  edges: 264/264 covered once" in cert.human_text().splitlines()
 
 
 def _edge_fields(cert):
-    return (
-        cert.edges_covered_once, cert.duplicate_edges, cert.missing_edges, cert.edges_sha256
-    )
+    """The rendered edge coverage: covered once, duplicates, missing, checksum."""
+    coverage = cert.to_dict()["edge_coverage"]
+    return tuple(coverage[k] for k in ("covered_once", "duplicates", "missing", "sha256"))
 
 
 def test_verify_factorization_duplicate_witness():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from hwpreg.groups import (
     ElementError,
     FiniteGroup,
     GroupError,
+    Subgroup,
     build_group,
     dicyclic_mul,
     format_dicyclic,
@@ -317,7 +319,7 @@ def test_whole_subgroup_generators_generate_the_group(gid):
     # factor_stabilizer checks a subgroup by its generators alone
     G = build_group(gid)
     whole = G.whole_subgroup()
-    assert G.subgroup_closure(whole.generators).members == whole.members
+    assert G.subgroup_closure(whole.generators).members == whole.members == tuple(range(len(G)))
     assert G.identity not in whole.generators
 
 
@@ -325,6 +327,32 @@ def test_subgroup_closure_rejects_bad_index():
     G = build_group("Q24")
     with pytest.raises(GroupError):
         G.subgroup_closure([99])
+
+
+def _brute_closure(G, gens):
+    """The identity and the generators, grown by every pairwise product
+    until nothing new appears, sorted."""
+    members = {G.identity, *gens}
+    while True:
+        grown = members | {G.mul(x, y) for x in members for y in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_subgroup_is_the_closure_of_its_generators(gid):
+    # seeded random generator tuples of length 0 to 3, repeats allowed
+    G, rng = build_group(gid), random.Random(gid)
+    repeats = 0
+    for _ in range(200):
+        gens = tuple(rng.choices(range(len(G)), k=rng.randrange(4)))
+        sub = Subgroup(G, gens)
+        assert sub.members == _brute_closure(G, gens)
+        assert sub.member_set == frozenset(sub.members)
+        assert G.subgroup_closure(gens) == Subgroup(G, tuple(dict.fromkeys(gens)))
+        repeats += len(set(gens)) < len(gens)
+    assert repeats > 0
 
 
 def test_element_order_divides_group_order():

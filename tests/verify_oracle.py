@@ -63,7 +63,7 @@ def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
     G = c.group
     found = cycle_stabilizer(c).member_set
     stab_members = tuple(x for x in sub.members if x in found)
-    stab = Subgroup(G, stab_members, stab_members)
+    stab = Subgroup(G, stab_members)
     transversal = _transversal(G, stab_members, sub.members)
     translates = {translate_cycle(c, x) for x in transversal}
     orbit = tuple(sorted(translates, key=lambda cc: cc.verts))
@@ -114,7 +114,7 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the whole factor under right translation."""
     members = tuple(sorted(_stabilizer(f.group, _vertex_codes(f.group, f.key()), "factor")))
-    return Subgroup(f.group, members, members)
+    return Subgroup(f.group, members)
 
 
 def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
@@ -151,10 +151,6 @@ def verify_factorization(
         s=None,
         expected=expected,
         factors=(),
-        edges_expected=v * (v - 2) // 2,
-        edges_covered_once=0,
-        duplicate_edges=0,
-        missing_edges=0,
         edges_sha256=None,
     )
 
@@ -201,12 +197,6 @@ def verify_factorization(
     duplicates = sorted(e for e, n in counts.items() if n > 1)
     foreign = sorted(e for e in counts if e not in target)
     missing = sorted(target - counts.keys())
-    covered_once = sum(1 for e, n in counts.items() if n == 1 and e in target)
-    base.update(
-        edges_covered_once=covered_once,
-        duplicate_edges=len(duplicates),
-        missing_edges=len(missing),
-    )
 
     def fmt_edge(e: tuple[int, int]) -> list[str]:
         return [group.format(e[0]), group.format(e[1])]
@@ -260,6 +250,24 @@ def partial_differences(c: Cycle) -> frozenset[int]:
     G, v = c.group, c.verts
     steps = (G.mul(v[(t + 1) % len(v)], G.inv(v[t])) for t in range(len(v)))
     return frozenset(x for d in steps for x in (d, G.inv(d)))
+
+
+def omega_diffs(spec: SolutionSpec, omegas) -> dict:
+    """Per cycle name, OmegaReport's (match, only_recomputed, only_printed)
+    by set algebra on element indices, as omega_reports built them when
+    they were stored: (None, (), ()) for a cycle without a listing."""
+    G = spec.group
+
+    def texts(members):
+        return tuple(G.format(x) for x in sorted(members))
+
+    diffs = {}
+    for cn in spec.cycles:
+        recomputed, printed = omegas[cn], spec.printed_omega.get(cn)
+        diffs[cn] = (None, (), ()) if printed is None else (
+            printed == recomputed, texts(recomputed - printed), texts(printed - recomputed)
+        )
+    return diffs
 
 
 def verify_solution(spec: SolutionSpec) -> Certificate:

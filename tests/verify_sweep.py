@@ -7,15 +7,19 @@ every document the library must give the oracle's verdict, or raise its
 error, with byte-identical canonical and human certificates wherever the
 oracle passes or rejects at assembly or at the cycle-length gate; and
 every factor that assembles must get the oracle's full-kernel
-stabilizer.  Exits 1 and names the first document that differs;
-otherwise prints the passes and how many rejects each witness kind
-decided, in the library and in the oracle.
+stabilizer.  Exits 1 and names the first document that differs.  The
+library's canonical and human certificate, or the error it raises, on
+every document in sweep order is hashed, rejects included, and the sweep
+exits 1 unless that SHA-256 is CERTIFICATES_SHA256; otherwise it prints
+the passes and how many rejects each witness kind decided, in the
+library and in the oracle.
 
     PYTHONPATH=src python tests/verify_sweep.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -24,7 +28,11 @@ from importlib import resources
 
 from hwpreg import SOLUTION_IDS
 from hwpreg.solutions import parse_solution_dict
-from test_verify_lockstep import _corruptions, lockstep, stabilizers_checked
+from test_verify_lockstep import _corruptions, _texts, lockstep, stabilizers_checked
+
+SEEDS = range(1, 41)
+# the hash of every library certificate, or error, in sweep order over SEEDS
+CERTIFICATES_SHA256 = "db7e7386eb3b48c4bffa2e232d6052c52c084d99e1b7e2e2d2499bc6726281a5"
 
 
 def _changed(doc: dict, bad: dict) -> str:
@@ -52,6 +60,7 @@ def sweep(seeds: range) -> int:
         for sid in SOLUTION_IDS
     }
     kinds: dict[str, Counter] = {"library": Counter(), "oracle": Counter()}
+    digest = hashlib.sha256()
     runs = [(None, sid, [docs[sid]]) for sid in SOLUTION_IDS]
     for seed in seeds:
         rng = random.Random(seed)
@@ -67,9 +76,14 @@ def sweep(seeds: range) -> int:
             if not agree:
                 print(f"mismatch: seed {seed} {sid} {_changed(docs[sid], bad)}")
                 return 1
+            texts = got if isinstance(got, tuple) else _texts(got)
+            digest.update("".join(f"{t}\n" for t in texts).encode())
             kinds["library"][_kind(got)] += 1
             kinds["oracle"][_kind(want)] += 1
     checked = sum(kinds["library"].values())
+    if digest.hexdigest() != CERTIFICATES_SHA256:
+        print(f"certificate digest {digest.hexdigest()} is not {CERTIFICATES_SHA256}")
+        return 1
     print(f"{checked} documents match the oracle (bundled, seeds {seeds.start}-{seeds.stop - 1})")
     for side, counts in kinds.items():
         print(f"{side}: " + ", ".join(f"{k} {n}" for k, n in counts.most_common()))
@@ -77,4 +91,4 @@ def sweep(seeds: range) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(sweep(range(1, 41)))
+    sys.exit(sweep(SEEDS))
