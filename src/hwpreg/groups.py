@@ -407,6 +407,18 @@ class FiniteGroup:
         return tuple(bytes(T[w][inv[u]] for w in reversed(range(n))) for u in range(n))
 
     @cached_property
+    def _same_pair_masks(self) -> tuple[tuple[int, ...], ...]:
+        """For each u and p, the vertex mask of the w with w * u^-1 = p * w^-1:
+        the w whose edges {u, w} and {w, p} have one difference pair.  Built
+        on first use."""
+        T, n = self.table, len(self)
+        masks = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for x in range(n):  # w = x * u and p = x * x * u
+                masks[u][T[T[x][x]][u]] |= 1 << T[x][u]
+        return tuple(map(tuple, masks))
+
+    @cached_property
     def _whole(self) -> Subgroup:
         # its generators: each element that the earlier ones do not reach
         gens, reached = [], {self.identity}

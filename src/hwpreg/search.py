@@ -65,6 +65,33 @@ check recomputes every factor's full stabilizer.  The searcher changes
 no process-wide state; its recursion stays within the default limit (see
 ``search_hwp``).
 
+The closing scan decides most candidates in bulk.  With u the path's
+end, p0 its start and D the elements of its Omega, a live w is special
+when w * u^-1 or w * p0^-1 is in D, or when w * u^-1 = p0 * w^-1, the
+two new edges sharing a pair (``FiniteGroup._same_pair_masks``).  The
+other, generic, w pass or fail together:
+
+* A generic w adds two new two-element pairs (1 and i are used from the
+  start), so |Omega(c)| = |Omega(path)| + 4.  Unless that is 2l none
+  closes: a quadrangle's path of one pair gives 6, which does not divide
+  8.  If it is 2l, Stab_G(c) = {1} (above), so ``spread`` is
+  |vmask | w*S| <= l * |S| = ``tiled``, as cosets are equal or disjoint:
+  the orbit-stabilizer GroupError cannot fire, and c tiles just when
+  vmask has (l - 1) * |S| bits and w lies outside it.
+* Then the budget tests pass.  ``covered`` is a union of cosets v*S
+  that misses every free vertex, so for every such w ``remaining`` is
+  v - |covered | vmask| - |S| = m * |S| >= 0.  Each sub-orbit closed so
+  far spends 2l / |Stab_G| differences on l * |S| / |Stab & S| vertices,
+  at most 2/|S| per vertex, so |fused| + 2l + 2 * ceil(m / l) <=
+  2(|covered| + l * |S| + m * |S|) / |S| = 2L.
+
+Only the special w are tested one by one, and the masks are built only
+when more than five candidates are live, as they cost a few table reads
+per path edge.  Omega(c) holds Omega(path), so a path with |fused| +
+|Omega(path)| > 2L closes nothing; its at most 2(l - 2) bits need
+2L - |fused| < 2(l - 2) for that, and the loop that would open its scan
+charges its node and candidates instead.
+
 A target document is read as strictly as a solution document, by the
 same field readers (see ``solutions.py``): wrong types, unknown keys and
 unreadable files raise ``TargetFormatError``.
@@ -276,6 +303,7 @@ class _Searcher:
         # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
         self.pair_columns = G.pair_columns
         self.difference_rows = G.difference_rows
+        self.same_pair = G._same_pair_masks
         self.full_cover = (1 << self.n) - 1
         # per entry with subgroup S, the vertex mask of v*S for every vertex v,
         # one pass over the left cosets; entries with the same subgroup share
@@ -358,12 +386,27 @@ class _Searcher:
         step = self.pair_columns[path[-1]]
         forbidden = int(rows[path[-1]].translate(marks), 2)
         cands = self.full_cover & ~(covered | path_mask | forbidden)
-        if len(path) + 1 < entry.cycle_length:
+        stats, limit = self.stats, self.budget
+        tiled, budget, members = self.closing[idx]
+        fused_bits = fused.bit_count()
+        length = entry.cycle_length
+        if len(path) + 1 < length:
+            # a child path with more differences than the factor has left is
+            # charged here with its candidates (see the module docstring)
+            room = budget - fused_bits
+            dead_ends = len(path) + 2 == length and room < 2 * (length - 2)
             while cands:
                 bit = cands & -cands
                 cands ^= bit
                 w = bit.bit_length() - 1
                 self._node()
+                if dead_ends and (omega | step[w]).bit_count() > room:
+                    blocked = covered | path_mask | bit | int(rows[w].translate(marks), 2)
+                    stats.nodes += (self.full_cover & ~blocked).bit_count()
+                    if stats.nodes > limit:
+                        stats.nodes = limit + 1
+                        raise _Budget()
+                    continue
                 path.append(w)
                 self._extend_cycle(
                     idx, used, covered, fused, acc, picked, path, path_mask | bit,
@@ -374,12 +417,21 @@ class _Searcher:
         # `live`: the candidates above path[1] (the rest are reflections)
         # whose closing difference is unused; every candidate is charged as
         # a node in scan order, up to w before w is examined
-        stats, limit = self.stats, self.budget
-        close, second = self.pair_columns[path[0]], path[1]
-        length = entry.cycle_length
-        tiled, budget, members = self.closing[idx]
-        fused_bits = fused.bit_count()
-        live = (cands >> second << second) & ~int(rows[path[0]].translate(marks), 2)
+        u, p0 = path[-1], path[0]
+        close, second = self.pair_columns[p0], path[1]
+        live = (cands >> second << second) & ~int(rows[p0].translate(marks), 2)
+        # `generic`: the live w that repeat no pair and close; only the
+        # special ones are tested below (see the module docstring)
+        generic = 0
+        if live.bit_count() > 5:
+            T, inv = self.table, self.group.inv_table
+            special = self.same_pair[u][p0]
+            for a, b in zip(path, path[1:]):  # w * u^-1 or w * p0^-1 in {a, b}'s pair
+                d, e = T[T[b][inv[a]]], T[T[a][inv[b]]]
+                special |= 1 << d[u] | 1 << e[u] | 1 << d[p0] | 1 << e[p0]
+            if omega.bit_count() + 4 == 2 * length and vmask.bit_count() == tiled - len(members):
+                generic = live & ~special & ~vmask
+            live = live & special | generic
         while live:
             bit = live & -live
             live ^= bit
@@ -391,45 +443,40 @@ class _Searcher:
                 raise _Budget()
             w = bit.bit_length() - 1
             cyc_omega = omega | step[w] | close[w]
-            osize = cyc_omega.bit_count()
-            ndiffs = fused_bits + osize
-            if ndiffs > budget:
-                continue
-            # exact tiling of Cay[G : Omega(c)] by the full-group orbit of c,
-            # 2l = |Omega| * |Stab_G(c)|.  A 2l-bit Omega has l distinct
-            # two-element pairs, and then only the identity fixes c: an x that
-            # fixes c keeps each pair, so it maps every edge to itself, and
-            # swapping an edge's ends would make x the involution i and the
-            # edge's difference i, a one-bit pair.  So the kernel runs only for
-            # the cycles that need |Stab_G(c)| > 1.
-            stab_order, rest = divmod(2 * length, osize)
-            if rest:
-                continue
-            if stab_order == 1:
-                in_sub = 1
-            else:
-                stab = _cycle_stabilizer(self.group, _codes(self.group, path + [w]), range(self.n))
-                if len(stab) != stab_order:
+            if not bit & generic:
+                osize = cyc_omega.bit_count()
+                ndiffs = fused_bits + osize
+                if ndiffs > budget:
                     continue
-                in_sub = len(stab & members)
-            # c*S has l * |S| / |Stab & S| vertices when the cycles of c's
-            # sub-orbit under S are disjoint, and never more.  It misses
-            # `covered`, a union of cosets v*S, as every vertex of c is free.
-            cyc_vmask = vmask | cosets[w]
-            spread = cyc_vmask.bit_count() * in_sub
-            if spread > tiled:
-                raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
-            if spread != tiled:
-                continue
-            remaining = self.n - (covered | cyc_vmask).bit_count()
-            if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
-                continue
+                # the tiling test 2l = |Omega| * |Stab_G(c)|; the kernel runs
+                # only when |Stab_G(c)| > 1 (see the module docstring)
+                stab_order, rest = divmod(2 * length, osize)
+                if rest:
+                    continue
+                if stab_order == 1:
+                    in_sub = 1
+                else:
+                    G = self.group
+                    stab = _cycle_stabilizer(G, _codes(G, path + [w]), range(self.n))
+                    if len(stab) != stab_order:
+                        continue
+                    in_sub = len(stab & members)
+                # c*S has l * |S| / |Stab & S| vertices when the cycles of c's
+                # sub-orbit under S are disjoint, and never more
+                spread = (vmask | cosets[w]).bit_count() * in_sub
+                if spread > tiled:
+                    raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
+                if spread != tiled:
+                    continue
+                remaining = self.n - (covered | vmask | cosets[w]).bit_count()
+                if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
+                    continue
             stats.cycles_closed += 1
             path.append(w)
             self._extend_factor(
                 idx,
                 used | cyc_omega,
-                covered | cyc_vmask,
+                covered | vmask | cosets[w],
                 fused | cyc_omega,
                 acc + [tuple(path)],
                 picked,

@@ -11,15 +11,21 @@ close the same cycles and find the same documents.  `omega_mask`,
 questions the tests put to the action oracle.  `coset_masks` computes
 the searcher's coset masks vertex by vertex, the reference for its one
 pass over the cosets.
+
+`OneByOneSearcher` keeps the searcher's cycle scan as it was before the
+closing scan decided candidates in bulk: every live closing candidate is
+put through the divisibility, stabilizer, tiling and `remaining` tests
+one at a time, and every path of l - 1 vertices is descended into.  It
+is the reference for those bulk decisions, state by state.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet
 
-from hwpreg.cycles import _stabilizer, _vertex_codes
+from hwpreg.cycles import _codes, _cycle_stabilizer, _stabilizer, _vertex_codes
 from hwpreg.groups import GroupError
-from hwpreg.search import _Searcher
+from hwpreg.search import _Budget, _Searcher
 
 
 def coset_masks(group, sub) -> list[int]:
@@ -130,3 +136,85 @@ class SlowSearcher(_Searcher):
             acc + [tuple(path)],
             picked,
         )
+
+
+class OneByOneSearcher(_Searcher):
+    def _extend_cycle(
+        self, idx, used, covered, fused, acc, picked, path, path_mask, omega, vmask, marks
+    ) -> None:
+        entry = self.sig[idx]
+        cosets = self.coset_masks[idx]
+        rows = self.difference_rows
+        step = self.pair_columns[path[-1]]
+        forbidden = int(rows[path[-1]].translate(marks), 2)
+        cands = self.full_cover & ~(covered | path_mask | forbidden)
+        if len(path) + 1 < entry.cycle_length:
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                w = bit.bit_length() - 1
+                self._node()
+                path.append(w)
+                self._extend_cycle(
+                    idx, used, covered, fused, acc, picked, path, path_mask | bit,
+                    omega | step[w], vmask | cosets[w], marks,
+                )
+                path.pop()
+            return
+        # each candidate above path[1] whose closing difference is unused is
+        # tested on its own, after charging the candidates up to it
+        stats, limit = self.stats, self.budget
+        close, second = self.pair_columns[path[0]], path[1]
+        length = entry.cycle_length
+        tiled, budget, members = self.closing[idx]
+        fused_bits = fused.bit_count()
+        live = (cands >> second << second) & ~int(rows[path[0]].translate(marks), 2)
+        while live:
+            bit = live & -live
+            live ^= bit
+            later = cands & -(bit << 1)
+            stats.nodes += (cands ^ later).bit_count()
+            cands = later
+            if stats.nodes > limit:
+                stats.nodes = limit + 1
+                raise _Budget()
+            w = bit.bit_length() - 1
+            cyc_omega = omega | step[w] | close[w]
+            osize = cyc_omega.bit_count()
+            ndiffs = fused_bits + osize
+            if ndiffs > budget:
+                continue
+            stab_order, rest = divmod(2 * length, osize)
+            if rest:
+                continue
+            if stab_order == 1:
+                in_sub = 1
+            else:
+                stab = _cycle_stabilizer(self.group, _codes(self.group, path + [w]), range(self.n))
+                if len(stab) != stab_order:
+                    continue
+                in_sub = len(stab & members)
+            cyc_vmask = vmask | cosets[w]
+            spread = cyc_vmask.bit_count() * in_sub
+            if spread > tiled:
+                raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
+            if spread != tiled:
+                continue
+            remaining = self.n - (covered | cyc_vmask).bit_count()
+            if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
+                continue
+            stats.cycles_closed += 1
+            path.append(w)
+            self._extend_factor(
+                idx,
+                used | cyc_omega,
+                covered | cyc_vmask,
+                fused | cyc_omega,
+                acc + [tuple(path)],
+                picked,
+            )
+            path.pop()
+        stats.nodes += cands.bit_count()
+        if stats.nodes > limit:
+            stats.nodes = limit + 1
+            raise _Budget()

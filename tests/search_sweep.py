@@ -5,9 +5,14 @@ and the trail of accepted cycles) at many node budgets: for the targets
 derived from 24-5-6, 24-7-4 and 24-9-2 under g = 1 and two seeded
 conjugates, every budget up to 2,000 and then every 97th, up to the node
 count at which the target is found; for 48-17-6 and 48-15-8 under g = 1,
-every budget up to 1,000.  The searcher charges rejected closing
-candidates in bulk, so this is where a budget stop one node early or late
-would show.  Exits 1 and names the first mismatch as `<sid>^<g> budget <b>`.
+every budget up to 1,000; for 48-13-10 and 48-9-14 under g = 1, every
+budget up to 1,000, every 2,999th up to found, and the node count at
+which the search first enters each signature entry, so that some budget
+stops inside every entry, the (3, 1, G) and (4, 1, G) entries included.
+The searcher charges rejected closing candidates, and paths that have
+used up a factor's differences, in bulk, so this is where a budget stop
+one node early or late would show.  Exits 1 and names the first mismatch
+as `<sid>^<g> budget <b>`.
 
     PYTHONPATH=src python tests/search_sweep.py
 """
@@ -35,21 +40,41 @@ def _conjugates(sid: str, count: int):
     return [(G.identity, target)] + [(g, _conjugate(target, g)) for g in gs]
 
 
-def _budgets(target, to_found: bool) -> list[int]:
-    if not to_found:
+def _found_and_entries(monkeypatch, target) -> tuple[int, set[int]]:
+    """The node count at which target is found, and those at which the
+    search first enters each signature entry."""
+    starts = {}
+    entry_start = FAST.entry_start
+
+    def recording(self, idx, used, picked):
+        starts.setdefault(idx, self.stats.nodes)
+        entry_start(self, idx, used, picked)
+
+    with monkeypatch.context() as m:
+        m.setattr(FAST, "entry_start", recording)
+        found = search_hwp(target).stats.nodes
+    return found, set(starts.values())
+
+
+def _budgets(monkeypatch, target, plan: str) -> list[int]:
+    if plan == "first 1,000":
         return list(range(1, 1001))
-    found = search_hwp(target).stats.nodes
-    return sorted({*range(1, min(found, 2000) + 1), *range(2000, found, 97), found})
+    found, starts = _found_and_entries(monkeypatch, target)
+    if plan == "stride 97":
+        return sorted({*range(1, min(found, 2000) + 1), *range(2000, found, 97), found})
+    # "every entry": a budget at an entry's first node stops inside it
+    return sorted({*range(1, 1001), *range(1000, found, 2999), *starts, found} - {0})
 
 
 def sweep() -> int:
-    runs = [(sid, 2, True) for sid in ("24-5-6", "24-7-4", "24-9-2")]
-    runs += [(sid, 0, False) for sid in ("48-17-6", "48-15-8")]
+    runs = [(sid, 2, "stride 97") for sid in ("24-5-6", "24-7-4", "24-9-2")]
+    runs += [(sid, 0, "first 1,000") for sid in ("48-17-6", "48-15-8")]
+    runs += [(sid, 0, "every entry") for sid in ("48-13-10", "48-9-14")]
     checked = 0
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for sid, count, to_found in runs:
+        for sid, count, plan in runs:
             for g, target in _conjugates(sid, count):
-                for budget in _budgets(target, to_found):
+                for budget in _budgets(monkeypatch, target, plan):
                     bounded = replace(target, budget_nodes=budget)
                     fast = _run(monkeypatch, FAST, bounded)
                     stopped = fast[0]["verdict"] == "budget-exceeded"

@@ -26,7 +26,7 @@ from hwpreg.search import (
     target_from_solution,
 )
 from hwpreg.solutions import SOLUTION_IDS, load_solution, parse_solution_dict, verify_solution
-from search_oracle import coset_masks
+from search_oracle import OneByOneSearcher, coset_masks
 
 TARGET_24_9_2 = {
     "group": "Q24",
@@ -318,12 +318,86 @@ def test_order_48_signature_runs_under_budget():
     ],
 )
 def test_derived_order_24_searches_are_pinned(sid, counters, digest):
+    _assert_found_as_pinned(sid, counters, digest)
+
+
+@pytest.mark.parametrize(
+    "sid,counters,digest",
+    [
+        (
+            "48-13-10",
+            (66048, 2479, 143, 63, 71),
+            "391c3e52665289323e3e969101ac56103ffa8b9c55f7b506267d29a3fec24fb9",
+        ),
+        (
+            "48-9-14",
+            (180662, 2996, 277, 87, 182),
+            "53734c9304d2c67f5c112828be6835cb3744600d98c505b321423071b4d683e9",
+        ),
+    ],
+)
+def test_derived_order_48_searches_are_pinned(sid, counters, digest):
+    # the v=48 targets with (3, 1, G) and (4, 1, G) entries, where paths
+    # that use up a factor's differences are charged without a scan
+    _assert_found_as_pinned(sid, counters, digest)
+
+
+def _assert_found_as_pinned(sid, counters, digest):
     # node counts and found documents may change only with a stated reason
     outcome = search_hwp(target_from_solution(load_solution(sid)))
     assert outcome.verdict == "found"
     assert _counters(outcome.stats) == counters
     text = canonical_json(outcome.solution)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _scan_states(monkeypatch, target):
+    """Every cycle scan a search of target makes that closes cycles or
+    opens scans that do, as (idx, used, covered, fused, acc, path and the
+    masks carried with it)."""
+    states = []
+    scan = _Searcher._extend_cycle
+
+    def capturing(self, idx, used, covered, fused, acc, picked, path, *carried):
+        if len(path) + 2 >= self.sig[idx].cycle_length:
+            states.append((idx, used, covered, fused, acc, tuple(path), *carried))
+        scan(self, idx, used, covered, fused, acc, picked, path, *carried)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Searcher, "_extend_cycle", capturing)
+        search_hwp(target)
+    return states
+
+
+def _replay(cls, target, state):
+    """The cycles the scan of state closes, in order, with the masks it
+    hands on, and the nodes it charges, under searcher class cls."""
+    idx, used, covered, fused, acc, path, *carried = state
+    searcher = cls(target, SearchStats())
+    closed = []
+    searcher._extend_factor = lambda *args: closed.append(args[:5])
+    searcher._extend_cycle(idx, used, covered, fused, acc, [], list(path), *carried)
+    return closed, searcher.stats.nodes, searcher.stats.cycles_closed
+
+
+@pytest.mark.parametrize(
+    "sid,budget",
+    [("24-5-6", None), ("24-9-2", None), ("48-9-14", 30_000), ("48-17-6", 20_000)],
+)
+def test_closing_scans_decide_like_the_one_by_one_scan(monkeypatch, sid, budget):
+    # the bulk split of the closing scan, and the paths charged without a
+    # scan, against the scan that tests every live candidate on its own
+    target = target_from_solution(load_solution(sid), budget)
+    states = _scan_states(monkeypatch, target)
+    unbounded = replace(target, budget_nodes=None)
+    bits = set()
+    for state in states:
+        fast = _replay(_Searcher, unbounded, state)
+        assert fast == _replay(OneByOneSearcher, unbounded, state), state
+        for _, _, _, fused, acc in fast[0]:
+            bits.add((fused ^ state[3]).bit_count() == 2 * len(acc[-1]))
+    # both kinds of closed cycle occur: 2l-bit Omega and repeated pairs
+    assert bits == {True, False}
 
 
 def _frames() -> int:
