@@ -10,14 +10,19 @@ Supported groups, by id:
 
 Each group is one row of data: its order, two generators, and its
 multiplication, parser and formatter.  ``build_group`` generates the
-elements once, as the closure of the generators under multiplication
-(the closure that makes a ``Subgroup``'s members of its generators, on
-the table's rows), and sorts them into a fixed canonical order.  The
-full multiplication table and ASCII element texts (``1/r2``; ``parse``
-also accepts ``1/√2``) are built once, at construction; the table's columns, as right translations,
-the searcher's difference rows, and the map from canonical texts back to
-indices, which ``parse`` tries before the group's parser, are built on
-first use.  Every later operation works on element indices.  Quaternion
+elements once, as the closure of the generators under multiplication,
+and sorts them into a fixed canonical order.  The multiplication table
+is built once, at construction, and the group's multiplication makes
+only its columns x -> x * g for a few g: each element, in index order,
+that the earlier picks do not reach (the greedy step that also makes a
+``Subgroup``'s members of its generators).  These products are checked
+against the element set; every other column follows by associativity,
+and the tier-1 tests check the table against all n^2 products.  The
+ASCII element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are
+built at construction too; the right translations, the searcher's
+difference rows, and the map from canonical texts back to indices,
+which ``parse`` tries before the group's parser, are built on first
+use.  Every later operation works on element indices.  Quaternion
 coordinates are kept exact as pairs (p, q) denoting (p + q*sqrt(2))/2,
 so equality tests are sound.
 
@@ -51,33 +56,23 @@ Coord = tuple[int, int]  # (p, q) encodes the real number (p + q*sqrt(2)) / 2
 Quat = tuple[Coord, Coord, Coord, Coord]
 
 
-def _cprod(x: Coord, y: Coord) -> tuple[int, int]:
-    # product of two coordinates, landing over denominator 4
-    p, q = x
-    r, s = y
-    return p * r + 2 * q * s, p * s + q * r
-
-
-def _csum4(terms: Sequence[tuple[int, int]], signs: Sequence[int]) -> Coord:
-    # combine denominator-4 terms and reduce back to denominator 2;
-    # reduction must be exact for products of group elements
-    p4 = sum(sign * t[0] for t, sign in zip(terms, signs))
-    q4 = sum(sign * t[1] for t, sign in zip(terms, signs))
-    if p4 % 2 or q4 % 2:
-        raise GroupError("quaternion product left the group lattice")
-    return p4 // 2, q4 // 2
-
-
 def quat_mul(x: Quat, y: Quat) -> Quat:
     """Hamilton product of two exact quaternions (i*j = k, j*k = i, k*i = j)."""
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (
-        _csum4((_cprod(a1, a2), _cprod(b1, b2), _cprod(c1, c2), _cprod(d1, d2)), (1, -1, -1, -1)),
-        _csum4((_cprod(a1, b2), _cprod(b1, a2), _cprod(c1, d2), _cprod(d1, c2)), (1, 1, 1, -1)),
-        _csum4((_cprod(a1, c2), _cprod(b1, d2), _cprod(c1, a2), _cprod(d1, b2)), (1, -1, 1, 1)),
-        _csum4((_cprod(a1, d2), _cprod(b1, c2), _cprod(c1, b2), _cprod(d1, a2)), (1, 1, -1, 1)),
-    )
+    (a, A), (b, B), (c, C), (d, D) = x
+    (e, E), (f, F), (g, G), (h, H) = y
+    # each coordinate lands over denominator 4, as (P + Q*sqrt(2)) / 4;
+    # reduction back to denominator 2 must be exact for group elements
+    p1 = a * e - b * f - c * g - d * h + 2 * (A * E - B * F - C * G - D * H)
+    q1 = a * E + A * e - b * F - B * f - c * G - C * g - d * H - D * h
+    pi = a * f + b * e + c * h - d * g + 2 * (A * F + B * E + C * H - D * G)
+    qi = a * F + A * f + b * E + B * e + c * H + C * h - d * G - D * g
+    pj = a * g - b * h + c * e + d * f + 2 * (A * G - B * H + C * E + D * F)
+    qj = a * G + A * g - b * H - B * h + c * E + C * e + d * F + D * f
+    pk = a * h + b * g - c * f + d * e + 2 * (A * H + B * G - C * F + D * E)
+    qk = a * H + A * h + b * G + B * g - c * F - C * f + d * E + D * e
+    if (p1 | q1 | pi | qi | pj | qj | pk | qk) & 1:
+        raise GroupError("quaternion product left the group lattice")
+    return (p1 >> 1, q1 >> 1), (pi >> 1, qi >> 1), (pj >> 1, qj >> 1), (pk >> 1, qk >> 1)
 
 
 _QUAT_OUTER = re.compile(
@@ -231,19 +226,35 @@ def format_sl23(x: Mat) -> str:
 # the uniform table-backed group interface
 
 
-def _closure(start: Iterable, gens: Sequence, rows: Callable) -> set:
-    """Everything reached from ``start`` by repeated right multiplication
-    by ``gens``; ``rows(x)[g]`` is x * g."""
+def _closure(start: Iterable, steps: Sequence[Callable]) -> set:
+    """Everything reached from ``start`` by repeated right multiplications;
+    each of ``steps`` maps x to x * g for one g."""
     members = set(start)
     frontier = list(members)
     while frontier:
-        row = rows(frontier.pop())
-        for g in gens:
-            y = row[g]
+        x = frontier.pop()
+        for step in steps:
+            y = step(x)
             if y not in members:
                 members.add(y)
                 frontier.append(y)
     return members
+
+
+def _generators(
+    start: Iterable[int], candidates: Iterable[int], column: Callable[[int], Sequence[int]]
+) -> tuple[tuple[int, ...], set[int]]:
+    """The candidates, in order, that the earlier ones do not reach from
+    ``start``, and the set that they all reach; ``column(g)[x]`` is x * g."""
+    gens: list[int] = []
+    steps: list[Callable] = []
+    reached = set(start)
+    for x in candidates:
+        if x not in reached:
+            gens.append(x)
+            steps.append(column(x).__getitem__)
+            reached = _closure(reached, steps)
+    return tuple(gens), reached
 
 
 @dataclass(frozen=True)
@@ -257,7 +268,7 @@ class Subgroup:
     @cached_property
     def member_set(self) -> frozenset[int]:
         G = self.group
-        return frozenset(_closure((G.identity,), self.generators, G.table.__getitem__))
+        return frozenset(_generators((G.identity,), self.generators, G._columns.__getitem__)[1])
 
     @cached_property
     def members(self) -> tuple[int, ...]:
@@ -279,10 +290,15 @@ class FiniteGroup:
     """A small finite group with a precomputed multiplication table.
 
     Elements are referred to by index into :attr:`elements`; ``mul``,
-    ``inv`` and ``format`` are table lookups.  Instances are immutable
-    after construction, as setting an attribute then raises
-    AttributeError, and safe to share; use :func:`build_group` to obtain
-    the cached instance for a group id.
+    ``inv`` and ``format`` are table lookups.  ``mul_func`` is called only
+    for the products x * g with g in the generating set that
+    ``whole_subgroup`` keeps, picked in index order, and each product is
+    checked against the elements; every other column follows by
+    associativity, x * (p * g) = (x * p) * g, in breadth-first order of
+    words.  The identity, inverse and involution checks then run on the
+    whole table.  Instances are immutable after construction, as setting
+    an attribute then raises AttributeError, and safe to share; use
+    :func:`build_group` to obtain the cached instance for a group id.
     """
 
     def __init__(
@@ -301,18 +317,33 @@ class FiniteGroup:
         self._parser = parser
         self.texts: tuple[str, ...] = tuple(formatter(e) for e in self.elements)
 
-        n = len(self.elements)
-        table: list[tuple[int, ...]] = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                prod = mul_func(a, b)
-                idx = self._index.get(prod)
-                if idx is None:
-                    raise GroupError(f"{gid}: product {prod!r} escapes the element set")
-                row.append(idx)
-            table.append(tuple(row))
-        self.table: tuple[tuple[int, ...], ...] = tuple(table)
+        n, index = len(self.elements), self._index
+        columns: dict[int, tuple[int, ...]] = {}  # g -> (0*g, 1*g, ..., (n-1)*g)
+
+        def column(g: int) -> tuple[int, ...]:
+            if g not in columns:
+                col = []
+                for a in self.elements:
+                    idx = index.get(prod := mul_func(a, self.elements[g]))
+                    if idx is None:
+                        raise GroupError(f"{gid}: product {prod!r} escapes the element set")
+                    col.append(idx)
+                columns[g] = tuple(col)
+            return columns[g]
+
+        # the identity is the x with x * e0 = e0, e0 the first element
+        gens = _generators((column(0).index(0),), range(n), column)[0]
+        # the column of p * g is p's column read through g's
+        words = list(gens)
+        for p in words:
+            for g in gens:
+                if (b := columns[g][p]) not in columns:
+                    columns[b] = tuple(map(columns[g].__getitem__, columns[p]))
+                    words.append(b)
+        if len(columns) != n:
+            raise GroupError(f"{gid}: the generators reach {len(columns)} of {n} elements")
+        self._columns = tuple(columns[b] for b in range(n))
+        self.table: tuple[tuple[int, ...], ...] = tuple(zip(*self._columns))
 
         identities = [
             e for e in range(n)
@@ -323,11 +354,8 @@ class FiniteGroup:
         self.identity: int = identities[0]
 
         inv = []
-        for a in range(n):
-            hits = [
-                b for b in range(n)
-                if self.table[a][b] == self.identity and self.table[b][a] == self.identity
-            ]
+        for a, row, col in zip(range(n), self.table, self._columns):
+            hits = [b for b, ab, ba in zip(range(n), row, col) if ab == ba == self.identity]
             if len(hits) != 1:
                 raise GroupError(f"{gid}: element {a} lacks a unique two-sided inverse")
             inv.append(hits[0])
@@ -341,6 +369,7 @@ class FiniteGroup:
                 f"{gid}: needs exactly one involution, found {len(involutions)}"
             )
         self._involution: int = involutions[0]
+        self._whole = Subgroup(self, gens)
         self._frozen = True
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -388,8 +417,7 @@ class FiniteGroup:
     def right_translations(self) -> tuple[itemgetter, ...]:
         """For each x, a getter that reads a per-element sequence s as
         (s[0*x], s[1*x], ..., s[(n-1)*x]).  Built on first use."""
-        T, n = self.table, len(self)
-        return tuple(itemgetter(*(T[v][x] for v in range(n))) for x in range(n))
+        return tuple(itemgetter(*col) for col in self._columns)
 
     @cached_property
     def pair_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -418,17 +446,8 @@ class FiniteGroup:
                 masks[u][T[T[x][x]][u]] |= 1 << T[x][u]
         return tuple(map(tuple, masks))
 
-    @cached_property
-    def _whole(self) -> Subgroup:
-        # its generators: each element that the earlier ones do not reach
-        gens, reached = [], {self.identity}
-        for x in range(len(self)):
-            if x not in reached:
-                gens.append(x)
-                reached = _closure(reached, gens, self.table.__getitem__)
-        return Subgroup(self, tuple(gens))
-
     def whole_subgroup(self) -> Subgroup:
+        """G, generated by each element that the earlier ones do not reach."""
         return self._whole
 
     # -- text form ---------------------------------------------------------
@@ -472,7 +491,7 @@ def build_group(gid: str) -> FiniteGroup:
     gens = [parser(t) for t in gen_texts]
     # in a finite group every inverse is a power, so the words in the
     # generators already hold the identity and every inverse
-    elements = sorted(_closure(gens, gens, lambda x: {g: mul(x, g) for g in gens}))
+    elements = sorted(_closure(gens, [lambda x, g=g: mul(x, g) for g in gens]))
     if len(elements) != order:
         raise GroupError(f"{gid}: generators give {len(elements)} elements, not {order}")
     return FiniteGroup(gid, elements, mul, parser, formatter)

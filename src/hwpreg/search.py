@@ -47,10 +47,11 @@ end u is unused: u's row of ``FiniteGroup.difference_rows``, translated
 through a table marking the used differences, masks out all others at
 once, exactly, as the used set is inverse-closed and an edge's pair
 {d, d^-1} meets it just when d is in it.  The closing scan masks out the
-w blocked at the path's start and the reflections below its second
-vertex as well, but still counts them as nodes, by popcount before each
-w it examines and at the scan's end: in scan order, so any node budget
-stops at the same candidate as a one-by-one scan would.  The coset masks
+w blocked at the path's start, a mask made once per factor extension,
+and the reflections below its second vertex as well, but still counts
+them as nodes, by popcount before each w it examines and at the scan's
+end: in scan order, so any node budget stops at the same candidate as
+a one-by-one scan would.  The coset masks
 are built in one pass over the left cosets of each subgroup, which gives
 every vertex of a coset v*S the same mask.  The scan for the last vertex
 w closes each cycle in place: Omega(c) is the path's mask plus the pairs
@@ -101,7 +102,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .cycles import Cycle, _codes, _cycle_stabilizer, cycle
@@ -162,7 +163,7 @@ class SearchStats:
     seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "seconds": round(self.seconds, 3)}
+        return {**vars(self), "seconds": round(self.seconds, 3)}
 
 
 @dataclass(frozen=True)
@@ -367,9 +368,11 @@ class _Searcher:
         self._node()
         # b"1" at every used difference, for the difference rows to translate
         marks = bin(used)[:1:-1].encode().ljust(256, b"0")
+        # the w whose closing difference w * v0^-1 is used, for every closing scan
+        start_blocked = int(self.difference_rows[v0].translate(marks), 2)
         self._extend_cycle(
             idx, used, covered, fused, acc, picked, [v0], 1 << v0, 0,
-            self.coset_masks[idx][v0], marks,
+            self.coset_masks[idx][v0], start_blocked, marks,
         )
 
     # The open path carries `omega`, the Omega mask of its edges, and
@@ -378,7 +381,7 @@ class _Searcher:
     # scan for the last vertex w closes the cycle through path + [w] itself.
     def _extend_cycle(
         self, idx: int, used: int, covered: int, fused: int, acc: list, picked: list,
-        path: list, path_mask: int, omega: int, vmask: int, marks: bytes,
+        path: list, path_mask: int, omega: int, vmask: int, start_blocked: int, marks: bytes,
     ) -> None:
         entry = self.sig[idx]
         cosets = self.coset_masks[idx]
@@ -410,7 +413,7 @@ class _Searcher:
                 path.append(w)
                 self._extend_cycle(
                     idx, used, covered, fused, acc, picked, path, path_mask | bit,
-                    omega | step[w], vmask | cosets[w], marks,
+                    omega | step[w], vmask | cosets[w], start_blocked, marks,
                 )
                 path.pop()
             return
@@ -419,7 +422,7 @@ class _Searcher:
         # a node in scan order, up to w before w is examined
         u, p0 = path[-1], path[0]
         close, second = self.pair_columns[p0], path[1]
-        live = (cands >> second << second) & ~int(rows[p0].translate(marks), 2)
+        live = (cands >> second << second) & ~start_blocked
         # `generic`: the live w that repeat no pair and close; only the
         # special ones are tested below (see the module docstring)
         generic = 0

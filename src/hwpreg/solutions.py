@@ -33,11 +33,12 @@ indices.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Sequence
 
 from .cycles import Cycle, CycleError, cycle
 from .factors import Certificate, FactorRecipe, OmegaReport, verify_factorization

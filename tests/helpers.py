@@ -43,6 +43,14 @@ def quat_norm2_times4(x: Quat) -> tuple[int, int]:
     return p4, q4
 
 
+def all_pairs_table(elements: Sequence, mul) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table from all n^2 products, each looked up in
+    the element list: how FiniteGroup built it before it multiplied by
+    generators alone."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+
+
 def cycle_from_texts(group: FiniteGroup, texts: Sequence[str]) -> Cycle:
     return cycle(group, [group.parse(t) for t in texts])
 

@@ -140,7 +140,8 @@ class SlowSearcher(_Searcher):
 
 class OneByOneSearcher(_Searcher):
     def _extend_cycle(
-        self, idx, used, covered, fused, acc, picked, path, path_mask, omega, vmask, marks
+        self, idx, used, covered, fused, acc, picked, path, path_mask, omega, vmask,
+        start_blocked, marks,
     ) -> None:
         entry = self.sig[idx]
         cosets = self.coset_masks[idx]
@@ -157,7 +158,7 @@ class OneByOneSearcher(_Searcher):
                 path.append(w)
                 self._extend_cycle(
                     idx, used, covered, fused, acc, picked, path, path_mask | bit,
-                    omega | step[w], vmask | cosets[w], marks,
+                    omega | step[w], vmask | cosets[w], start_blocked, marks,
                 )
                 path.pop()
             return
@@ -168,6 +169,7 @@ class OneByOneSearcher(_Searcher):
         length = entry.cycle_length
         tiled, budget, members = self.closing[idx]
         fused_bits = fused.bit_count()
+        # recomputed here: the reference for the start_blocked handed down
         live = (cands >> second << second) & ~int(rows[path[0]].translate(marks), 2)
         while live:
             bit = live & -live

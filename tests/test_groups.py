@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import element_order, power, quat_conj, quat_norm2_times4
+import hwpreg
+from helpers import all_pairs_table, element_order, power, quat_conj, quat_norm2_times4
 from hwpreg import cli, groups
 from hwpreg.cycles import _stabilizer, _vertex_codes, cycle, cycle_stabilizer
 from hwpreg.groups import (
@@ -34,6 +39,14 @@ TABLE_DIGESTS = {
 }
 
 
+# the generating set each table is built from, picked in index order
+WHOLE_GENERATORS = {
+    "2O": ("-1", "1/2(-1-i-j-k)", "1/2(-1-i-j+k)", "1/r2(-1-i)"),
+    "Q24": ("b", "a"),
+    "SL23": ("[[0,1],[2,0]]", "[[0,1],[2,1]]"),
+}
+
+
 def _fresh_q24():
     # a new instance, not the cached one, so first-use state can be seen
     return FiniteGroup(
@@ -55,6 +68,79 @@ def test_group_tables_are_pinned(gid):
         separators=(",", ":"),
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGESTS[gid]
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_table_equals_the_all_pairs_table(gid):
+    # the columns derived by associativity, against every product
+    G = build_group.__wrapped__(gid)
+    assert G is not build_group(gid)
+    assert G.table == all_pairs_table(G.elements, groups._GROUPS[gid][2])
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_table_build_multiplies_by_the_generators_alone(gid):
+    # n products per generator, and n more at most for the first element,
+    # which picks the identity
+    _, _, mul, parser, formatter = groups._GROUPS[gid]
+    right = []
+
+    def counting(a, b):
+        right.append(b)
+        return mul(a, b)
+
+    elements = build_group(gid).elements
+    G = FiniteGroup(gid, elements, counting, parser, formatter)
+    gens = G.whole_subgroup().generators
+    assert len(right) <= len(G) * (len(gens) + 1)
+    assert set(right) <= {elements[0], *(elements[g] for g in gens)}
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_whole_subgroup_generators_are_pinned(gid):
+    G = build_group(gid)
+    assert tuple(map(G.format, G.whole_subgroup().generators)) == WHOLE_GENERATORS[gid]
+
+
+def test_table_build_rejects_a_product_outside_the_elements():
+    # Q24 without a11b, which a11 * b gives
+    _, _, mul, parser, formatter = groups._GROUPS["Q24"]
+    elements = build_group("Q24").elements
+    assert format_dicyclic(elements[-1]) == "a11b"
+    with pytest.raises(GroupError, match=r"product \(11, 1\) escapes the element set"):
+        FiniteGroup("Q24", elements[:-1], mul, parser, formatter)
+
+
+def test_table_build_rejects_generators_that_miss_an_element():
+    # x * 0 sends 1 to 0 and 0, 2 to 2, so 1 is taken for the identity and
+    # reaches all three, but no word in the generator 0 is 1
+    with pytest.raises(GroupError, match="the generators reach 2 of 3 elements"):
+        FiniteGroup("M3", (0, 1, 2), lambda x, y: (2, 0, 2)[x], int, str)
+
+
+def test_quat_mul_refuses_a_product_off_the_lattice():
+    half = ((1, 0), (0, 0), (0, 0), (0, 0))
+    with pytest.raises(GroupError, match="left the group lattice"):
+        quat_mul(((1, 0), (1, 0), (0, 0), (0, 0)), half)  # (1 + i) / 4
+
+
+def test_set_up_builds_only_the_groups_it_uses():
+    # in a fresh interpreter: importing hwpreg builds no group, and a
+    # Q24 verify builds Q24 alone
+    script = "\n".join([
+        "from hwpreg import build_group, cli",
+        "assert build_group.cache_info().currsize == 0",
+        "assert cli.main(['verify', '24-9-2']) == 0",
+        "built = build_group.cache_info()",
+        "build_group('Q24')",
+        "assert build_group.cache_info().misses == built.misses == built.currsize == 1",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(hwpreg.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("solution 24-9-2: PASS")
 
 
 def test_build_group_is_cached():
