@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 from .cycles import CycleError, cycle_orbit, omega_representatives, partial_differences
 from .factors import RecipeError, _tile, canonical_json
 from .groups import ElementError, GroupError
-from .search import TargetFormatError, load_target_file, search_hwp
 from .solutions import (
     SOLUTION_IDS,
     SolutionFormatError,
@@ -162,6 +161,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import TargetFormatError, load_target_file, search_hwp  # loaded by search alone
+
     try:
         target = load_target_file(args.target)
     except TargetFormatError as err:
@@ -278,7 +279,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as err:
         print(f"hwpreg: {err}", file=sys.stderr)
         return err.code
-    except (SolutionFormatError, TargetFormatError, ElementError, CycleError) as err:
+    except (SolutionFormatError, ElementError, CycleError) as err:
         print(f"hwpreg: {err}", file=sys.stderr)
         return 2
     except (RecipeError, GroupError) as err:

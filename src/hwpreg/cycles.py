@@ -15,7 +15,9 @@ The list of partial differences of a cycle C = (c_1, ..., c_l) is the
 inverse-closed set collecting c_{t+1} * c_t^-1 for every consecutive
 pair (indices mod l); when the orbit of C under the full group tiles
 Cay[G:Omega] exactly, those orbits are the building blocks of a
-2-factorization.
+2-factorization.  A ``FactorRecipe`` names the base cycles of one factor
+and the subgroup acting on them.  The document reader builds recipes, so
+the type lives here; factors.py assembles and certifies them.
 """
 
 from __future__ import annotations
@@ -210,6 +212,16 @@ def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
         raise GroupError(f"orbit-stabilizer mismatch: {len(orbit)} * {len(stab)} != {sub.order}")
     cycles = tuple(Cycle(c.group, t) for t in orbit)
     return CycleOrbit(c, sub, cycles, Subgroup(c.group, tuple(sorted(stab))))
+
+
+@dataclass(frozen=True)
+class FactorRecipe:
+    """One factor: the orbits of its named base cycles under one subgroup."""
+
+    label: str
+    cycles: tuple[tuple[str, Cycle], ...]  # (cycle name, base cycle)
+    subgroup_name: str
+    subgroup: Subgroup
 
 
 def forward_differences(c: Cycle) -> list[int]:

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import (
-    Cycle, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter, _vertex_codes,
-    verify_partition,
+    Cycle, FactorRecipe, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter,
+    _vertex_codes, verify_partition,
 )
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -42,16 +42,6 @@ class RecipeError(ValueError):
     def __init__(self, message: str, witness: Optional[dict] = None) -> None:
         super().__init__(message)
         self.witness = witness or {}
-
-
-@dataclass(frozen=True)
-class FactorRecipe:
-    """One factor: the orbits of its named base cycles under one subgroup."""
-
-    label: str
-    cycles: tuple[tuple[str, Cycle], ...]  # (cycle name, base cycle)
-    subgroup_name: str
-    subgroup: Subgroup
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,15 @@ in the common case.
   fixes each edge, and only 1 does (above): Stab_G(c) = {1}.  The
   tiling test therefore reads the stabilizer order as 2l / |Omega|,
   rejects c when |Omega| does not divide 2l, and computes the stabilizer
-  only when that order is above 1.
+  only when that order is above 2.  In general T = Stab_G(c) acts
+  freely on c's edges: an x != 1 that fixes an edge {a, b} swaps a and
+  b, so its difference d = b * a^-1 has d = d^-1, that is d = i, and i
+  is used from the start.  T keeps each edge's pair, so the edges of
+  each pair on c are a union of T-orbits of |T| edges, and the fewest
+  of them, at most 2l / |Omega|, bound |T|.  At order 2, then, T is
+  {1} or a subgroup of order 2, which is {1, i} as i is the only
+  involution: T = {1, i} exactly when c * i = c, and one translate
+  decides.  Its part in S is {1, i} when i is in S, else {1}.
 * A complete cover F = acc * S, for the base paths acc of an entry with
   subgroup S and orbit length L = |G|/|S|, whose Omega has 2L bits,
   has Stab_G(F) = S: its G-orbit holds each of the |G| * L edges of
@@ -103,9 +111,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-from .cycles import Cycle, _codes, _cycle_stabilizer, cycle
+from .cycles import Cycle, _canonical_rotation, _codes, _cycle_stabilizer, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
@@ -326,6 +334,7 @@ class _Searcher:
             (e.cycle_length * sub.order, 2 * e.orbit_length, sub.member_set)
             for e, sub in zip(self.sig, self.subs)
         ]
+        self.involution = G.unique_involution()
         self.dead: set[tuple[int, int]] = set()
         self.budget = math.inf if target.budget_nodes is None else target.budget_nodes
 
@@ -452,12 +461,16 @@ class _Searcher:
                 if ndiffs > budget:
                     continue
                 # the tiling test 2l = |Omega| * |Stab_G(c)|; the kernel runs
-                # only when |Stab_G(c)| > 1 (see the module docstring)
+                # only when |Stab_G(c)| > 2 (see the module docstring)
                 stab_order, rest = divmod(2 * length, osize)
                 if rest:
                     continue
                 if stab_order == 1:
                     in_sub = 1
+                elif stab_order == 2:
+                    if not _fixed_by(self.table, path + [w], self.involution):
+                        continue
+                    in_sub = 2 if self.involution in members else 1
                 else:
                     G = self.group
                     stab = _cycle_stabilizer(G, _codes(G, path + [w]), range(self.n))
@@ -489,6 +502,12 @@ class _Searcher:
         if stats.nodes > limit:
             stats.nodes = limit + 1
             raise _Budget()
+
+
+def _fixed_by(table: Sequence[Sequence[int]], verts: list[int], x: int) -> bool:
+    """Whether right translation by x maps the cycle through verts to itself."""
+    moved = tuple(table[v][x] for v in verts)
+    return _canonical_rotation(moved) == _canonical_rotation(tuple(verts))
 
 
 def _infeasible(target: SearchTarget) -> Optional[str]:

@@ -27,7 +27,8 @@ read by them too.  ``solution_to_dict`` writes the six required keys.
 ``verify_factorization``, from the recomputed difference sets of the
 base cycles, and diffs those sets against the annotated ``omega``
 listings, which are read once into the inverse closure of their element
-indices.
+indices.  Reading a document needs groups and cycles alone: the
+certifier in factors.py is imported by the first verify.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from importlib import resources
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Sequence
 
-from .cycles import Cycle, CycleError, cycle
-from .factors import Certificate, FactorRecipe, OmegaReport, verify_factorization
+from .cycles import Cycle, CycleError, FactorRecipe, cycle
 from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
 
 if TYPE_CHECKING:
+    from .factors import Certificate, OmegaReport
     from .search import SearchTarget
 
 SOLUTION_IDS: tuple[str, ...] = (
@@ -319,6 +320,8 @@ def _closure_texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, 
 def omega_reports(spec: SolutionSpec, omegas: Mapping) -> tuple[OmegaReport, ...]:
     """The recomputed difference sets omegas, by cycle name, beside the
     annotated listings."""
+    from .factors import OmegaReport
+
     G, printed = spec.group, spec.printed_omega
     return tuple(
         OmegaReport(
@@ -333,6 +336,8 @@ def omega_reports(spec: SolutionSpec, omegas: Mapping) -> tuple[OmegaReport, ...
 def verify_solution(spec: SolutionSpec) -> Certificate:
     """Certify a solution end to end (see verify_factorization); the diffs
     against the annotated omega listings never affect the verdict."""
+    from .factors import verify_factorization
+
     cert = verify_factorization(spec.group, spec.factors, expected=spec.expected)
     omegas = {cn: c._omega for cn, c in spec.cycles.items()}
     return replace(

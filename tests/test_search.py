@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from hwpreg.cycles import _stabilizer, _vertex_codes
+from hwpreg.cycles import _codes, _cycle_stabilizer, _stabilizer, _vertex_codes
 from hwpreg.factors import canonical_json
 from hwpreg.groups import build_group
 from hwpreg.search import (
@@ -18,6 +18,7 @@ from hwpreg.search import (
     SearchTarget,
     SignatureEntry,
     _Searcher,
+    _fixed_by,
     TargetFormatError,
     load_target_file,
     parse_target_dict,
@@ -398,6 +399,32 @@ def test_closing_scans_decide_like_the_one_by_one_scan(monkeypatch, sid, budget)
             bits.add((fused ^ state[3]).bit_count() == 2 * len(acc[-1]))
     # both kinds of closed cycle occur: 2l-bit Omega and repeated pairs
     assert bits == {True, False}
+
+
+@pytest.mark.parametrize(
+    "sid,fixed,unfixed", [("48-9-14", 54, 2703), ("24-5-6", 3, 8), ("24-9-2", 0, 0)]
+)
+def test_order_two_candidates_take_one_translate(monkeypatch, sid, fixed, unfixed):
+    # a closing candidate whose tiling test reads |Stab_G(c)| = 2 is decided
+    # by one translate by the involution (see the search.py module
+    # docstring): the kernel gives {1, i} on each cycle it fixes, else {1}
+    seen = []
+
+    def recording(table, verts, x):
+        seen.append((tuple(verts), x, _fixed_by(table, verts, x)))
+        return seen[-1][2]
+
+    monkeypatch.setattr("hwpreg.search._fixed_by", recording)
+    spec = load_solution(sid)
+    assert search_hwp(target_from_solution(spec)).verdict == "found"
+    G = spec.group
+    one, i = G.identity, G.unique_involution()
+    for verts, x, is_fixed in seen:
+        assert x == i
+        want = {one, i} if is_fixed else {one}
+        assert _cycle_stabilizer(G, _codes(G, verts), range(len(G))) == want, verts
+    assert sum(f for *_, f in seen) == fixed
+    assert len(seen) == fixed + unfixed
 
 
 def _frames() -> int:

@@ -31,6 +31,7 @@ def test_tracer_installs_and_uninstalls(capsys):
     try:
         tracer.install()
         assert hwpreg.search.search_hwp is not search_hwp
+        assert hwpreg.search_hwp is hwpreg.search.search_hwp
         assert hwpreg.cli.main(["verify", "24-7-4", "--format", "canonical"]) == 0
         # verify reads every orbit off the table; count a direct call
         c = hwpreg.solutions.load_solution("24-7-4").cycles["C1"]
@@ -39,6 +40,9 @@ def test_tracer_installs_and_uninstalls(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert hwpreg.search.search_hwp is search_hwp
+    # the package namespace reads each name from its module, so a name
+    # read while the tracer was in is restored with it
+    assert hwpreg.search_hwp is search_hwp
     assert {name: getattr(hwpreg.cycles, name) for name in originals} == originals
     names = set(tracer.names)
     assert {"cli.main", "solutions.verify", "factors.verify_factorization"} <= names
