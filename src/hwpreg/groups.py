@@ -22,9 +22,11 @@ ASCII element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are
 built at construction too; the right translations, the searcher's
 difference rows, and the map from canonical texts back to indices,
 which ``parse`` tries before the group's parser, are built on first
-use.  Every later operation works on element indices.  Quaternion
-coordinates are kept exact as pairs (p, q) denoting (p + q*sqrt(2))/2,
-so equality tests are sound.
+use.  Subgroups are shared per group, one per generator listing, from
+a bounded table, and each builds its members and its left-coset masks
+on first use.  Every later operation works on element indices.
+Quaternion coordinates are kept exact as pairs (p, q) denoting
+(p + q*sqrt(2))/2, so equality tests are sound.
 
 All three groups have exactly one involution, which is what makes them
 usable as regular automorphism groups of a cocktail party graph.
@@ -281,6 +283,18 @@ class Subgroup:
     def __contains__(self, idx: int) -> bool:
         return idx in self.member_set
 
+    @cached_property
+    def _coset_masks(self) -> tuple[int, ...]:
+        """Per vertex v, the mask of v * S: one pass over the cosets, on first use."""
+        T, masks = self.group.table, [0] * len(self.group)
+        for v in range(len(masks)):
+            if not masks[v]:
+                coset = [T[v][x] for x in self.members]
+                mask = sum(1 << u for u in coset)
+                for u in coset:
+                    masks[u] = mask
+        return tuple(masks)
+
     def __repr__(self) -> str:
         gens = ", ".join(self.group.format(g) for g in self.generators)
         return f"Subgroup(<{gens}>, order {self.order})"
@@ -400,8 +414,14 @@ class FiniteGroup:
 
     def subgroup_closure(self, generators: Iterable[int]) -> Subgroup:
         """The Subgroup of the distinct generators, in their first order,
-        after a range, an inverse-closure and a Lagrange check."""
-        sub = Subgroup(self, tuple(dict.fromkeys(generators)))
+        after a range, an inverse-closure and a Lagrange check.  Every caller
+        gets the one Subgroup kept for the tuple in a table of the last 256
+        that passed, so its members and coset masks are built once."""
+        return self._shared_subgroup(tuple(dict.fromkeys(generators)))
+
+    @lru_cache(maxsize=256)  # keeps no call that raised
+    def _shared_subgroup(self, generators: tuple[int, ...]) -> Subgroup:
+        sub = Subgroup(self, generators)
         for g in sub.generators:
             if not 0 <= g < len(self):
                 raise GroupError(f"{self.id}: generator index {g} out of range")
@@ -459,12 +479,14 @@ class FiniteGroup:
 
     def parse(self, text: str) -> int:
         """Index of the element denoted by ``text``; raises ElementError.
-        Canonical texts are looked up; other spellings go to the parser."""
+        Canonical texts are looked up; other spellings go to the parser,
+        and a bounded table keeps the last 1024 that parsed."""
         idx = self._text_index.get(text)
-        if idx is not None:
-            return idx
-        value = self._parser(text)
-        idx = self._index.get(value)
+        return self._parse_spelling(text) if idx is None else idx
+
+    @lru_cache(maxsize=1024)  # keeps no call that raised
+    def _parse_spelling(self, text: str) -> int:
+        idx = self._index.get(self._parser(text))
         if idx is None:
             raise ElementError(f"{text!r} is not an element of {self.id}")
         return idx

@@ -60,8 +60,9 @@ and the reflections below its second vertex as well, but still counts
 them as nodes, by popcount before each w it examines and at the scan's
 end: in scan order, so any node budget stops at the same candidate as
 a one-by-one scan would.  The coset masks
-are built in one pass over the left cosets of each subgroup, which gives
-every vertex of a coset v*S the same mask.  The scan for the last vertex
+v*S are built once per subgroup, on its first search, in one pass over
+its left cosets, and kept on the shared ``Subgroup`` (see
+``FiniteGroup.subgroup_closure``).  The scan for the last vertex
 w closes each cycle in place: Omega(c) is the path's mask plus the pairs
 of the edges into and out of w (``FiniteGroup.pair_columns``), and the
 sub-orbit's vertex mask is the path's union plus w*S.  Dead entry
@@ -302,7 +303,7 @@ class _Searcher:
     def __init__(self, target: SearchTarget, stats: SearchStats) -> None:
         G = target.group
         self.group = G
-        self.table = T = G.table
+        self.table = G.table
         self.n = len(G)
         self.stats = stats
         self.sig = target.entries
@@ -314,20 +315,9 @@ class _Searcher:
         self.difference_rows = G.difference_rows
         self.same_pair = G._same_pair_masks
         self.full_cover = (1 << self.n) - 1
-        # per entry with subgroup S, the vertex mask of v*S for every vertex v,
-        # one pass over the left cosets; entries with the same subgroup share
-        # one list
-        masks: dict[str, list[int]] = {}
-        for e, sub in zip(self.sig, self.subs):
-            if e.subgroup not in masks:
-                masks[e.subgroup] = per_vertex = [0] * self.n
-                for v in range(self.n):
-                    if not per_vertex[v]:
-                        coset = [T[v][x] for x in sub.members]
-                        mask = sum(1 << u for u in coset)
-                        for u in coset:
-                            per_vertex[u] = mask
-        self.coset_masks = [masks[e.subgroup] for e in self.sig]
+        # per entry with subgroup S, the vertex mask of v*S for every vertex
+        # v, kept on S, so entries with the same subgroup share one tuple
+        self.coset_masks = [sub._coset_masks for sub in self.subs]
         # per entry: the l * |S| vertices a sub-orbit tiles, the
         # 2 * orbit_length differences of a factor, and S's members
         self.closing = [

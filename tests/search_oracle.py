@@ -9,8 +9,8 @@ from `hwpreg.search._Searcher`, so the two must visit the same nodes,
 close the same cycles and find the same documents.  `omega_mask`,
 `cycle_stabilizer` and `cycle_action` also answer the closed-path
 questions the tests put to the action oracle.  `coset_masks` computes
-the searcher's coset masks vertex by vertex, the reference for its one
-pass over the cosets.
+the searcher's coset masks vertex by vertex, the reference for the one
+pass over the cosets that each `Subgroup` makes.
 
 `OneByOneSearcher` keeps the searcher's cycle scan as it was before the
 closing scan decided candidates in bulk: every live closing candidate is
@@ -28,10 +28,10 @@ from hwpreg.groups import GroupError
 from hwpreg.search import _Budget, _Searcher
 
 
-def coset_masks(group, sub) -> list[int]:
+def coset_masks(group, sub) -> tuple[int, ...]:
     """The vertex mask of v*S for every vertex v, one vertex at a time."""
     T = group.table
-    return [sum(1 << T[v][x] for x in sub.members) for v in range(len(group))]
+    return tuple(sum(1 << T[v][x] for x in sub.members) for v in range(len(group)))
 
 
 class SlowSearcher(_Searcher):

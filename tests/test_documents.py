@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hwpreg
+from hwpreg.groups import FiniteGroup
 from hwpreg.cli import main
 from hwpreg.search import TargetFormatError, parse_target_dict, parse_target_text, search_hwp
 from hwpreg.solutions import (
@@ -184,6 +185,60 @@ def test_readme_verify_example_is_the_start_of_its_output(capsys):
     assert main(["verify", "24-9-2"]) == 0
     assert capsys.readouterr().out.splitlines()[: len(example)] == example
     assert len(example) == 10
+
+
+def test_readme_search_example_is_found_and_verifies(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Search targets\n", 1)[1]
+    target, found = tmp_path / "target.json", tmp_path / "found.json"
+    target.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    assert main(["search", str(target), "--format", "canonical", "--out", str(found)]) == 0
+    outcome = json.loads(capsys.readouterr().out)
+    assert outcome["verdict"] == "found"
+    assert outcome["stats"]["nodes"] == 5469
+    assert main(["verify", str(found)]) == 0
+    assert capsys.readouterr().out.startswith("solution search-Q24-9-2: PASS")
+
+
+def test_reads_share_one_subgroup_per_listing(raw_docs):
+    first = parse_target_dict(TARGET_24_9_2)
+    again = parse_target_dict(copy.deepcopy(TARGET_24_9_2))
+    assert [first.subgroups[n] for n in "LH"] == [again.subgroups[n] for n in "LH"]
+    assert all(first.subgroups[n] is again.subgroups[n] for n in "LH")
+    for sid, doc in raw_docs.items():
+        first, again = parse_solution_dict(doc), parse_solution_dict(copy.deepcopy(doc))
+        assert first.subgroups.keys() == again.subgroups.keys()
+        assert all(first.subgroups[n] is again.subgroups[n] for n in first.subgroups), sid
+    # a listing that cannot be read raises on every read
+    bad = copy.deepcopy(TARGET_24_9_2)
+    bad["subgroups"]["L"] = ["a2b", "a13"]
+    for _ in range(3):
+        with pytest.raises(TargetFormatError, match="subgroups.L"):
+            parse_target_dict(bad)
+
+
+def test_outputs_are_the_same_from_a_cold_and_a_warm_table(tmp_path, raw_docs, capsys):
+    # what the shared subgroup and spelling tables hold never shows in a
+    # canonical search or verify output; only stats.seconds may differ
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(TARGET_24_9_2), encoding="utf-8")
+    argvs = [["search", str(target), "--format", "canonical"]]
+    for sid in SOLUTION_IDS:
+        (tmp_path / f"{sid}.json").write_text(json.dumps(raw_docs[sid]), encoding="utf-8")
+        argvs.append(["verify", str(tmp_path / f"{sid}.json"), "--format", "canonical"])
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            assert main(argv) == 0
+            out.append(re.sub(r'"seconds":[-+.\deE]+', '"seconds":null', capsys.readouterr().out))
+        return out
+
+    FiniteGroup._shared_subgroup.cache_clear()
+    FiniteGroup._parse_spelling.cache_clear()
+    cold = outputs()
+    assert outputs() == cold
+    assert cold[0].count('"seconds":null') == 1
 
 
 def test_readme_library_section_names_only_public_api():

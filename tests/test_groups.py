@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import hwpreg
 from helpers import all_pairs_table, element_order, power, quat_conj, quat_norm2_times4
 from hwpreg import cli, groups
 from hwpreg.cycles import _stabilizer, _vertex_codes, cycle, cycle_stabilizer
+from hwpreg.solutions import parse_solution_dict
 from hwpreg.groups import (
     GROUP_IDS,
     ElementError,
@@ -449,17 +451,112 @@ def _brute_closure(G, gens):
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_subgroup_is_the_closure_of_its_generators(gid):
-    # seeded random generator tuples of length 0 to 3, repeats allowed
+    # seeded random generator tuples of length 0 to 3, repeats allowed, and
+    # member listings as target documents write them: whole subgroups in
+    # shuffled order, with and without 1, and with repeats
     G, rng = build_group(gid), random.Random(gid)
     repeats = 0
-    for _ in range(200):
-        gens = tuple(rng.choices(range(len(G)), k=rng.randrange(4)))
+    listings = [tuple(rng.choices(range(len(G)), k=rng.randrange(4))) for _ in range(200)]
+    for _ in range(50):
+        whole = list(_brute_closure(G, rng.sample(range(len(G)), rng.randrange(3))))
+        for listing in (whole, [x for x in whole if x != G.identity], whole + whole[:3]):
+            rng.shuffle(listing)
+            listings.append(tuple(listing))
+    for gens in listings:
         sub = Subgroup(G, gens)
         assert sub.members == _brute_closure(G, gens)
         assert sub.member_set == frozenset(sub.members)
         assert G.subgroup_closure(gens) == Subgroup(G, tuple(dict.fromkeys(gens)))
         repeats += len(set(gens)) < len(gens)
     assert repeats > 0
+
+
+def test_subgroup_closure_error_messages_are_unchanged(monkeypatch):
+    G = build_group("Q24")
+    a, a2 = G.parse("a"), G.parse("a2")
+    FiniteGroup._shared_subgroup.cache_clear()
+    with pytest.raises(GroupError) as err:
+        G.subgroup_closure([a, 99])
+    assert str(err.value) == "Q24: generator index 99 out of range"
+    # a closure from a correct table never fails the other two checks, so
+    # member sets that would are put in its place
+    for members, message in [
+        ({G.identity, a}, f"Q24: closure not inverse-closed at {a}"),
+        ({G.identity, a, G.inv(a), a2, G.inv(a2)}, "Q24: subgroup order 5 violates Lagrange"),
+    ]:
+        monkeypatch.setattr(Subgroup, "member_set", property(lambda _, m=frozenset(members): m))
+        with pytest.raises(GroupError) as err:
+            G.subgroup_closure([a])
+        assert str(err.value) == message
+    monkeypatch.undo()
+    assert FiniteGroup._shared_subgroup.cache_info().currsize == 0
+    assert G.subgroup_closure([a]).order == 12
+
+
+def test_subgroup_table_is_shared_and_bounded():
+    G, table = build_group("Q24"), FiniteGroup._shared_subgroup
+    a, b = G.parse("a"), G.parse("b")
+    assert G.subgroup_closure([a, b, a]) is G.subgroup_closure(iter([a, b]))
+    assert G.subgroup_closure([b, a]) is not G.subgroup_closure([a, b])  # the listing is kept
+    assert G.subgroup_closure([b, a]).generators == (b, a)
+    bound = table.cache_info().maxsize
+    for x in range(len(G)):
+        for y in range(len(G)):
+            assert G.subgroup_closure([x, y]).generators == tuple(dict.fromkeys((x, y)))
+            assert table.cache_info().currsize <= bound
+    assert table.cache_info().currsize == bound < len(G) ** 2
+    # an evicted listing is built again, equal to the first build
+    assert G.subgroup_closure([a, b, a]) == Subgroup(G, (a, b))
+    # a listing that fails a check is never kept: it raises on every call
+    table.cache_clear()
+    for _ in range(3):
+        with pytest.raises(GroupError, match="out of range"):
+            G.subgroup_closure([a, -1])
+    assert table.cache_info().currsize == 0
+
+
+def test_non_canonical_spellings_are_parsed_once(raw_docs):
+    # some bundled documents spell elements non-canonically (54 texts per
+    # read of the nine: 53 in 2O, 1 in Q24); over repeated reads each
+    # group's parser runs once per distinct one
+    parsers = (groups.parse_quat, parse_dicyclic, groups.parse_sl23)
+    parsers = {f.__code__: f.__name__ for f in parsers}
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in parsers:
+            calls[parsers[frame.f_code]] += 1
+
+    distinct = set()
+    for doc in raw_docs.values():
+        G = build_group(doc["group"])
+        listings = [*doc["subgroups"].values(), *doc["cycles"].values()]
+        listings += doc.get("annotations", {}).get("omega", {}).values()
+        distinct |= {(G, t) for texts in listings for t in texts if t not in G.texts}
+    want = Counter(G._parser.__name__ for G, _ in distinct)
+    assert want == Counter(parse_quat=10, parse_dicyclic=1)
+
+    FiniteGroup._parse_spelling.cache_clear()
+    sys.setprofile(count)
+    try:
+        for _ in range(3):
+            for doc in raw_docs.values():
+                parse_solution_dict(doc)
+    finally:
+        sys.setprofile(None)
+    assert calls == want
+    # a spelling that fails is never remembered: it goes to the parser and
+    # raises every time
+    G = build_group("2O")
+    calls.clear()
+    sys.setprofile(count)
+    try:
+        for text in ["1/2(1+i)", "q"] * 3:
+            with pytest.raises(ElementError):
+                G.parse(text)
+    finally:
+        sys.setprofile(None)
+    assert calls == Counter(parse_quat=6)
 
 
 def test_element_order_divides_group_order():

@@ -26,7 +26,13 @@ from hwpreg.search import (
     search_hwp,
     target_from_solution,
 )
-from hwpreg.solutions import SOLUTION_IDS, load_solution, parse_solution_dict, verify_solution
+from hwpreg.solutions import (
+    SOLUTION_IDS,
+    load_solution,
+    parse_solution_dict,
+    resolve_subgroup,
+    verify_solution,
+)
 from search_oracle import OneByOneSearcher, coset_masks
 
 TARGET_24_9_2 = {
@@ -193,13 +199,18 @@ def test_target_from_solution_names_stabilizers():
 
 
 def test_coset_masks_are_built_once_per_subgroup():
+    # the table lives on the Subgroup: entries naming one subgroup share
+    # its tuple, and a second searcher reads the same tuples again
     target = target_from_solution(load_solution("48-17-6"))
     searcher = _Searcher(target, SearchStats())
     by_name = {}
     for entry, masks in zip(target.entries, searcher.coset_masks):
         assert by_name.setdefault(entry.subgroup, masks) is masks
+        assert masks is resolve_subgroup(target, entry.subgroup)._coset_masks
     assert sorted(by_name) == ["G", "S1", "S2"]
-    assert by_name["G"] == [searcher.full_cover] * len(target.group)
+    assert by_name["G"] == (searcher.full_cover,) * len(target.group)
+    again = _Searcher(target, SearchStats())
+    assert all(a is b for a, b in zip(again.coset_masks, searcher.coset_masks))
 
 
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
@@ -222,6 +233,7 @@ def test_coset_masks_match_the_per_vertex_formula(sid):
         entries = tuple(SignatureEntry(3, 1, name) for name in named)
         searcher = _Searcher(SearchTarget(G, 0, 0, entries, named), SearchStats())
         assert searcher.coset_masks == [coset_masks(G, sub) for sub in named.values()]
+        assert all(m is sub._coset_masks for m, sub in zip(searcher.coset_masks, named.values()))
 
 
 @pytest.mark.parametrize("sid", ["48-17-6", "24-9-2", "24-5-6"])  # 2O, Q24, SL23
