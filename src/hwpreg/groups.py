@@ -466,6 +466,16 @@ class FiniteGroup:
                 masks[u][T[T[x][x]][u]] |= 1 << T[x][u]
         return tuple(map(tuple, masks))
 
+    @cached_property
+    def _low_pair_marks(self) -> tuple[bytes, ...]:
+        """For each k, b"1" at every d whose pair {d, d^-1} has a member at
+        or below k and b"0" elsewhere, a table that turns a difference row
+        into the vertex mask of the w with such a difference.  Built on
+        first use."""
+        inv, n = self.inv_table, len(self)
+        low = [min(d, inv[d]) for d in range(n)]
+        return tuple(bytes(48 + (x <= k) for x in low).ljust(256, b"0") for k in range(n))
+
     def whole_subgroup(self) -> Subgroup:
         """G, generated by each element that the earlier ones do not reach."""
         return self._whole

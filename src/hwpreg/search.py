@@ -102,6 +102,31 @@ per path edge.  Omega(c) holds Omega(path), so a path with |fused| +
 2L - |fused| < 2(l - 2) for that, and the loop that would open its scan
 charges its node and candidates instead.
 
+Most generic closers at v = 48 complete their factor's cover only for
+``_extend_factor`` to refuse it, and these are refused in bulk too:
+
+* rest = V - (covered | vmask) is a union of cosets v*S, and each generic
+  w lies in it, so w*S does too.  The cover is complete after w just when
+  rest = w*S: when |rest| = |S|, rest is one coset and every generic w
+  completes the cover, and otherwise none does.
+* The new factor then has |fused| + |Omega(path)| + 4 differences for
+  every generic w (the four new ones are not in ``used``, which holds
+  fused and misses Omega(path)).  Unless that is 2L, all are refused.
+* Else, after an equal entry whose factor has least difference k, w is
+  refused when fused | Omega(path) | P(w * u^-1) | P(w * p0^-1) has a bit
+  at or below k, P(d) being the pair {d, d^-1}.  When fused | Omega(path)
+  has one, that is every w; else it is the w with a pair member at or
+  below k in w * u^-1 or w * p0^-1: the rows of u and p0 in
+  ``FiniteGroup.difference_rows``, each translated through the table
+  that marks those d (``FiniteGroup._low_pair_marks``).  No new bit is k
+  itself, as k is used.
+
+Each refused w counts as a closed cycle: all those below a closer that
+descends are counted before it descends, and the rest at the scan's end.
+They are held out of the scan only while the nodes it can still charge
+fit in the budget, so no budget stop falls among them; after a descent
+that leaves too few nodes, the rest are closed one by one again.
+
 A target document is read as strictly as a solution document, by the
 same field readers (see ``solutions.py``): wrong types, unknown keys and
 unreadable files raise ``TargetFormatError``.
@@ -118,6 +143,7 @@ from .cycles import Cycle, _canonical_rotation, _codes, _cycle_stabilizer, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
+    Err,
     SolutionSpec,
     _factor_recipes,
     _parse_json,
@@ -211,6 +237,8 @@ class SearchOutcome:
 # ---------------------------------------------------------------------------
 # target documents
 
+_ENTRY_KEYS = frozenset({"cycle_length", "orbit_length", "subgroup"})
+
 
 def parse_target_dict(doc: Mapping) -> SearchTarget:
     """Validate a search target document and resolve it against its group."""
@@ -224,18 +252,24 @@ def parse_target_dict(doc: Mapping) -> SearchTarget:
         raise E("factor counts must be nonnegative")
     subgroups = _read_subgroups(group, doc["subgroups"], E)
 
+    names = {"G", *subgroups}
     entries = []
+    kinds: dict[tuple, SignatureEntry] = {}  # equal entries share one object
     for n, item in enumerate(_read_list(doc["signature"], "signature", E)):
-        where = f"signature[{n}]"
-        _read_keys(item, {"cycle_length", "orbit_length", "subgroup"}, set(), where, E)
-        length = _strict_int(item["cycle_length"], f"{where}.cycle_length", E)
-        orbit = _strict_int(item["orbit_length"], f"{where}.orbit_length", E)
-        if length < 3:
-            raise E(f"{where}: cycle length must be at least 3")
-        if orbit < 1:
-            raise E(f"{where}: orbit length must be at least 1")
-        sub = _read_ref(item["subgroup"], ("G", *subgroups), "subgroup", where, E)
-        entries.append(SignatureEntry(length, orbit, sub))
+        # a plain well-formed entry passes every check below at once;
+        # anything else goes through them in order, for their messages
+        if type(item) is dict and item.keys() == _ENTRY_KEYS:
+            key = length, orbit, sub = item["cycle_length"], item["orbit_length"], item["subgroup"]
+            if (
+                type(length) is int and type(orbit) is int and type(sub) is str
+                and length >= 3 and orbit >= 1 and sub in names
+            ):
+                entry = kinds.get(key)
+                if entry is None:
+                    entry = kinds[key] = SignatureEntry(length, orbit, sub)
+                entries.append(entry)
+                continue
+        entries.append(_read_entry(item, f"signature[{n}]", names, E))
 
     budget = None
     raw_budget = _read_keys(doc.get("budget", {}), set(), {"nodes"}, "budget", E)
@@ -244,6 +278,19 @@ def parse_target_dict(doc: Mapping) -> SearchTarget:
         if budget < 1:
             raise E("budget.nodes must be positive")
     return SearchTarget(group, r, s, tuple(entries), subgroups, budget)
+
+
+def _read_entry(item, where: str, names: set[str], E: Err) -> SignatureEntry:
+    """The signature entry item, through each check in turn."""
+    _read_keys(item, _ENTRY_KEYS, set(), where, E)
+    length = _strict_int(item["cycle_length"], f"{where}.cycle_length", E)
+    orbit = _strict_int(item["orbit_length"], f"{where}.orbit_length", E)
+    if length < 3:
+        raise E(f"{where}: cycle length must be at least 3")
+    if orbit < 1:
+        raise E(f"{where}: orbit length must be at least 1")
+    sub = _read_ref(item["subgroup"], names, "subgroup", where, E)
+    return SignatureEntry(length, orbit, sub)
 
 
 def parse_target_text(text: str) -> SearchTarget:
@@ -300,16 +347,20 @@ class _Budget(Exception):
 
 
 class _Searcher:
-    def __init__(self, target: SearchTarget, stats: SearchStats) -> None:
+    def __init__(
+        self, target: SearchTarget, stats: SearchStats, subs: Optional[list[Subgroup]] = None
+    ) -> None:
         G = target.group
         self.group = G
         self.table = G.table
         self.n = len(G)
         self.stats = stats
-        self.sig = target.entries
-        # per entry: whether it equals the one before it (see _extend_factor)
-        self.repeats = [idx > 0 and e == self.sig[idx - 1] for idx, e in enumerate(self.sig)]
-        self.subs = [resolve_subgroup(target, e.subgroup) for e in target.entries]
+        sig = self.sig = target.entries
+        # per entry: whether it equals the one before it (see _extend_factor);
+        # a parsed target's equal entries are one object
+        self.repeats = [False] + [e is p or e == p for p, e in zip(sig, sig[1:])]
+        # per entry: its subgroup, unless the caller resolved them already
+        self.subs = subs or [resolve_subgroup(target, e.subgroup) for e in sig]
         # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
         self.pair_columns = G.pair_columns
         self.difference_rows = G.difference_rows
@@ -423,8 +474,10 @@ class _Searcher:
         close, second = self.pair_columns[p0], path[1]
         live = (cands >> second << second) & ~start_blocked
         # `generic`: the live w that repeat no pair and close; only the
-        # special ones are tested below (see the module docstring)
-        generic = 0
+        # special ones are tested below.  `refused`: the generic w whose
+        # complete cover _extend_factor would refuse, held out of the scan
+        # and counted as closed in scan order (see the module docstring)
+        generic = refused = 0
         if live.bit_count() > 5:
             T, inv = self.table, self.group.inv_table
             special = self.same_pair[u][p0]
@@ -433,7 +486,11 @@ class _Searcher:
                 special |= 1 << d[u] | 1 << e[u] | 1 << d[p0] | 1 << e[p0]
             if omega.bit_count() + 4 == 2 * length and vmask.bit_count() == tiled - len(members):
                 generic = live & ~special & ~vmask
-            live = live & special | generic
+                if generic and stats.nodes + cands.bit_count() <= limit:
+                    refused = self._refused(
+                        idx, covered | vmask, fused | omega, u, p0, generic, picked
+                    )
+            live = live & special | (generic ^ refused)
         while live:
             bit = live & -live
             live ^= bit
@@ -477,7 +534,9 @@ class _Searcher:
                 remaining = self.n - (covered | vmask | cosets[w]).bit_count()
                 if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
                     continue
-            stats.cycles_closed += 1
+            # the refused closers below w close before it
+            stats.cycles_closed += 1 + (refused & (bit - 1)).bit_count()
+            refused &= -bit
             path.append(w)
             self._extend_factor(
                 idx,
@@ -488,10 +547,38 @@ class _Searcher:
                 picked,
             )
             path.pop()
+            if refused and stats.nodes + cands.bit_count() > limit:
+                # a stop could now fall among them: close them one by one
+                live |= refused
+                refused = 0
+        if refused:
+            stats.cycles_closed += refused.bit_count()
         stats.nodes += cands.bit_count()
         if stats.nodes > limit:
             stats.nodes = limit + 1
             raise _Budget()
+
+    def _refused(
+        self, idx: int, held: int, base: int, u: int, p0: int, generic: int, picked: list
+    ) -> int:
+        """The generic closers of the path from p0 to u whose cycle completes
+        the factor's cover only for _extend_factor to refuse it, for `held`
+        = covered | vmask and `base` = fused | Omega(path) (see the module
+        docstring)."""
+        _, budget, members = self.closing[idx]
+        if self.n - held.bit_count() != len(members):
+            return 0  # the cover stays open
+        if base.bit_count() + 4 != budget:
+            return generic
+        if not self.repeats[idx]:
+            return 0
+        prev = picked[-1][1]
+        low = prev & -prev
+        if base & ((low << 1) - 1):
+            return generic
+        marks = self.group._low_pair_marks[low.bit_length() - 1]
+        rows = self.difference_rows
+        return generic & (int(rows[u].translate(marks), 2) | int(rows[p0].translate(marks), 2))
 
 
 def _fixed_by(table: Sequence[Sequence[int]], verts: list[int], x: int) -> bool:
@@ -500,31 +587,35 @@ def _fixed_by(table: Sequence[Sequence[int]], verts: list[int], x: int) -> bool:
     return _canonical_rotation(moved) == _canonical_rotation(tuple(verts))
 
 
-def _infeasible(target: SearchTarget) -> Optional[str]:
-    G = target.group
-    v = len(G)
+def _infeasible(target: SearchTarget) -> tuple[Optional[str], list[Subgroup]]:
+    """Why target is infeasible a priori, or None, and the subgroups of the
+    entries read so far: of every entry when it is feasible."""
+    v = len(target.group)
+    subs: list[Subgroup] = []
     feasible, why = hwp_feasibility(v, target.r, target.s)
     if not feasible:
-        return why
-    r_sig = sum(e.orbit_length for e in target.entries if e.cycle_length == 3)
-    s_sig = sum(e.orbit_length for e in target.entries if e.cycle_length == 4)
+        return why, subs
+    sums = {3: 0, 4: 0}  # orbit lengths by cycle length
     for n, entry in enumerate(target.entries):
-        if entry.cycle_length not in (3, 4):
-            return f"signature[{n}]: factors must consist of triangles or quadrangles"
-        if v % entry.cycle_length:
-            return f"signature[{n}]: cycle length {entry.cycle_length} does not divide v={v}"
+        length, orbit = entry.cycle_length, entry.orbit_length
+        if length not in sums:
+            return f"signature[{n}]: factors must consist of triangles or quadrangles", subs
+        if v % length:
+            return f"signature[{n}]: cycle length {length} does not divide v={v}", subs
         sub = resolve_subgroup(target, entry.subgroup)
-        if entry.orbit_length * sub.order != v:
+        if orbit * sub.order != v:
             return (
-                f"signature[{n}]: orbit length {entry.orbit_length} with subgroup "
+                f"signature[{n}]: orbit length {orbit} with subgroup "
                 f"order {sub.order} cannot give |G|={v}"
-            )
-    if (r_sig, s_sig) != (target.r, target.s):
+            ), subs
+        subs.append(sub)
+        sums[length] += orbit
+    if (sums[3], sums[4]) != (target.r, target.s):
         return (
-            f"signature orbit lengths sum to (r,s)=({r_sig},{s_sig}) "
+            f"signature orbit lengths sum to (r,s)=({sums[3]},{sums[4]}) "
             f"but the target is ({target.r},{target.s})"
-        )
-    return None
+        ), subs
+    return None, subs
 
 
 def _found_spec(target: SearchTarget, picked: list) -> SolutionSpec:
@@ -556,11 +647,11 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     ``budget-exceeded`` when the node budget ran out first.
     """
     stats = SearchStats()
-    reason = _infeasible(target)
+    reason, subs = _infeasible(target)
     if reason is not None:
         return SearchOutcome(VERDICT_EXHAUSTED, reason, None, None, stats)
 
-    searcher = _Searcher(target, stats)
+    searcher = _Searcher(target, stats, subs)
     G = target.group
     # identity cannot occur as a difference; the involution marks I-edges
     start_used = (1 << G.identity) | G.pair_columns[G.identity][G.unique_involution()]

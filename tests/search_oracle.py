@@ -15,8 +15,14 @@ pass over the cosets that each `Subgroup` makes.
 `OneByOneSearcher` keeps the searcher's cycle scan as it was before the
 closing scan decided candidates in bulk: every live closing candidate is
 put through the divisibility, stabilizer, tiling and `remaining` tests
-one at a time, and every path of l - 1 vertices is descended into.  It
-is the reference for those bulk decisions, state by state.
+one at a time, every path of l - 1 vertices is descended into, and every
+closed cycle goes to `_extend_factor`, which may refuse it.  It is the
+reference for those bulk decisions, state by state.
+
+`refuses` writes out the two refusals of a complete factor cover, which
+the searcher's closing scan makes in bulk for most candidates instead of
+calling `_extend_factor`; the lockstep tests compare the cycles that are
+not refused.
 """
 
 from __future__ import annotations
@@ -34,9 +40,29 @@ def coset_masks(group, sub) -> tuple[int, ...]:
     return tuple(sum(1 << T[v][x] for x in sub.members) for v in range(len(group)))
 
 
+def refuses(searcher, idx: int, covered: int, fused: int, picked: list) -> bool:
+    """Whether `_extend_factor` refuses the factor of entry idx grown to
+    `covered` with differences `fused`: a complete cover without all its
+    2 * orbit_length differences, or one that follows an equal entry's
+    factor with a least difference not above that factor's."""
+    entry = searcher.sig[idx]
+    if covered != (1 << len(searcher.group)) - 1:
+        return False
+    if fused.bit_count() != 2 * entry.orbit_length:
+        return True
+    if idx == 0 or entry != searcher.sig[idx - 1]:
+        return False
+    prev = picked[-1][1]
+    return min(_bits(fused)) <= min(_bits(prev))
+
+
+def _bits(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 class SlowSearcher(_Searcher):
-    def __init__(self, target, stats) -> None:
-        super().__init__(target, stats)
+    def __init__(self, target, stats, subs=None) -> None:
+        super().__init__(target, stats, subs)
         G = self.group
         self.inv = G.inv_table
         self.pair_mask = [(1 << d) | (1 << G.inv(d)) for d in range(self.n)]

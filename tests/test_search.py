@@ -1,12 +1,14 @@
 """Target documents and the backtracking searcher."""
 
 import copy
+import enum
 import hashlib
 import json
 import random
 import re
 import sys
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
@@ -33,7 +35,8 @@ from hwpreg.solutions import (
     resolve_subgroup,
     verify_solution,
 )
-from search_oracle import OneByOneSearcher, coset_masks
+from search_oracle import OneByOneSearcher, coset_masks, refuses
+from test_search_lockstep import _conjugate
 
 TARGET_24_9_2 = {
     "group": "Q24",
@@ -120,6 +123,56 @@ def test_parse_target_rejects_non_integers(field, place, value):
 
 
 @pytest.mark.parametrize(
+    "value,message",
+    [
+        (5, "signature[2] must be a JSON object"),
+        (["cycle_length"], "signature[2] must be a JSON object"),
+        ({"cycle_length": 3, "orbit_length": 3}, "signature[2]: missing keys ['subgroup']"),
+        (
+            {"cycle_length": 3, "orbit_length": 3, "subgroup": "L", "note": 1},
+            "signature[2]: unknown keys ['note']",
+        ),
+        ({"cycle_length": "3"}, "signature[2].cycle_length must be an integer, got '3'"),
+        ({"cycle_length": True}, "signature[2].cycle_length must be an integer, got True"),
+        ({"cycle_length": 2}, "signature[2]: cycle length must be at least 3"),
+        ({"orbit_length": 3.0}, "signature[2].orbit_length must be an integer, got 3.0"),
+        ({"orbit_length": None}, "signature[2].orbit_length must be an integer, got None"),
+        ({"orbit_length": 0}, "signature[2]: orbit length must be at least 1"),
+        ({"subgroup": "Z"}, "signature[2]: unknown subgroup 'Z'"),
+        ({"subgroup": ["L"]}, "signature[2]: unknown subgroup ['L']"),
+        ({"subgroup": 1}, "signature[2]: unknown subgroup 1"),
+    ],
+)
+def test_parse_target_names_the_bad_signature_field(value, message):
+    # entries 0 and 1 are well formed; a dict updates entry 2, anything
+    # else replaces it
+    doc = _target()
+    if isinstance(value, dict) and len(value) == 1:
+        doc["signature"][2].update(value)
+    else:
+        doc["signature"][2] = value
+    with pytest.raises(TargetFormatError) as err:
+        parse_target_dict(doc)
+    assert str(err.value) == message
+
+
+def test_parse_target_reads_every_mapping_entry_alike():
+    # an entry that is a mapping but no dict, or holds an int subclass,
+    # takes the checks one by one and gives the same target
+    class Three(enum.IntEnum):
+        THREE = 3
+
+    plain = parse_target_dict(TARGET_24_9_2)
+    doc = _target()
+    doc["signature"][0] = MappingProxyType(doc["signature"][0])
+    doc["signature"][2]["orbit_length"] = Three.THREE
+    other = parse_target_dict(doc)
+    assert other.entries == plain.entries
+    # equal entries of one document are one object
+    assert plain.entries[0] is plain.entries[1]
+
+
+@pytest.mark.parametrize(
     "mutate,fragment",
     [
         # r+s must be v/2 - 1
@@ -143,6 +196,45 @@ def test_infeasible_targets_exhaust_with_reason(mutate, fragment):
     outcome = search_hwp(parse_target_dict(doc))
     assert outcome.verdict == "exhausted"
     assert fragment.replace("\\", "") in outcome.reason
+
+
+@pytest.mark.parametrize(
+    "mutate,reason",
+    [
+        (lambda d: d.update(target={"r": 9, "s": 3}), "r+s=12 must equal v/2-1=11"),
+        (
+            lambda d: d["signature"][2].update(orbit_length=4),
+            "signature[2]: orbit length 4 with subgroup order 8 cannot give |G|=24",
+        ),
+        (
+            lambda d: d["signature"][0].update(cycle_length=5),
+            "signature[0]: factors must consist of triangles or quadrangles",
+        ),
+        (
+            lambda d: d.update(target={"r": 10, "s": 1}),
+            "signature orbit lengths sum to (r,s)=(9,2) but the target is (10,1)",
+        ),
+    ],
+)
+def test_infeasible_reasons_are_exact(mutate, reason):
+    doc = _target()
+    mutate(doc)
+    assert search_hwp(parse_target_dict(doc)).reason == reason
+
+
+def test_search_resolves_each_entry_once(monkeypatch):
+    # the feasibility check resolves every entry's subgroup, and the
+    # searcher reuses what it resolved
+    calls = []
+
+    def counting(target, name):
+        calls.append(name)
+        return resolve_subgroup(target, name)
+
+    monkeypatch.setattr("hwpreg.search.resolve_subgroup", counting)
+    target = parse_target_dict(TARGET_24_9_2)
+    assert search_hwp(target).verdict == "found"
+    assert calls == [e.subgroup for e in target.entries]
 
 
 def test_unsupported_cycle_length_is_infeasible():
@@ -311,6 +403,46 @@ def test_order_48_signature_runs_under_budget():
 
 
 @pytest.mark.parametrize(
+    "sid,g,budget,counters",
+    [
+        ("48-17-6", "1", 500, (501, 80, 1, 0, 0)),
+        ("48-17-6", "1", 5000, (5001, 432, 5, 3, 0)),
+        ("48-17-6", "1/2(-1+i+j-k)", 500, (501, 74, 1, 0, 0)),
+        ("48-17-6", "1/2(-1+i+j-k)", 5000, (5001, 426, 5, 3, 0)),
+        ("48-17-6", "1/r2(-1+j)", 500, (501, 74, 1, 0, 0)),
+        ("48-17-6", "1/r2(-1+j)", 5000, (5001, 426, 5, 3, 0)),
+        ("48-17-6", "1/r2(i-k)", 500, (501, 74, 1, 0, 0)),
+        ("48-17-6", "1/r2(i-k)", 5000, (5001, 426, 5, 3, 0)),
+        ("48-15-8", "1", 500, (501, 80, 1, 0, 0)),
+        ("48-15-8", "1", 5000, (5001, 432, 5, 3, 0)),
+        ("48-15-8", "1/r2(-1+i)", 500, (501, 80, 1, 0, 0)),
+        ("48-15-8", "1/r2(-1+i)", 5000, (5001, 432, 5, 3, 0)),
+        ("48-15-8", "1/r2(-i-k)", 500, (501, 74, 1, 0, 0)),
+        ("48-15-8", "1/r2(-i-k)", 5000, (5001, 426, 5, 3, 0)),
+        ("48-15-8", "-j", 500, (501, 80, 1, 0, 0)),
+        ("48-15-8", "-j", 5000, (5001, 432, 5, 3, 0)),
+        # stops after a factor's subtree returns into a closing scan that
+        # holds refused covers out
+        ("48-17-6", "1", 5990, (5991, 474, 5, 4, 0)),
+        ("48-15-8", "1", 6020, (6021, 482, 6, 4, 1)),
+    ],
+)
+def test_conjugated_order_48_budget_stops_are_pinned(sid, g, budget, counters):
+    # g = 1 and the three conjugating elements that
+    # random.Random(f"pinned-counters-{sid}") samples first; the budget
+    # stops fall in subtrees entered past closing scans that refuse
+    # complete covers in bulk, so refused covers counted before their
+    # place show here (ones counted after it show in the lockstep trails)
+    target = target_from_solution(load_solution(sid), budget)
+    G = target.group
+    if g != "1":
+        assert G.parse(g) in random.Random(f"pinned-counters-{sid}").sample(range(len(G)), 3)
+    outcome = search_hwp(_conjugate(target, G.parse(g)))
+    assert outcome.verdict == "budget-exceeded"
+    assert _counters(outcome.stats) == counters
+
+
+@pytest.mark.parametrize(
     "sid,counters,digest",
     [
         (
@@ -366,14 +498,14 @@ def _assert_found_as_pinned(sid, counters, digest):
 
 def _scan_states(monkeypatch, target):
     """Every cycle scan a search of target makes that closes cycles or
-    opens scans that do, as (idx, used, covered, fused, acc, path and the
-    masks carried with it)."""
+    opens scans that do, as (idx, used, covered, fused, acc, picked, path
+    and the masks carried with it)."""
     states = []
     scan = _Searcher._extend_cycle
 
     def capturing(self, idx, used, covered, fused, acc, picked, path, *carried):
         if len(path) + 2 >= self.sig[idx].cycle_length:
-            states.append((idx, used, covered, fused, acc, tuple(path), *carried))
+            states.append((idx, used, covered, fused, acc, picked, tuple(path), *carried))
         scan(self, idx, used, covered, fused, acc, picked, path, *carried)
 
     with monkeypatch.context() as m:
@@ -383,14 +515,19 @@ def _scan_states(monkeypatch, target):
 
 
 def _replay(cls, target, state):
-    """The cycles the scan of state closes, in order, with the masks it
-    hands on, and the nodes it charges, under searcher class cls."""
-    idx, used, covered, fused, acc, path, *carried = state
+    """The cycles the scan of state closes and `_extend_factor` does not
+    refuse (`search_oracle.refuses`), in order, with the masks it hands
+    on; the nodes and the cycles closed it charges; and every cycle it
+    hands to `_extend_factor`, with whether it is refused there, under
+    searcher class cls."""
+    idx, used, covered, fused, acc, picked, path, *carried = state
     searcher = cls(target, SearchStats())
-    closed = []
-    searcher._extend_factor = lambda *args: closed.append(args[:5])
-    searcher._extend_cycle(idx, used, covered, fused, acc, [], list(path), *carried)
-    return closed, searcher.stats.nodes, searcher.stats.cycles_closed
+    calls = []
+    searcher._extend_factor = lambda *args: calls.append(args[:5])
+    searcher._extend_cycle(idx, used, covered, fused, acc, picked, list(path), *carried)
+    calls = [(c, refuses(searcher, c[0], c[2], c[3], picked)) for c in calls]
+    closed = [c for c, refused in calls if not refused]
+    return closed, searcher.stats.nodes, searcher.stats.cycles_closed, calls
 
 
 @pytest.mark.parametrize(
@@ -405,12 +542,75 @@ def test_closing_scans_decide_like_the_one_by_one_scan(monkeypatch, sid, budget)
     unbounded = replace(target, budget_nodes=None)
     bits = set()
     for state in states:
-        fast = _replay(_Searcher, unbounded, state)
-        assert fast == _replay(OneByOneSearcher, unbounded, state), state
-        for _, _, _, fused, acc in fast[0]:
+        _replays_agree(unbounded, state)
+        for (_, _, _, fused, acc), _ in _replay(_Searcher, unbounded, state)[3]:
             bits.add((fused ^ state[3]).bit_count() == 2 * len(acc[-1]))
     # both kinds of closed cycle occur: 2l-bit Omega and repeated pairs
     assert bits == {True, False}
+
+
+def _replays_agree(target, state) -> int:
+    """Assert that the scan of state closes the same cycles, charges the
+    same nodes and counts the same cycles closed under the searcher as
+    under the one-by-one scan, and that the cycles it does not hand to
+    `_extend_factor` are refused ones; return how many there are."""
+    fast = _replay(_Searcher, target, state)
+    slow = _replay(OneByOneSearcher, target, state)
+    assert fast[:3] == slow[:3], state
+    assert all(call in slow[3] for call in fast[3]), state
+    left_out = [call for call in slow[3] if call not in fast[3]]
+    assert all(refused for _, refused in left_out), state
+    return len(left_out)
+
+
+def _closing_states(monkeypatch, target):
+    """The closing scans of a search of target, and target unbounded."""
+    return [
+        state
+        for state in _scan_states(monkeypatch, target)
+        if len(state[6]) + 1 == target.entries[state[0]].cycle_length
+    ], replace(target, budget_nodes=None)
+
+
+@pytest.mark.parametrize(
+    "sid,g,budget",
+    [
+        ("48-17-6", None, 8000),
+        ("48-17-6", "seeded", 8000),
+        ("48-15-8", None, 8000),
+        ("48-15-8", "seeded", 8000),
+        ("24-7-4", "a", None),
+    ],
+)
+def test_closing_scans_refuse_covers_like_one_at_a_time(monkeypatch, sid, g, budget):
+    # the generic closers that complete a factor's cover and that
+    # _extend_factor would refuse are refused in bulk (see the search.py
+    # module docstring), against the scan that hands each to _extend_factor
+    target = target_from_solution(load_solution(sid), budget)
+    G = target.group
+    if g == "seeded":
+        gs = random.Random(f"refusals-{sid}").sample(range(len(G)), 2)
+        targets = [_conjugate(target, x) for x in gs]
+    else:
+        targets = [target if g is None else _conjugate(target, G.parse(g))]
+    for target in targets:
+        states, unbounded = _closing_states(monkeypatch, target)
+        fired = [state for state in states if _replays_agree(unbounded, state)]
+        assert fired  # the bulk path runs and refuses
+        # and where it fires it leaves no generic closer to be refused one
+        # at a time: each refused cycle _extend_factor still sees repeats a
+        # pair, so it adds fewer than four differences to Omega(path)
+        for state in fired:
+            omega = state[8]
+            for (_, _, _, fused, _), refused in _replay(_Searcher, unbounded, state)[3]:
+                assert not refused or (fused ^ state[3]).bit_count() < omega.bit_count() + 4
+        # with one more orbit the same covers fall short of their
+        # differences, and the bulk path refuses them on the count
+        for state in fired:
+            idx = state[0]
+            entries = list(target.entries)
+            entries[idx] = replace(entries[idx], orbit_length=entries[idx].orbit_length + 1)
+            assert _replays_agree(replace(unbounded, entries=tuple(entries)), state)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,10 @@ cycle's masks from its whole path; the searcher walks the free vertices
 and closes cycles inside its candidate scan with masks carried down the
 path.  Both must close the same cycles at the same node counts, stop at
 the same node under any budget, and end with the same counters and the
-same document.
+same document.  The searcher refuses most complete covers that
+`_extend_factor` would refuse inside its closing scan, without the call,
+so the trails hold only the cycles that reach `_extend_factor` and are
+not refused there (`search_oracle.refuses`).
 """
 
 import random
@@ -16,22 +19,25 @@ import pytest
 import hwpreg.search
 from hwpreg.search import search_hwp, target_from_solution
 from hwpreg.solutions import load_solution
-from search_oracle import SlowSearcher
+from search_oracle import SlowSearcher, refuses
 
 FAST = hwpreg.search._Searcher
 
 
 def _run(monkeypatch, cls, target):
     """The outcome of searching target with searcher class cls, without
-    `stats.seconds`, and the trail of accepted cycles: (nodes,
-    cycles_closed, entry, path, used, covered, fused) at each one."""
-    trail = []
+    `stats.seconds`; the trail of accepted cycles that are not refused:
+    (nodes, cycles_closed, entry, path, used, covered, fused) at each one;
+    and the number of accepted cycles that reach `_extend_factor`."""
+    trail, calls = [], [0]
 
     class Recording(cls):
         def _extend_factor(self, idx, used, covered, fused, acc, picked):
             if acc:  # called right after a cycle was accepted
-                st = self.stats
-                trail.append((st.nodes, st.cycles_closed, idx, acc[-1], used, covered, fused))
+                calls[0] += 1
+                if not refuses(self, idx, covered, fused, picked):
+                    st = self.stats
+                    trail.append((st.nodes, st.cycles_closed, idx, acc[-1], used, covered, fused))
             super()._extend_factor(idx, used, covered, fused, acc, picked)
 
     with monkeypatch.context() as m:
@@ -39,7 +45,7 @@ def _run(monkeypatch, cls, target):
         outcome = search_hwp(target)
     doc = outcome.to_dict()
     del doc["stats"]["seconds"]
-    return doc, trail
+    return doc, trail, calls[0]
 
 
 def _conjugate(target, g):
@@ -77,17 +83,19 @@ def _targets(sid, budget):
 def test_searcher_accepts_the_oracles_cycles(monkeypatch, sid, budget):
     verdicts = set()
     for target in _targets(sid, budget):
-        fast, fast_trail = _run(monkeypatch, FAST, target)
-        slow, slow_trail = _run(monkeypatch, SlowSearcher, target)
+        fast, fast_trail, fast_calls = _run(monkeypatch, FAST, target)
+        slow, slow_trail, slow_calls = _run(monkeypatch, SlowSearcher, target)
         assert fast_trail == slow_trail
         assert fast == slow
-        assert len(fast_trail) == fast["stats"]["cycles_closed"] > 0
+        # every cycle the oracle closes reaches _extend_factor; the searcher
+        # leaves out only refused ones
+        assert slow_calls == fast["stats"]["cycles_closed"] >= fast_calls >= len(fast_trail) > 0
         verdicts.add(fast["verdict"])
     assert verdicts == {"found" if budget is None else "budget-exceeded"}
 
 
 def _verdict_and_counters(monkeypatch, cls, target):
-    doc, _ = _run(monkeypatch, cls, target)
+    doc, _, _ = _run(monkeypatch, cls, target)
     return doc["verdict"], doc["stats"]
 
 
@@ -98,6 +106,10 @@ def _verdict_and_counters(monkeypatch, cls, target):
         ("24-9-2", range(1, 601)),
         ("48-17-6", range(1, 5001, 97)),
         ("48-15-8", range(1, 3001, 89)),
+        # the first closing scan that holds refused covers out while a
+        # factor's subtree runs, and finds the budget short when it returns
+        # (node 5,977): stops between it and the scan's end
+        ("48-17-6", range(5970, 6031)),
     ],
 )
 def test_budget_stops_both_searchers_at_the_same_node(monkeypatch, sid, budgets):
