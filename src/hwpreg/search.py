@@ -17,23 +17,30 @@ has |Stab_G(c)| edges on c and l = |Stab_G(c)| * |Omega(c)|/2.  A base
 cycle of another sub-orbit of F, or of another factor orbit (e*y lies
 in F*y), thus has no difference of c.
 
-Both stabilizer questions are answered without computing a stabilizer
-in the common case.
+Neither stabilizer question needs a stabilizer computation.
 
-* A closed cycle c whose Omega has 2l bits has l edges of l distinct
-  two-element pairs.  An x that fixes c keeps each edge's pair, so it
-  fixes each edge, and only 1 does (above): Stab_G(c) = {1}.  The
-  tiling test therefore reads the stabilizer order as 2l / |Omega|,
-  rejects c when |Omega| does not divide 2l, and computes the stabilizer
-  only when that order is above 2.  In general T = Stab_G(c) acts
-  freely on c's edges: an x != 1 that fixes an edge {a, b} swaps a and
-  b, so its difference d = b * a^-1 has d = d^-1, that is d = i, and i
-  is used from the start.  T keeps each edge's pair, so the edges of
-  each pair on c are a union of T-orbits of |T| edges, and the fewest
-  of them, at most 2l / |Omega|, bound |T|.  At order 2, then, T is
-  {1} or a subgroup of order 2, which is {1, i} as i is the only
-  involution: T = {1, i} exactly when c * i = c, and one translate
-  decides.  Its part in S is {1, i} when i is in S, else {1}.
+* A closed cycle c = (p0, ..., p_{l-1}), l = 3 or 4, has no edge of
+  difference 1 or i, both used from the start, so |Omega(c)| is even and
+  at least 2, and the tiling test reads |Stab_G(c)| as 2l / |Omega|,
+  rejecting c unless |Omega| divides 2l: 1, 2 or l.  T = Stab_G(c) acts
+  freely on c's edges, as an x != 1 that fixes an edge {a, b} swaps a
+  and b, so d = b * a^-1 = d^-1 = i; T keeps each edge's pair, so each
+  pair's edges on c form T-orbits of |T| edges, and |T| <= 2l / |Omega|.
+  A table read decides each order:
+
+  - |Omega| = 2l: an x that fixes c keeps the l distinct pairs of its l
+    edges, so it fixes each edge, and T = {1}.
+  - |Omega| = 2, one pair {e, e^-1}: consecutive steps p_{k+1} * p_k^-1
+    are never inverse, or c would repeat a vertex, so each is e and
+    c = (p0, e * p0, ..., e^(l-1) * p0).  x = p0^-1 * p1 sends each
+    vertex to the next and has order l >= |T|, so T = <x> and c passes
+    the tiling test; as c = p0 * <x>, |T & S| = |c & p0*S|.
+  - |Omega| = 4 with l = 4: T is {1} or {1, i}, as i is the only
+    involution.  i is central and not 1, so it fixes no vertex and maps
+    none to a neighbour, as {p, p * i} has difference i: c * i = c
+    exactly when i turns c by two steps, p0 * i = p2 and p1 * i = p3.
+    |T & S| is 2 when T = {1, i} and i is in S, else 1.
+
 * A complete cover F = acc * S, for the base paths acc of an entry with
   subgroup S and orbit length L = |G|/|S|, whose Omega has 2L bits,
   has Stab_G(F) = S: its G-orbit holds each of the |G| * L edges of
@@ -137,9 +144,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .cycles import Cycle, _canonical_rotation, _codes, _cycle_stabilizer, cycle
+from .cycles import Cycle, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
@@ -347,9 +354,7 @@ class _Budget(Exception):
 
 
 class _Searcher:
-    def __init__(
-        self, target: SearchTarget, stats: SearchStats, subs: Optional[list[Subgroup]] = None
-    ) -> None:
+    def __init__(self, target: SearchTarget, stats: SearchStats, subs: list[Subgroup]) -> None:
         G = target.group
         self.group = G
         self.table = G.table
@@ -359,8 +364,8 @@ class _Searcher:
         # per entry: whether it equals the one before it (see _extend_factor);
         # a parsed target's equal entries are one object
         self.repeats = [False] + [e is p or e == p for p, e in zip(sig, sig[1:])]
-        # per entry: its subgroup, unless the caller resolved them already
-        self.subs = subs or [resolve_subgroup(target, e.subgroup) for e in sig]
+        # per entry: its subgroup, as _infeasible resolved it
+        self.subs = subs
         # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
         self.pair_columns = G.pair_columns
         self.difference_rows = G.difference_rows
@@ -507,23 +512,20 @@ class _Searcher:
                 ndiffs = fused_bits + osize
                 if ndiffs > budget:
                     continue
-                # the tiling test 2l = |Omega| * |Stab_G(c)|; the kernel runs
-                # only when |Stab_G(c)| > 2 (see the module docstring)
+                # the tiling test 2l = |Omega| * |Stab_G(c)|, with Stab_G(c)
+                # and |Stab & S| read off the table (see the module docstring)
                 stab_order, rest = divmod(2 * length, osize)
                 if rest:
                     continue
                 if stab_order == 1:
                     in_sub = 1
-                elif stab_order == 2:
-                    if not _fixed_by(self.table, path + [w], self.involution):
+                elif stab_order == length:  # one pair: c = p0 * <p0^-1 * p1>
+                    in_sub = ((path_mask | bit) & cosets[p0]).bit_count()
+                else:  # l = 4 and two pairs: Stab = {1, i} when i turns c by two
+                    i = self.involution
+                    if self.table[p0][i] != path[2] or self.table[second][i] != w:
                         continue
-                    in_sub = 2 if self.involution in members else 1
-                else:
-                    G = self.group
-                    stab = _cycle_stabilizer(G, _codes(G, path + [w]), range(self.n))
-                    if len(stab) != stab_order:
-                        continue
-                    in_sub = len(stab & members)
+                    in_sub = 2 if i in members else 1
                 # c*S has l * |S| / |Stab & S| vertices when the cycles of c's
                 # sub-orbit under S are disjoint, and never more
                 spread = (vmask | cosets[w]).bit_count() * in_sub
@@ -579,12 +581,6 @@ class _Searcher:
         marks = self.group._low_pair_marks[low.bit_length() - 1]
         rows = self.difference_rows
         return generic & (int(rows[u].translate(marks), 2) | int(rows[p0].translate(marks), 2))
-
-
-def _fixed_by(table: Sequence[Sequence[int]], verts: list[int], x: int) -> bool:
-    """Whether right translation by x maps the cycle through verts to itself."""
-    moved = tuple(table[v][x] for v in verts)
-    return _canonical_rotation(moved) == _canonical_rotation(tuple(verts))
 
 
 def _infeasible(target: SearchTarget) -> tuple[Optional[str], list[Subgroup]]:

@@ -164,7 +164,8 @@ def _read_subgroups(group: FiniteGroup, raw, error: Err) -> dict[str, Subgroup]:
 def _parse_json(text: str, error: Err):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:  # the latter: deep nesting
+    # ValueError: also an integer past the digit limit; RecursionError: deep nesting
+    except (ValueError, RecursionError) as err:
         raise error(f"not valid JSON: {err}") from err
 
 

@@ -8,7 +8,9 @@ Everything else (entries, factors, the memo, node counting) is inherited
 from `hwpreg.search._Searcher`, so the two must visit the same nodes,
 close the same cycles and find the same documents.  `omega_mask`,
 `cycle_stabilizer` and `cycle_action` also answer the closed-path
-questions the tests put to the action oracle.  `coset_masks` computes
+questions the tests put to the action oracle.  `entry_subgroups`
+resolves a target's entries for a searcher built outside `search_hwp`,
+as `search_hwp` hands them over.  `coset_masks` computes
 the searcher's coset masks vertex by vertex, the reference for the one
 pass over the cosets that each `Subgroup` makes.
 
@@ -32,6 +34,12 @@ from typing import AbstractSet
 from hwpreg.cycles import _codes, _cycle_stabilizer, _stabilizer, _vertex_codes
 from hwpreg.groups import GroupError
 from hwpreg.search import _Budget, _Searcher
+from hwpreg.solutions import resolve_subgroup
+
+
+def entry_subgroups(target) -> list:
+    """The subgroup of each of target's signature entries."""
+    return [resolve_subgroup(target, e.subgroup) for e in target.entries]
 
 
 def coset_masks(group, sub) -> tuple[int, ...]:
@@ -61,7 +69,7 @@ def _bits(mask: int) -> list[int]:
 
 
 class SlowSearcher(_Searcher):
-    def __init__(self, target, stats, subs=None) -> None:
+    def __init__(self, target, stats, subs) -> None:
         super().__init__(target, stats, subs)
         G = self.group
         self.inv = G.inv_table

@@ -10,7 +10,10 @@ as the complete covers that the closing scan refuses in bulk depend on
 the conjugated subgroup, and every one from 5,951 to 6,150, where the
 first scans that hold refused covers out see a factor's subtree return
 (near nodes 5,977, 6,016 and 6,098) and can stop among them; for
-48-13-10 and 48-9-14 under g = 1, every
+48-7-16 under g = 1 and two seeded conjugates, every 97th budget up to
+20,000, as its closing scans meet candidates of stabilizer order 2 and
+l, whose stabilizers are read off the table, hundreds of times in that
+span; for 48-13-10 and 48-9-14 under g = 1, every
 budget up to 1,000, every 2,999th up to found, and the node count at
 which the search first enters each signature entry, so that some budget
 stops inside every entry, the (3, 1, G) and (4, 1, G) entries included.
@@ -65,6 +68,8 @@ def _found_and_entries(monkeypatch, target) -> tuple[int, set[int]]:
 def _budgets(monkeypatch, target, plan: str) -> list[int]:
     if plan == "first 1,000, 5,951-6,150":
         return [*range(1, 1001), *range(5951, 6151)]
+    if plan == "every 97th to 20,000":
+        return [*range(97, 20_001, 97)]
     found, starts = _found_and_entries(monkeypatch, target)
     if plan == "stride 97":
         return sorted({*range(1, min(found, 2000) + 1), *range(2000, found, 97), found})
@@ -75,6 +80,7 @@ def _budgets(monkeypatch, target, plan: str) -> list[int]:
 def sweep() -> int:
     runs = [(sid, 2, "stride 97") for sid in ("24-5-6", "24-7-4", "24-9-2")]
     runs += [(sid, 2, "first 1,000, 5,951-6,150") for sid in ("48-17-6", "48-15-8")]
+    runs += [("48-7-16", 2, "every 97th to 20,000")]
     runs += [(sid, 0, "every entry") for sid in ("48-13-10", "48-9-14")]
     checked = 0
     with pytest.MonkeyPatch.context() as monkeypatch:

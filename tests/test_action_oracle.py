@@ -10,7 +10,7 @@ import pytest
 
 import action_oracle as oracle
 from helpers import element_order, power
-from search_oracle import SlowSearcher
+from search_oracle import SlowSearcher, entry_subgroups
 from hwpreg.cycles import _stabilizer, _vertex_codes, cycle, cycle_orbit, cycle_stabilizer
 from hwpreg.factors import assemble_factor, factor_orbit, factor_stabilizer
 from hwpreg.groups import GROUP_IDS, build_group
@@ -168,7 +168,7 @@ def _searcher(G, subgroups):
         for name, sub in zip(["G", *subgroups], subs)
     )
     target = SearchTarget(G, 0, 0, entries, dict(subgroups))
-    return SlowSearcher(target, SearchStats()), subs
+    return SlowSearcher(target, SearchStats(), entry_subgroups(target)), subs
 
 
 def assert_path_agrees(searcher, subs, path):

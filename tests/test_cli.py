@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
@@ -92,11 +93,26 @@ def test_verify_unknown_token(capsys):
     assert "neither a bundled solution id nor a file" in err
 
 
-def test_verify_malformed_file(tmp_path, capsys):
+def _with_oversized_int(doc: dict, section: str, key: str):
+    """doc as JSON text with doc[section][key] an integer literal longer
+    than the interpreter's digit limit, or None where there is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return None
+    doc[section][key] = "@"
+    return json.dumps(doc).replace('"@"', "9" * (limit + 1))
+
+
+def test_verify_malformed_file(tmp_path, capsys, doc_copy):
     path = tmp_path / "junk.json"
     path.write_text('{"id": "x"}', encoding="utf-8")
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2 and "bad solution document" in err
+    text = _with_oversized_int(doc_copy("24-9-2"), "expected", "v")
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == "" and "not valid JSON" in err
 
 
 def test_omega_human_exact(capsys):
@@ -199,6 +215,11 @@ def test_search_cli_bad_target(tmp_path, capsys):
     assert code == 2 and "bad target document" in err
     code, _, err = run(capsys, "search", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read target" in err
+    text = _with_oversized_int(json.loads(json.dumps(TARGET_24_9_2)), "target", "r")
+    if text is not None:
+        target.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "search", str(target))
+        assert code == 2 and out == "" and "not valid JSON" in err
 
 
 def test_verify_directory_exits_2(tmp_path, capsys):

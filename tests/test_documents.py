@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,8 +91,15 @@ def test_wrong_types_raise_the_format_error(doc_copy, case):
     [(parse_solution_text, SolutionFormatError), (parse_target_text, TargetFormatError)],
 )
 def test_too_deeply_nested_json_is_not_valid_json(parse, error):
-    with pytest.raises(error, match="not valid JSON"):
-        parse("[" * 100_000 + "]" * 100_000)
+    texts = ["[" * 100_000 + "]" * 100_000]
+    # and an integer literal longer than the interpreter's digit limit,
+    # where there is one (Python 3.11, and 3.10.7 on)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        texts.append("[" + "7" * (limit + 1) + "]")
+    for text in texts:
+        with pytest.raises(error, match="not valid JSON"):
+            parse(text)
 
 
 @pytest.mark.parametrize("sid", SOLUTION_IDS)

@@ -20,7 +20,7 @@ from hwpreg.search import (
     SearchTarget,
     SignatureEntry,
     _Searcher,
-    _fixed_by,
+    _Solved,
     TargetFormatError,
     load_target_file,
     parse_target_dict,
@@ -35,7 +35,7 @@ from hwpreg.solutions import (
     resolve_subgroup,
     verify_solution,
 )
-from search_oracle import OneByOneSearcher, coset_masks, refuses
+from search_oracle import OneByOneSearcher, coset_masks, entry_subgroups, refuses
 from test_search_lockstep import _conjugate
 
 TARGET_24_9_2 = {
@@ -294,14 +294,14 @@ def test_coset_masks_are_built_once_per_subgroup():
     # the table lives on the Subgroup: entries naming one subgroup share
     # its tuple, and a second searcher reads the same tuples again
     target = target_from_solution(load_solution("48-17-6"))
-    searcher = _Searcher(target, SearchStats())
+    searcher = _Searcher(target, SearchStats(), entry_subgroups(target))
     by_name = {}
     for entry, masks in zip(target.entries, searcher.coset_masks):
         assert by_name.setdefault(entry.subgroup, masks) is masks
         assert masks is resolve_subgroup(target, entry.subgroup)._coset_masks
     assert sorted(by_name) == ["G", "S1", "S2"]
     assert by_name["G"] == (searcher.full_cover,) * len(target.group)
-    again = _Searcher(target, SearchStats())
+    again = _Searcher(target, SearchStats(), entry_subgroups(target))
     assert all(a is b for a, b in zip(again.coset_masks, searcher.coset_masks))
 
 
@@ -323,7 +323,8 @@ def test_coset_masks_match_the_per_vertex_formula(sid):
             for k, sub in enumerate(subs)
         }
         entries = tuple(SignatureEntry(3, 1, name) for name in named)
-        searcher = _Searcher(SearchTarget(G, 0, 0, entries, named), SearchStats())
+        target = SearchTarget(G, 0, 0, entries, named)
+        searcher = _Searcher(target, SearchStats(), entry_subgroups(target))
         assert searcher.coset_masks == [coset_masks(G, sub) for sub in named.values()]
         assert all(m is sub._coset_masks for m, sub in zip(searcher.coset_masks, named.values()))
 
@@ -334,7 +335,7 @@ def test_translated_difference_rows_mask_the_blocked_steps(sid):
     # `used`, which is inverse-closed, turn each difference row into the
     # vertex mask of the w with pair_columns[u][w] & used
     target = target_from_solution(load_solution(sid))
-    searcher = _Searcher(target, SearchStats())
+    searcher = _Searcher(target, SearchStats(), entry_subgroups(target))
     seen = []
     searcher._extend_cycle = lambda *args: seen.append(args[-1])
     G = target.group
@@ -521,7 +522,7 @@ def _replay(cls, target, state):
     hands to `_extend_factor`, with whether it is refused there, under
     searcher class cls."""
     idx, used, covered, fused, acc, picked, path, *carried = state
-    searcher = cls(target, SearchStats())
+    searcher = cls(target, SearchStats(), entry_subgroups(target))
     calls = []
     searcher._extend_factor = lambda *args: calls.append(args[:5])
     searcher._extend_cycle(idx, used, covered, fused, acc, picked, list(path), *carried)
@@ -532,12 +533,25 @@ def _replay(cls, target, state):
 
 @pytest.mark.parametrize(
     "sid,budget",
-    [("24-5-6", None), ("24-9-2", None), ("48-9-14", 30_000), ("48-17-6", 20_000)],
+    [
+        ("24-5-6", None),
+        ("24-9-2", None),
+        ("48-9-14", 30_000),
+        ("48-9-14^seeded", 30_000),
+        ("48-17-6", 20_000),
+        ("48-7-16", 20_000),
+    ],
 )
 def test_closing_scans_decide_like_the_one_by_one_scan(monkeypatch, sid, budget):
-    # the bulk split of the closing scan, and the paths charged without a
-    # scan, against the scan that tests every live candidate on its own
+    # the bulk split of the closing scan, the stabilizers read off the
+    # table, and the paths charged without a scan, against the scan that
+    # tests every live candidate on its own and runs the kernel; sid^seeded
+    # is a seeded conjugate of sid's target
+    sid, _, g = sid.partition("^")
     target = target_from_solution(load_solution(sid), budget)
+    if g:
+        G = target.group
+        target = _conjugate(target, random.Random(f"one-by-one-{sid}").randrange(len(G)))
     states = _scan_states(monkeypatch, target)
     unbounded = replace(target, budget_nodes=None)
     bits = set()
@@ -613,30 +627,115 @@ def test_closing_scans_refuse_covers_like_one_at_a_time(monkeypatch, sid, g, bud
             assert _replays_agree(replace(unbounded, entries=tuple(entries)), state)
 
 
+def _closing_scans(monkeypatch, target):
+    """Every closing scan a search of target opens, as its state (see
+    `_scan_states`) and the w it closed the found solution's cycle with,
+    or None when no solution was found through it."""
+    scans = []
+    scan = _Searcher._extend_cycle
+
+    def capturing(self, idx, used, covered, fused, acc, picked, path, *carried):
+        if len(path) + 1 < self.sig[idx].cycle_length:
+            return scan(self, idx, used, covered, fused, acc, picked, path, *carried)
+        scans.append([(idx, used, covered, fused, acc, picked, tuple(path), *carried), None])
+        here = scans[-1]
+        try:
+            scan(self, idx, used, covered, fused, acc, picked, path, *carried)
+        except _Solved as hit:
+            here[1] = hit.picked[idx][0][len(acc)][-1]
+            raise
+
+    with monkeypatch.context() as m:
+        m.setattr(_Searcher, "_extend_cycle", capturing)
+        search_hwp(target)
+    return scans
+
+
+def _low_order_candidates(target, state, stop):
+    """The closing candidates w of state, up to stop, that reach the
+    stabilizer read: those above path[1] whose two new steps are unused,
+    whose cycle fits the factor's differences, and whose stabilizer order
+    2l / |Omega| is 2 or l; as (w, |Omega|)."""
+    idx, used, covered, fused, _, _, path, path_mask, omega, *_ = state
+    G, entry = target.group, target.entries[idx]
+    pairs, length = G.pair_columns, entry.cycle_length
+    u, p0 = path[-1], path[0]
+    found = []
+    for w in range(path[1] + 1, len(G) if stop is None else stop + 1):
+        if (covered | path_mask) >> w & 1 or (pairs[u][w] | pairs[p0][w]) & used:
+            continue
+        osize = (omega | pairs[u][w] | pairs[p0][w]).bit_count()
+        fits = fused.bit_count() + osize <= 2 * entry.orbit_length
+        if fits and (osize == 2 or osize == 4 == length):
+            found.append((w, osize))
+    return found
+
+
+# per search to found: the order-2 candidates whose cycle i fixes and
+# those it does not, and the one-pair candidates, counted at the kernel
+# before the table reads replaced it
+_LOW_ORDER_PINS = {
+    "48-9-14": (54, 2703, 316),
+    "48-13-10": (0, 792, 197),
+    "24-5-6": (3, 8, 86),
+    "24-9-2": (0, 0, 12),
+    "24-7-4": (0, 2, 1),
+}
+
+
 @pytest.mark.parametrize(
-    "sid,fixed,unfixed", [("48-9-14", 54, 2703), ("24-5-6", 3, 8), ("24-9-2", 0, 0)]
+    "sid",
+    [
+        *_LOW_ORDER_PINS,
+        *(f"{sid}^seeded" for sid in SOLUTION_IDS if sid.startswith("48-")),
+    ],
 )
-def test_order_two_candidates_take_one_translate(monkeypatch, sid, fixed, unfixed):
-    # a closing candidate whose tiling test reads |Stab_G(c)| = 2 is decided
-    # by one translate by the involution (see the search.py module
-    # docstring): the kernel gives {1, i} on each cycle it fixes, else {1}
-    seen = []
-
-    def recording(table, verts, x):
-        seen.append((tuple(verts), x, _fixed_by(table, verts, x)))
-        return seen[-1][2]
-
-    monkeypatch.setattr("hwpreg.search._fixed_by", recording)
-    spec = load_solution(sid)
-    assert search_hwp(target_from_solution(spec)).verdict == "found"
-    G = spec.group
-    one, i = G.identity, G.unique_involution()
-    for verts, x, is_fixed in seen:
-        assert x == i
-        want = {one, i} if is_fixed else {one}
-        assert _cycle_stabilizer(G, _codes(G, verts), range(len(G))) == want, verts
-    assert sum(f for *_, f in seen) == fixed
-    assert len(seen) == fixed + unfixed
+def test_low_order_candidates_read_their_stabilizer_off_the_table(monkeypatch, sid):
+    # a closing candidate c = (p0, ..., p_{l-1}) of stabilizer order l has
+    # Stab_G(c) = <p0^-1 * p1> and |Stab & S| = |c & p0*S|; one of order 2
+    # (l = 4) has Stab_G(c) = {1, i} when p0 * i = p2 and p1 * i = p3, else
+    # {1} (see the search.py module docstring): the kernel agrees on every
+    # one the search meets, and the searcher decides each scan that holds
+    # them like the one-by-one scan, which runs the kernel; sid^seeded is
+    # a seeded conjugate of sid's target under a budget
+    sid, _, g = sid.partition("^")
+    target = target_from_solution(load_solution(sid), 20_000 if g else None)
+    G = target.group
+    if g:
+        target = _conjugate(target, random.Random(f"stabilizer-reads-{sid}").randrange(len(G)))
+    T, inv, i, one = G.table, G.inv_table, G.unique_involution(), G.identity
+    subs = entry_subgroups(target)
+    cosets = [coset_masks(G, sub) for sub in subs]
+    unbounded = replace(target, budget_nodes=None)
+    counts = {"fixed": 0, "unfixed": 0, "one pair": 0}
+    for state, stop in _closing_scans(monkeypatch, target):
+        idx, path = state[0], state[6]
+        members = subs[idx].member_set
+        met = _low_order_candidates(target, state, stop)
+        for w, osize in met:
+            c = (*path, w)
+            stab = _cycle_stabilizer(G, _codes(G, c), range(len(G)))
+            if osize == 2:
+                x = T[inv[c[0]]][c[1]]
+                powers, k = {one}, x
+                while k != one:
+                    powers.add(k)
+                    k = T[k][x]
+                assert stab == powers, c
+                mask = sum(1 << v for v in c)
+                assert len(stab & members) == (mask & cosets[idx][c[0]]).bit_count(), c
+                counts["one pair"] += 1
+            else:
+                turned = T[c[0]][i] == c[2] and T[c[1]][i] == c[3]
+                assert stab == ({one, i} if turned else {one}), c
+                assert len(stab & members) == (2 if turned and i in members else 1), c
+                counts["fixed" if turned else "unfixed"] += 1
+        if met:
+            _replays_agree(unbounded, state)
+    if g:
+        assert counts["one pair"] > 0
+    else:
+        assert tuple(counts.values()) == _LOW_ORDER_PINS[sid]
 
 
 def _frames() -> int:
