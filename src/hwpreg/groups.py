@@ -19,14 +19,14 @@ that the earlier picks do not reach (the greedy step that also makes a
 against the element set; every other column follows by associativity,
 and the tier-1 tests check the table against all n^2 products.  The
 ASCII element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are
-built at construction too; the right translations, the searcher's
-difference rows, and the map from canonical texts back to indices,
-which ``parse`` tries before the group's parser, are built on first
-use.  Subgroups are shared per group, one per generator listing, from
-a bounded table, and each builds its members and its left-coset masks
-on first use.  Every later operation works on element indices.
-Quaternion coordinates are kept exact as pairs (p, q) denoting
-(p + q*sqrt(2))/2, so equality tests are sound.
+built at construction too; the right translations and the map from
+canonical texts back to indices, which ``parse`` tries before the
+group's parser, are built on first use.  Subgroups are shared per
+group, one per generator listing, from a bounded table, and each builds
+its members and its left-coset masks on first use.  Every later
+operation works on element indices.  Quaternion coordinates are kept
+exact as pairs (p, q) denoting (p + q*sqrt(2))/2, so equality tests are
+sound.
 
 All three groups have exactly one involution, which is what makes them
 usable as regular automorphism groups of a cocktail party graph.
@@ -438,43 +438,6 @@ class FiniteGroup:
         """For each x, a getter that reads a per-element sequence s as
         (s[0*x], s[1*x], ..., s[(n-1)*x]).  Built on first use."""
         return tuple(itemgetter(*col) for col in self._columns)
-
-    @cached_property
-    def pair_columns(self) -> tuple[tuple[int, ...], ...]:
-        """For each u, the bit masks {d, d^-1} of d = w * u^-1 for every w:
-        the difference pair of the edge {u, w}.  Built on first use."""
-        T, inv, n = self.table, self.inv_table, len(self)
-        pair = [(1 << d) | (1 << inv[d]) for d in range(n)]
-        return tuple(tuple(pair[T[w][inv[u]]] for w in range(n)) for u in range(n))
-
-    @cached_property
-    def difference_rows(self) -> tuple[bytes, ...]:
-        """For each u, the differences w * u^-1 as bytes, w from n-1 down to 0,
-        one binary digit of a vertex mask each.  Built on first use."""
-        T, inv, n = self.table, self.inv_table, len(self)
-        return tuple(bytes(T[w][inv[u]] for w in reversed(range(n))) for u in range(n))
-
-    @cached_property
-    def _same_pair_masks(self) -> tuple[tuple[int, ...], ...]:
-        """For each u and p, the vertex mask of the w with w * u^-1 = p * w^-1:
-        the w whose edges {u, w} and {w, p} have one difference pair.  Built
-        on first use."""
-        T, n = self.table, len(self)
-        masks = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for x in range(n):  # w = x * u and p = x * x * u
-                masks[u][T[T[x][x]][u]] |= 1 << T[x][u]
-        return tuple(map(tuple, masks))
-
-    @cached_property
-    def _low_pair_marks(self) -> tuple[bytes, ...]:
-        """For each k, b"1" at every d whose pair {d, d^-1} has a member at
-        or below k and b"0" elsewhere, a table that turns a difference row
-        into the vertex mask of the w with such a difference.  Built on
-        first use."""
-        inv, n = self.inv_table, len(self)
-        low = [min(d, inv[d]) for d in range(n)]
-        return tuple(bytes(48 + (x <= k) for x in low).ljust(256, b"0") for k in range(n))
 
     def whole_subgroup(self) -> Subgroup:
         """G, generated by each element that the earlier ones do not reach."""

@@ -58,7 +58,7 @@ vertex masks come from the multiplication table, and canonical cycles
 are built only for a found solution.  An open path carries the Omega
 mask of its edges and the union of its vertices' cosets v*S, and tries
 in ascending order the free w whose step difference w * u^-1 from its
-end u is unused: u's row of ``FiniteGroup.difference_rows``, translated
+end u is unused: u's difference row (see ``_tables``), translated
 through a table marking the used differences, masks out all others at
 once, exactly, as the used set is inverse-closed and an edge's pair
 {d, d^-1} meets it just when d is in it.  The closing scan masks out the
@@ -71,22 +71,33 @@ v*S are built once per subgroup, on its first search, in one pass over
 its left cosets, and kept on the shared ``Subgroup`` (see
 ``FiniteGroup.subgroup_closure``).  The scan for the last vertex
 w closes each cycle in place: Omega(c) is the path's mask plus the pairs
-of the edges into and out of w (``FiniteGroup.pair_columns``), and the
-sub-orbit's vertex mask is the path's union plus w*S.  Dead entry
+of the edges into and out of w (the pair columns), and the sub-orbit's
+vertex mask is the path's union plus w*S.  Dead entry
 states, keyed by (entry index, consumed-difference bitmask), are
 memoized only when their subtree was exhausted normally, so the memo
 stays sound when a node budget aborts the search.  Anything found is
-written with ``solution_to_dict`` and re-verified by reading that
-document back through the solution pipeline before it is reported; that
-check recomputes every factor's full stabilizer.  The searcher changes
-no process-wide state; its recursion stays within the default limit (see
-``search_hwp``).
+written as a solution document straight from its base paths, as each is
+already a canonical cycle: it starts at its least vertex, the least one
+uncovered, and its second vertex precedes its last.  The document is
+re-verified by reading it back through the solution pipeline, which
+builds the solution's cycles and factors once, before it is reported;
+that check recomputes every factor's full stabilizer.  The searcher
+changes no process-wide state; its recursion stays within the default
+limit (see ``search_hwp``).
+
+The searcher's tables (``_tables``) are built on a group's first search
+and shared by every later one; like the edge checksum in ``factors.py``,
+they depend on the group alone and never change an output.  They are
+built and read in this module alone, as their encoding is the
+searcher's: difference rows hold the differences in reversed vertex
+order, so that, translated through marks of b"0" and b"1", a row reads
+as the binary digits of a vertex mask, which ``int(..., 2)`` reads back.
 
 The closing scan decides most candidates in bulk.  With u the path's
 end, p0 its start and D the elements of its Omega, a live w is special
 when w * u^-1 or w * p0^-1 is in D, or when w * u^-1 = p0 * w^-1, the
-two new edges sharing a pair (``FiniteGroup._same_pair_masks``).  The
-other, generic, w pass or fail together:
+two new edges sharing a pair (the same-pair masks).  The other,
+generic, w pass or fail together:
 
 * A generic w adds two new two-element pairs (1 and i are used from the
   start), so |Omega(c)| = |Omega(path)| + 4.  Unless that is 2l none
@@ -123,10 +134,9 @@ Most generic closers at v = 48 complete their factor's cover only for
   refused when fused | Omega(path) | P(w * u^-1) | P(w * p0^-1) has a bit
   at or below k, P(d) being the pair {d, d^-1}.  When fused | Omega(path)
   has one, that is every w; else it is the w with a pair member at or
-  below k in w * u^-1 or w * p0^-1: the rows of u and p0 in
-  ``FiniteGroup.difference_rows``, each translated through the table
-  that marks those d (``FiniteGroup._low_pair_marks``).  No new bit is k
-  itself, as k is used.
+  below k in w * u^-1 or w * p0^-1: the difference rows of u and p0,
+  each translated through the low-pair marks of k, which mark those d.
+  No new bit is k itself, as k is used.
 
 Each refused w counts as a closed cycle: all those below a closer that
 descends are counted before it descends, and the rest at the scan's end.
@@ -144,15 +154,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional
 
-from .cycles import Cycle, cycle
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
     Err,
     SolutionSpec,
-    _factor_recipes,
     _parse_json,
     _read_group,
     _read_json_file,
@@ -163,7 +172,6 @@ from .solutions import (
     _strict_int,
     parse_solution_dict,
     resolve_subgroup,
-    solution_to_dict,
     verify_solution,
 )
 
@@ -353,6 +361,34 @@ class _Budget(Exception):
     pass
 
 
+@lru_cache(maxsize=None)
+def _tables(G: FiniteGroup) -> tuple:
+    """The searcher's tables for G, built on its first search (see the
+    module docstring):
+
+    * pair_columns[u][w], the mask of the difference pair {d, d^-1} of the
+      edge {u, w}, d = w * u^-1;
+    * difference_rows[u], the differences w * u^-1 as bytes, w from n-1
+      down to 0, one binary digit of a vertex mask each;
+    * same_pair[u][p], the vertex mask of the w with w * u^-1 = p * w^-1:
+      the w whose edges {u, w} and {w, p} have one difference pair;
+    * low_pair_marks[k], b"1" at every d whose pair has a member at or
+      below k and b"0" elsewhere, a table that turns a difference row into
+      the vertex mask of the w with such a difference.
+    """
+    T, inv, n = G.table, G.inv_table, len(G)
+    pair = [(1 << d) | (1 << inv[d]) for d in range(n)]
+    pair_columns = tuple(tuple(pair[T[w][inv[u]]] for w in range(n)) for u in range(n))
+    difference_rows = tuple(bytes(T[w][inv[u]] for w in reversed(range(n))) for u in range(n))
+    same_pair = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for x in range(n):  # w = x * u and p = x * x * u
+            same_pair[u][T[T[x][x]][u]] |= 1 << T[x][u]
+    low = [min(d, inv[d]) for d in range(n)]
+    low_pair_marks = tuple(bytes(48 + (x <= k) for x in low).ljust(256, b"0") for k in range(n))
+    return pair_columns, difference_rows, tuple(map(tuple, same_pair)), low_pair_marks
+
+
 class _Searcher:
     def __init__(self, target: SearchTarget, stats: SearchStats, subs: list[Subgroup]) -> None:
         G = target.group
@@ -366,10 +402,8 @@ class _Searcher:
         self.repeats = [False] + [e is p or e == p for p, e in zip(sig, sig[1:])]
         # per entry: its subgroup, as _infeasible resolved it
         self.subs = subs
-        # pair_columns[u][w]: the difference pair of the edge {u, w}, as a mask
-        self.pair_columns = G.pair_columns
-        self.difference_rows = G.difference_rows
-        self.same_pair = G._same_pair_masks
+        # shared by every search over G (see _tables)
+        self.pair_columns, self.difference_rows, self.same_pair, self.low_pair_marks = _tables(G)
         self.full_cover = (1 << self.n) - 1
         # per entry with subgroup S, the vertex mask of v*S for every vertex
         # v, kept on S, so entries with the same subgroup share one tuple
@@ -578,7 +612,7 @@ class _Searcher:
         low = prev & -prev
         if base & ((low << 1) - 1):
             return generic
-        marks = self.group._low_pair_marks[low.bit_length() - 1]
+        marks = self.low_pair_marks[low.bit_length() - 1]
         rows = self.difference_rows
         return generic & (int(rows[u].translate(marks), 2) | int(rows[p0].translate(marks), 2))
 
@@ -614,23 +648,26 @@ def _infeasible(target: SearchTarget) -> tuple[Optional[str], list[Subgroup]]:
     return None, subs
 
 
-def _found_spec(target: SearchTarget, picked: list) -> SolutionSpec:
-    """The solution the searcher found, with cycles named C1, C2, ..."""
+def _found_document(target: SearchTarget, picked: list) -> dict:
+    """The solution document of the base paths found, cycles named C1, C2,
+    ..., keys in solution_to_dict's order; each path is already canonical
+    (see the module docstring)."""
     G = target.group
-    cycles: dict[str, Cycle] = {}
+    fmt = G.format
+    cycles: dict[str, list[str]] = {}
     factors = []
     for entry, (acc, _) in zip(target.entries, picked):
-        names = tuple(f"C{len(cycles) + n}" for n in range(1, len(acc) + 1))
-        cycles.update(zip(names, (cycle(G, path) for path in acc)))
-        factors.append((names, entry.subgroup))
-    return SolutionSpec(
-        id=f"search-{G.id}-{target.r}-{target.s}",
-        group=G,
-        subgroups=target.subgroups,
-        cycles=cycles,
-        factors=_factor_recipes(G, target.subgroups, cycles, factors),
-        expected=(len(G), target.r, target.s),
-    )
+        names = [f"C{len(cycles) + n}" for n in range(1, len(acc) + 1)]
+        cycles.update(zip(names, ([fmt(v) for v in path] for path in acc)))
+        factors.append({"cycles": names, "subgroup": entry.subgroup})
+    return {
+        "id": f"search-{G.id}-{target.r}-{target.s}",
+        "group": G.id,
+        "subgroups": {n: [fmt(g) for g in s.generators] for n, s in target.subgroups.items()},
+        "cycles": cycles,
+        "factors": factors,
+        "expected": {"v": len(G), "r": target.r, "s": target.s},
+    }
 
 
 def search_hwp(target: SearchTarget) -> SearchOutcome:
@@ -650,7 +687,7 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     searcher = _Searcher(target, stats, subs)
     G = target.group
     # identity cannot occur as a difference; the involution marks I-edges
-    start_used = (1 << G.identity) | G.pair_columns[G.identity][G.unique_involution()]
+    start_used = (1 << G.identity) | searcher.pair_columns[G.identity][G.unique_involution()]
 
     # The default recursion limit is enough.  A cycle's stabilizer acts
     # semiregularly on its l vertices, so a sub-orbit under S covers at
@@ -663,7 +700,7 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     try:
         searcher.entry_start(0, start_used, [])
     except _Solved as hit:
-        solution = solution_to_dict(_found_spec(target, hit.picked))
+        solution = _found_document(target, hit.picked)
         cert = verify_solution(parse_solution_dict(solution))
         if not cert.ok:
             raise GroupError(

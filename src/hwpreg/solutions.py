@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Collection
 
 from .cycles import Cycle, CycleError, FactorRecipe, cycle
 from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
@@ -183,25 +183,6 @@ def _read_json_file(path: str, what: str, error: Err):
 # solution documents
 
 
-def _factor_recipes(
-    group: FiniteGroup,
-    subgroups: Mapping[str, Subgroup],
-    cycles: Mapping[str, Cycle],
-    factors: Iterable[tuple[Sequence[str], str]],
-) -> tuple[FactorRecipe, ...]:
-    """The factors of a solution from (cycle names, subgroup name) pairs in
-    document order, labelled F1, F2, ...; the subgroup G is the group."""
-    return tuple(
-        FactorRecipe(
-            f"F{n}",
-            tuple((cn, cycles[cn]) for cn in names),
-            sub,
-            group.whole_subgroup() if sub == "G" else subgroups[sub],
-        )
-        for n, (names, sub) in enumerate(factors, start=1)
-    )
-
-
 def parse_solution_dict(doc: Mapping) -> SolutionSpec:
     """Validate a solution document and resolve it against its group."""
     E = SolutionFormatError
@@ -227,17 +208,18 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
         except CycleError as err:
             raise E(f"{where}: {err}") from err
 
-    factors: list[tuple[tuple[str, ...], str]] = []
+    factors: list[FactorRecipe] = []  # labelled F1, F2, ...; the subgroup G is the group
     for n, entry in enumerate(_read_list(doc["factors"], "factors", E)):
         where = f"factors[{n}]"
         _read_keys(entry, {"cycles", "subgroup"}, set(), where, E)
-        names = tuple(
-            _read_ref(cn, cycles, "cycle", where, E)
+        named = tuple(
+            (cn, cycles[_read_ref(cn, cycles, "cycle", where, E)])
             for cn in _read_list(entry["cycles"], f"{where}.cycles", E)
         )
         sub = _read_ref(entry["subgroup"], ("G", *subgroups), "subgroup", where, E)
-        factors.append((names, sub))
-    if sorted(cn for names, _ in factors for cn in names) != sorted(cycles):
+        acting = group.whole_subgroup() if sub == "G" else subgroups[sub]
+        factors.append(FactorRecipe(f"F{n + 1}", named, sub, acting))
+    if sorted(cn for f in factors for cn, _ in f.cycles) != sorted(cycles):
         raise E("every cycle must be used by exactly one factor recipe")
 
     expected_doc = _read_keys(doc["expected"], {"v", "r", "s"}, set(), "expected", E)
@@ -261,7 +243,7 @@ def parse_solution_dict(doc: Mapping) -> SolutionSpec:
         group=group,
         subgroups=MappingProxyType(subgroups),
         cycles=MappingProxyType(cycles),
-        factors=_factor_recipes(group, subgroups, cycles, factors),
+        factors=tuple(factors),
         expected=expected,
         printed_omega=MappingProxyType(printed_omega),
         notes=notes,

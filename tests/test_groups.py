@@ -166,38 +166,6 @@ def test_right_translations_are_built_on_first_use():
         assert G.right_translations[x](range(n)) == tuple(G.mul(v, x) for v in range(n))
 
 
-def test_difference_rows_are_built_on_first_use():
-    # building a group does no work for the searcher's candidate filter
-    G = _fresh_q24()
-    assert "difference_rows" not in vars(G)
-    rows = G.difference_rows
-    assert "difference_rows" in vars(G)
-    n = len(G)
-    for u in range(n):
-        assert list(rows[u]) == [G.mul(w, G.inv(u)) for w in reversed(range(n))]
-
-
-def test_same_pair_masks_are_built_on_first_use():
-    # nor for the searcher's closing-scan split
-    G = _fresh_q24()
-    assert G.difference_rows and G.pair_columns
-    assert "_same_pair_masks" not in vars(G)
-    masks = G._same_pair_masks
-    assert "_same_pair_masks" in vars(G)
-    assert G._same_pair_masks is masks
-
-
-@pytest.mark.parametrize("gid", GROUP_IDS)
-def test_same_pair_masks_hold_the_w_whose_two_edges_share_a_pair(gid):
-    # {w : w * u^-1 = p * w^-1}, one w at a time
-    G = build_group(gid)
-    n, mul, inv = len(G), G.mul, G.inv
-    for u in range(n):
-        for p in range(n):
-            want = sum(1 << w for w in range(n) if mul(w, inv(u)) == mul(p, inv(w)))
-            assert G._same_pair_masks[u][p] == want, (u, p)
-
-
 def test_text_index_is_built_on_first_parse():
     G = _fresh_q24()
     G.format(G.identity)

@@ -14,13 +14,14 @@ import pytest
 
 from hwpreg.cycles import _codes, _cycle_stabilizer, _stabilizer, _vertex_codes
 from hwpreg.factors import canonical_json
-from hwpreg.groups import build_group
+from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.search import (
     SearchStats,
     SearchTarget,
     SignatureEntry,
     _Searcher,
     _Solved,
+    _tables,
     TargetFormatError,
     load_target_file,
     parse_target_dict,
@@ -33,10 +34,12 @@ from hwpreg.solutions import (
     load_solution,
     parse_solution_dict,
     resolve_subgroup,
+    solution_to_dict,
     verify_solution,
 )
 from search_oracle import OneByOneSearcher, coset_masks, entry_subgroups, refuses
-from test_search_lockstep import _conjugate
+from test_groups import _fresh_q24
+from test_search_lockstep import _conjugate, _targets
 
 TARGET_24_9_2 = {
     "group": "Q24",
@@ -339,7 +342,7 @@ def test_translated_difference_rows_mask_the_blocked_steps(sid):
     seen = []
     searcher._extend_cycle = lambda *args: seen.append(args[-1])
     G = target.group
-    n, pairs = len(G), G.pair_columns
+    n, pairs = len(G), searcher.pair_columns
     rng = random.Random(f"difference-rows-{sid}")
     for _ in range(40):
         used = pairs[G.identity][G.unique_involution()] | 1 << G.identity
@@ -349,7 +352,65 @@ def test_translated_difference_rows_mask_the_blocked_steps(sid):
         marks = seen.pop()
         for u in range(n):
             want = sum(1 << w for w in range(n) if pairs[u][w] & used)
-            assert int(G.difference_rows[u].translate(marks), 2) == want, (used, u)
+            assert int(searcher.difference_rows[u].translate(marks), 2) == want, (used, u)
+
+
+def test_difference_rows_are_built_on_first_search():
+    # building a group does no work for the searcher's candidate filter
+    built = _tables.cache_info().currsize
+    G = _fresh_q24()
+    assert _tables.cache_info().currsize == built
+    rows = _tables(G)[1]
+    assert _tables.cache_info().currsize == built + 1
+    n = len(G)
+    for u in range(n):
+        assert list(rows[u]) == [G.mul(w, G.inv(u)) for w in reversed(range(n))]
+
+
+def test_searches_over_one_group_share_one_set_of_tables():
+    # cached per group, as factors._target_digest is: a later search,
+    # under any subgroups, builds none
+    target = target_from_solution(load_solution("24-9-2"), 1000)
+    G = target.group
+    tables = _tables(G)
+    built = _tables.cache_info().currsize
+    for t in (target, _conjugate(target, G.parse("b"))):
+        searcher = _Searcher(t, SearchStats(), entry_subgroups(t))
+        got = (
+            searcher.pair_columns, searcher.difference_rows,
+            searcher.same_pair, searcher.low_pair_marks,
+        )
+        assert all(a is b for a, b in zip(got, tables, strict=True))
+        search_hwp(t)
+    assert _tables(G) is tables
+    assert _tables.cache_info().currsize == built
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_same_pair_masks_hold_the_w_whose_two_edges_share_a_pair(gid):
+    # {w : w * u^-1 = p * w^-1}, one w at a time
+    G = build_group(gid)
+    n, mul, inv = len(G), G.mul, G.inv
+    same_pair = _tables(G)[2]
+    for u in range(n):
+        for p in range(n):
+            want = sum(1 << w for w in range(n) if mul(w, inv(u)) == mul(p, inv(w)))
+            assert same_pair[u][p] == want, (u, p)
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_low_pair_marks_mark_the_pairs_with_a_member_at_or_below_k(gid):
+    # a difference row translated through marks[k] reads as the mask of
+    # the w whose difference has a pair member at or below k; the bytes
+    # past n are never read, and mark nothing
+    G = build_group(gid)
+    n, marks = len(G), _tables(G)[3]
+    assert len(marks) == n
+    for k in range(n):
+        assert len(marks[k]) == 256
+        for d in range(n):
+            assert marks[k][d : d + 1] == (b"1" if min(d, G.inv(d)) <= k else b"0"), (k, d)
+        assert marks[k][n:] == b"0" * (256 - n)
 
 
 @pytest.mark.parametrize(
@@ -495,6 +556,17 @@ def _assert_found_as_pinned(sid, counters, digest):
     assert _counters(outcome.stats) == counters
     text = canonical_json(outcome.solution)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sid", ["24-5-6", "24-7-4", "24-9-2"])
+def test_found_documents_are_fixed_points_of_the_document_pipeline(sid):
+    # the searcher writes its base paths as found, so each must already be
+    # a canonical cycle; dumped without sort_keys, key order counts too
+    for target in _targets(sid, None):
+        outcome = search_hwp(target)
+        assert outcome.verdict == "found"
+        again = solution_to_dict(parse_solution_dict(outcome.solution))
+        assert json.dumps(again) == json.dumps(outcome.solution)
 
 
 def _scan_states(monkeypatch, target):
@@ -658,7 +730,7 @@ def _low_order_candidates(target, state, stop):
     2l / |Omega| is 2 or l; as (w, |Omega|)."""
     idx, used, covered, fused, _, _, path, path_mask, omega, *_ = state
     G, entry = target.group, target.entries[idx]
-    pairs, length = G.pair_columns, entry.cycle_length
+    pairs, length = _tables(G)[0], entry.cycle_length
     u, p0 = path[-1], path[0]
     found = []
     for w in range(path[1] + 1, len(G) if stop is None else stop + 1):
