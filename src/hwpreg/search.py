@@ -69,10 +69,11 @@ end: in scan order, so any node budget stops at the same candidate as
 a one-by-one scan would.  The coset masks
 v*S are built once per subgroup, on its first search, in one pass over
 its left cosets, and kept on the shared ``Subgroup`` (see
-``FiniteGroup.subgroup_closure``).  The scan for the last vertex
-w closes each cycle in place: Omega(c) is the path's mask plus the pairs
-of the edges into and out of w (the pair columns), and the sub-orbit's
-vertex mask is the path's union plus w*S.  Dead entry
+``FiniteGroup.subgroup_closure``).  The frame that picks a cycle's
+penultimate vertex u runs the scan for its last vertex w and closes each
+cycle in place: Omega(c) is the path's mask plus the pairs of the edges
+into and out of w (the pair columns), and the sub-orbit's vertex mask is
+the path's union plus w*S.  Dead entry
 states, keyed by (entry index, consumed-difference bitmask), are
 memoized only when their subtree was exhausted normally, so the memo
 stays sound when a node budget aborts the search.  Anything found is
@@ -117,8 +118,8 @@ Only the special w are tested one by one, and the masks are built only
 when more than five candidates are live, as they cost a few table reads
 per path edge.  Omega(c) holds Omega(path), so a path with |fused| +
 |Omega(path)| > 2L closes nothing; its at most 2(l - 2) bits need
-2L - |fused| < 2(l - 2) for that, and the loop that would open its scan
-charges its node and candidates instead.
+2L - |fused| < 2(l - 2) for that, and its scan examines no candidate
+but charges them all at its end.
 
 Most generic closers at v = 48 complete their factor's cover only for
 ``_extend_factor`` to refuse it, and these are refused in bulk too:
@@ -418,11 +419,6 @@ class _Searcher:
         self.dead: set[tuple[int, int]] = set()
         self.budget = math.inf if target.budget_nodes is None else target.budget_nodes
 
-    def _node(self) -> None:
-        self.stats.nodes += 1
-        if self.stats.nodes > self.budget:
-            raise _Budget()
-
     def entry_start(self, idx: int, used: int, picked: list) -> None:
         if idx == len(self.sig):
             raise _Solved(picked)
@@ -454,7 +450,9 @@ class _Searcher:
             self.entry_start(idx + 1, used, picked + [(acc, fused)])
             return
         v0 = (~covered & (covered + 1)).bit_length() - 1  # least uncovered vertex
-        self._node()
+        self.stats.nodes += 1
+        if self.stats.nodes > self.budget:
+            raise _Budget()
         # b"1" at every used difference, for the difference rows to translate
         marks = bin(used)[:1:-1].encode().ljust(256, b"0")
         # the w whose closing difference w * v0^-1 is used, for every closing scan
@@ -466,133 +464,135 @@ class _Searcher:
 
     # The open path carries `omega`, the Omega mask of its edges, and
     # `vmask`, the OR of its vertices' coset masks v*S.  Candidates are the
-    # free vertices whose step difference is unused, in ascending order; the
-    # scan for the last vertex w closes the cycle through path + [w] itself.
+    # free vertices whose step difference is unused, in ascending order;
+    # for each penultimate u, the closing scan of path + [u] runs in place.
     def _extend_cycle(
         self, idx: int, used: int, covered: int, fused: int, acc: list, picked: list,
         path: list, path_mask: int, omega: int, vmask: int, start_blocked: int, marks: bytes,
     ) -> None:
-        entry = self.sig[idx]
-        cosets = self.coset_masks[idx]
-        rows = self.difference_rows
+        cosets, rows, held = self.coset_masks[idx], self.difference_rows, covered | path_mask
         step = self.pair_columns[path[-1]]
-        forbidden = int(rows[path[-1]].translate(marks), 2)
-        cands = self.full_cover & ~(covered | path_mask | forbidden)
+        cands = self.full_cover & ~(held | int(rows[path[-1]].translate(marks), 2))
         stats, limit = self.stats, self.budget
         tiled, budget, members = self.closing[idx]
-        fused_bits = fused.bit_count()
-        length = entry.cycle_length
-        if len(path) + 1 < length:
-            # a child path with more differences than the factor has left is
-            # charged here with its candidates (see the module docstring)
-            room = budget - fused_bits
-            dead_ends = len(path) + 2 == length and room < 2 * (length - 2)
-            while cands:
-                bit = cands & -cands
-                cands ^= bit
-                w = bit.bit_length() - 1
-                self._node()
-                if dead_ends and (omega | step[w]).bit_count() > room:
-                    blocked = covered | path_mask | bit | int(rows[w].translate(marks), 2)
-                    stats.nodes += (self.full_cover & ~blocked).bit_count()
-                    if stats.nodes > limit:
+        length, fused_bits = self.sig[idx].cycle_length, fused.bit_count()
+        opening = len(path) + 2 < length
+        # a path + [u] with more differences than the factor has left closes
+        # nothing: its scan examines no candidate (see the module docstring)
+        room = budget - fused_bits
+        dead_ends = room < 2 * (length - 2)
+        p0, T, inv = path[0], self.table, self.group.inv_table
+        close, p1 = self.pair_columns[p0], path[1] if len(path) > 1 else None
+        nodes = stats.nodes  # written back before each descent and each raise
+        while cands:
+            ubit = cands & -cands
+            cands ^= ubit
+            u = ubit.bit_length() - 1
+            nodes += 1
+            if nodes > limit:
+                stats.nodes = nodes
+                raise _Budget()
+            u_omega = omega | step[u]
+            if opening:  # u is not yet the penultimate vertex
+                stats.nodes = nodes
+                self._extend_cycle(
+                    idx, used, covered, fused, acc, picked, path + [u], path_mask | ubit,
+                    u_omega, vmask | cosets[u], start_blocked, marks,
+                )
+                nodes = stats.nodes
+                continue
+            # the candidates of path + [u]'s closing scan, and `live`: those
+            # above its second vertex (the rest are reflections) whose closing
+            # difference is unused; every candidate is charged as a node in
+            # scan order, up to w before w is examined, and the rest at the end
+            scan = self.full_cover & ~(held | ubit | int(rows[u].translate(marks), 2))
+            second = u if p1 is None else p1
+            dead = dead_ends and u_omega.bit_count() > room
+            live = 0 if dead else (scan >> second << second) & ~start_blocked
+            if live:
+                path.append(u)
+                u_step, u_vmask = self.pair_columns[u], vmask | cosets[u]
+                # `generic`: the live w that repeat no pair and close; only the
+                # special ones are tested below.  `refused`: the generic w whose
+                # complete cover _extend_factor would refuse, held out of the
+                # scan and counted as closed in scan order (see the module docstring)
+                generic = refused = 0
+                if live.bit_count() > 5:
+                    special = self.same_pair[u][p0]
+                    for a, b in zip(path, path[1:]):  # w * u^-1 or w * p0^-1 in {a, b}'s pair
+                        d, e = T[T[b][inv[a]]], T[T[a][inv[b]]]
+                        special |= 1 << d[u] | 1 << e[u] | 1 << d[p0] | 1 << e[p0]
+                    if u_omega.bit_count() + 4 == 2 * length and (
+                        u_vmask.bit_count() == tiled - len(members)
+                    ):
+                        generic = live & ~special & ~u_vmask
+                        if generic and nodes + scan.bit_count() <= limit:
+                            refused = self._refused(
+                                idx, covered | u_vmask, fused | u_omega, u, p0, generic, picked
+                            )
+                    live = live & special | (generic ^ refused)
+                while live:
+                    bit = live & -live
+                    live ^= bit
+                    later = scan & -(bit << 1)
+                    nodes += (scan ^ later).bit_count()
+                    scan = later
+                    if nodes > limit:
                         stats.nodes = limit + 1
                         raise _Budget()
-                    continue
-                path.append(w)
-                self._extend_cycle(
-                    idx, used, covered, fused, acc, picked, path, path_mask | bit,
-                    omega | step[w], vmask | cosets[w], start_blocked, marks,
-                )
-                path.pop()
-            return
-        # `live`: the candidates above path[1] (the rest are reflections)
-        # whose closing difference is unused; every candidate is charged as
-        # a node in scan order, up to w before w is examined
-        u, p0 = path[-1], path[0]
-        close, second = self.pair_columns[p0], path[1]
-        live = (cands >> second << second) & ~start_blocked
-        # `generic`: the live w that repeat no pair and close; only the
-        # special ones are tested below.  `refused`: the generic w whose
-        # complete cover _extend_factor would refuse, held out of the scan
-        # and counted as closed in scan order (see the module docstring)
-        generic = refused = 0
-        if live.bit_count() > 5:
-            T, inv = self.table, self.group.inv_table
-            special = self.same_pair[u][p0]
-            for a, b in zip(path, path[1:]):  # w * u^-1 or w * p0^-1 in {a, b}'s pair
-                d, e = T[T[b][inv[a]]], T[T[a][inv[b]]]
-                special |= 1 << d[u] | 1 << e[u] | 1 << d[p0] | 1 << e[p0]
-            if omega.bit_count() + 4 == 2 * length and vmask.bit_count() == tiled - len(members):
-                generic = live & ~special & ~vmask
-                if generic and stats.nodes + cands.bit_count() <= limit:
-                    refused = self._refused(
-                        idx, covered | vmask, fused | omega, u, p0, generic, picked
+                    w = bit.bit_length() - 1
+                    cyc_omega = u_omega | u_step[w] | close[w]
+                    if not bit & generic:
+                        osize = cyc_omega.bit_count()
+                        ndiffs = fused_bits + osize
+                        if ndiffs > budget:
+                            continue
+                        # the tiling test 2l = |Omega| * |Stab_G(c)|, with Stab_G(c)
+                        # and |Stab & S| read off the table (see the module docstring)
+                        stab_order, rest = divmod(2 * length, osize)
+                        if rest:
+                            continue
+                        if stab_order == 1:
+                            in_sub = 1
+                        elif stab_order == length:  # one pair: c = p0 * <p0^-1 * p1>
+                            in_sub = ((path_mask | ubit | bit) & cosets[p0]).bit_count()
+                        else:  # l = 4 and two pairs: Stab = {1, i} when i turns c by two
+                            i = self.involution
+                            if T[p0][i] != path[2] or T[second][i] != w:
+                                continue
+                            in_sub = 2 if i in members else 1
+                        # c*S has l * |S| / |Stab & S| vertices when the cycles of
+                        # c's sub-orbit under S are disjoint, and never more
+                        spread = (u_vmask | cosets[w]).bit_count() * in_sub
+                        if spread > tiled:
+                            stats.nodes = nodes
+                            raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
+                        if spread != tiled:
+                            continue
+                        remaining = self.n - (covered | u_vmask | cosets[w]).bit_count()
+                        if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
+                            continue
+                    # the refused closers below w close before it
+                    stats.cycles_closed += 1 + (refused & (bit - 1)).bit_count()
+                    refused &= -bit
+                    stats.nodes = nodes
+                    self._extend_factor(
+                        idx, used | cyc_omega, covered | u_vmask | cosets[w],
+                        fused | cyc_omega, acc + [(*path, w)], picked,
                     )
-            live = live & special | (generic ^ refused)
-        while live:
-            bit = live & -live
-            live ^= bit
-            later = cands & -(bit << 1)
-            stats.nodes += (cands ^ later).bit_count()
-            cands = later
-            if stats.nodes > limit:
+                    nodes = stats.nodes
+                    if refused and nodes + scan.bit_count() > limit:
+                        # a stop could now fall among them: close them one by one
+                        live |= refused
+                        refused = 0
+                path.pop()
+                if refused:
+                    stats.cycles_closed += refused.bit_count()
+            nodes += scan.bit_count()
+            if nodes > limit:
                 stats.nodes = limit + 1
                 raise _Budget()
-            w = bit.bit_length() - 1
-            cyc_omega = omega | step[w] | close[w]
-            if not bit & generic:
-                osize = cyc_omega.bit_count()
-                ndiffs = fused_bits + osize
-                if ndiffs > budget:
-                    continue
-                # the tiling test 2l = |Omega| * |Stab_G(c)|, with Stab_G(c)
-                # and |Stab & S| read off the table (see the module docstring)
-                stab_order, rest = divmod(2 * length, osize)
-                if rest:
-                    continue
-                if stab_order == 1:
-                    in_sub = 1
-                elif stab_order == length:  # one pair: c = p0 * <p0^-1 * p1>
-                    in_sub = ((path_mask | bit) & cosets[p0]).bit_count()
-                else:  # l = 4 and two pairs: Stab = {1, i} when i turns c by two
-                    i = self.involution
-                    if self.table[p0][i] != path[2] or self.table[second][i] != w:
-                        continue
-                    in_sub = 2 if i in members else 1
-                # c*S has l * |S| / |Stab & S| vertices when the cycles of c's
-                # sub-orbit under S are disjoint, and never more
-                spread = (vmask | cosets[w]).bit_count() * in_sub
-                if spread > tiled:
-                    raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
-                if spread != tiled:
-                    continue
-                remaining = self.n - (covered | vmask | cosets[w]).bit_count()
-                if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
-                    continue
-            # the refused closers below w close before it
-            stats.cycles_closed += 1 + (refused & (bit - 1)).bit_count()
-            refused &= -bit
-            path.append(w)
-            self._extend_factor(
-                idx,
-                used | cyc_omega,
-                covered | vmask | cosets[w],
-                fused | cyc_omega,
-                acc + [tuple(path)],
-                picked,
-            )
-            path.pop()
-            if refused and stats.nodes + cands.bit_count() > limit:
-                # a stop could now fall among them: close them one by one
-                live |= refused
-                refused = 0
-        if refused:
-            stats.cycles_closed += refused.bit_count()
-        stats.nodes += cands.bit_count()
-        if stats.nodes > limit:
-            stats.nodes = limit + 1
-            raise _Budget()
+        stats.nodes = nodes
 
     def _refused(
         self, idx: int, held: int, base: int, u: int, p0: int, generic: int, picked: list
@@ -692,9 +692,9 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     # The default recursion limit is enough.  A cycle's stabilizer acts
     # semiregularly on its l vertices, so a sub-orbit under S covers at
     # least |S| vertices and an entry grows at most v/|S| = orbit_length
-    # sub-orbits of l <= 4 frames (one _extend_factor, l - 1 _extend_cycle).
-    # A feasible target therefore nests at most 2E + 4(v/2 - 1) + 1 frames
-    # for E entries: 139 at v = 48.
+    # sub-orbits of l - 1 <= 3 frames (one _extend_factor, l - 2
+    # _extend_cycle, the last closing the cycle in place), so a feasible
+    # target nests at most 2E + 3(v/2 - 1) + 1 frames for E entries: 116 at v = 48.
     began = time.perf_counter()
     verdict, solution, cert = VERDICT_EXHAUSTED, None, None
     try:

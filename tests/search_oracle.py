@@ -1,9 +1,10 @@
 """Slow reference for the searcher's cycle scan.
 
 `SlowSearcher` is the searcher as it was before it closed cycles inside
-the candidate scan: every step tries each vertex in range(n), a path of
-full length goes through a separate closing step, and that step rebuilds
-the cycle's Omega mask and its sub-orbit vertex mask from the whole path.
+the candidate scan: every step tries each vertex in range(n) in a frame
+of its own, a path of full length goes through a separate closing step,
+and that step rebuilds the cycle's Omega mask and its sub-orbit vertex
+mask from the whole path.
 Everything else (entries, factors, the memo, node counting) is inherited
 from `hwpreg.search._Searcher`, so the two must visit the same nodes,
 close the same cycles and find the same documents.  `omega_mask`,
@@ -17,9 +18,12 @@ pass over the cosets that each `Subgroup` makes.
 `OneByOneSearcher` keeps the searcher's cycle scan as it was before the
 closing scan decided candidates in bulk: every live closing candidate is
 put through the divisibility, stabilizer, tiling and `remaining` tests
-one at a time, every path of l - 1 vertices is descended into, and every
-closed cycle goes to `_extend_factor`, which may refuse it.  It is the
-reference for those bulk decisions, state by state.
+one at a time, every path of l - 1 vertices is descended into, in a
+frame of its own that runs its closing scan, and every closed cycle goes
+to `_extend_factor`, which may refuse it.  It is the reference for those
+bulk decisions, state by state.  The searcher runs each closing scan in
+place, in the frame of the cycle's penultimate vertex, so the states
+compared are those of that frame.
 
 `refuses` writes out the two refusals of a complete factor cover, which
 the searcher's closing scan makes in bulk for most candidates instead of
@@ -62,6 +66,13 @@ def refuses(searcher, idx: int, covered: int, fused: int, picked: list) -> bool:
         return False
     prev = picked[-1][1]
     return min(_bits(fused)) <= min(_bits(prev))
+
+
+def _node(searcher) -> None:
+    """Charge one node, as the searcher does inline, and stop over budget."""
+    searcher.stats.nodes += 1
+    if searcher.stats.nodes > searcher.budget:
+        raise _Budget()
 
 
 def _bits(mask: int) -> list[int]:
@@ -127,7 +138,7 @@ class SlowSearcher(_Searcher):
                 continue
             if self.pair_mask[T[w][cur_inv]] & used:
                 continue
-            self._node()
+            _node(self)
             path.append(w)
             self._extend_cycle(
                 idx, used, covered, fused, acc, picked, path, path_mask | bit
@@ -188,7 +199,7 @@ class OneByOneSearcher(_Searcher):
                 bit = cands & -cands
                 cands ^= bit
                 w = bit.bit_length() - 1
-                self._node()
+                _node(self)
                 path.append(w)
                 self._extend_cycle(
                     idx, used, covered, fused, acc, picked, path, path_mask | bit,

@@ -541,11 +541,23 @@ def test_derived_order_24_searches_are_pinned(sid, counters, digest):
             (180662, 2996, 277, 87, 182),
             "53734c9304d2c67f5c112828be6835cb3744600d98c505b321423071b4d683e9",
         ),
+        (
+            "48-7-16",
+            (1033862, 8975, 929, 215, 707),
+            "942874d1555ee29a5ebb76c7320589342a0e88bd6a1a7892c12705ed47da4d56",
+        ),
+        (
+            "48-15-8",
+            (1767163, 81353, 5048, 2525, 2516),
+            "39e09e2950b3581818ca5efcfa0a61380f5d3c22d667867b61ac66efba3d10d9",
+        ),
     ],
 )
 def test_derived_order_48_searches_are_pinned(sid, counters, digest):
     # the v=48 targets with (3, 1, G) and (4, 1, G) entries, where paths
-    # that use up a factor's differences are charged without a scan
+    # that use up a factor's differences are charged without a scan, and
+    # the two million-node finds; 48-17-6 and 48-5-18 are pinned in CI
+    # (tests/search_long.py)
     _assert_found_as_pinned(sid, counters, digest)
 
 
@@ -570,14 +582,15 @@ def test_found_documents_are_fixed_points_of_the_document_pipeline(sid):
 
 
 def _scan_states(monkeypatch, target):
-    """Every cycle scan a search of target makes that closes cycles or
-    opens scans that do, as (idx, used, covered, fused, acc, picked, path
-    and the masks carried with it)."""
+    """Every scan a search of target makes in the frame of a cycle's
+    penultimate vertex, which runs a closing scan in place for each of its
+    candidates, as (idx, used, covered, fused, acc, picked, path and the
+    masks carried with it)."""
     states = []
     scan = _Searcher._extend_cycle
 
     def capturing(self, idx, used, covered, fused, acc, picked, path, *carried):
-        if len(path) + 2 >= self.sig[idx].cycle_length:
+        if len(path) + 2 == self.sig[idx].cycle_length:
             states.append((idx, used, covered, fused, acc, picked, tuple(path), *carried))
         scan(self, idx, used, covered, fused, acc, picked, path, *carried)
 
@@ -585,6 +598,25 @@ def _scan_states(monkeypatch, target):
         m.setattr(_Searcher, "_extend_cycle", capturing)
         search_hwp(target)
     return states
+
+
+def _closing_states(target, parent):
+    """The closing scans that the scan of state `parent` (see
+    `_scan_states`) runs in place, one for each candidate u it visits
+    unbounded, as the state of path + [u] that a separate scan of it
+    would start from, built from the reference coset masks."""
+    idx, used, covered, fused, acc, picked, path, path_mask, omega, vmask, *rest = parent
+    G = target.group
+    pairs = _tables(G)[0][path[-1]]
+    cosets = coset_masks(G, entry_subgroups(target)[idx])
+    return [
+        (
+            idx, used, covered, fused, acc, picked, (*path, u), path_mask | 1 << u,
+            omega | pairs[u], vmask | cosets[u], *rest,
+        )
+        for u in range(len(G))
+        if not (covered | path_mask) >> u & 1 and not pairs[u] & used
+    ]
 
 
 def _replay(cls, target, state):
@@ -635,27 +667,25 @@ def test_closing_scans_decide_like_the_one_by_one_scan(monkeypatch, sid, budget)
     assert bits == {True, False}
 
 
-def _replays_agree(target, state) -> int:
+def _replays_agree(target, state) -> list:
     """Assert that the scan of state closes the same cycles, charges the
     same nodes and counts the same cycles closed under the searcher as
     under the one-by-one scan, and that the cycles it does not hand to
-    `_extend_factor` are refused ones; return how many there are."""
+    `_extend_factor` are refused ones; return them, as `_replay` lists
+    them."""
     fast = _replay(_Searcher, target, state)
     slow = _replay(OneByOneSearcher, target, state)
     assert fast[:3] == slow[:3], state
     assert all(call in slow[3] for call in fast[3]), state
     left_out = [call for call in slow[3] if call not in fast[3]]
     assert all(refused for _, refused in left_out), state
-    return len(left_out)
+    return left_out
 
 
-def _closing_states(monkeypatch, target):
-    """The closing scans of a search of target, and target unbounded."""
-    return [
-        state
-        for state in _scan_states(monkeypatch, target)
-        if len(state[6]) + 1 == target.entries[state[0]].cycle_length
-    ], replace(target, budget_nodes=None)
+def _refused_in_bulk(target, parent) -> set:
+    """The paths of the closing scans, run in place by the scan of state
+    `parent`, that refuse cycles in bulk, as `_replays_agree` finds them."""
+    return {call[4][-1][:-1] for call, _ in _replays_agree(target, parent)}
 
 
 @pytest.mark.parametrize(
@@ -671,7 +701,9 @@ def _closing_states(monkeypatch, target):
 def test_closing_scans_refuse_covers_like_one_at_a_time(monkeypatch, sid, g, budget):
     # the generic closers that complete a factor's cover and that
     # _extend_factor would refuse are refused in bulk (see the search.py
-    # module docstring), against the scan that hands each to _extend_factor
+    # module docstring), against the scan that hands each to _extend_factor;
+    # each closing scan runs in place, so each is replayed through the
+    # scan of its penultimate vertex
     target = target_from_solution(load_solution(sid), budget)
     G = target.group
     if g == "seeded":
@@ -680,42 +712,55 @@ def test_closing_scans_refuse_covers_like_one_at_a_time(monkeypatch, sid, g, bud
     else:
         targets = [target if g is None else _conjugate(target, G.parse(g))]
     for target in targets:
-        states, unbounded = _closing_states(monkeypatch, target)
-        fired = [state for state in states if _replays_agree(unbounded, state)]
+        unbounded = replace(target, budget_nodes=None)
+        fired = []  # (parent, state) for each closing scan that refuses in bulk
+        for parent in _scan_states(monkeypatch, target):
+            paths = _refused_in_bulk(unbounded, parent)
+            fired += [(parent, s) for s in _closing_states(unbounded, parent) if s[6] in paths]
         assert fired  # the bulk path runs and refuses
         # and where it fires it leaves no generic closer to be refused one
         # at a time: each refused cycle _extend_factor still sees repeats a
         # pair, so it adds fewer than four differences to Omega(path)
-        for state in fired:
+        for parent, state in fired:
             omega = state[8]
-            for (_, _, _, fused, _), refused in _replay(_Searcher, unbounded, state)[3]:
-                assert not refused or (fused ^ state[3]).bit_count() < omega.bit_count() + 4
+            for (_, _, _, fused, acc), refused in _replay(_Searcher, unbounded, parent)[3]:
+                if acc[-1][:-1] == state[6]:
+                    assert not refused or (fused ^ state[3]).bit_count() < omega.bit_count() + 4
         # with one more orbit the same covers fall short of their
         # differences, and the bulk path refuses them on the count
-        for state in fired:
+        for parent, state in fired:
             idx = state[0]
             entries = list(target.entries)
             entries[idx] = replace(entries[idx], orbit_length=entries[idx].orbit_length + 1)
-            assert _replays_agree(replace(unbounded, entries=tuple(entries)), state)
+            assert state[6] in _refused_in_bulk(replace(unbounded, entries=tuple(entries)), parent)
 
 
 def _closing_scans(monkeypatch, target):
-    """Every closing scan a search of target opens, as its state (see
-    `_scan_states`) and the w it closed the found solution's cycle with,
-    or None when no solution was found through it."""
+    """Every closing scan a search of target runs in place, as its state
+    (see `_closing_states`), the w it closed the found solution's cycle
+    with, or None when no solution was found through it, and the state of
+    the scan that ran it.  A scan that a budget stop cuts short counts as
+    run whole."""
     scans = []
     scan = _Searcher._extend_cycle
 
     def capturing(self, idx, used, covered, fused, acc, picked, path, *carried):
-        if len(path) + 1 < self.sig[idx].cycle_length:
+        if len(path) + 2 != self.sig[idx].cycle_length:
             return scan(self, idx, used, covered, fused, acc, picked, path, *carried)
-        scans.append([(idx, used, covered, fused, acc, picked, tuple(path), *carried), None])
-        here = scans[-1]
+        parent = (idx, used, covered, fused, acc, picked, tuple(path), *carried)
+        found = None  # the found cycle's last two vertices, when found through here
         try:
             scan(self, idx, used, covered, fused, acc, picked, path, *carried)
         except _Solved as hit:
-            here[1] = hit.picked[idx][0][len(acc)][-1]
+            found = hit.picked[idx][0][len(acc)][-2:]
             raise
+        finally:
+            for state in _closing_states(target, parent):
+                u = state[6][-1]
+                if found is None or u < found[0]:
+                    scans.append((state, None, parent))
+                elif u == found[0]:
+                    scans.append((state, found[1], parent))
 
     with monkeypatch.context() as m:
         m.setattr(_Searcher, "_extend_cycle", capturing)
@@ -768,8 +813,9 @@ def test_low_order_candidates_read_their_stabilizer_off_the_table(monkeypatch, s
     # (l = 4) has Stab_G(c) = {1, i} when p0 * i = p2 and p1 * i = p3, else
     # {1} (see the search.py module docstring): the kernel agrees on every
     # one the search meets, and the searcher decides each scan that holds
-    # them like the one-by-one scan, which runs the kernel; sid^seeded is
-    # a seeded conjugate of sid's target under a budget
+    # them like the one-by-one scan, which runs the kernel, through the
+    # scan of its penultimate vertex; sid^seeded is a seeded conjugate of
+    # sid's target under a budget
     sid, _, g = sid.partition("^")
     target = target_from_solution(load_solution(sid), 20_000 if g else None)
     G = target.group
@@ -780,7 +826,8 @@ def test_low_order_candidates_read_their_stabilizer_off_the_table(monkeypatch, s
     cosets = [coset_masks(G, sub) for sub in subs]
     unbounded = replace(target, budget_nodes=None)
     counts = {"fixed": 0, "unfixed": 0, "one pair": 0}
-    for state, stop in _closing_scans(monkeypatch, target):
+    replayed = set()  # the scans that ran closing scans in place
+    for state, stop, parent in _closing_scans(monkeypatch, target):
         idx, path = state[0], state[6]
         members = subs[idx].member_set
         met = _low_order_candidates(target, state, stop)
@@ -802,19 +849,13 @@ def test_low_order_candidates_read_their_stabilizer_off_the_table(monkeypatch, s
                 assert stab == ({one, i} if turned else {one}), c
                 assert len(stab & members) == (2 if turned and i in members else 1), c
                 counts["fixed" if turned else "unfixed"] += 1
-        if met:
-            _replays_agree(unbounded, state)
+        if met and id(parent) not in replayed:
+            replayed.add(id(parent))
+            _replays_agree(unbounded, parent)
     if g:
         assert counts["one pair"] > 0
     else:
         assert tuple(counts.values()) == _LOW_ORDER_PINS[sid]
-
-
-def _frames() -> int:
-    frame, n = sys._getframe(1), 0
-    while frame is not None:
-        frame, n = frame.f_back, n + 1
-    return n
 
 
 @pytest.mark.parametrize(
@@ -827,22 +868,35 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch, sid, budget, verdi
         raise AssertionError(f"search_hwp set the recursion limit to {limit}")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    deepest = [0]
-    node = _Searcher._node
+    extend_factor = _Searcher._extend_factor
+    searcher_code = {
+        extend_factor.__code__, _Searcher.entry_start.__code__, _Searcher._extend_cycle.__code__
+    }
+    depths = []
 
-    def counting_node(self):
-        deepest[0] = max(deepest[0], _frames())
-        node(self)
+    def measuring(self, idx, used, covered, fused, acc, picked):
+        if acc:  # called by the closing scan that closed acc[-1], in place
+            frame, depth = sys._getframe(1), 0
+            while frame is not None:
+                depth += frame.f_code in searcher_code
+                frame = frame.f_back
+            # each entry before idx: its entry_start, l - 1 frames for each
+            # sub-orbit and the _extend_factor of its complete cover; entry
+            # idx: its entry_start and l - 1 frames for each sub-orbit so far
+            done = sum(2 + len(a) * (e.cycle_length - 1) for e, (a, _) in zip(self.sig, picked))
+            depths.append((depth, done + 1 + len(acc) * (self.sig[idx].cycle_length - 1)))
+        extend_factor(self, idx, used, covered, fused, acc, picked)
 
-    monkeypatch.setattr(_Searcher, "_node", counting_node)
+    monkeypatch.setattr(_Searcher, "_extend_factor", measuring)
     target = target_from_solution(load_solution(sid), budget_nodes=budget)
     outcome = search_hwp(target)
     assert (outcome.verdict, outcome.stats.nodes) == (verdict, nodes)
-    # searcher frames between search_hwp and counting_node, against the
-    # bound stated in search_hwp: 2E + 4(v/2 - 1) + 1
-    depth = deepest[0] - _frames() - 2
+    # the searcher frames below each in-place closing scan, itself included,
+    # against the count above and the bound stated in search_hwp:
+    # 2E + 3(v/2 - 1) + 1
+    assert depths and all(depth == expected for depth, expected in depths)
     v = len(target.group)
-    assert 0 < depth <= 2 * len(target.entries) + 4 * (v // 2 - 1) + 1
+    assert max(depths)[0] <= 2 * len(target.entries) + 3 * (v // 2 - 1) + 1
 
 
 def test_budget_exceeded():

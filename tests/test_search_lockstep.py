@@ -1,14 +1,15 @@
 """The searcher against its slow-path oracle, node by node.
 
-`search_oracle.SlowSearcher` scans every vertex and rebuilds each closed
-cycle's masks from its whole path; the searcher walks the free vertices
-and closes cycles inside its candidate scan with masks carried down the
-path.  Both must close the same cycles at the same node counts, stop at
-the same node under any budget, and end with the same counters and the
-same document.  The searcher refuses most complete covers that
-`_extend_factor` would refuse inside its closing scan, without the call,
-so the trails hold only the cycles that reach `_extend_factor` and are
-not refused there (`search_oracle.refuses`).
+`search_oracle.SlowSearcher` scans every vertex, one frame per vertex,
+and rebuilds each closed cycle's masks from its whole path; the searcher
+walks the free vertices, runs each closing scan in the frame of the
+cycle's penultimate vertex and closes cycles inside it, with masks
+carried down the path.  Both must close the same cycles at the same
+node counts, stop at the same node under any budget, and end with the
+same counters and the same document.  The searcher refuses most
+complete covers that `_extend_factor` would refuse inside its closing
+scan, without the call, so the trails hold only the cycles that reach
+`_extend_factor` and are not refused there (`search_oracle.refuses`).
 """
 
 import random
