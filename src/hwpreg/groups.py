@@ -11,22 +11,15 @@ Supported groups, by id:
 Each group is one row of data: its order, two generators, and its
 multiplication, parser and formatter.  ``build_group`` generates the
 elements once, as the closure of the generators under multiplication,
-and sorts them into a fixed canonical order.  The multiplication table
-is built once, at construction, and the group's multiplication makes
-only its columns x -> x * g for a few g: each element, in index order,
-that the earlier picks do not reach (the greedy step that also makes a
-``Subgroup``'s members of its generators).  These products are checked
-against the element set; every other column follows by associativity,
-and the tier-1 tests check the table against all n^2 products.  The
-ASCII element texts (``1/r2``; ``parse`` also accepts ``1/√2``) are
-built at construction too; the right translations and the map from
-canonical texts back to indices, which ``parse`` tries before the
-group's parser, are built on first use.  Subgroups are shared per
-group, one per generator listing, from a bounded table, and each builds
-its members and its left-coset masks on first use.  Every later
-operation works on element indices.  Quaternion coordinates are kept
-exact as pairs (p, q) denoting (p + q*sqrt(2))/2, so equality tests are
-sound.
+and sorts them into a fixed canonical order; ``FiniteGroup`` builds the
+multiplication table from them at construction.  The ASCII element texts
+(``1/r2``; ``parse`` also accepts ``1/√2``) are built at construction
+too, and the right translations on first use.  ``parse`` keeps the
+texts it has read, and the subgroups, one per generator listing, are
+shared per group; both tables are bounded.  A subgroup builds its
+members and its left-coset masks on first use.  Every later operation
+works on element indices.  Quaternion coordinates are kept exact as
+pairs (p, q) denoting (p + q*sqrt(2))/2, so equality tests are sound.
 
 All three groups have exactly one involution, which is what makes them
 usable as regular automorphism groups of a cocktail party graph.
@@ -305,13 +298,16 @@ class FiniteGroup:
 
     Elements are referred to by index into :attr:`elements`; ``mul``,
     ``inv`` and ``format`` are table lookups.  ``mul_func`` is called only
-    for the products x * g with g in the generating set that
-    ``whole_subgroup`` keeps, picked in index order, and each product is
-    checked against the elements; every other column follows by
-    associativity, x * (p * g) = (x * p) * g, in breadth-first order of
-    words.  The identity, inverse and involution checks then run on the
-    whole table.  Instances are immutable after construction, as setting
-    an attribute then raises AttributeError, and safe to share; use
+    for the columns x -> x * g with g in the generating set that
+    ``whole_subgroup`` keeps: each element, in index order, that the
+    earlier picks do not reach (the greedy step that also makes a
+    ``Subgroup``'s members of its generators).  Each product is checked
+    against the elements; every other column follows by associativity,
+    x * (p * g) = (x * p) * g, in breadth-first order of words, and the
+    tests check the table against all n^2 products.  The identity,
+    inverse and involution checks then run on the whole table.
+    Instances are immutable after construction, as setting an attribute
+    then raises AttributeError, and safe to share; use
     :func:`build_group` to obtain the cached instance for a group id.
     """
 
@@ -445,20 +441,11 @@ class FiniteGroup:
 
     # -- text form ---------------------------------------------------------
 
-    @cached_property
-    def _text_index(self) -> dict[str, int]:
-        # canonical text -> index, built on first use
-        return {t: i for i, t in enumerate(self.texts)}
-
+    @lru_cache(maxsize=1024)  # keeps no call that raised
     def parse(self, text: str) -> int:
         """Index of the element denoted by ``text``; raises ElementError.
-        Canonical texts are looked up; other spellings go to the parser,
-        and a bounded table keeps the last 1024 that parsed."""
-        idx = self._text_index.get(text)
-        return self._parse_spelling(text) if idx is None else idx
-
-    @lru_cache(maxsize=1024)  # keeps no call that raised
-    def _parse_spelling(self, text: str) -> int:
+        A bounded table keeps the last 1024 texts that parsed, canonical or
+        not, so each reaches the group's parser once while it is kept."""
         idx = self._index.get(self._parser(text))
         if idx is None:
             raise ElementError(f"{text!r} is not an element of {self.id}")

@@ -29,16 +29,30 @@ compared are those of that frame.
 the searcher's closing scan makes in bulk for most candidates instead of
 calling `_extend_factor`; the lockstep tests compare the cycles that are
 not refused.
+
+`KAwareSearcher` keys its memo of dead entry states on k as well: k is
+the least difference of the previous factor when the entry repeats its
+predecessor, which the equal-adjacent-entry rule reads, and -1
+otherwise.  It reuses a state only at a k at least the least one the
+state was exhausted at, which is sound by construction, as a larger k
+admits fewer factors.  The searcher's memo leaves k out, which nothing
+proves sound yet; `v24_signatures` lists the 336 v=24 signatures on
+which the two are compared (tests/search_signatures.py).
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations_with_replacement
 from typing import AbstractSet
 
 from hwpreg.cycles import _codes, _cycle_stabilizer, _stabilizer, _vertex_codes
+from hwpreg.factors import hwp_feasibility
 from hwpreg.groups import GroupError
-from hwpreg.search import _Budget, _Searcher
-from hwpreg.solutions import resolve_subgroup
+from hwpreg.search import (
+    SearchTarget, SignatureEntry, _Budget, _Searcher, _Solved, target_from_solution,
+)
+from hwpreg.solutions import load_solution, resolve_subgroup
 
 
 def entry_subgroups(target) -> list:
@@ -265,3 +279,61 @@ class OneByOneSearcher(_Searcher):
         if stats.nodes > limit:
             stats.nodes = limit + 1
             raise _Budget()
+
+
+class KAwareSearcher(_Searcher):
+    def __init__(self, target, stats, subs) -> None:
+        super().__init__(target, stats, subs)
+        # (entry index, used differences) -> the least k it was exhausted at
+        self.dead: dict[tuple[int, int], int] = {}
+
+    def entry_start(self, idx: int, used: int, picked: list) -> None:
+        if idx == len(self.sig):
+            raise _Solved(picked)
+        k = -1
+        if self.repeats[idx]:
+            prev = picked[-1][1]
+            k = (prev & -prev).bit_length() - 1
+        key = (idx, used)
+        if self.dead.get(key, math.inf) <= k:
+            self.stats.memo_hits += 1
+            return
+        self._extend_factor(idx, used, 0, 0, [], picked)
+        # reached only when the subtree was exhausted without interruption,
+        # and only at a k below any the state was exhausted at before
+        self.dead[key] = k
+
+
+def v24_signatures(budget: int = 2_000_000) -> list[tuple[str, SearchTarget]]:
+    """(label, target) for every signature of r + s = 11 over the subgroup
+    set {G, S1, S2, ...} of the targets derived from 24-5-6, 24-7-4 and
+    24-9-2: for each (r, s) that hwp_feasibility admits, every multiset of
+    triangle entries (3, 24/|S|, S) whose orbit lengths sum to r with every
+    multiset of quadrangle entries that sum to s, triangles first, each
+    kind grouped by subgroup in set order: 126 + 126 + 84 targets."""
+    out = []
+    for sid in ("24-5-6", "24-7-4", "24-9-2"):
+        derived = target_from_solution(load_solution(sid))
+        G, v = derived.group, len(derived.group)
+        names = ["G", *derived.subgroups]
+        orbit = {n: v // resolve_subgroup(derived, n).order for n in names}
+
+        def kinds(total: int) -> list[tuple[str, ...]]:
+            return [
+                c for m in range(total + 1) for c in combinations_with_replacement(names, m)
+                if sum(map(orbit.get, c)) == total
+            ]
+
+        for r in range(12):
+            s = 11 - r
+            if not hwp_feasibility(v, r, s)[0]:
+                continue
+            for tri in kinds(r):
+                for quad in kinds(s):
+                    entries = tuple(
+                        SignatureEntry(length, orbit[n], n)
+                        for length, part in ((3, tri), (4, quad)) for n in part
+                    )
+                    label = f"{sid} r={r} s={s} 3:{','.join(tri)} 4:{','.join(quad)}"
+                    out.append((label, SearchTarget(G, r, s, entries, derived.subgroups, budget)))
+    return out

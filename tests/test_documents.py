@@ -226,7 +226,7 @@ def test_reads_share_one_subgroup_per_listing(raw_docs):
 
 
 def test_outputs_are_the_same_from_a_cold_and_a_warm_table(tmp_path, raw_docs, capsys):
-    # what the shared subgroup and spelling tables hold never shows in a
+    # what the shared subgroup and element-text tables hold never shows in a
     # canonical search or verify output; only stats.seconds may differ
     target = tmp_path / "target.json"
     target.write_text(json.dumps(TARGET_24_9_2), encoding="utf-8")
@@ -243,7 +243,7 @@ def test_outputs_are_the_same_from_a_cold_and_a_warm_table(tmp_path, raw_docs, c
         return out
 
     FiniteGroup._shared_subgroup.cache_clear()
-    FiniteGroup._parse_spelling.cache_clear()
+    FiniteGroup.parse.cache_clear()
     cold = outputs()
     assert outputs() == cold
     assert cold[0].count('"seconds":null') == 1

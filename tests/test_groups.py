@@ -166,14 +166,6 @@ def test_right_translations_are_built_on_first_use():
         assert G.right_translations[x](range(n)) == tuple(G.mul(v, x) for v in range(n))
 
 
-def test_text_index_is_built_on_first_parse():
-    G = _fresh_q24()
-    G.format(G.identity)
-    assert "_text_index" not in vars(G)
-    assert G.parse("a4") == G.elements.index((4, 0))
-    assert "_text_index" in vars(G)
-
-
 def test_group_refuses_attribute_rebinding(capsys):
     # build_group is cached, and verify caches per-group data, so a caller
     # that could rebind a table or a text would change what every later
@@ -272,6 +264,8 @@ def test_unique_central_involution(gid):
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_parse_format_round_trip_every_element(gid):
+    # a cleared table sends every canonical text through the group's parser
+    FiniteGroup.parse.cache_clear()
     G = build_group(gid)
     assert len(set(G.texts)) == len(G.texts) == len(G)
     for x in range(len(G)):
@@ -484,9 +478,9 @@ def test_subgroup_table_is_shared_and_bounded():
 
 
 def test_non_canonical_spellings_are_parsed_once(raw_docs):
-    # some bundled documents spell elements non-canonically (54 texts per
-    # read of the nine: 53 in 2O, 1 in Q24); over repeated reads each
-    # group's parser runs once per distinct one
+    # every text a read of the nine bundled documents names, canonical or
+    # not (54 per read are not: 53 in 2O, 1 in Q24), reaches its group's
+    # parser once per cleared table, however often the documents are read
     parsers = (groups.parse_quat, parse_dicyclic, groups.parse_sl23)
     parsers = {f.__code__: f.__name__ for f in parsers}
     calls = Counter()
@@ -500,11 +494,12 @@ def test_non_canonical_spellings_are_parsed_once(raw_docs):
         G = build_group(doc["group"])
         listings = [*doc["subgroups"].values(), *doc["cycles"].values()]
         listings += doc.get("annotations", {}).get("omega", {}).values()
-        distinct |= {(G, t) for texts in listings for t in texts if t not in G.texts}
-    want = Counter(G._parser.__name__ for G, _ in distinct)
-    assert want == Counter(parse_quat=10, parse_dicyclic=1)
+        distinct |= {(G, t) for texts in listings for t in texts}
+    others = Counter(G._parser.__name__ for G, t in distinct if t not in G.texts)
+    assert others == Counter(parse_quat=10, parse_dicyclic=1)
+    assert len(distinct) <= FiniteGroup.parse.cache_info().maxsize == 1024
 
-    FiniteGroup._parse_spelling.cache_clear()
+    FiniteGroup.parse.cache_clear()
     sys.setprofile(count)
     try:
         for _ in range(3):
@@ -512,9 +507,9 @@ def test_non_canonical_spellings_are_parsed_once(raw_docs):
                 parse_solution_dict(doc)
     finally:
         sys.setprofile(None)
-    assert calls == want
-    # a spelling that fails is never remembered: it goes to the parser and
-    # raises every time
+    assert calls == Counter(G._parser.__name__ for G, _ in distinct)
+    # a text that fails is never kept: it goes to the parser and raises
+    # every time
     G = build_group("2O")
     calls.clear()
     sys.setprofile(count)

@@ -10,6 +10,11 @@ same counters and the same document.  The searcher refuses most
 complete covers that `_extend_factor` would refuse inside its closing
 scan, without the call, so the trails hold only the cycles that reach
 `_extend_factor` and are not refused there (`search_oracle.refuses`).
+
+`search_oracle.KAwareSearcher` keys its memo on the previous factor's
+least difference k as well; a seeded sample of the 336 v=24 signatures
+must get the same verdicts from it as from the searcher (all 336 run in
+tests/search_signatures.py).
 """
 
 import random
@@ -20,7 +25,7 @@ import pytest
 import hwpreg.search
 from hwpreg.search import search_hwp, target_from_solution
 from hwpreg.solutions import load_solution
-from search_oracle import SlowSearcher, refuses
+from search_oracle import KAwareSearcher, SlowSearcher, refuses, v24_signatures
 
 FAST = hwpreg.search._Searcher
 
@@ -128,3 +133,30 @@ def test_budget_stops_both_searchers_at_the_same_node(monkeypatch, sid, budgets)
     # 24-7-4 is found at 52 nodes, so its budgets cross that boundary
     assert "budget-exceeded" in verdicts
     assert ("found" in verdicts) == (sid == "24-7-4")
+
+
+def test_k_aware_memo_gives_the_same_verdicts_on_sampled_signatures(monkeypatch):
+    sample = random.Random("k-aware-memo").sample(v24_signatures(), 40)
+    verdicts = set()
+    for label, target in sample:
+        verdict, _ = _verdict_and_counters(monkeypatch, FAST, target)
+        assert verdict == _verdict_and_counters(monkeypatch, KAwareSearcher, target)[0], label
+        verdicts.add(verdict)
+    assert verdicts == {"found", "exhausted"}
+
+
+@pytest.mark.parametrize(
+    "sid,counters",
+    [
+        # nodes, cycles_closed, factors_completed, memo_entries, memo_hits;
+        # the searcher's are (27820, 104, 69, 50, 13) and (66048, 2479, 143, 63, 71)
+        ("24-5-6", (28017, 105, 70, 50, 13)),
+        ("48-13-10", (66068, 2479, 143, 63, 67)),
+    ],
+)
+def test_k_aware_memo_counters_are_pinned(monkeypatch, sid, counters):
+    target = target_from_solution(load_solution(sid))
+    verdict, stats = _verdict_and_counters(monkeypatch, KAwareSearcher, target)
+    assert verdict == "found"
+    names = ("nodes", "cycles_closed", "factors_completed", "memo_entries", "memo_hits")
+    assert tuple(stats[n] for n in names) == counters
