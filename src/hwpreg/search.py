@@ -55,49 +55,45 @@ vertex the factor does not cover yet, and reflections are broken by
 orienting the base cycle so its second vertex precedes its last.  Base
 cycles stay vertex paths: their differences, stabilizers and sub-orbit
 vertex masks come from the multiplication table, and canonical cycles
-are built only for a found solution.  An open path carries the Omega
-mask of its edges and the union of its vertices' cosets v*S, and tries
-in ascending order the free w whose step difference w * u^-1 from its
-end u is unused: u's difference row (see ``_tables``), translated
-through a table marking the used differences, masks out all others at
-once, exactly, as the used set is inverse-closed and an edge's pair
-{d, d^-1} meets it just when d is in it.  The closing scan masks out the
-w blocked at the path's start, a mask made once per factor extension,
-and the reflections below its second vertex as well, but still counts
-them as nodes, by popcount before each w it examines and at the scan's
-end: in scan order, so any node budget stops at the same candidate as
-a one-by-one scan would.  The coset masks
-v*S are built once per subgroup, on its first search, in one pass over
-its left cosets, and kept on the shared ``Subgroup`` (see
-``FiniteGroup.subgroup_closure``).  The frame that picks a cycle's
-penultimate vertex u runs the scan for its last vertex w and closes each
-cycle in place: Omega(c) is the path's mask plus the pairs of the edges
-into and out of w (the pair columns), and the sub-orbit's vertex mask is
-the path's union plus w*S.  Dead entry
-states, keyed by (entry index, consumed-difference bitmask), are
+are built only for a found solution.  Beside the used differences, the
+search carries ``free``, a v^2-bit matrix with bit n*u + w set just when
+w * u^-1 is unused, so u's row, (free >> n*u) & mask, masks out every
+other w at once, exactly, as the used set is inverse-closed and an
+edge's pair {d, d^-1} meets it just when d is in it.  The difference 1
+is used from the start, so no row has its own diagonal bit.  A descent
+clears the pair matrices (see ``_tables``) of the closed cycle's l edge
+differences.  An open path carries the Omega mask of its edges and the
+union of its vertices' cosets v*S, and tries in ascending order the free
+w in the row of its end u.  The closing scan masks out the w blocked at
+the path's start, whose row is read once per factor extension, and the
+reflections below its second vertex as well, but still counts them as
+nodes, by popcount before each w it examines and at the scan's end: in
+scan order, so any node budget stops at the same candidate as a
+one-by-one scan would.  The coset masks v*S are built once per
+subgroup, in one pass over its left cosets, and kept on the shared
+``Subgroup`` (see ``FiniteGroup.subgroup_closure``).
+The frame that picks a cycle's penultimate vertex u runs the scan for
+its last vertex w and closes each cycle in place: Omega(c) is the path's
+mask plus the pairs of the edges into and out of w (the pair columns),
+and the sub-orbit's vertex mask is the path's union plus w*S.  Dead
+entry states, keyed by (entry index, consumed-difference bitmask), are
 memoized only when their subtree was exhausted normally, so the memo
 stays sound when a node budget aborts the search.  The key leaves out
 k, the least difference of the previous factor, which the equal-entry
 rule of ``_extend_factor`` reads; reusing a state that died at k1 for a
 smaller k is not yet proved sound, and the evidence so far is that a
 memo keyed on k too gives the same verdicts on 336 v = 24 signatures
-(tests/search_signatures.py).  Anything found is
-written as a solution document straight from its base paths, as each is
-already a canonical cycle: it starts at its least vertex, the least one
-uncovered, and its second vertex precedes its last.  The document is
-re-verified by reading it back through the solution pipeline, which
-builds the solution's cycles and factors once, before it is reported;
-that check recomputes every factor's full stabilizer.  The searcher
-changes no process-wide state; its recursion stays within the default
-limit (see ``search_hwp``).
-
-The searcher's tables (``_tables``) are built on a group's first search
-and shared by every later one; like the edge checksum in ``factors.py``,
-they depend on the group alone and never change an output.  They are
-built and read in this module alone, as their encoding is the
-searcher's: difference rows hold the differences in reversed vertex
-order, so that, translated through marks of b"0" and b"1", a row reads
-as the binary digits of a vertex mask, which ``int(..., 2)`` reads back.
+(tests/search_signatures.py).  Anything found is written as a solution
+document straight from its base paths, as each is already a canonical
+cycle: it starts at its least vertex, the least one uncovered, and its
+second vertex precedes its last.  The document is re-verified by reading
+it back through the solution pipeline, which builds the solution's
+cycles and factors once, before it is reported; that check recomputes
+every factor's full stabilizer.  The searcher changes no process-wide
+state; its recursion stays within the default limit (see
+``search_hwp``).  Its tables are built on a group's first search and
+shared by every later one; like the edge checksum in ``factors.py``,
+they depend on the group alone and never change an output.
 
 The closing scan decides most candidates in bulk.  With u the path's
 end, p0 its start and D the elements of its Omega, a live w is special
@@ -122,11 +118,11 @@ generic, w pass or fail together:
 Only the special w are tested one by one.  The masks cost a few table
 reads per path edge, so they are built only past five live candidates:
 in a seed-17 benchmark round, 3,352 of the 3,953 v = 24 scans with a
-live closer have at most five and all 336 at v = 48 have 23-44, so each
-path has a workload.  Omega(c) holds Omega(path), so a path with
-|fused| + |Omega(path)| > 2L closes nothing; its at most 2(l - 2) bits
-need 2L - |fused| < 2(l - 2) for that, and its scan examines no
-candidate but charges them all at its end.
+live closer have at most five and all 336 at v = 48 have 23-44.  Omega(c)
+holds Omega(path), so a path with |fused| + |Omega(path)| > 2L closes
+nothing; its at most 2(l - 2) bits need 2L - |fused| < 2(l - 2) for
+that.  A scan with no live closer examines no candidate: it is charged
+with its u at once.
 
 Most generic closers at v = 48 complete their factor's cover only for
 ``_extend_factor`` to refuse it, and these are refused in bulk too:
@@ -142,9 +138,9 @@ Most generic closers at v = 48 complete their factor's cover only for
   refused when fused | Omega(path) | P(w * u^-1) | P(w * p0^-1) has a bit
   at or below k, P(d) being the pair {d, d^-1}.  When fused | Omega(path)
   has one, that is every w; else it is the w with a pair member at or
-  below k in w * u^-1 or w * p0^-1: the difference rows of u and p0,
-  each translated through the low-pair marks of k, which mark those d.
-  No new bit is k itself, as k is used.
+  below k in w * u^-1 or w * p0^-1: rows u and p0 of the low-pair
+  matrix of k, which holds the steps of those d.  No new bit is k
+  itself, as k is used.
 
 Each refused w counts as a closed cycle: all those below a closer that
 descends are counted before it descends, and the rest at the scan's end.
@@ -154,7 +150,8 @@ that leaves too few nodes, the rest are closed one by one again.
 
 A target document is read as strictly as a solution document, by the
 same field readers (see ``solutions.py``): wrong types, unknown keys and
-unreadable files raise ``TargetFormatError``.
+unreadable files raise ``TargetFormatError``, as does a target built in
+code with an entry naming no subgroup of it or a budget below 1.
 """
 
 from __future__ import annotations
@@ -168,19 +165,8 @@ from typing import Mapping, Optional
 from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
-    Err,
-    SolutionSpec,
-    _parse_json,
-    _read_group,
-    _read_json_file,
-    _read_keys,
-    _read_list,
-    _read_ref,
-    _read_subgroups,
-    _strict_int,
-    parse_solution_dict,
-    resolve_subgroup,
-    verify_solution,
+    Err, SolutionSpec, _parse_json, _read_group, _read_json_file, _read_keys, _read_list, _read_ref,
+    _read_subgroups, _strict_int, parse_solution_dict, resolve_subgroup, verify_solution,
 )
 
 VERDICT_FOUND = "found"
@@ -372,29 +358,30 @@ class _Budget(Exception):
 @lru_cache(maxsize=None)
 def _tables(G: FiniteGroup) -> tuple:
     """The searcher's tables for G, built on its first search (see the
-    module docstring):
+    module docstring); a v^2-bit matrix has bit n*u + w for the step u -> w:
 
     * pair_columns[u][w], the mask of the difference pair {d, d^-1} of the
       edge {u, w}, d = w * u^-1;
-    * difference_rows[u], the differences w * u^-1 as bytes, w from n-1
-      down to 0, one binary digit of a vertex mask each;
+    * pair_matrices[d], the steps whose difference lies in {d, d^-1};
     * same_pair[u][p], the vertex mask of the w with w * u^-1 = p * w^-1:
       the w whose edges {u, w} and {w, p} have one difference pair;
-    * low_pair_marks[k], b"1" at every d whose pair has a member at or
-      below k and b"0" elsewhere, a table that turns a difference row into
-      the vertex mask of the w with such a difference.
+    * low_pair_matrices[k], the steps whose difference pair has a member <= k;
+    * start_free, the matrix of the steps whose difference is not 1 or i.
     """
     T, inv, n = G.table, G.inv_table, len(G)
     pair = [(1 << d) | (1 << inv[d]) for d in range(n)]
     pair_columns = tuple(tuple(pair[T[w][inv[u]]] for w in range(n)) for u in range(n))
-    difference_rows = tuple(bytes(T[w][inv[u]] for w in reversed(range(n))) for u in range(n))
+    steps = [sum(1 << n * u + T[d][u] for u in range(n)) for d in range(n)]  # w = d * u
+    low = [min(d, inv[d]) for d in range(n)]
+    by_pair = {low[d]: steps[d] | steps[inv[d]] for d in range(n)}  # one object per pair
+    pair_matrices = tuple(by_pair[low[d]] for d in range(n))
     same_pair = [[0] * n for _ in range(n)]
     for u in range(n):
         for x in range(n):  # w = x * u and p = x * x * u
             same_pair[u][T[T[x][x]][u]] |= 1 << T[x][u]
-    low = [min(d, inv[d]) for d in range(n)]
-    low_pair_marks = tuple(bytes(48 + (x <= k) for x in low).ljust(256, b"0") for k in range(n))
-    return pair_columns, difference_rows, tuple(map(tuple, same_pair)), low_pair_marks
+    low_pair_matrices = tuple(sum(steps[d] for d in range(n) if low[d] <= k) for k in range(n))
+    start_free = sum(steps) - steps[G.identity] - steps[G.unique_involution()]  # d = d^-1 for both
+    return pair_columns, pair_matrices, tuple(map(tuple, same_pair)), low_pair_matrices, start_free
 
 
 class _Searcher:
@@ -411,7 +398,8 @@ class _Searcher:
         # per entry: its subgroup, as _infeasible resolved it
         self.subs = subs
         # shared by every search over G (see _tables)
-        self.pair_columns, self.difference_rows, self.same_pair, self.low_pair_marks = _tables(G)
+        (self.pair_columns, self.pair_matrices, self.same_pair, self.low_pair_matrices,
+         self.start_free) = _tables(G)
         self.full_cover = (1 << self.n) - 1
         # per entry with subgroup S, the vertex mask of v*S for every vertex
         # v, kept on S, so entries with the same subgroup share one tuple
@@ -426,21 +414,21 @@ class _Searcher:
         self.dead: set[tuple[int, int]] = set()
         self.budget = math.inf if target.budget_nodes is None else target.budget_nodes
 
-    def entry_start(self, idx: int, used: int, picked: list) -> None:
+    def entry_start(self, idx: int, used: int, free: int, picked: list) -> None:
         if idx == len(self.sig):
             raise _Solved(picked)
         key = (idx, used)
         if key in self.dead:
             self.stats.memo_hits += 1
             return
-        self._extend_factor(idx, used, 0, 0, [], picked)
+        self._extend_factor(idx, used, free, 0, 0, [], picked)
         # reached only when the subtree was exhausted without interruption
         self.dead.add(key)
 
     # `fused` holds the Omega masks of the factor's base cycles so far; they
     # are pairwise disjoint, so its bit count is the differences they use.
     def _extend_factor(
-        self, idx: int, used: int, covered: int, fused: int, acc: list, picked: list
+        self, idx: int, used: int, free: int, covered: int, fused: int, acc: list, picked: list
     ) -> None:
         entry = self.sig[idx]
         if covered == self.full_cover:
@@ -454,19 +442,17 @@ class _Searcher:
                 if (fused & -fused) <= (prev_fused & -prev_fused):
                     return
             self.stats.factors_completed += 1
-            self.entry_start(idx + 1, used, picked + [(acc, fused)])
+            self.entry_start(idx + 1, used, free, picked + [(acc, fused)])
             return
         v0 = (~covered & (covered + 1)).bit_length() - 1  # least uncovered vertex
         self.stats.nodes += 1
         if self.stats.nodes > self.budget:
             raise _Budget()
-        # b"1" at every used difference, for the difference rows to translate
-        marks = bin(used)[:1:-1].encode().ljust(256, b"0")
-        # the w whose closing difference w * v0^-1 is used, for every closing scan
-        start_blocked = int(self.difference_rows[v0].translate(marks), 2)
+        # for every closing scan, the w whose closing difference w * v0^-1 is unused
+        start_open = (free >> self.n * v0) & self.full_cover
         self._extend_cycle(
-            idx, used, covered, fused, acc, picked, [v0], 1 << v0, 0,
-            self.coset_masks[idx][v0], start_blocked, marks,
+            idx, used, free, covered, fused, acc, picked, [v0], 1 << v0, 0,
+            self.coset_masks[idx][v0], start_open,
         )
 
     # The open path carries `omega`, the Omega mask of its edges, and
@@ -474,12 +460,13 @@ class _Searcher:
     # free vertices whose step difference is unused, in ascending order;
     # for each penultimate u, the closing scan of path + [u] runs in place.
     def _extend_cycle(
-        self, idx: int, used: int, covered: int, fused: int, acc: list, picked: list,
-        path: list, path_mask: int, omega: int, vmask: int, start_blocked: int, marks: bytes,
+        self, idx: int, used: int, free: int, covered: int, fused: int, acc: list,
+        picked: list, path: list, path_mask: int, omega: int, vmask: int, start_open: int,
     ) -> None:
-        cosets, rows, held = self.coset_masks[idx], self.difference_rows, covered | path_mask
+        cosets, n = self.coset_masks[idx], self.n
+        unheld = self.full_cover & ~(covered | path_mask)  # each row of `free` is read through it
         step = self.pair_columns[path[-1]]
-        cands = self.full_cover & ~(held | int(rows[path[-1]].translate(marks), 2))
+        cands = (free >> n * path[-1]) & unheld
         stats, limit = self.stats, self.budget
         tiled, budget, members = self.closing[idx]
         length, fused_bits = self.sig[idx].cycle_length, fused.bit_count()
@@ -495,106 +482,113 @@ class _Searcher:
             ubit = cands & -cands
             cands ^= ubit
             u = ubit.bit_length() - 1
-            nodes += 1
-            if nodes > limit:
-                stats.nodes = nodes
-                raise _Budget()
             u_omega = omega | step[u]
             if opening:  # u is not yet the penultimate vertex
-                stats.nodes = nodes
+                stats.nodes = nodes = nodes + 1
+                if nodes > limit:
+                    raise _Budget()
                 self._extend_cycle(
-                    idx, used, covered, fused, acc, picked, path + [u], path_mask | ubit,
-                    u_omega, vmask | cosets[u], start_blocked, marks,
+                    idx, used, free, covered, fused, acc, picked, path + [u], path_mask | ubit,
+                    u_omega, vmask | cosets[u], start_open,
                 )
                 nodes = stats.nodes
                 continue
-            # the candidates of path + [u]'s closing scan, and `live`: those
-            # above its second vertex (the rest are reflections) whose closing
-            # difference is unused; every candidate is charged as a node in
-            # scan order, up to w before w is examined, and the rest at the end
-            scan = self.full_cover & ~(held | ubit | int(rows[u].translate(marks), 2))
+            # the candidates of path + [u]'s closing scan (row u has no bit u,
+            # as 1 is used), and `live`: those above its second vertex (the
+            # rest are reflections) whose closing difference is unused; every
+            # candidate is charged as a node in scan order, up to w before w
+            # is examined, and the rest at the end: with u, when none is live
+            scan = (free >> n * u) & unheld
             second = u if p1 is None else p1
             dead = dead_ends and u_omega.bit_count() > room
-            live = 0 if dead else (scan >> second << second) & ~start_blocked
-            if live:
-                path.append(u)
-                u_step, u_vmask = self.pair_columns[u], vmask | cosets[u]
-                # `generic`: the live w that repeat no pair and close; only the
-                # special ones are tested below.  `refused`: the generic w whose
-                # complete cover _extend_factor would refuse, held out of the
-                # scan and counted as closed in scan order (see the module docstring)
-                generic = refused = 0
-                if live.bit_count() > 5:
-                    special = self.same_pair[u][p0]
-                    for a, b in zip(path, path[1:]):  # w * u^-1 or w * p0^-1 in {a, b}'s pair
-                        d, e = T[T[b][inv[a]]], T[T[a][inv[b]]]
-                        special |= 1 << d[u] | 1 << e[u] | 1 << d[p0] | 1 << e[p0]
-                    if u_omega.bit_count() + 4 == 2 * length and (
-                        u_vmask.bit_count() == tiled - len(members)
-                    ):
-                        generic = live & ~special & ~u_vmask
-                        if generic and nodes + scan.bit_count() <= limit:
-                            refused = self._refused(
-                                idx, covered | u_vmask, fused | u_omega, u, p0, generic, picked
-                            )
-                    live = live & special | (generic ^ refused)
-                while live:
-                    bit = live & -live
-                    live ^= bit
-                    later = scan & -(bit << 1)
-                    nodes += (scan ^ later).bit_count()
-                    scan = later
-                    if nodes > limit:
-                        stats.nodes = limit + 1
-                        raise _Budget()
-                    w = bit.bit_length() - 1
-                    cyc_omega = u_omega | u_step[w] | close[w]
-                    if not bit & generic:
-                        osize = cyc_omega.bit_count()
-                        ndiffs = fused_bits + osize
-                        if ndiffs > budget:
+            live = 0 if dead else (scan >> second << second) & start_open
+            nodes += 1 if live else 1 + scan.bit_count()
+            if nodes > limit:
+                stats.nodes = limit + 1
+                raise _Budget()
+            if not live:
+                continue
+            path.append(u)
+            u_step, u_vmask = self.pair_columns[u], vmask | cosets[u]
+            # `generic`: the live w that repeat no pair and close; only the
+            # special ones are tested below.  `refused`: the generic w whose
+            # complete cover _extend_factor would refuse, held out of the
+            # scan and counted as closed in scan order (see the module docstring)
+            generic = refused = 0
+            if live.bit_count() > 5:
+                special = self.same_pair[u][p0]
+                for a, b in zip(path, path[1:]):  # w * u^-1 or w * p0^-1 in {a, b}'s pair
+                    d, e = T[T[b][inv[a]]], T[T[a][inv[b]]]
+                    special |= 1 << d[u] | 1 << e[u] | 1 << d[p0] | 1 << e[p0]
+                if u_omega.bit_count() + 4 == 2 * length and (
+                    u_vmask.bit_count() == tiled - len(members)
+                ):
+                    generic = live & ~special & ~u_vmask
+                    if generic and nodes + scan.bit_count() <= limit:
+                        refused = self._refused(
+                            idx, covered | u_vmask, fused | u_omega, u, p0, generic, picked
+                        )
+                live = live & special | (generic ^ refused)
+            while live:
+                bit = live & -live
+                live ^= bit
+                later = scan & -(bit << 1)
+                nodes += (scan ^ later).bit_count()
+                scan = later
+                if nodes > limit:
+                    stats.nodes = limit + 1
+                    raise _Budget()
+                w = bit.bit_length() - 1
+                cyc_omega = u_omega | u_step[w] | close[w]
+                if not bit & generic:
+                    osize = cyc_omega.bit_count()
+                    ndiffs = fused_bits + osize
+                    if ndiffs > budget:
+                        continue
+                    # the tiling test 2l = |Omega| * |Stab_G(c)|, with Stab_G(c)
+                    # and |Stab & S| read off the table (see the module docstring)
+                    stab_order, rest = divmod(2 * length, osize)
+                    if rest:
+                        continue
+                    if stab_order == 1:
+                        in_sub = 1
+                    elif stab_order == length:  # one pair: c = p0 * <p0^-1 * p1>
+                        in_sub = ((path_mask | ubit | bit) & cosets[p0]).bit_count()
+                    else:  # l = 4 and two pairs: Stab = {1, i} when i turns c by two
+                        i = self.involution
+                        if T[p0][i] != path[2] or T[second][i] != w:
                             continue
-                        # the tiling test 2l = |Omega| * |Stab_G(c)|, with Stab_G(c)
-                        # and |Stab & S| read off the table (see the module docstring)
-                        stab_order, rest = divmod(2 * length, osize)
-                        if rest:
-                            continue
-                        if stab_order == 1:
-                            in_sub = 1
-                        elif stab_order == length:  # one pair: c = p0 * <p0^-1 * p1>
-                            in_sub = ((path_mask | ubit | bit) & cosets[p0]).bit_count()
-                        else:  # l = 4 and two pairs: Stab = {1, i} when i turns c by two
-                            i = self.involution
-                            if T[p0][i] != path[2] or T[second][i] != w:
-                                continue
-                            in_sub = 2 if i in members else 1
-                        # c*S has l * |S| / |Stab & S| vertices when the cycles of
-                        # c's sub-orbit under S are disjoint, and never more
-                        spread = (u_vmask | cosets[w]).bit_count() * in_sub
-                        if spread > tiled:
-                            stats.nodes = nodes
-                            raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
-                        if spread != tiled:
-                            continue
-                        remaining = self.n - (covered | u_vmask | cosets[w]).bit_count()
-                        if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
-                            continue
-                    # the refused closers below w close before it
-                    stats.cycles_closed += 1 + (refused & (bit - 1)).bit_count()
-                    refused &= -bit
-                    stats.nodes = nodes
-                    self._extend_factor(
-                        idx, used | cyc_omega, covered | u_vmask | cosets[w],
-                        fused | cyc_omega, acc + [(*path, w)], picked,
-                    )
-                    nodes = stats.nodes
-                    if refused and nodes + scan.bit_count() > limit:
-                        # a stop could now fall among them: close them one by one
-                        live |= refused
-                        refused = 0
-                path.pop()
-                if refused:
-                    stats.cycles_closed += refused.bit_count()
+                        in_sub = 2 if i in members else 1
+                    # c*S has l * |S| / |Stab & S| vertices when the cycles of
+                    # c's sub-orbit under S are disjoint, and never more
+                    spread = (u_vmask | cosets[w]).bit_count() * in_sub
+                    if spread > tiled:
+                        stats.nodes = nodes
+                        raise GroupError(f"orbit-stabilizer mismatch: {spread} > {tiled}")
+                    if spread != tiled:
+                        continue
+                    remaining = self.n - (covered | u_vmask | cosets[w]).bit_count()
+                    if remaining and ndiffs + 2 * -(-remaining // tiled) > budget:
+                        continue
+                # the refused closers below w close before it
+                stats.cycles_closed += 1 + (refused & (bit - 1)).bit_count()
+                refused &= -bit
+                stats.nodes = nodes
+                gone = 0  # the steps of the cycle's l edge differences
+                for a, b in zip((w, *path), (*path, w)):
+                    gone |= self.pair_matrices[T[b][inv[a]]]
+                self._extend_factor(
+                    idx, used | cyc_omega, free & ~gone, covered | u_vmask | cosets[w],
+                    fused | cyc_omega, acc + [(*path, w)], picked,
+                )
+                nodes = stats.nodes
+                if refused and nodes + scan.bit_count() > limit:
+                    # a stop could now fall among them: close them one by one
+                    live |= refused
+                    refused = 0
+            path.pop()
+            if refused:
+                stats.cycles_closed += refused.bit_count()
             nodes += scan.bit_count()
             if nodes > limit:
                 stats.nodes = limit + 1
@@ -616,12 +610,11 @@ class _Searcher:
         if not self.repeats[idx]:
             return 0
         prev = picked[-1][1]
-        low = prev & -prev
-        if base & ((low << 1) - 1):
+        k = (prev & -prev).bit_length() - 1
+        if base & ((2 << k) - 1):
             return generic
-        marks = self.low_pair_marks[low.bit_length() - 1]
-        rows = self.difference_rows
-        return generic & (int(rows[u].translate(marks), 2) | int(rows[p0].translate(marks), 2))
+        low, n = self.low_pair_matrices[k], self.n
+        return generic & ((low >> n * u) | (low >> n * p0))
 
 
 def _infeasible(target: SearchTarget) -> tuple[Optional[str], list[Subgroup]]:
@@ -686,6 +679,13 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     signature is arithmetically impossible), or
     ``budget-exceeded`` when the node budget ran out first.
     """
+    # a target built in code is checked as its document would be
+    E, names = TargetFormatError, {"G", *target.subgroups}
+    for n, entry in enumerate(target.entries):
+        if entry.subgroup not in names:
+            _read_ref(entry.subgroup, names, "subgroup", f"signature[{n}]", E)
+    if target.budget_nodes is not None and target.budget_nodes < 1:
+        raise E("budget.nodes must be positive")
     stats = SearchStats()
     reason, subs = _infeasible(target)
     if reason is not None:
@@ -705,7 +705,7 @@ def search_hwp(target: SearchTarget) -> SearchOutcome:
     began = time.perf_counter()
     verdict, solution, cert = VERDICT_EXHAUSTED, None, None
     try:
-        searcher.entry_start(0, start_used, [])
+        searcher.entry_start(0, start_used, searcher.start_free, [])
     except _Solved as hit:
         solution = _found_document(target, hit.picked)
         cert = verify_solution(parse_solution_dict(solution))

@@ -25,6 +25,11 @@ bulk decisions, state by state.  The searcher runs each closing scan in
 place, in the frame of the cycle's penultimate vertex, so the states
 compared are those of that frame.
 
+`free_matrix` derives the matrix of unused steps that the searcher
+carries beside its consumed differences from those differences alone;
+the oracles hand it down at each descent, so every comparison with the
+searcher checks the matrix it updates in place.
+
 `refuses` writes out the two refusals of a complete factor cover, which
 the searcher's closing scan makes in bulk for most candidates instead of
 calling `_extend_factor`; the lockstep tests compare the cycles that are
@@ -80,6 +85,21 @@ def refuses(searcher, idx: int, covered: int, fused: int, picked: list) -> bool:
         return False
     prev = picked[-1][1]
     return min(_bits(fused)) <= min(_bits(prev))
+
+
+def free_matrix(searcher, used: int) -> int:
+    """The matrix of the steps u -> w whose difference is unused, bit
+    n*u + w, for the consumed differences `used`: start_free less the pair
+    matrix of every difference in used."""
+    gone = 0
+    for d in _bits(used):
+        gone |= searcher.pair_matrices[d]
+    return searcher.start_free & ~gone
+
+
+def blocked(searcher, u: int, used: int) -> int:
+    """The vertex mask of the w whose step difference w * u^-1 is used."""
+    return sum(1 << w for w, pair in enumerate(searcher.pair_columns[u]) if pair & used)
 
 
 def _node(searcher) -> None:
@@ -138,7 +158,7 @@ class SlowSearcher(_Searcher):
 
     # the masks the fast searcher carries down the path are ignored here
     def _extend_cycle(
-        self, idx, used, covered, fused, acc, picked, path, path_mask, *_carried
+        self, idx, used, free, covered, fused, acc, picked, path, path_mask, *_carried
     ) -> None:
         if len(path) == self.sig[idx].cycle_length:
             self._close_cycle(idx, used, covered, fused, acc, picked, path)
@@ -155,7 +175,7 @@ class SlowSearcher(_Searcher):
             _node(self)
             path.append(w)
             self._extend_cycle(
-                idx, used, covered, fused, acc, picked, path, path_mask | bit
+                idx, used, free, covered, fused, acc, picked, path, path_mask | bit
             )
             path.pop()
 
@@ -190,6 +210,7 @@ class SlowSearcher(_Searcher):
         self._extend_factor(
             idx,
             used | omega_mask,
+            free_matrix(self, used | omega_mask),
             covered | vmask,
             fused | omega_mask,
             acc + [tuple(path)],
@@ -198,16 +219,16 @@ class SlowSearcher(_Searcher):
 
 
 class OneByOneSearcher(_Searcher):
+    # the matrix `free` and the row start_open handed down are not read:
+    # each filter is derived from `used`
     def _extend_cycle(
-        self, idx, used, covered, fused, acc, picked, path, path_mask, omega, vmask,
-        start_blocked, marks,
+        self, idx, used, free, covered, fused, acc, picked, path, path_mask, omega, vmask,
+        start_open,
     ) -> None:
         entry = self.sig[idx]
         cosets = self.coset_masks[idx]
-        rows = self.difference_rows
         step = self.pair_columns[path[-1]]
-        forbidden = int(rows[path[-1]].translate(marks), 2)
-        cands = self.full_cover & ~(covered | path_mask | forbidden)
+        cands = self.full_cover & ~(covered | path_mask | blocked(self, path[-1], used))
         if len(path) + 1 < entry.cycle_length:
             while cands:
                 bit = cands & -cands
@@ -216,8 +237,8 @@ class OneByOneSearcher(_Searcher):
                 _node(self)
                 path.append(w)
                 self._extend_cycle(
-                    idx, used, covered, fused, acc, picked, path, path_mask | bit,
-                    omega | step[w], vmask | cosets[w], start_blocked, marks,
+                    idx, used, free, covered, fused, acc, picked, path, path_mask | bit,
+                    omega | step[w], vmask | cosets[w], start_open,
                 )
                 path.pop()
             return
@@ -228,8 +249,8 @@ class OneByOneSearcher(_Searcher):
         length = entry.cycle_length
         tiled, budget, members = self.closing[idx]
         fused_bits = fused.bit_count()
-        # recomputed here: the reference for the start_blocked handed down
-        live = (cands >> second << second) & ~int(rows[path[0]].translate(marks), 2)
+        # recomputed here: the reference for the start_open handed down
+        live = (cands >> second << second) & ~blocked(self, path[0], used)
         while live:
             bit = live & -live
             live ^= bit
@@ -269,6 +290,7 @@ class OneByOneSearcher(_Searcher):
             self._extend_factor(
                 idx,
                 used | cyc_omega,
+                free_matrix(self, used | cyc_omega),
                 covered | cyc_vmask,
                 fused | cyc_omega,
                 acc + [tuple(path)],
@@ -287,7 +309,7 @@ class KAwareSearcher(_Searcher):
         # (entry index, used differences) -> the least k it was exhausted at
         self.dead: dict[tuple[int, int], int] = {}
 
-    def entry_start(self, idx: int, used: int, picked: list) -> None:
+    def entry_start(self, idx: int, used: int, free: int, picked: list) -> None:
         if idx == len(self.sig):
             raise _Solved(picked)
         k = -1
@@ -298,7 +320,7 @@ class KAwareSearcher(_Searcher):
         if self.dead.get(key, math.inf) <= k:
             self.stats.memo_hits += 1
             return
-        self._extend_factor(idx, used, 0, 0, [], picked)
+        self._extend_factor(idx, used, free, 0, 0, [], picked)
         # reached only when the subtree was exhausted without interruption,
         # and only at a k below any the state was exhausted at before
         self.dead[key] = k

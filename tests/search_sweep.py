@@ -20,8 +20,11 @@ stops inside every entry, the (3, 1, G) and (4, 1, G) entries included.
 The searcher charges rejected closing candidates, and paths that have
 used up a factor's differences, in bulk, and counts refused complete
 covers as closed in bulk, so this is where a budget stop one node early
-or late, or a refusal counted out of place, would show.  Exits 1 and names the first mismatch
-as `<sid>^<g> budget <b>`.
+or late, or a refusal counted out of place, would show.  At every entry start of
+every search, the matrix of unused steps that the searcher carries must
+equal the one `search_oracle.free_matrix` derives from the consumed
+differences, so every budget stop also checks the matrix.  Exits 1 and
+names the first mismatch as `<sid>^<g> budget <b>`.
 
     PYTHONPATH=src python tests/search_sweep.py
 """
@@ -36,7 +39,7 @@ import pytest
 
 from hwpreg.search import search_hwp, target_from_solution
 from hwpreg.solutions import load_solution
-from search_oracle import SlowSearcher
+from search_oracle import SlowSearcher, free_matrix
 from test_search_lockstep import FAST, _conjugate, _run
 
 
@@ -49,15 +52,31 @@ def _conjugates(sid: str, count: int):
     return [(G.identity, target)] + [(g, _conjugate(target, g)) for g in gs]
 
 
+class FreeMatrixMismatch(AssertionError):
+    pass
+
+
+def _checking(entry_start):
+    """entry_start, checking first that the matrix of unused steps it is
+    handed is the one derived from the consumed differences."""
+
+    def checking(self, idx, used, free, picked):
+        if free != free_matrix(self, used):
+            raise FreeMatrixMismatch(f"entry {idx}")
+        entry_start(self, idx, used, free, picked)
+
+    return checking
+
+
 def _found_and_entries(monkeypatch, target) -> tuple[int, set[int]]:
     """The node count at which target is found, and those at which the
     search first enters each signature entry."""
     starts = {}
     entry_start = FAST.entry_start
 
-    def recording(self, idx, used, picked):
+    def recording(self, idx, used, free, picked):
         starts.setdefault(idx, self.stats.nodes)
-        entry_start(self, idx, used, picked)
+        entry_start(self, idx, used, free, picked)
 
     with monkeypatch.context() as m:
         m.setattr(FAST, "entry_start", recording)
@@ -82,20 +101,28 @@ def sweep() -> int:
     runs += [(sid, 2, "first 1,000, 5,951-6,150") for sid in ("48-17-6", "48-15-8")]
     runs += [("48-7-16", 2, "every 97th to 20,000")]
     runs += [(sid, 0, "every entry") for sid in ("48-13-10", "48-9-14")]
-    checked = 0
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        for sid, count, plan in runs:
-            for g, target in _conjugates(sid, count):
-                for budget in _budgets(monkeypatch, target, plan):
-                    bounded = replace(target, budget_nodes=budget)
-                    fast = _run(monkeypatch, FAST, bounded)[:2]
-                    stopped = fast[0]["verdict"] == "budget-exceeded"
-                    if fast != _run(monkeypatch, SlowSearcher, bounded)[:2] or (
-                        stopped and fast[0]["stats"]["nodes"] != budget + 1
-                    ):
-                        print(f"mismatch: {sid}^{target.group.format(g)} budget {budget}")
-                        return 1
-                    checked += 1
+    checked, where = 0, ""
+    try:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            # both searchers start entries through FAST.entry_start
+            monkeypatch.setattr(FAST, "entry_start", _checking(FAST.entry_start))
+            for sid, count, plan in runs:
+                for g, target in _conjugates(sid, count):
+                    where = name = f"{sid}^{target.group.format(g)}"
+                    for budget in _budgets(monkeypatch, target, plan):
+                        where = f"{name} budget {budget}"
+                        bounded = replace(target, budget_nodes=budget)
+                        fast = _run(monkeypatch, FAST, bounded)[:2]
+                        stopped = fast[0]["verdict"] == "budget-exceeded"
+                        if fast != _run(monkeypatch, SlowSearcher, bounded)[:2] or (
+                            stopped and fast[0]["stats"]["nodes"] != budget + 1
+                        ):
+                            print(f"mismatch: {where}")
+                            return 1
+                        checked += 1
+    except FreeMatrixMismatch as at:
+        print(f"mismatch: {where}: the matrix of unused steps at {at}")
+        return 1
     print(f"{checked} budgeted searches match the oracle")
     return 0
 

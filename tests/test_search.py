@@ -37,7 +37,7 @@ from hwpreg.solutions import (
     solution_to_dict,
     verify_solution,
 )
-from search_oracle import OneByOneSearcher, coset_masks, entry_subgroups, refuses
+from search_oracle import OneByOneSearcher, coset_masks, entry_subgroups, free_matrix, refuses
 from test_groups import _fresh_q24
 from test_search_lockstep import _conjugate, _targets
 
@@ -333,38 +333,48 @@ def test_coset_masks_match_the_per_vertex_formula(sid):
 
 
 @pytest.mark.parametrize("sid", ["48-17-6", "24-9-2", "24-5-6"])  # 2O, Q24, SL23
-def test_translated_difference_rows_mask_the_blocked_steps(sid):
-    # the marks _extend_factor hands down for a consumed-difference mask
-    # `used`, which is inverse-closed, turn each difference row into the
-    # vertex mask of the w with pair_columns[u][w] & used
+def test_free_matrix_rows_mask_the_blocked_steps(sid):
+    # for a consumed-difference mask `used`, which is inverse-closed,
+    # start_free less the pair matrices of the used differences has as row
+    # u the complement of the w with pair_columns[u][w] & used, so no row
+    # has its own diagonal bit; _extend_factor hands down row v0
     target = target_from_solution(load_solution(sid))
     searcher = _Searcher(target, SearchStats(), entry_subgroups(target))
     seen = []
     searcher._extend_cycle = lambda *args: seen.append(args[-1])
     G = target.group
-    n, pairs = len(G), searcher.pair_columns
-    rng = random.Random(f"difference-rows-{sid}")
+    n, pairs, full = len(G), searcher.pair_columns, searcher.full_cover
+    rng = random.Random(f"free-matrix-{sid}")
     for _ in range(40):
         used = pairs[G.identity][G.unique_involution()] | 1 << G.identity
+        free = searcher.start_free
         for d in rng.sample(range(n), rng.randrange(n)):
             used |= pairs[G.identity][d]  # {d, d^-1}
-        searcher._extend_factor(0, used, 0, 0, [], [])
-        marks = seen.pop()
+            free &= ~searcher.pair_matrices[d]
+        assert free >> n * n == 0
+        rows = [full & ~sum(1 << w for w in range(n) if pairs[u][w] & used) for u in range(n)]
         for u in range(n):
-            want = sum(1 << w for w in range(n) if pairs[u][w] & used)
-            assert int(searcher.difference_rows[u].translate(marks), 2) == want, (used, u)
+            assert (free >> n * u) & full == rows[u], (used, u)
+        v0 = rng.randrange(n)
+        searcher._extend_factor(0, used, free, (1 << v0) - 1, 0, [], [])
+        assert seen.pop() == rows[v0], (used, v0)
 
 
-def test_difference_rows_are_built_on_first_search():
-    # building a group does no work for the searcher's candidate filter
+def test_pair_matrices_are_built_on_first_search():
+    # building a group does no work for the searcher's candidate filter;
+    # pair_matrices[d] holds the steps u -> w with w * u^-1 in {d, d^-1},
+    # and start_free every step whose difference is not 1 or i
     built = _tables.cache_info().currsize
     G = _fresh_q24()
     assert _tables.cache_info().currsize == built
-    rows = _tables(G)[1]
+    _, pair_matrices, _, _, start_free = _tables(G)
     assert _tables.cache_info().currsize == built + 1
     n = len(G)
-    for u in range(n):
-        assert list(rows[u]) == [G.mul(w, G.inv(u)) for w in reversed(range(n))]
+    steps = [(n * u + w, G.mul(w, G.inv(u))) for u in range(n) for w in range(n)]
+    for d in range(n):
+        assert pair_matrices[d] == sum(1 << b for b, e in steps if e in (d, G.inv(d))), d
+    blocked = (G.identity, G.unique_involution())
+    assert start_free == sum(1 << b for b, e in steps if e not in blocked)
 
 
 def test_searches_over_one_group_share_one_set_of_tables():
@@ -377,8 +387,8 @@ def test_searches_over_one_group_share_one_set_of_tables():
     for t in (target, _conjugate(target, G.parse("b"))):
         searcher = _Searcher(t, SearchStats(), entry_subgroups(t))
         got = (
-            searcher.pair_columns, searcher.difference_rows,
-            searcher.same_pair, searcher.low_pair_marks,
+            searcher.pair_columns, searcher.pair_matrices, searcher.same_pair,
+            searcher.low_pair_matrices, searcher.start_free,
         )
         assert all(a is b for a, b in zip(got, tables, strict=True))
         search_hwp(t)
@@ -400,17 +410,15 @@ def test_same_pair_masks_hold_the_w_whose_two_edges_share_a_pair(gid):
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_low_pair_marks_mark_the_pairs_with_a_member_at_or_below_k(gid):
-    # a difference row translated through marks[k] reads as the mask of
-    # the w whose difference has a pair member at or below k; the bytes
-    # past n are never read, and mark nothing
+    # low_pair_matrices[k] holds the steps u -> w whose difference
+    # d = w * u^-1 has min(d, d^-1) <= k, and nothing past the v^2 bits
     G = build_group(gid)
-    n, marks = len(G), _tables(G)[3]
-    assert len(marks) == n
+    n, low = len(G), _tables(G)[3]
+    assert len(low) == n
+    least = [min(d, G.inv(d)) for d in range(n)]
+    steps = [(n * u + w, least[G.mul(w, G.inv(u))]) for u in range(n) for w in range(n)]
     for k in range(n):
-        assert len(marks[k]) == 256
-        for d in range(n):
-            assert marks[k][d : d + 1] == (b"1" if min(d, G.inv(d)) <= k else b"0"), (k, d)
-        assert marks[k][n:] == b"0" * (256 - n)
+        assert low[k] == sum(1 << b for b, m in steps if m <= k), k
 
 
 @pytest.mark.parametrize(
@@ -423,7 +431,7 @@ def test_complete_covers_are_fixed_by_their_subgroup_alone(monkeypatch, sid, bud
     checked = []
     entry_start = _Searcher.entry_start
 
-    def checking_entry_start(self, idx, used, picked):
+    def checking_entry_start(self, idx, used, free, picked):
         if idx:
             acc, _ = picked[-1]
             T, sub = self.table, self.subs[idx - 1]
@@ -431,11 +439,39 @@ def test_complete_covers_are_fixed_by_their_subgroup_alone(monkeypatch, sid, bud
             codes = _vertex_codes(self.group, cycles)
             assert _stabilizer(self.group, codes, "factor") == sub.member_set
             checked.append(idx)
-        entry_start(self, idx, used, picked)
+        entry_start(self, idx, used, free, picked)
 
     monkeypatch.setattr(_Searcher, "entry_start", checking_entry_start)
     outcome = search_hwp(target_from_solution(load_solution(sid), budget))
     assert len(checked) == outcome.stats.factors_completed > 0
+
+
+@pytest.mark.parametrize("sid", ["24-5-6", "24-9-2", "48-15-8"])
+def test_the_free_matrix_follows_the_consumed_differences(monkeypatch, sid):
+    # at every entry_start and _extend_factor, the matrix of unused steps
+    # handed down is start_free less the pair matrices of the consumed
+    # differences: a descent that misses an update, or makes one too many,
+    # shows here; g = 1 and two seeded conjugates, under a budget
+    entry_start, extend_factor = _Searcher.entry_start, _Searcher._extend_factor
+    later_entries = closed = 0
+
+    def checking_entry_start(self, idx, used, free, picked):
+        nonlocal later_entries
+        assert free == free_matrix(self, used), (idx, used)
+        later_entries += idx > 0
+        entry_start(self, idx, used, free, picked)
+
+    def checking_extend_factor(self, idx, used, free, covered, fused, acc, picked):
+        nonlocal closed
+        assert free == free_matrix(self, used), (idx, used, acc)
+        closed += bool(acc)
+        extend_factor(self, idx, used, free, covered, fused, acc, picked)
+
+    monkeypatch.setattr(_Searcher, "entry_start", checking_entry_start)
+    monkeypatch.setattr(_Searcher, "_extend_factor", checking_extend_factor)
+    for target in _targets(sid, 20_000):
+        search_hwp(target)
+    assert later_entries and closed  # the matrix was checked after descents
 
 
 def _counters(stats):
@@ -584,15 +620,15 @@ def test_found_documents_are_fixed_points_of_the_document_pipeline(sid):
 def _scan_states(monkeypatch, target):
     """Every scan a search of target makes in the frame of a cycle's
     penultimate vertex, which runs a closing scan in place for each of its
-    candidates, as (idx, used, covered, fused, acc, picked, path and the
-    masks carried with it)."""
+    candidates, as (idx, used, free, covered, fused, acc, picked, path and
+    the masks carried with it)."""
     states = []
     scan = _Searcher._extend_cycle
 
-    def capturing(self, idx, used, covered, fused, acc, picked, path, *carried):
+    def capturing(self, idx, used, free, covered, fused, acc, picked, path, *carried):
         if len(path) + 2 == self.sig[idx].cycle_length:
-            states.append((idx, used, covered, fused, acc, picked, tuple(path), *carried))
-        scan(self, idx, used, covered, fused, acc, picked, path, *carried)
+            states.append((idx, used, free, covered, fused, acc, picked, tuple(path), *carried))
+        scan(self, idx, used, free, covered, fused, acc, picked, path, *carried)
 
     with monkeypatch.context() as m:
         m.setattr(_Searcher, "_extend_cycle", capturing)
@@ -605,13 +641,13 @@ def _closing_states(target, parent):
     `_scan_states`) runs in place, one for each candidate u it visits
     unbounded, as the state of path + [u] that a separate scan of it
     would start from, built from the reference coset masks."""
-    idx, used, covered, fused, acc, picked, path, path_mask, omega, vmask, *rest = parent
+    idx, used, free, covered, fused, acc, picked, path, path_mask, omega, vmask, *rest = parent
     G = target.group
     pairs = _tables(G)[0][path[-1]]
     cosets = coset_masks(G, entry_subgroups(target)[idx])
     return [
         (
-            idx, used, covered, fused, acc, picked, (*path, u), path_mask | 1 << u,
+            idx, used, free, covered, fused, acc, picked, (*path, u), path_mask | 1 << u,
             omega | pairs[u], vmask | cosets[u], *rest,
         )
         for u in range(len(G))
@@ -622,15 +658,15 @@ def _closing_states(target, parent):
 def _replay(cls, target, state):
     """The cycles the scan of state closes and `_extend_factor` does not
     refuse (`search_oracle.refuses`), in order, with the masks it hands
-    on; the nodes and the cycles closed it charges; and every cycle it
-    hands to `_extend_factor`, with whether it is refused there, under
-    searcher class cls."""
-    idx, used, covered, fused, acc, picked, path, *carried = state
+    on (the matrix of unused steps among them); the nodes and the cycles
+    closed it charges; and every cycle it hands to `_extend_factor`, with
+    whether it is refused there, under searcher class cls."""
+    idx, used, free, covered, fused, acc, picked, path, *carried = state
     searcher = cls(target, SearchStats(), entry_subgroups(target))
     calls = []
-    searcher._extend_factor = lambda *args: calls.append(args[:5])
-    searcher._extend_cycle(idx, used, covered, fused, acc, picked, list(path), *carried)
-    calls = [(c, refuses(searcher, c[0], c[2], c[3], picked)) for c in calls]
+    searcher._extend_factor = lambda *args: calls.append(args[:6])
+    searcher._extend_cycle(idx, used, free, covered, fused, acc, picked, list(path), *carried)
+    calls = [(c, refuses(searcher, c[0], c[3], c[4], picked)) for c in calls]
     closed = [c for c, refused in calls if not refused]
     return closed, searcher.stats.nodes, searcher.stats.cycles_closed, calls
 
@@ -661,8 +697,8 @@ def test_closing_scans_decide_like_the_one_by_one_scan(monkeypatch, sid, budget)
     bits = set()
     for state in states:
         _replays_agree(unbounded, state)
-        for (_, _, _, fused, acc), _ in _replay(_Searcher, unbounded, state)[3]:
-            bits.add((fused ^ state[3]).bit_count() == 2 * len(acc[-1]))
+        for (_, _, _, _, fused, acc), _ in _replay(_Searcher, unbounded, state)[3]:
+            bits.add((fused ^ state[4]).bit_count() == 2 * len(acc[-1]))
     # both kinds of closed cycle occur: 2l-bit Omega and repeated pairs
     assert bits == {True, False}
 
@@ -685,7 +721,7 @@ def _replays_agree(target, state) -> list:
 def _refused_in_bulk(target, parent) -> set:
     """The paths of the closing scans, run in place by the scan of state
     `parent`, that refuse cycles in bulk, as `_replays_agree` finds them."""
-    return {call[4][-1][:-1] for call, _ in _replays_agree(target, parent)}
+    return {call[5][-1][:-1] for call, _ in _replays_agree(target, parent)}
 
 
 @pytest.mark.parametrize(
@@ -716,23 +752,23 @@ def test_closing_scans_refuse_covers_like_one_at_a_time(monkeypatch, sid, g, bud
         fired = []  # (parent, state) for each closing scan that refuses in bulk
         for parent in _scan_states(monkeypatch, target):
             paths = _refused_in_bulk(unbounded, parent)
-            fired += [(parent, s) for s in _closing_states(unbounded, parent) if s[6] in paths]
+            fired += [(parent, s) for s in _closing_states(unbounded, parent) if s[7] in paths]
         assert fired  # the bulk path runs and refuses
         # and where it fires it leaves no generic closer to be refused one
         # at a time: each refused cycle _extend_factor still sees repeats a
         # pair, so it adds fewer than four differences to Omega(path)
         for parent, state in fired:
-            omega = state[8]
-            for (_, _, _, fused, acc), refused in _replay(_Searcher, unbounded, parent)[3]:
-                if acc[-1][:-1] == state[6]:
-                    assert not refused or (fused ^ state[3]).bit_count() < omega.bit_count() + 4
+            omega = state[9]
+            for (_, _, _, _, fused, acc), refused in _replay(_Searcher, unbounded, parent)[3]:
+                if acc[-1][:-1] == state[7]:
+                    assert not refused or (fused ^ state[4]).bit_count() < omega.bit_count() + 4
         # with one more orbit the same covers fall short of their
         # differences, and the bulk path refuses them on the count
         for parent, state in fired:
             idx = state[0]
             entries = list(target.entries)
             entries[idx] = replace(entries[idx], orbit_length=entries[idx].orbit_length + 1)
-            assert state[6] in _refused_in_bulk(replace(unbounded, entries=tuple(entries)), parent)
+            assert state[7] in _refused_in_bulk(replace(unbounded, entries=tuple(entries)), parent)
 
 
 def _closing_scans(monkeypatch, target):
@@ -744,19 +780,19 @@ def _closing_scans(monkeypatch, target):
     scans = []
     scan = _Searcher._extend_cycle
 
-    def capturing(self, idx, used, covered, fused, acc, picked, path, *carried):
+    def capturing(self, idx, used, free, covered, fused, acc, picked, path, *carried):
         if len(path) + 2 != self.sig[idx].cycle_length:
-            return scan(self, idx, used, covered, fused, acc, picked, path, *carried)
-        parent = (idx, used, covered, fused, acc, picked, tuple(path), *carried)
+            return scan(self, idx, used, free, covered, fused, acc, picked, path, *carried)
+        parent = (idx, used, free, covered, fused, acc, picked, tuple(path), *carried)
         found = None  # the found cycle's last two vertices, when found through here
         try:
-            scan(self, idx, used, covered, fused, acc, picked, path, *carried)
+            scan(self, idx, used, free, covered, fused, acc, picked, path, *carried)
         except _Solved as hit:
             found = hit.picked[idx][0][len(acc)][-2:]
             raise
         finally:
             for state in _closing_states(target, parent):
-                u = state[6][-1]
+                u = state[7][-1]
                 if found is None or u < found[0]:
                     scans.append((state, None, parent))
                 elif u == found[0]:
@@ -773,7 +809,7 @@ def _low_order_candidates(target, state, stop):
     stabilizer read: those above path[1] whose two new steps are unused,
     whose cycle fits the factor's differences, and whose stabilizer order
     2l / |Omega| is 2 or l; as (w, |Omega|)."""
-    idx, used, covered, fused, _, _, path, path_mask, omega, *_ = state
+    idx, used, _, covered, fused, _, _, path, path_mask, omega, *_ = state
     G, entry = target.group, target.entries[idx]
     pairs, length = _tables(G)[0], entry.cycle_length
     u, p0 = path[-1], path[0]
@@ -828,7 +864,7 @@ def test_low_order_candidates_read_their_stabilizer_off_the_table(monkeypatch, s
     counts = {"fixed": 0, "unfixed": 0, "one pair": 0}
     replayed = set()  # the scans that ran closing scans in place
     for state, stop, parent in _closing_scans(monkeypatch, target):
-        idx, path = state[0], state[6]
+        idx, path = state[0], state[7]
         members = subs[idx].member_set
         met = _low_order_candidates(target, state, stop)
         for w, osize in met:
@@ -874,7 +910,7 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch, sid, budget, verdi
     }
     depths = []
 
-    def measuring(self, idx, used, covered, fused, acc, picked):
+    def measuring(self, idx, used, free, covered, fused, acc, picked):
         if acc:  # called by the closing scan that closed acc[-1], in place
             frame, depth = sys._getframe(1), 0
             while frame is not None:
@@ -885,7 +921,7 @@ def test_search_leaves_the_recursion_limit_alone(monkeypatch, sid, budget, verdi
             # idx: its entry_start and l - 1 frames for each sub-orbit so far
             done = sum(2 + len(a) * (e.cycle_length - 1) for e, (a, _) in zip(self.sig, picked))
             depths.append((depth, done + 1 + len(acc) * (self.sig[idx].cycle_length - 1)))
-        extend_factor(self, idx, used, covered, fused, acc, picked)
+        extend_factor(self, idx, used, free, covered, fused, acc, picked)
 
     monkeypatch.setattr(_Searcher, "_extend_factor", measuring)
     target = target_from_solution(load_solution(sid), budget_nodes=budget)
@@ -905,6 +941,29 @@ def test_budget_exceeded():
     assert outcome.verdict == "budget-exceeded"
     assert outcome.solution is None and outcome.certificate is None
     assert outcome.stats.nodes == 31  # stops on the first node past the budget
+
+
+def test_a_target_built_in_code_naming_an_unknown_subgroup_is_refused():
+    # with the document reader's message, not a KeyError from the lookup
+    target = target_from_solution(load_solution("24-5-6"))  # SL23
+    built = replace(target, entries=(SignatureEntry(3, 1, "S9"),))
+    message = r"^signature\[0\]: unknown subgroup 'S9'$"
+    with pytest.raises(TargetFormatError, match=message):
+        search_hwp(built)
+    doc = _target(signature=[{"cycle_length": 3, "orbit_length": 1, "subgroup": "S9"}])
+    with pytest.raises(TargetFormatError, match=message):
+        parse_target_dict(doc)
+
+
+@pytest.mark.parametrize("budget", [-5, 0])
+def test_a_target_built_in_code_with_a_budget_below_one_is_refused(budget):
+    # a search under it could not stop at budget + 1 nodes
+    target = replace(target_from_solution(load_solution("24-9-2")), budget_nodes=budget)
+    message = r"^budget\.nodes must be positive$"
+    with pytest.raises(TargetFormatError, match=message):
+        search_hwp(target)
+    with pytest.raises(TargetFormatError, match=message):
+        parse_target_dict(_target(budget={"nodes": budget}))
 
 
 def _random_target(rng, gid):

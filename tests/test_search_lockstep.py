@@ -10,6 +10,9 @@ same counters and the same document.  The searcher refuses most
 complete covers that `_extend_factor` would refuse inside its closing
 scan, without the call, so the trails hold only the cycles that reach
 `_extend_factor` and are not refused there (`search_oracle.refuses`).
+Each trail entry also holds the matrix of unused steps handed to
+`_extend_factor`, which the searcher updates at each descent and the
+oracle derives from the consumed differences (`search_oracle.free_matrix`).
 
 `search_oracle.KAwareSearcher` keys its memo on the previous factor's
 least difference k as well; a seeded sample of the 336 v=24 signatures
@@ -33,18 +36,20 @@ FAST = hwpreg.search._Searcher
 def _run(monkeypatch, cls, target):
     """The outcome of searching target with searcher class cls, without
     `stats.seconds`; the trail of accepted cycles that are not refused:
-    (nodes, cycles_closed, entry, path, used, covered, fused) at each one;
-    and the number of accepted cycles that reach `_extend_factor`."""
+    (nodes, cycles_closed, entry, path, used, free, covered, fused) at each
+    one; and the number of accepted cycles that reach `_extend_factor`."""
     trail, calls = [], [0]
 
     class Recording(cls):
-        def _extend_factor(self, idx, used, covered, fused, acc, picked):
+        def _extend_factor(self, idx, used, free, covered, fused, acc, picked):
             if acc:  # called right after a cycle was accepted
                 calls[0] += 1
                 if not refuses(self, idx, covered, fused, picked):
                     st = self.stats
-                    trail.append((st.nodes, st.cycles_closed, idx, acc[-1], used, covered, fused))
-            super()._extend_factor(idx, used, covered, fused, acc, picked)
+                    trail.append(
+                        (st.nodes, st.cycles_closed, idx, acc[-1], used, free, covered, fused)
+                    )
+            super()._extend_factor(idx, used, free, covered, fused, acc, picked)
 
     with monkeypatch.context() as m:
         m.setattr(hwpreg.search, "_Searcher", Recording)
