@@ -6,8 +6,11 @@ stabilizer in S comes from its own codes (see cycles.py), and its
 translates over a transversal of it in S, read off the table rows,
 write the base cycle's codes into one length-v array.  S fixes the
 factor, so the factor's stabilizer is a union of right cosets S*x,
-tested on that array with one x per coset.  No orbit is expanded and no
-edge is counted: the difference theorem in verify_factorization decides.
+tested on that array with one x per coset.  Verify reads tiling off S's
+coset masks, assembles only to name a witness, and runs the stabilizer
+kernel only when the difference count does not prove the stabilizer is
+S.  No orbit is expanded and no edge is counted: the difference theorem
+in verify_factorization decides.
 A pass has the checksum of K_v minus I's edge list, computed once per
 group.  The certificate renders as readable text and as byte-stable JSON.
 """
@@ -23,8 +26,8 @@ from typing import Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import (
-    Cycle, FactorRecipe, _canonical_rotation, _stabilizer, _sub_orbit, _transversal_getter,
-    _vertex_codes, verify_partition,
+    Cycle, FactorRecipe, _canonical_rotation, _codes, _cycle_stabilizer, _stabilizer, _sub_orbit,
+    _transversal_getter, _vertex_codes, verify_partition,
 )
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -96,6 +99,32 @@ def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[tuple[int, ...], li
         w = group.format(code.index(-1))
         raise RecipeError(f"{recipe.label}: vertex {w} not covered", {"kind": "gap", "vertex": w})
     return tuple(code), blocks
+
+
+def _tiles(group: FiniteGroup, recipe: FactorRecipe) -> Optional[tuple[Optional[int], int]]:
+    """The recipe's cycle length (None: mixed) and translate count when its
+    translates partition V, read off S's coset masks; None when they do not,
+    or when _tile would refuse the recipe unread (see verify_factorization)."""
+    sub, covered, count, lengths = recipe.subgroup, 0, 0, set()
+    if not recipe.cycles or sub.group is not group:
+        return None
+    masks, member_set = sub._coset_masks, sub.member_set
+    for _, c in recipe.cycles:
+        if c.group is not group:
+            return None
+        cosets = {masks[u] for u in c.verts}
+        if len(cosets) == len(c.verts):  # T_c = 1
+            translates = sub.order
+        else:
+            translates = sub.order // len(_cycle_stabilizer(group, _codes(group, c.verts), member_set))
+        mask = sum(cosets)  # two cosets are equal or disjoint
+        if mask & covered or mask.bit_count() != len(c.verts) * translates:
+            return None
+        covered, count = covered | mask, count + translates
+        lengths.add(len(c.verts))
+    if covered != (1 << len(group)) - 1:
+        return None
+    return (lengths.pop() if len(lengths) == 1 else None), count
 
 
 def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
@@ -342,9 +371,22 @@ def verify_factorization(
     |Omega(F)| = 2 * |G|/|T*| for every F, every edge of K_v - I is
     covered exactly once.
 
-    The stabilizer T, from cycles._stabilizer on the assembly pass's codes,
-    needs no guard: it admits only elements that pass the code test, which
-    fix F, so T lies in T*.  A T that is too small makes the orbit length
+    A recipe over S tiles V exactly when S's coset masks say so.  A base
+    cycle c of l vertices has |S|/|T_c| translates, T_c its stabilizer in
+    S, and their union V(c)*S is the OR of the masks over c; they are
+    disjoint exactly when it has l*|S|/|T_c| vertices.  A t != 1 in T_c
+    keeps each coset v*S and moves every vertex, so T_c = 1 when c meets
+    l cosets.  _tile returns exactly when also the unions are disjoint
+    and cover V, and runs only to name the witness of a recipe that fails.
+
+    S permutes F's translates, so S lies in T*.  An x != 1 that fixes an
+    edge {a, d*a} swaps its ends, a*x = d*a and d*a*x = a, so d*d = 1 and
+    d = i.  When i is not in Omega(F), T* thus acts freely on F's edges of
+    each pair, v >= |T*| * |Omega(F)|/2, and |Omega(F)| * |S| = 2v gives
+    T* = S.  Otherwise cycles._stabilizer tests one x per right coset of S
+    on the pass's code array; its check that S's generators fix F cannot
+    fail.  Its T needs no guard: it admits only elements that pass the
+    code test, which fix F, so T lies in T*.  A T that is too small makes
     L = v/|T| too large, and 2L > 2v/|T*| >= |Omega(F)| rejects.
 
     The checks, in order: every recipe assembles; every factor is all
@@ -365,14 +407,23 @@ def verify_factorization(
     )
 
     reports: list[FactorReport] = []
+    sizes: list[int] = []  # |Omega(F)| per factor
+    iota = group.unique_involution()
     try:
         for recipe in recipes:
-            codes, blocks = _tile(group, recipe)
-            order = len(_stabilizer(group, codes, "factor", recipe.subgroup))
+            shape = _tiles(group, recipe)
+            if shape is None:
+                _tile(group, recipe)  # raises, naming the witness
+                raise GroupError(f"{recipe.label}: coset masks and assembly pass disagree")
+            length, count = shape
+            omega = frozenset().union(*(c._omega for _, c in recipe.cycles))
+            order = recipe.subgroup.order
+            if iota in omega or len(omega) * order != 2 * v:  # the count leaves Stab(F) open
+                codes, _ = _tile(group, recipe)
+                order = len(_stabilizer(group, codes, "factor", recipe.subgroup))
             parts = tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles)
-            length = len(blocks[0]) if all(len(b) == len(blocks[0]) for b in blocks) else None
-            count = sum(len(b[0]) for b in blocks)
             reports.append(FactorReport(recipe.label, parts, length, count, order, v // order))
+            sizes.append(len(omega))
     except RecipeError as err:
         base["factors"] = tuple(reports)
         return Certificate(**base, failure=str(err), witness=err.witness or None)
@@ -389,8 +440,7 @@ def verify_factorization(
     if partition_witness is not None:
         failure = "difference sets do not partition G minus the identity and involution"
         return fail(failure, partition_witness)
-    for recipe, fr in zip(recipes, reports):
-        k = len(frozenset().union(*(c._omega for _, c in recipe.cycles)))
+    for k, fr in zip(sizes, reports):
         if k != 2 * fr.orbit_length:
             failure = f"{fr.label}: the factor's orbit covers an edge more than once"
             witness = {"factor": fr.label, "differences": k, "orbit_length": fr.orbit_length}

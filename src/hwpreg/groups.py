@@ -278,7 +278,8 @@ class Subgroup:
 
     @cached_property
     def _coset_masks(self) -> tuple[int, ...]:
-        """Per vertex v, the mask of v * S: one pass over the cosets, on first use."""
+        """Per vertex v, the mask of v * S: one pass over the cosets, on first
+        use, shared by the searcher and verify's tiling test."""
         T, masks = self.group.table, [0] * len(self.group)
         for v in range(len(masks)):
             if not masks[v]:

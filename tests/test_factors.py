@@ -281,6 +281,19 @@ def test_verify_factorization_reports_a_cycle_of_another_group():
     assert (cert.partition_ok, cert.partition_size) == (True, 22)
 
 
+@pytest.mark.parametrize("message", ["empty recipe", "subgroup bound to a different group"])
+def test_verify_factorization_reports_a_recipe_assembly_refuses_unread(message):
+    # the coset-mask test leaves these to _tile, whose message they get
+    spec, recipes = _recipes("24-9-2")
+    if message == "empty recipe":
+        bad = replace(recipes[0], cycles=())
+    else:
+        bad = replace(recipes[0], subgroup=build_group("2O").whole_subgroup())
+    cert = verify_factorization(spec.group, recipes[1:] + [bad])
+    assert not cert.ok and cert.failure == f"{bad.label}: {message}"
+    assert cert.witness is None
+
+
 def test_originally_listed_quadrangle_fails():
     # the quadrangle the 24-5-6 notes say was originally listed: it walks
     # an I-edge and shares differences with C6, so its orbit cannot tile

@@ -3,9 +3,10 @@
 `verify_oracle.verify_solution` builds every sub-orbit and every factor
 orbit as canonical cycles, takes each factor's stabilizer with the full
 kernel, counts (min, max) edge tuples and checks the difference
-partition last; the library reads sub-orbits off the multiplication
-table, tests a factor's stabilizer once per right coset of its acting
-subgroup and decides by the difference theorem in
+partition last; the library decides that a recipe tiles from its
+acting subgroup's coset masks, takes a factor's stabilizer from its
+difference count or else tests it once per right coset of that
+subgroup, and decides by the difference theorem in
 `verify_factorization`: the partition first, then |Omega(F)| = 2 * orbit
 length for every factor.  Both must give the same verdict, or raise the
 same error, on the bundled documents, on a seeded corruption of every
@@ -16,7 +17,9 @@ be byte-identical too.
 """
 
 import copy
+import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,12 +28,13 @@ import hwpreg.factors
 import verify_oracle
 from helpers import cycle_from_texts, orbit_overlap_document
 from hwpreg import SOLUTION_IDS
-from hwpreg.cycles import _vertex_codes, partial_differences
+from hwpreg.cycles import _stabilizer, _vertex_codes, partial_differences
 from hwpreg.factors import (
     FactorRecipe,
     RecipeError,
     TwoFactor,
     _tile,
+    _tiles,
     assemble_factor,
     factor_stabilizer,
     verify_factorization,
@@ -123,6 +127,13 @@ def _q24_case(name):
     if name == "cycle-length":
         hexagon = cycle_from_texts(G, ["1", "a2", "a4", "a6", "a8", "a10"])
         return G, [FactorRecipe("F1", (("C1", hexagon),), "G", G.whole_subgroup())], None
+    if name == "mixed-length":
+        A = G.subgroup_closure([G.parse("a")])
+        cycles = (
+            ("T", cycle_from_texts(G, ["1", "a4", "a8"])),
+            ("Q", cycle_from_texts(G, ["b", "a3b", "a6b", "a9b"])),
+        )
+        return G, [FactorRecipe("F1", cycles, "A", A)], None
     if name == "duplicate-edge":
         return G, [recipes[0], recipes[0]] + recipes[2:], None
     if name == "i-edge":
@@ -147,6 +158,7 @@ HAND_BUILT_KINDS = {
     "gap": "gap",
     "overlap": "overlap",
     "cycle-length": "cycle-length",
+    "mixed-length": "cycle-length",  # 4 triangles and 3 quadrangles
     "duplicate-edge": "difference-overlap",  # one recipe twice
     "i-edge": "difference-overlap",  # its cycles share differences
     "missing-edge": "difference-missing",  # one recipe left out
@@ -184,31 +196,89 @@ def test_originally_listed_quadrangle_matches_oracle():
     assert not assert_lockstep(_hand_built(G, patched, spec.expected)).ok
 
 
+def _trivial_kernel(group, codes, what, sub=None):
+    return {group.identity}
+
+
+def _relabelled_24_5_6():
+    """24-5-6 with F2 = Orb[G](C2) acting by Q, SL(2,3)'s subgroup of order
+    8: Q meets C2's stabilizer, of order 3, trivially, so F2 assembles the
+    same 8 triangles with stabilizer G, but |Omega(F2)| * 8 = 16 != 48."""
+    spec = load_solution("24-5-6")
+    f1, f2, *rest = spec.factors
+    f2 = replace(f2, subgroup_name=f1.subgroup_name, subgroup=f1.subgroup)
+    return replace(spec, factors=(f1, f2, *rest))
+
+
 @pytest.mark.parametrize("sid", ["24-9-2", "48-17-6"])
 def test_wrong_stabilizer_raises_like_oracle(monkeypatch, sid):
     # a stabilizer that misses elements gives more translates than the
-    # orbit has distinct ones: the oracle, expanding them, raises, and
-    # the library rejects the first factor, as 2 * orbit length = 2 * |G|
-    # exceeds its differences; verify calls the kernel, not factor_stabilizer
+    # orbit has distinct ones: the oracle, expanding them, raises.  The
+    # library never asks the kernel here, as every factor's difference
+    # count settles its stabilizer, so it still passes
     def trivial(f):
         one = (f.group.identity,)
         return Subgroup(f.group, one)
 
-    def trivial_kernel(group, codes, what, sub=None):
-        return {group.identity}
-
-    monkeypatch.setattr(hwpreg.factors, "_stabilizer", trivial_kernel)
+    monkeypatch.setattr(hwpreg.factors, "_stabilizer", _trivial_kernel)
     monkeypatch.setattr(verify_oracle, "factor_stabilizer", trivial)
     spec = load_solution(sid)
     with pytest.raises(GroupError, match="factor orbit-stabilizer mismatch"):
         verify_oracle.verify_solution(spec)
+    assert verify_solution(spec).ok
+
+
+def test_wrong_kernel_rejects_a_factor_the_count_does_not_settle(monkeypatch):
+    # the real kernel gives the relabelled F2 its stabilizer G and passes,
+    # as the oracle does; a kernel that misses elements makes F2's orbit
+    # 24 long, and 2 * 24 exceeds its 2 differences
+    spec = _relabelled_24_5_6()
+    cert = assert_lockstep(spec)
+    assert cert.ok and cert.factors[1].stabilizer_order == 24
+    monkeypatch.setattr(hwpreg.factors, "_stabilizer", _trivial_kernel)
     cert = verify_solution(spec)
-    F1 = spec.factors[0]
-    differences = len(frozenset().union(*(c._omega for _, c in F1.cycles)))
     assert not cert.ok and cert.witness == {
-        "kind": "orbit-overlap", "factor": "F1", "differences": differences,
-        "orbit_length": len(spec.group),
+        "kind": "orbit-overlap", "factor": "F2", "differences": 2, "orbit_length": 24,
     }
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("called on a recipe that tiles, with a settled stabilizer")
+
+
+@pytest.mark.parametrize("sid", SOLUTION_IDS)
+def test_bundled_documents_need_neither_assembly_nor_kernel(monkeypatch, sid):
+    # every bundled factor tiles by its coset masks, and |Omega(F)| * |S| = 2v
+    monkeypatch.setattr(hwpreg.factors, "_stabilizer", _raising)
+    monkeypatch.setattr(hwpreg.factors, "_tile", _raising)
+    assert verify_solution(load_solution(sid)).ok
+
+
+# SHA-256 of the canonical and human certificate of four hand-built
+# rejects: the tiling test refuses gap and overlap, and decides the others
+HAND_BUILT_CERTIFICATES = {
+    "gap": "f10426b5dea8046b1b4189c2cc47f8f14e3dc6ff9dce86e5845d176f7fd718ce",
+    "overlap": "a2a672d3aaa4846d35902105d0dfeedfe9092d921396419b7f27d1c81bc5d76e",
+    "duplicate-edge": "9ab341a65185f58a21603b875d9ce32d9ce4abf8caa6157c166c8e34699271c7",
+    "i-edge": "912022d59fbf45937b29af40f8ab91a69e046f7ee4865ff33719f6625e9a6cba",
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_CERTIFICATES)
+def test_hand_built_certificates_are_kept(monkeypatch, name):
+    # gap and overlap go to _tile for their witness; i-edge has i in its
+    # Omega, so its stabilizer comes from the kernel
+    kernel_calls = []
+
+    def counting(*args):
+        kernel_calls.append(args[2])
+        return _stabilizer(*args)
+
+    monkeypatch.setattr(hwpreg.factors, "_stabilizer", counting)
+    cert = verify_solution(_hand_built(*_q24_case(name)))
+    digest = hashlib.sha256("".join(_texts(cert)).encode()).hexdigest()
+    assert digest == HAND_BUILT_CERTIFICATES[name]
+    assert kernel_calls == (["factor"] if name == "i-edge" else [])
 
 
 def _assembled(recipe, group):
@@ -224,18 +294,28 @@ def _assembled(recipe, group):
 
 
 def stabilizers_checked(spec):
-    """How many of spec's factors assemble, after checking that the library
-    assembles each as the oracle does and that factor_stabilizer gives the
-    oracle's full kernel on every one that assembles."""
-    checked = 0
+    """How many of spec's factors assemble with a stabilizer that the
+    difference count settles (i not in Omega(F), |Omega(F)| * |S| = 2v),
+    and how many with one verify takes from the kernel, after checking
+    that the library assembles each as the oracle does, that
+    factor_stabilizer gives the oracle's full kernel on every one that
+    assembles, and that this kernel gives S on every settled one."""
+    G = spec.group
+    iota, counts = G.unique_involution(), Counter()
     for recipe in spec.factors:
-        got, want = _assembled(recipe, spec.group)
+        got, want = _assembled(recipe, G)
         assert got == want
         if not isinstance(want, tuple):
             assert got.subgroup is recipe.subgroup
-            assert factor_stabilizer(got) == verify_oracle.factor_stabilizer(want)
-            checked += 1
-    return checked
+            full = verify_oracle.factor_stabilizer(want)
+            assert factor_stabilizer(got) == full
+            omega = frozenset().union(*map(partial_differences, want.cycles))
+            if iota not in omega and len(omega) * recipe.subgroup.order == 2 * len(G):
+                assert full.members == recipe.subgroup.members, f"{recipe.label}: not settled"
+                counts["settled"] += 1
+            else:
+                counts["kernel"] += 1
+    return counts
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
@@ -246,32 +326,44 @@ def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
     docs = [raw_docs[sid] for sid in SOLUTION_IDS]
     if seed is not None:
         docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
-    checked = sum(stabilizers_checked(parse_solution_dict(doc)) for doc in docs)
-    assert checked >= (64 if seed is None else 225)  # all 64 bundled factors
+    counts = sum((stabilizers_checked(parse_solution_dict(doc)) for doc in docs), Counter())
+    if seed is None:  # all 64 bundled factors, every one settled by the count
+        assert counts == {"settled": 64}
+    else:
+        assert counts.total() >= 225 and counts["kernel"] > 0
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_assembly_pass_matches_the_oracle(raw_docs, seed):
-    # on every factor that assembles, in the bundled documents (seed None)
-    # and in a seeded corruption of every base-cycle vertex, the pass's
-    # code array is the _vertex_codes of the oracle's canonical cycles and
-    # its blocks hold as many translates as the oracle has cycles
+    # on every factor, in the bundled documents (seed None) and in a seeded
+    # corruption of every base-cycle vertex: the coset-mask test says the
+    # recipe tiles exactly when the pass returns, with the pass's cycle
+    # length and translate count; then the pass's code array is the
+    # _vertex_codes of the oracle's canonical cycles and its blocks hold
+    # as many translates as the oracle has cycles
     rng = random.Random(seed)
     docs = [raw_docs[sid] for sid in SOLUTION_IDS]
     if seed is not None:
         docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
-    checked = 0
+    checked = refused = 0
     for spec in map(parse_solution_dict, docs):
         for recipe in spec.factors:
+            shape = _tiles(spec.group, recipe)
             try:
-                want = verify_oracle.assemble_factor(spec.group, recipe)
-            except (RecipeError, GroupError):
+                codes, blocks = _tile(spec.group, recipe)
+            except RecipeError:
+                assert shape is None
+                refused += 1
                 continue
-            codes, blocks = _tile(spec.group, recipe)
+            lengths = {len(b) for b in blocks}
+            length = lengths.pop() if len(lengths) == 1 else None
+            assert shape == (length, sum(len(b[0]) for b in blocks))
+            want = verify_oracle.assemble_factor(spec.group, recipe)
             assert codes == _vertex_codes(spec.group, want.key())
             assert sum(len(b[0]) for b in blocks) == len(want.cycles)
             checked += 1
     assert checked >= (64 if seed is None else 225)
+    assert refused == 0 if seed is None else refused > 0
 
 
 def test_stabilizer_larger_than_the_acting_subgroup(doc_copy):

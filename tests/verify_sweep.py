@@ -7,12 +7,16 @@ every document the library must give the oracle's verdict, or raise its
 error, with byte-identical canonical and human certificates wherever the
 oracle passes or rejects at assembly or at the cycle-length gate; and
 every factor that assembles must get the oracle's full-kernel
-stabilizer.  Exits 1 and names the first document that differs.  The
-library's canonical and human certificate, or the error it raises, on
-every document in sweep order is hashed, rejects included, and the sweep
-exits 1 unless that SHA-256 is CERTIFICATES_SHA256; otherwise it prints
+stabilizer, which must be the acting subgroup S wherever the difference
+count settles it (i not in Omega(F) and |Omega(F)| * |S| = 2v, decided
+here from the oracle's cycles).  Exits 1 and names the first document
+that differs.  The library's canonical and human certificate, or the
+error it raises, on every document in sweep order is hashed, rejects
+included, and the sweep exits 1 unless that SHA-256 is
+CERTIFICATES_SHA256; otherwise it prints
 the passes and how many rejects each witness kind decided, in the
-library and in the oracle.
+library and in the oracle, and how many assembled factors the count
+settled and how many went to the kernel.
 
     PYTHONPATH=src python tests/verify_sweep.py
 """
@@ -60,6 +64,7 @@ def sweep(seeds: range) -> int:
         for sid in SOLUTION_IDS
     }
     kinds: dict[str, Counter] = {"library": Counter(), "oracle": Counter()}
+    stabilizer_paths: Counter = Counter()
     digest = hashlib.sha256()
     runs = [(None, sid, [docs[sid]]) for sid in SOLUTION_IDS]
     for seed in seeds:
@@ -69,7 +74,7 @@ def sweep(seeds: range) -> int:
         for bad in batch:
             spec = parse_solution_dict(bad)
             try:
-                stabilizers_checked(spec)
+                stabilizer_paths += stabilizers_checked(spec)
                 want, got, agree = lockstep(spec)
             except AssertionError:
                 agree = False
@@ -87,6 +92,8 @@ def sweep(seeds: range) -> int:
     print(f"{checked} documents match the oracle (bundled, seeds {seeds.start}-{seeds.stop - 1})")
     for side, counts in kinds.items():
         print(f"{side}: " + ", ".join(f"{k} {n}" for k, n in counts.most_common()))
+    settled, kernel = stabilizer_paths["settled"], stabilizer_paths["kernel"]
+    print(f"factor stabilizers: {settled} settled by the difference count, {kernel} by the kernel")
     return 0
 
 
