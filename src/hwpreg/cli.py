@@ -188,7 +188,7 @@ def _dot_text(spec: SolutionSpec) -> str:
     owner: dict[int, str] = {}  # difference -> label of the first factor using it
     for recipe in spec.factors:
         _tile(G, recipe)
-        omega = set().union(*(partial_differences(c) for _, c in recipe.cycles))
+        omega = set().union(*(c._omega for _, c in recipe.cycles))
         owner.update(dict.fromkeys(omega - owner.keys(), recipe.label))
     T, inv, n = G.table, G.inv_table, len(G)
     quoted = spec.id.replace("\\", "\\\\").replace('"', '\\"')

@@ -173,15 +173,14 @@ def _cycle_stabilizer(group: FiniteGroup, codes: dict, within: Container[int]) -
     }
 
 
-def _sub_orbit(group: FiniteGroup, verts: Sequence[int], sub: Subgroup) -> tuple[dict, set, list]:
-    """One base cycle's step of a group action: its _codes, its stabilizer
-    in sub, and per vertex u, in cycle order, the row u*x over a
-    transversal x of that stabilizer in sub.  Read column by column, the
-    rows are the cycle's distinct translates under sub."""
-    codes = _codes(group, verts)
-    stab = _cycle_stabilizer(group, codes, sub.member_set)
+def _sub_orbit(group: FiniteGroup, verts: Sequence[int], sub: Subgroup) -> tuple[set, list]:
+    """One base cycle's step of a group action: its stabilizer in sub, and
+    per vertex u, in cycle order, the row u*x over a transversal x of that
+    stabilizer in sub.  Read column by column, the rows are the cycle's
+    distinct translates under sub."""
+    stab = _cycle_stabilizer(group, _codes(group, verts), sub.member_set)
     pick, T = _transversal_getter(group, stab, sub.members), group.table
-    return codes, stab, [pick(T[u]) for u in codes]
+    return stab, [pick(T[u]) for u in verts]
 
 
 def cycle_stabilizer(c: Cycle) -> Subgroup:
@@ -206,7 +205,7 @@ class CycleOrbit:
 def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
     """Distinct translates of c under sub, read off the rows of _sub_orbit,
     with the orbit-stabilizer check."""
-    _, stab, rows = _sub_orbit(c.group, c.verts, sub)
+    stab, rows = _sub_orbit(c.group, c.verts, sub)
     orbit = sorted({_canonical_rotation(t) for t in zip(*rows)})
     if len(orbit) * len(stab) != sub.order:
         raise GroupError(f"orbit-stabilizer mismatch: {len(orbit)} * {len(stab)} != {sub.order}")

@@ -1,16 +1,15 @@
 """Assembling 2-factors from cycle orbits and certifying factorizations.
 
 A factor recipe names base cycles and one subgroup S acting on all of
-them.  Assembly is one pass over table indices: each base cycle's
-stabilizer in S comes from its own codes (see cycles.py), and its
-translates over a transversal of it in S, read off the table rows,
-write the base cycle's codes into one length-v array.  S fixes the
-factor, so the factor's stabilizer is a union of right cosets S*x,
-tested on that array with one x per coset.  Verify reads tiling off S's
-coset masks, assembles only to name a witness, and runs the stabilizer
-kernel only when the difference count does not prove the stabilizer is
-S.  No orbit is expanded and no edge is counted: the difference theorem
-in verify_factorization decides.
+them.  Each base cycle's stabilizer in S comes from its own codes, and
+its translates are read off the table rows over a transversal of that
+stabilizer in S (see cycles.py).  Whether the translates tile V is read
+off S's coset masks; only a base cycle that breaks the tiling has its
+translates listed, to name the witness.  S fixes the factor, so the
+factor's stabilizer is a union of right cosets S*x, tested on the
+translates' codes with one x per coset, and only when the difference
+count does not prove it is S.  No orbit is expanded and no edge is
+counted: the difference theorem in verify_factorization decides.
 A pass has the checksum of K_v minus I's edge list, computed once per
 group.  The certificate renders as readable text and as byte-stable JSON.
 """
@@ -22,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import (
@@ -65,53 +64,21 @@ class TwoFactor:
         return tuple(c.verts for c in self.cycles)
 
 
-def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[tuple[int, ...], list]:
-    """The assembly pass: each vertex's code in the factor (cycles._codes),
-    and per base cycle c its translates under S, the rows of
-    cycles._sub_orbit, which carry c's codes as translation keeps
-    differences.  RecipeError on a vertex never written, or written twice:
-    then the one met first in c's translates, canonical and sorted."""
+def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[Optional[int], int]:
+    """The recipe's cycle length (None: mixed) and translate count when its
+    translates under S partition V, read off S's coset masks (see
+    verify_factorization).  RecipeError on a vertex covered twice, the one
+    met first in the base cycle's translates, canonical and sorted, or on
+    the least vertex never covered."""
     if not recipe.cycles:
         raise RecipeError(f"{recipe.label}: empty recipe")
     sub = recipe.subgroup
     if sub.group is not group:
         raise RecipeError(f"{recipe.label}: subgroup bound to a different group")
-    code, blocks, free = [-1] * len(group), [], len(group)
-    for name, base in recipe.cycles:
-        if base.group is not group:
-            raise RecipeError(f"{recipe.label}: cycle bound to a different group")
-        codes, _, block = _sub_orbit(group, base.verts, sub)
-        for row, cu in zip(block, codes.values()):
-            for w in row:
-                code[w] = cu
-        free -= len(codes) * len(block[0])
-        if code.count(-1) != free:  # an overlap: rescan, against earlier blocks
-            owner = {u: n for (n, _), b in zip(recipe.cycles, blocks) for r in b for u in r}
-            for u in chain.from_iterable(sorted(map(_canonical_rotation, zip(*block)))):
-                if u in owner:
-                    break
-                owner[u] = name
-            w = group.format(u)
-            witness = {"kind": "overlap", "vertex": w, "parts": [owner[u], name]}
-            raise RecipeError(f"{recipe.label}: vertex {w} covered twice", witness)
-        blocks.append(block)
-    if free:
-        w = group.format(code.index(-1))
-        raise RecipeError(f"{recipe.label}: vertex {w} not covered", {"kind": "gap", "vertex": w})
-    return tuple(code), blocks
-
-
-def _tiles(group: FiniteGroup, recipe: FactorRecipe) -> Optional[tuple[Optional[int], int]]:
-    """The recipe's cycle length (None: mixed) and translate count when its
-    translates partition V, read off S's coset masks; None when they do not,
-    or when _tile would refuse the recipe unread (see verify_factorization)."""
-    sub, covered, count, lengths = recipe.subgroup, 0, 0, set()
-    if not recipe.cycles or sub.group is not group:
-        return None
-    masks, member_set = sub._coset_masks, sub.member_set
-    for _, c in recipe.cycles:
+    masks, member_set, covered, count = sub._coset_masks, sub.member_set, 0, 0
+    for name, c in recipe.cycles:
         if c.group is not group:
-            return None
+            raise RecipeError(f"{recipe.label}: cycle bound to a different group")
         cosets = {masks[u] for u in c.verts}
         if len(cosets) == len(c.verts):  # T_c = 1
             translates = sub.order
@@ -119,18 +86,35 @@ def _tiles(group: FiniteGroup, recipe: FactorRecipe) -> Optional[tuple[Optional[
             translates = sub.order // len(_cycle_stabilizer(group, _codes(group, c.verts), member_set))
         mask = sum(cosets)  # two cosets are equal or disjoint
         if mask & covered or mask.bit_count() != len(c.verts) * translates:
-            return None
+            met = set()  # an overlap: the first vertex of c's translates covered before
+            rows = _sub_orbit(group, c.verts, sub)[1]
+            for u in chain.from_iterable(sorted(map(_canonical_rotation, zip(*rows)))):
+                if covered >> u & 1 or u in met:
+                    break
+                met.add(u)
+            owner = next(n for n, b in recipe.cycles if any(masks[x] == masks[u] for x in b.verts))
+            w = group.format(u)
+            witness = {"kind": "overlap", "vertex": w, "parts": [owner, name]}
+            raise RecipeError(f"{recipe.label}: vertex {w} covered twice", witness)
         covered, count = covered | mask, count + translates
-        lengths.add(len(c.verts))
     if covered != (1 << len(group)) - 1:
-        return None
+        w = group.format((covered + 1 & ~covered).bit_length() - 1)
+        raise RecipeError(f"{recipe.label}: vertex {w} not covered", {"kind": "gap", "vertex": w})
+    lengths = {len(c.verts) for _, c in recipe.cycles}
     return (lengths.pop() if len(lengths) == 1 else None), count
 
 
+def _translates(recipe: FactorRecipe) -> Iterator[tuple[int, ...]]:
+    """Each base cycle's distinct translates under S, in cycle order: the
+    columns of its rows in cycles._sub_orbit."""
+    for _, c in recipe.cycles:
+        yield from zip(*_sub_orbit(c.group, c.verts, recipe.subgroup)[1])
+
+
 def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
-    """The assembly pass, its translates canonicalised and sorted."""
-    _, blocks = _tile(group, recipe)
-    cycles = sorted(_canonical_rotation(t) for b in blocks for t in zip(*b))
+    """The translates of a recipe that _tile accepts, canonicalised and sorted."""
+    _tile(group, recipe)
+    cycles = sorted(map(_canonical_rotation, _translates(recipe)))
     return TwoFactor(group, tuple(Cycle(group, t) for t in cycles), recipe.subgroup)
 
 
@@ -377,17 +361,18 @@ def verify_factorization(
     disjoint exactly when it has l*|S|/|T_c| vertices.  A t != 1 in T_c
     keeps each coset v*S and moves every vertex, so T_c = 1 when c meets
     l cosets.  _tile returns exactly when also the unions are disjoint
-    and cover V, and runs only to name the witness of a recipe that fails.
+    and cover V; only the base cycle whose union breaks this has its
+    translates listed, to name the witness.
 
     S permutes F's translates, so S lies in T*.  An x != 1 that fixes an
     edge {a, d*a} swaps its ends, a*x = d*a and d*a*x = a, so d*d = 1 and
     d = i.  When i is not in Omega(F), T* thus acts freely on F's edges of
     each pair, v >= |T*| * |Omega(F)|/2, and |Omega(F)| * |S| = 2v gives
     T* = S.  Otherwise cycles._stabilizer tests one x per right coset of S
-    on the pass's code array; its check that S's generators fix F cannot
-    fail.  Its T needs no guard: it admits only elements that pass the
-    code test, which fix F, so T lies in T*.  A T that is too small makes
-    L = v/|T| too large, and 2L > 2v/|T*| >= |Omega(F)| rejects.
+    on the codes of the recipe's translates; its check that S's generators
+    fix F cannot fail.  Its T needs no guard: it admits only elements that
+    pass the code test, which fix F, so T lies in T*.  A T that is too
+    small makes L = v/|T| too large, and 2L > 2v/|T*| >= |Omega(F)| rejects.
 
     The checks, in order: every recipe assembles; every factor is all
     triangles or all quadrangles; the base cycles' Omega partition G
@@ -411,15 +396,11 @@ def verify_factorization(
     iota = group.unique_involution()
     try:
         for recipe in recipes:
-            shape = _tiles(group, recipe)
-            if shape is None:
-                _tile(group, recipe)  # raises, naming the witness
-                raise GroupError(f"{recipe.label}: coset masks and assembly pass disagree")
-            length, count = shape
+            length, count = _tile(group, recipe)
             omega = frozenset().union(*(c._omega for _, c in recipe.cycles))
             order = recipe.subgroup.order
             if iota in omega or len(omega) * order != 2 * v:  # the count leaves Stab(F) open
-                codes, _ = _tile(group, recipe)
+                codes = _vertex_codes(group, _translates(recipe))
                 order = len(_stabilizer(group, codes, "factor", recipe.subgroup))
             parts = tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles)
             reports.append(FactorReport(recipe.label, parts, length, count, order, v // order))

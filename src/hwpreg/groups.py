@@ -279,7 +279,8 @@ class Subgroup:
     @cached_property
     def _coset_masks(self) -> tuple[int, ...]:
         """Per vertex v, the mask of v * S: one pass over the cosets, on first
-        use, shared by the searcher and verify's tiling test."""
+        use, shared by the searcher and the tiling test factors._tile,
+        which verify, assemble_factor and the DOT export call."""
         T, masks = self.group.table, [0] * len(self.group)
         for v in range(len(masks)):
             if not masks[v]:

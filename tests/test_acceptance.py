@@ -132,7 +132,7 @@ def _recount_edges(spec):
     return counts
 
 
-def _tiles_exactly(spec):
+def _covers_each_edge_once(spec):
     counts = _recount_edges(spec)
     expected = cocktail_party_graph(spec.group).edges
     return set(counts) == set(expected) and all(k == 1 for k in counts.values())
@@ -387,7 +387,7 @@ def test_acceptance_8_corruption_detection(raw_docs, doc_copy):
                     # acceptable only for a genuine twin solution; make the
                     # verifier prove it against the independent recount, then
                     # demand a different corruption of the same vertex fail
-                    if not _tiles_exactly(parse_solution_dict(doc)):
+                    if not _covers_each_edge_once(parse_solution_dict(doc)):
                         problems.append(f"{sid}/{cn}[{pos}]: accepted a non-tiling")
                         continue
                     twins.add((sid, cn, pos))

@@ -283,7 +283,7 @@ def test_verify_factorization_reports_a_cycle_of_another_group():
 
 @pytest.mark.parametrize("message", ["empty recipe", "subgroup bound to a different group"])
 def test_verify_factorization_reports_a_recipe_assembly_refuses_unread(message):
-    # the coset-mask test leaves these to _tile, whose message they get
+    # _tile refuses these before it reads a coset mask
     spec, recipes = _recipes("24-9-2")
     if message == "empty recipe":
         bad = replace(recipes[0], cycles=())

@@ -4,9 +4,10 @@
 orbit as canonical cycles, takes each factor's stabilizer with the full
 kernel, counts (min, max) edge tuples and checks the difference
 partition last; the library decides that a recipe tiles from its
-acting subgroup's coset masks, takes a factor's stabilizer from its
-difference count or else tests it once per right coset of that
-subgroup, and decides by the difference theorem in
+acting subgroup's coset masks, lists a base cycle's translates only to
+name the witness of a recipe that does not, takes a factor's stabilizer
+from its difference count or else tests it once per right coset of
+that subgroup, and decides by the difference theorem in
 `verify_factorization`: the partition first, then |Omega(F)| = 2 * orbit
 length for every factor.  Both must give the same verdict, or raise the
 same error, on the bundled documents, on a seeded corruption of every
@@ -28,13 +29,12 @@ import hwpreg.factors
 import verify_oracle
 from helpers import cycle_from_texts, orbit_overlap_document
 from hwpreg import SOLUTION_IDS
-from hwpreg.cycles import _stabilizer, _vertex_codes, partial_differences
+from hwpreg.cycles import _stabilizer, partial_differences
 from hwpreg.factors import (
     FactorRecipe,
     RecipeError,
     TwoFactor,
     _tile,
-    _tiles,
     assemble_factor,
     factor_stabilizer,
     verify_factorization,
@@ -124,6 +124,9 @@ def _q24_case(name):
     if name == "overlap":
         grown = FactorRecipe("F", recipes[3].cycles[:1], "G", G.whole_subgroup())
         return G, recipes[:2] + [grown], None
+    if name == "earlier-overlap":
+        c = recipes[3].cycles[0][1]
+        return G, recipes[:3] + [replace(recipes[3], cycles=(("C5", c), ("C6", c)))], None
     if name == "cycle-length":
         hexagon = cycle_from_texts(G, ["1", "a2", "a4", "a6", "a8", "a10"])
         return G, [FactorRecipe("F1", (("C1", hexagon),), "G", G.whole_subgroup())], None
@@ -156,7 +159,8 @@ def _q24_case(name):
 # the library's witness for each hand-built case
 HAND_BUILT_KINDS = {
     "gap": "gap",
-    "overlap": "overlap",
+    "overlap": "overlap",  # one base cycle's translates under G collide
+    "earlier-overlap": "overlap",  # F4's first base cycle twice, as C5 and C6
     "cycle-length": "cycle-length",
     "mixed-length": "cycle-length",  # 4 triangles and 3 quadrangles
     "duplicate-edge": "difference-overlap",  # one recipe twice
@@ -248,17 +252,20 @@ def _raising(*args, **kwargs):
 
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
 def test_bundled_documents_need_neither_assembly_nor_kernel(monkeypatch, sid):
-    # every bundled factor tiles by its coset masks, and |Omega(F)| * |S| = 2v
+    # every bundled factor tiles by its coset masks, and |Omega(F)| * |S| = 2v:
+    # no base cycle's translates are listed, and the kernel never runs
     monkeypatch.setattr(hwpreg.factors, "_stabilizer", _raising)
-    monkeypatch.setattr(hwpreg.factors, "_tile", _raising)
+    monkeypatch.setattr(hwpreg.factors, "_sub_orbit", _raising)
     assert verify_solution(load_solution(sid)).ok
 
 
-# SHA-256 of the canonical and human certificate of four hand-built
-# rejects: the tiling test refuses gap and overlap, and decides the others
+# SHA-256 of the canonical and human certificate of five hand-built
+# rejects: the tiling test refuses gap and both overlaps, and passes the
+# others on
 HAND_BUILT_CERTIFICATES = {
     "gap": "f10426b5dea8046b1b4189c2cc47f8f14e3dc6ff9dce86e5845d176f7fd718ce",
     "overlap": "a2a672d3aaa4846d35902105d0dfeedfe9092d921396419b7f27d1c81bc5d76e",
+    "earlier-overlap": "81c3ac4135b35e348d8739f21a02eb7195796dbfc318c28b0ab1dc058a9b2329",
     "duplicate-edge": "9ab341a65185f58a21603b875d9ce32d9ce4abf8caa6157c166c8e34699271c7",
     "i-edge": "912022d59fbf45937b29af40f8ab91a69e046f7ee4865ff33719f6625e9a6cba",
 }
@@ -266,8 +273,7 @@ HAND_BUILT_CERTIFICATES = {
 
 @pytest.mark.parametrize("name", HAND_BUILT_CERTIFICATES)
 def test_hand_built_certificates_are_kept(monkeypatch, name):
-    # gap and overlap go to _tile for their witness; i-edge has i in its
-    # Omega, so its stabilizer comes from the kernel
+    # i-edge has i in its Omega, so its stabilizer comes from the kernel
     kernel_calls = []
 
     def counting(*args):
@@ -297,9 +303,10 @@ def stabilizers_checked(spec):
     """How many of spec's factors assemble with a stabilizer that the
     difference count settles (i not in Omega(F), |Omega(F)| * |S| = 2v),
     and how many with one verify takes from the kernel, after checking
-    that the library assembles each as the oracle does, that
-    factor_stabilizer gives the oracle's full kernel on every one that
-    assembles, and that this kernel gives S on every settled one."""
+    that the library assembles each as the oracle does, that _tile gives
+    the oracle factor's cycle length and cycle count on every one that
+    assembles, that factor_stabilizer gives the oracle's full kernel on
+    it, and that this kernel gives S on every settled one."""
     G = spec.group
     iota, counts = G.unique_involution(), Counter()
     for recipe in spec.factors:
@@ -307,6 +314,7 @@ def stabilizers_checked(spec):
         assert got == want
         if not isinstance(want, tuple):
             assert got.subgroup is recipe.subgroup
+            assert _tile(G, recipe) == (want.cycle_length, len(want.cycles))
             full = verify_oracle.factor_stabilizer(want)
             assert factor_stabilizer(got) == full
             omega = frozenset().union(*map(partial_differences, want.cycles))
@@ -336,11 +344,9 @@ def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_assembly_pass_matches_the_oracle(raw_docs, seed):
     # on every factor, in the bundled documents (seed None) and in a seeded
-    # corruption of every base-cycle vertex: the coset-mask test says the
-    # recipe tiles exactly when the pass returns, with the pass's cycle
-    # length and translate count; then the pass's code array is the
-    # _vertex_codes of the oracle's canonical cycles and its blocks hold
-    # as many translates as the oracle has cycles
+    # corruption of every base-cycle vertex: where the oracle assembles,
+    # _tile gives its factor's cycle length and cycle count; elsewhere it
+    # raises the oracle's message and witness
     rng = random.Random(seed)
     docs = [raw_docs[sid] for sid in SOLUTION_IDS]
     if seed is not None:
@@ -348,19 +354,15 @@ def test_assembly_pass_matches_the_oracle(raw_docs, seed):
     checked = refused = 0
     for spec in map(parse_solution_dict, docs):
         for recipe in spec.factors:
-            shape = _tiles(spec.group, recipe)
             try:
-                codes, blocks = _tile(spec.group, recipe)
-            except RecipeError:
-                assert shape is None
+                want = verify_oracle.assemble_factor(spec.group, recipe)
+            except RecipeError as err:
+                with pytest.raises(RecipeError) as got:
+                    _tile(spec.group, recipe)
+                assert (str(got.value), got.value.witness) == (str(err), err.witness)
                 refused += 1
                 continue
-            lengths = {len(b) for b in blocks}
-            length = lengths.pop() if len(lengths) == 1 else None
-            assert shape == (length, sum(len(b[0]) for b in blocks))
-            want = verify_oracle.assemble_factor(spec.group, recipe)
-            assert codes == _vertex_codes(spec.group, want.key())
-            assert sum(len(b[0]) for b in blocks) == len(want.cycles)
+            assert _tile(spec.group, recipe) == (want.cycle_length, len(want.cycles))
             checked += 1
     assert checked >= (64 if seed is None else 225)
     assert refused == 0 if seed is None else refused > 0
