@@ -184,12 +184,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _dot_text(spec: SolutionSpec) -> str:
     """Each edge of a factor's orbit, labelled by the first such factor: an
     orbit holds every translate of its base cycles, so every {g, d*g}."""
-    G = spec.group
+    G, taken = spec.group, 0
     owner: dict[int, str] = {}  # difference -> label of the first factor using it
     for recipe in spec.factors:
         _tile(G, recipe)
-        omega = set().union(*(c._omega for _, c in recipe.cycles))
-        owner.update(dict.fromkeys(omega - owner.keys(), recipe.label))
+        for _, c in recipe.cycles:
+            new, taken = c._omega & ~taken, taken | c._omega
+            owner.update((d, recipe.label) for d in range(len(G)) if new >> d & 1)
     T, inv, n = G.table, G.inv_table, len(G)
     quoted = spec.id.replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'graph "{quoted}" {{']

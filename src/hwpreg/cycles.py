@@ -12,12 +12,15 @@ a length-v code tuple with its image under the table column v -> v*x.
 An orbit reads each translate off the table rows, one per coset of the
 stabilizer, and canonicalises it.
 The list of partial differences of a cycle C = (c_1, ..., c_l) is the
-inverse-closed set collecting c_{t+1} * c_t^-1 for every consecutive
+inverse-closed set Omega collecting c_{t+1} * c_t^-1 for every consecutive
 pair (indices mod l); when the orbit of C under the full group tiles
 Cay[G:Omega] exactly, those orbits are the building blocks of a
-2-factorization.  A ``FactorRecipe`` names the base cycles of one factor
-and the subgroup acting on them.  The document reader builds recipes, so
-the type lives here; factors.py assembles and certifies them.
+2-factorization.  Verify keeps each base cycle's Omega as an int mask,
+bits d and d^-1 for each edge, computed once per cycle, and tests the
+partition of G minus {1, i} with OR and AND.  A ``FactorRecipe`` names
+the base cycles of one factor and the subgroup acting on them.  The
+document reader builds recipes, so the type lives here; factors.py
+assembles and certifies them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import AbstractSet, Callable, Collection, Container, Iterable, Optional, Sequence
+from typing import Callable, Collection, Container, Iterable, Optional, Sequence
 
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -58,8 +61,12 @@ class Cycle:
         return f"({inner})"
 
     @cached_property
-    def _omega(self) -> frozenset[int]:  # for verify: each cycle's Omega once
-        return partial_differences(self)
+    def _omega(self) -> int:  # for verify: each cycle's Omega once, as a mask
+        T, inv, v, mask = self.group.table, self.group.inv_table, self.verts, 0
+        for a, b in zip(v, v[1:] + v[:1]):  # forward_differences, inlined
+            d = T[b][inv[a]]
+            mask |= 1 << d | 1 << inv[d]
+        return mask
 
 
 def cycle(group: FiniteGroup, verts: Sequence[int]) -> Cycle:
@@ -249,26 +256,21 @@ def omega_representatives(c: Cycle) -> list[int]:
     return reps
 
 
-def verify_partition(
-    group: FiniteGroup, omegas: Iterable[AbstractSet[int]]
-) -> tuple[int, Optional[dict]]:
-    """The number of elements the difference sets omegas cover, and a witness
+def verify_partition(group: FiniteGroup, omegas: Iterable[int]) -> tuple[int, Optional[dict]]:
+    """The number of elements the difference masks omegas cover, and a witness
     that they do not partition G minus the identity and the involution, or
     None when they do: the least element used twice, with its count; else
     the least element missing; else the identity or the involution."""
-    counts: Counter[int] = Counter()
-    for om in omegas:
-        counts.update(om)
-    excluded = {group.identity, group.unique_involution()}
-    twice = [x for x, k in counts.items() if k > 1]
-    missing = set(range(len(group))) - excluded - counts.keys()
-    forbidden = excluded & counts.keys()
+    masks, union, twice = list(omegas), 0, 0
+    for om in masks:
+        union, twice = union | om, twice | union & om
+    excluded = 1 << group.identity | 1 << group.unique_involution()
+    missing, forbidden = ~union & ~excluded & (1 << len(group)) - 1, union & excluded
     witness = None
-    if twice:
-        x = min(twice)
-        witness = {"kind": "difference-overlap", "element": group.format(x), "count": counts[x]}
-    elif missing or forbidden:
-        x = min(missing or forbidden)
-        kind = "missing" if missing else "forbidden"
+    if bad := twice or missing or forbidden:
+        x = (bad & -bad).bit_length() - 1
+        kind = "overlap" if twice else "missing" if missing else "forbidden"
         witness = {"kind": f"difference-{kind}", "element": group.format(x)}
-    return len(counts), witness
+        if twice:
+            witness["count"] = sum(om >> x & 1 for om in masks)
+    return union.bit_count(), witness

@@ -9,7 +9,8 @@ translates listed, to name the witness.  S fixes the factor, so the
 factor's stabilizer is a union of right cosets S*x, tested on the
 translates' codes with one x per coset, and only when the difference
 count does not prove it is S.  No orbit is expanded and no edge is
-counted: the difference theorem in verify_factorization decides.
+counted: the difference theorem in verify_factorization decides, on
+each base cycle's Omega as an int mask (see cycles.py).
 A pass has the checksum of K_v minus I's edge list, computed once per
 group.  The certificate renders as readable text and as byte-stable JSON.
 """
@@ -19,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import or_
 from typing import Iterator, Optional, Sequence
 
 from .cayley import cocktail_party_graph
@@ -166,6 +168,8 @@ class FactorReport:
 
 
 def _without(texts: tuple[str, ...], other: tuple[str, ...]) -> tuple[str, ...]:
+    if texts == other:  # an annotated listing that matches: the common case
+        return ()
     drop = set(other)
     return tuple(t for t in texts if t not in drop)
 
@@ -385,7 +389,7 @@ def verify_factorization(
     v = len(group)
     # a cycle bound to another group fails assembly; its Omega means nothing here
     cycles = [c for recipe in recipes for _, c in recipe.cycles if c.group is group]
-    partition_size, partition_witness = verify_partition(group, (c._omega for c in cycles))
+    partition_size, partition_witness = verify_partition(group, [c._omega for c in cycles])
     base = dict(
         group_id=group.id, v=v, ok=False, r=None, s=None, expected=expected, factors=(),
         edges_sha256=None, partition_ok=partition_witness is None, partition_size=partition_size,
@@ -393,18 +397,18 @@ def verify_factorization(
 
     reports: list[FactorReport] = []
     sizes: list[int] = []  # |Omega(F)| per factor
-    iota = group.unique_involution()
+    iota = 1 << group.unique_involution()
     try:
         for recipe in recipes:
             length, count = _tile(group, recipe)
-            omega = frozenset().union(*(c._omega for _, c in recipe.cycles))
-            order = recipe.subgroup.order
-            if iota in omega or len(omega) * order != 2 * v:  # the count leaves Stab(F) open
+            omega = reduce(or_, (c._omega for _, c in recipe.cycles))
+            size, order = omega.bit_count(), recipe.subgroup.order
+            if omega & iota or size * order != 2 * v:  # the count leaves Stab(F) open
                 codes = _vertex_codes(group, _translates(recipe))
                 order = len(_stabilizer(group, codes, "factor", recipe.subgroup))
             parts = tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles)
             reports.append(FactorReport(recipe.label, parts, length, count, order, v // order))
-            sizes.append(len(omega))
+            sizes.append(size)
     except RecipeError as err:
         base["factors"] = tuple(reports)
         return Certificate(**base, failure=str(err), witness=err.witness or None)

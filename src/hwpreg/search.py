@@ -80,20 +80,19 @@ entry states, keyed by (entry index, consumed-difference bitmask), are
 memoized only when their subtree was exhausted normally, so the memo
 stays sound when a node budget aborts the search.  The key leaves out
 k, the least difference of the previous factor, which the equal-entry
-rule of ``_extend_factor`` reads; reusing a state that died at k1 for a
-smaller k is not yet proved sound, and the evidence so far is that a
-memo keyed on k too gives the same verdicts on 336 v = 24 signatures
-(tests/search_signatures.py).  Anything found is written as a solution
-document straight from its base paths, as each is already a canonical
-cycle: it starts at its least vertex, the least one uncovered, and its
-second vertex precedes its last.  The document is re-verified by reading
-it back through the solution pipeline, which builds the solution's
-cycles and factors once, before it is reported; that check recomputes
-every factor's full stabilizer.  The searcher changes no process-wide
-state; its recursion stays within the default limit (see
-``search_hwp``).  Its tables are built on a group's first search and
-shared by every later one; like the edge checksum in ``factors.py``,
-they depend on the group alone and never change an output.
+rule of ``_extend_factor`` reads; the memo loses no solution all the
+same (see "The memo loses no solution" below).  Anything found is
+written as a solution document straight from its base paths, as each
+is already a canonical cycle: it starts at its least vertex, the least
+one uncovered, and its second vertex precedes its last.  The document
+is re-verified by reading it back through the solution pipeline,
+which builds the solution's cycles and factors once, before it is
+reported; that check recomputes every factor's full stabilizer.  The
+searcher changes no process-wide state; its recursion stays within the
+default limit (see ``search_hwp``).  Its tables are built on a group's
+first search and shared by every later one; like the edge checksum in
+``factors.py``, they depend on the group alone and never change an
+output.
 
 The closing scan decides most candidates in bulk.  With u the path's
 end, p0 its start and D the elements of its Omega, a live w is special
@@ -147,6 +146,39 @@ descends are counted before it descends, and the rest at the scan's end.
 They are held out of the scan only while the nodes it can still charge
 fit in the budget, so no budget stop falls among them; after a descent
 that leaves too few nodes, the rest are closed one by one again.
+
+The memo loses no solution.  Call the tree the search walks with the
+equal-entry rule but no memo the plain tree.  The memo search visits
+its nodes in preorder and skips the subtrees below memo hits.  Let S be
+the plain tree's preorder-first solution leaf, and suppose a hit skips
+it: S = P2 + C passes a hit node N2 = (idx, U), with P2 the factors of
+the entries before idx and k2 the least difference of P2's last, and an
+earlier node N1 = (idx, U) has prefix P1 and k1.  Factors meet only
+through their Omega, and C uses no difference in U, so C completes P1
+unless the equal-entry rule refuses C's first factor after P1's last.
+
+(a) If entry idx does not repeat its predecessor, or k1 <= k2, or C's
+    first factor has a least difference above k1, then P1 + C is a
+    solution leaf under N1.  N1 has N2's depth and comes first, so that
+    leaf precedes S.
+(b) Otherwise sort the run of equal entries through idx in P1 + C by
+    least difference: the result S* is a solution leaf.  Let d be the
+    first position where P1 and P2 differ; P1's branch comes first
+    there.  Let q be the first position where S* differs from P1.  q
+    lies in the run, before idx, as C's first factor sorts before P1's
+    last: its least difference is not above k1, nor k1, which is in U.
+    If q <= d, P1's run factors from q to idx - 1 and P2's use the
+    same differences W, U less those of the factors below q, and both
+    runs are sorted, so both factors at q have the least difference
+    min W <= k2.  S*'s factor at q is then a factor of C with a least
+    difference below min W, but every factor of C in the run lies above
+    k2.  So q > d, S* takes P1's branch at d, and S* precedes S.
+
+Both cases contradict the choice of S.  So the search returns the plain
+tree's preorder-first solution, or ``exhausted`` exactly when it has
+none.  The argument uses only preorder, not that N1's subtree was
+exhausted, so the document found does not depend on the memo: a memo
+keyed on k too, or no memo at all, returns the same one.
 
 A target document is read as strictly as a solution document, by the
 same field readers (see ``solutions.py``): wrong types, unknown keys and

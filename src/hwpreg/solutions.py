@@ -25,10 +25,11 @@ read by them too.  ``solution_to_dict`` writes the six required keys.
 
 ``verify_solution`` certifies exact edge coverage of K_v minus I with
 ``verify_factorization``, from the recomputed difference sets of the
-base cycles, and diffs those sets against the annotated ``omega``
-listings, which are read once into the inverse closure of their element
-indices.  Reading a document needs groups and cycles alone: the
-certifier in factors.py is imported by the first verify.
+base cycles, each an int mask, and diffs those masks against the
+annotated ``omega`` listings, which are read once into the inverse
+closure of their element indices.  Reading a document needs groups and
+cycles alone: the certifier in factors.py is imported by the first
+verify.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Collection
+from typing import TYPE_CHECKING, Collection
 
 from .cycles import Cycle, CycleError, FactorRecipe, cycle
 from .groups import ElementError, FiniteGroup, GroupError, Subgroup, build_group
@@ -296,24 +298,30 @@ def resolve_subgroup(spec: SolutionSpec | SearchTarget, name: str) -> Subgroup:
     return spec.subgroups[name]
 
 
-def _closure_texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, ...]:
-    return tuple(group.format(x) for x in sorted(members))
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def omega_reports(spec: SolutionSpec, omegas: Mapping) -> tuple[OmegaReport, ...]:
-    """The recomputed difference sets omegas, by cycle name, beside the
-    annotated listings."""
+def _mask_texts(group: FiniteGroup, mask: int) -> tuple[str, ...]:
+    """The texts of the elements in mask, in element order: one 0/1 byte
+    per element, lowest bit first, selects them."""
+    return tuple(compress(group.texts, bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
+def omega_reports(spec: SolutionSpec, omegas: Mapping[str, int]) -> tuple[OmegaReport, ...]:
+    """The recomputed difference masks omegas, by cycle name, beside the
+    annotated listings, each read into a mask; equal masks share one tuple."""
     from .factors import OmegaReport
 
-    G, printed = spec.group, spec.printed_omega
-    return tuple(
-        OmegaReport(
-            cn,
-            _closure_texts(G, omegas[cn]),
-            _closure_texts(G, printed[cn]) if cn in printed else None,
-        )
-        for cn in spec.cycles
-    )
+    G, printed, reports = spec.group, spec.printed_omega, []
+    for cn in spec.cycles:
+        mask = omegas[cn]
+        texts = shown = _mask_texts(G, mask)
+        if cn not in printed:
+            shown = None
+        elif (listed := sum(map((1).__lshift__, printed[cn]))) != mask:
+            shown = _mask_texts(G, listed)
+        reports.append(OmegaReport(cn, texts, shown))
+    return tuple(reports)
 
 
 def verify_solution(spec: SolutionSpec) -> Certificate:

@@ -40,9 +40,12 @@ the least difference of the previous factor when the entry repeats its
 predecessor, which the equal-adjacent-entry rule reads, and -1
 otherwise.  It reuses a state only at a k at least the least one the
 state was exhausted at, which is sound by construction, as a larger k
-admits fewer factors.  The searcher's memo leaves k out, which nothing
-proves sound yet; `v24_signatures` lists the 336 v=24 signatures on
-which the two are compared (tests/search_signatures.py).
+admits fewer factors.  The searcher's memo leaves k out; the proof in
+the `hwpreg.search` module docstring shows that it loses no solution,
+and that with or without a memo the search returns the same document.
+`MemoFreeSearcher` keeps no memo at all: it walks that proof's plain
+tree.  `v24_signatures` lists the 336 v=24 signatures on which the
+searcher and `KAwareSearcher` are compared (tests/search_signatures.py).
 """
 
 from __future__ import annotations
@@ -324,6 +327,13 @@ class KAwareSearcher(_Searcher):
         # reached only when the subtree was exhausted without interruption,
         # and only at a k below any the state was exhausted at before
         self.dead[key] = k
+
+
+class MemoFreeSearcher(_Searcher):
+    def entry_start(self, idx: int, used: int, free: int, picked: list) -> None:
+        if idx == len(self.sig):
+            raise _Solved(picked)
+        self._extend_factor(idx, used, free, 0, 0, [], picked)
 
 
 def v24_signatures(budget: int = 2_000_000) -> list[tuple[str, SearchTarget]]:

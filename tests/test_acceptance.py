@@ -163,7 +163,7 @@ def test_acceptance_3_difference_partition():
     for sid in SOLUTION_IDS:
         spec = load_solution(sid)
         union, witness = verify_partition(
-            spec.group, [partial_differences(c) for c in spec.cycles.values()]
+            spec.group, [sum(1 << x for x in partial_differences(c)) for c in spec.cycles.values()]
         )
         if witness is not None or union != len(spec.group) - 2:
             problems.append(f"{sid}: partition union={union} witness={witness}")

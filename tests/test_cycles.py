@@ -204,21 +204,26 @@ def test_verify_orbit_decomposition_flags_duplicates():
     assert "more than once" in report.message
 
 
+def _mask(members):
+    return sum(1 << x for x in members)
+
+
 def test_verify_partition_on_a_solution():
     spec = load_solution("48-5-18")
-    omegas = [partial_differences(c) for c in spec.cycles.values()]
+    omegas = [_mask(partial_differences(c)) for c in spec.cycles.values()]
+    assert omegas == [c._omega for c in spec.cycles.values()]
     assert verify_partition(spec.group, omegas) == (46, None)
 
 
 def test_verify_partition_witnesses():
     spec = load_solution("48-5-18")
     G = spec.group
-    omegas = [partial_differences(c) for c in spec.cycles.values()]
-    first = min(omegas[0])
+    omegas = [c._omega for c in spec.cycles.values()]
+    first = min(partial_differences(next(iter(spec.cycles.values()))))
     missing = {"kind": "difference-missing", "element": G.format(first)}
-    assert verify_partition(G, omegas[1:]) == (46 - len(omegas[0]), missing)
+    assert verify_partition(G, omegas[1:]) == (46 - omegas[0].bit_count(), missing)
     overlap = {"kind": "difference-overlap", "element": G.format(first), "count": 2}
     assert verify_partition(G, omegas + [omegas[0]]) == (46, overlap)
     involution = G.unique_involution()
     forbidden = {"kind": "difference-forbidden", "element": G.format(involution)}
-    assert verify_partition(G, omegas + [{involution}]) == (47, forbidden)
+    assert verify_partition(G, omegas + [1 << involution]) == (47, forbidden)

@@ -17,7 +17,10 @@ oracle derives from the consumed differences (`search_oracle.free_matrix`).
 `search_oracle.KAwareSearcher` keys its memo on the previous factor's
 least difference k as well; a seeded sample of the 336 v=24 signatures
 must get the same verdicts from it as from the searcher (all 336 run in
-tests/search_signatures.py).
+tests/search_signatures.py).  `search_oracle.MemoFreeSearcher` keeps no
+memo; on the v=24 derived targets it must find the searcher's documents
+byte for byte, the corollary of the proof in the `hwpreg.search` module
+docstring.
 """
 
 import random
@@ -26,9 +29,10 @@ from dataclasses import replace
 import pytest
 
 import hwpreg.search
+from hwpreg.factors import canonical_json
 from hwpreg.search import search_hwp, target_from_solution
 from hwpreg.solutions import load_solution
-from search_oracle import KAwareSearcher, SlowSearcher, refuses, v24_signatures
+from search_oracle import KAwareSearcher, MemoFreeSearcher, SlowSearcher, refuses, v24_signatures
 
 FAST = hwpreg.search._Searcher
 
@@ -165,3 +169,18 @@ def test_k_aware_memo_counters_are_pinned(monkeypatch, sid, counters):
     assert verdict == "found"
     names = ("nodes", "cycles_closed", "factors_completed", "memo_entries", "memo_hits")
     assert tuple(stats[n] for n in names) == counters
+
+
+@pytest.mark.parametrize("sid", ["24-5-6", "24-7-4", "24-9-2"])
+def test_memo_free_searcher_finds_the_same_documents(monkeypatch, sid):
+    # the memo skips no solution before the first, so the search returns
+    # the plain tree's preorder-first solution with the memo or without it
+    for target in _targets(sid, None):
+        with_memo = search_hwp(target)
+        with monkeypatch.context() as m:
+            m.setattr(hwpreg.search, "_Searcher", MemoFreeSearcher)
+            plain = search_hwp(target)
+        assert with_memo.verdict == plain.verdict == "found"
+        assert canonical_json(plain.solution) == canonical_json(with_memo.solution)
+        assert plain.stats.memo_entries == plain.stats.memo_hits == 0
+        assert plain.stats.nodes >= with_memo.stats.nodes

@@ -1,5 +1,6 @@
 """Bundled solutions: format strictness, loading, annotations, verification."""
 
+import functools
 import json
 import re
 
@@ -8,7 +9,8 @@ import pytest
 import hwpreg.cycles
 from helpers import verify_solution_by_id
 from hwpreg import cli
-from hwpreg.cycles import partial_differences
+from hwpreg.cycles import Cycle, partial_differences
+from hwpreg.factors import OmegaReport
 from hwpreg.groups import FiniteGroup
 from hwpreg.solutions import (
     SOLUTION_IDS,
@@ -78,7 +80,7 @@ def test_resolve_subgroup():
 
 
 def _omega_reports(spec):
-    return omega_reports(spec, {cn: partial_differences(c) for cn, c in spec.cycles.items()})
+    return omega_reports(spec, {cn: c._omega for cn, c in spec.cycles.items()})
 
 
 def test_omega_reports_all_match():
@@ -106,19 +108,40 @@ def test_verify_solution_parses_no_element_text(monkeypatch):
 
 
 def test_verify_solution_computes_each_difference_set_once(monkeypatch, raw_docs):
-    # one Omega per base cycle serves the partition, the orbit-length
-    # test and the omega reports, and a second verify computes none
+    # one Omega mask per base cycle serves the partition, the orbit-length
+    # test and the omega reports, and a second verify computes none; no
+    # verify builds a difference set
     spec = parse_solution_dict(raw_docs["48-17-6"])
     calls = []
-    orig = hwpreg.cycles.partial_differences
+    orig = Cycle.__dict__["_omega"].func
 
     def counted(c):
         calls.append(c)
         return orig(c)
 
-    monkeypatch.setattr(hwpreg.cycles, "partial_differences", counted)
+    mask = functools.cached_property(counted)
+    mask.__set_name__(Cycle, "_omega")
+    monkeypatch.setattr(Cycle, "_omega", mask)
+    monkeypatch.setattr(hwpreg.cycles, "partial_differences", None)
     assert verify_solution(spec).ok and verify_solution(spec).ok
     assert sorted(c.verts for c in calls) == sorted(c.verts for c in spec.cycles.values())
+    assert {c._omega for c in calls} == {
+        sum(1 << x for x in partial_differences(c)) for c in spec.cycles.values()
+    }
+
+
+def test_hand_built_omega_reports_derive_their_differences():
+    # match and the one-sided listings are read off the two listings, so a
+    # report built by hand is right whether its sides are equal or not
+    unequal = OmegaReport("C1", ("a", "a11", "b"), ("a", "a3b", "b"))
+    assert (unequal.match, unequal.only_recomputed, unequal.only_printed) == (
+        False, ("a11",), ("a3b",)
+    )
+    for printed in (("a", "b"), tuple(["a", "b"])):
+        equal = OmegaReport("C1", ("a", "b"), printed)
+        assert (equal.match, equal.only_recomputed, equal.only_printed) == (True, (), ())
+    bare = OmegaReport("C1", ("a", "b"), None)
+    assert (bare.match, bare.only_recomputed, bare.only_printed) == (None, (), ())
 
 
 def test_omega_report_without_annotation(doc_copy):

@@ -29,7 +29,7 @@ import hwpreg.factors
 import verify_oracle
 from helpers import cycle_from_texts, orbit_overlap_document
 from hwpreg import SOLUTION_IDS
-from hwpreg.cycles import _stabilizer, partial_differences
+from hwpreg.cycles import _stabilizer, partial_differences, verify_partition
 from hwpreg.factors import (
     FactorRecipe,
     RecipeError,
@@ -396,7 +396,8 @@ def test_factor_labelled_with_a_subgroup_that_moves_it_raises(sid):
 
 def test_omega_reports_match_the_set_differences(raw_docs):
     # on the bundled documents, and on 24-9-2 with C3's listing gaining
-    # C4's first element and C4's losing it, the derived match and
+    # C4's first element and C4's losing it, the reports of the Omega
+    # masks list what the oracle's sets list, and their derived match and
     # one-sided differences are the oracle's set differences
     bad = copy.deepcopy(raw_docs["24-9-2"])
     omega = bad["annotations"]["omega"]
@@ -404,10 +405,76 @@ def test_omega_reports_match_the_set_differences(raw_docs):
     mismatched = []
     for doc in [*(raw_docs[sid] for sid in SOLUTION_IDS), bad]:
         spec = parse_solution_dict(doc)
-        omegas = {cn: partial_differences(c) for cn, c in spec.cycles.items()}
+        omegas = {cn: verify_oracle.partial_differences(c) for cn, c in spec.cycles.items()}
+        masks = {cn: c._omega for cn, c in spec.cycles.items()}
+        assert masks == {cn: sum(1 << x for x in om) for cn, om in omegas.items()}
         want = verify_oracle.omega_diffs(spec, omegas)
-        for om in omega_reports(spec, omegas):
+        sets = verify_oracle.omega_reports(spec, omegas)
+        for om, set_om in zip(omega_reports(spec, masks), sets, strict=True):
+            assert (om.cycle_name, om.recomputed, om.printed) == (
+                set_om.cycle_name, set_om.recomputed, set_om.printed
+            )
             assert (om.match, om.only_recomputed, om.only_printed) == want[om.cycle_name]
             if om.match is False:
                 mismatched.append((om.cycle_name, om.only_recomputed, om.only_printed))
     assert mismatched == [("C3", (), ("a3b", "a9b")), ("C4", ("a3b", "a9b"), ())]
+
+
+def _partition_pair(G, masks):
+    """verify_partition on masks, and the oracle's on the same sets."""
+    sets = [{x for x in range(len(G)) if m >> x & 1} for m in masks]
+    return verify_partition(G, masks), verify_oracle.verify_partition(G, sets)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_mask_partition_matches_the_oracle(raw_docs, seed):
+    # the bundled documents, then a seeded corruption of every base-cycle
+    # vertex: the masks' count and witness are the oracle's on its own sets
+    rng, kinds = random.Random(seed), Counter()
+    for sid in SOLUTION_IDS:
+        docs = [raw_docs[sid]] if seed is None else _corruptions(raw_docs[sid], rng)
+        for doc in docs:
+            spec = parse_solution_dict(doc)
+            masks = [c._omega for c in spec.cycles.values()]
+            sets = [verify_oracle.partial_differences(c) for c in spec.cycles.values()]
+            got = verify_partition(spec.group, masks)
+            assert got == verify_oracle.verify_partition(spec.group, sets)
+            kinds[None if got[1] is None else got[1]["kind"]] += 1
+    if seed is None:
+        assert kinds == {None: 9}
+    else:
+        assert sum(kinds.values()) == 225
+        assert kinds["difference-overlap"] and kinds["difference-missing"]
+
+
+def test_mask_partition_witnesses_on_hand_built_masks():
+    spec = load_solution("48-5-18")
+    G, masks = spec.group, [c._omega for c in spec.cycles.values()]
+    first = (masks[0] & -masks[0]).bit_length() - 1
+    identity, iota = 1 << G.identity, 1 << G.unique_involution()
+    cases = {
+        # one element in three Omega
+        "thrice": masks + [1 << first, 1 << first],
+        "missing": masks[1:],
+        "identity": masks + [identity],
+        "involution": masks + [iota],
+        # missing and forbidden at once: missing wins
+        "missing-and-forbidden": masks[1:] + [identity | iota],
+    }
+    witnesses = {}
+    for name, case in cases.items():
+        got, want = _partition_pair(G, case)
+        assert got == want, name
+        witnesses[name] = got[1]
+    assert witnesses["thrice"] == {
+        "kind": "difference-overlap", "element": G.format(first), "count": 3
+    }
+    assert witnesses["missing"] == witnesses["missing-and-forbidden"] == {
+        "kind": "difference-missing", "element": G.format(first)
+    }
+    assert witnesses["identity"] == {
+        "kind": "difference-forbidden", "element": G.format(G.identity)
+    }
+    assert witnesses["involution"] == {
+        "kind": "difference-forbidden", "element": G.format(G.unique_involution())
+    }

@@ -10,7 +10,11 @@ counted as a (min, max) tuple, and the checksum is taken over the
 covered edges on every pass.  `verify_solution` then checks that the
 base cycles' difference sets, each taken with `FiniteGroup.mul` and
 `FiniteGroup.inv`, partition G minus the identity and the involution,
-and overrides a pass when they do not.  The lockstep tests compare the
+and overrides a pass when they do not.  Those sets are frozensets: the
+partition test counts them with a Counter, as the library did before it
+kept each Omega as an int mask, and the omega reports take their match
+and one-sided listings from set differences (`omega_diffs`), not from
+the library's `omega_reports`.  The lockstep tests compare the
 library's verdicts and certificates against it.
 """
 
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
-from typing import Collection, Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import AbstractSet, Collection, Iterable, Optional, Sequence
 
 from helpers import cycle_edges
 from hwpreg.cayley import cocktail_party_graph
@@ -30,18 +34,18 @@ from hwpreg.cycles import (
     _vertex_codes,
     cycle_stabilizer,
     translate_cycle,
-    verify_partition,
 )
 from hwpreg.factors import (
     Certificate,
     FactorRecipe,
     FactorReport,
+    OmegaReport,
     RecipeError,
     TwoFactor,
     hwp_feasibility,
 )
 from hwpreg.groups import FiniteGroup, GroupError, Subgroup
-from hwpreg.solutions import SolutionSpec, omega_reports
+from hwpreg.solutions import SolutionSpec
 
 
 def _transversal(
@@ -252,22 +256,69 @@ def partial_differences(c: Cycle) -> frozenset[int]:
     return frozenset(x for d in steps for x in (d, G.inv(d)))
 
 
+def verify_partition(
+    group: FiniteGroup, omegas: Iterable[AbstractSet[int]]
+) -> tuple[int, Optional[dict]]:
+    """The number of elements the difference sets omegas cover, and a witness
+    that they do not partition G minus the identity and the involution, or
+    None when they do: the least element used twice, with its count; else
+    the least element missing; else the identity or the involution."""
+    counts: Counter[int] = Counter()
+    for om in omegas:
+        counts.update(om)
+    excluded = {group.identity, group.unique_involution()}
+    twice = [x for x, k in counts.items() if k > 1]
+    missing = set(range(len(group))) - excluded - counts.keys()
+    forbidden = excluded & counts.keys()
+    witness = None
+    if twice:
+        x = min(twice)
+        witness = {"kind": "difference-overlap", "element": group.format(x), "count": counts[x]}
+    elif missing or forbidden:
+        x = min(missing or forbidden)
+        kind = "missing" if missing else "forbidden"
+        witness = {"kind": f"difference-{kind}", "element": group.format(x)}
+    return len(counts), witness
+
+
+def _texts(group: FiniteGroup, members: AbstractSet[int]) -> tuple[str, ...]:
+    return tuple(group.format(x) for x in sorted(members))
+
+
 def omega_diffs(spec: SolutionSpec, omegas) -> dict:
     """Per cycle name, OmegaReport's (match, only_recomputed, only_printed)
-    by set algebra on element indices, as omega_reports built them when
-    they were stored: (None, (), ()) for a cycle without a listing."""
-    G = spec.group
-
-    def texts(members):
-        return tuple(G.format(x) for x in sorted(members))
-
-    diffs = {}
+    by set algebra on the element sets omegas and the annotated listings:
+    (None, (), ()) for a cycle without a listing."""
+    G, diffs = spec.group, {}
     for cn in spec.cycles:
         recomputed, printed = omegas[cn], spec.printed_omega.get(cn)
         diffs[cn] = (None, (), ()) if printed is None else (
-            printed == recomputed, texts(recomputed - printed), texts(printed - recomputed)
+            printed == recomputed, _texts(G, recomputed - printed), _texts(G, printed - recomputed)
         )
     return diffs
+
+
+@dataclass(frozen=True)
+class SetOmegaReport(OmegaReport):
+    """An OmegaReport whose match and one-sided listings are omega_diffs'
+    set algebra, stored, rather than derived from the two listings."""
+
+    diffs: tuple = (None, (), ())
+    match = property(lambda self: self.diffs[0])
+    only_recomputed = property(lambda self: self.diffs[1])
+    only_printed = property(lambda self: self.diffs[2])
+
+
+def omega_reports(spec: SolutionSpec, omegas) -> tuple[SetOmegaReport, ...]:
+    """The reports of the element sets omegas, by cycle name, beside the
+    annotated listings, each side sorted and formatted on its own."""
+    G, printed, diffs = spec.group, spec.printed_omega, omega_diffs(spec, omegas)
+    return tuple(
+        SetOmegaReport(
+            cn, _texts(G, omegas[cn]), _texts(G, printed[cn]) if cn in printed else None, diffs[cn]
+        )
+        for cn in spec.cycles
+    )
 
 
 def verify_solution(spec: SolutionSpec) -> Certificate:
