@@ -2,10 +2,11 @@
 
 The package builds three concrete groups of order 24 and 48 with exact
 arithmetic and constructs 2-factorizations of K_v minus a 1-factor from
-orbits of base cycles under right translation; a difference set is a
-frozenset of element indices.  Nine solutions of HWP(v; 3, 4; r, s) are
-bundled and can be re-verified from scratch; a backtracking searcher
-looks for new ones with a prescribed orbit-type signature.
+orbits of base cycles under right translation; verify keeps a difference
+set as an int mask, ``partial_differences`` as a frozenset of indices.
+Nine solutions of HWP(v; 3, 4; r, s) are bundled and can be re-verified
+from scratch; a backtracking searcher looks for new ones with a
+prescribed orbit-type signature.
 
 Each public name is imported from its module on first use (PEP 562), so
 ``import hwpreg`` loads no submodule and a caller pays only for the

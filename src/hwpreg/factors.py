@@ -1,16 +1,18 @@
 """Assembling 2-factors from cycle orbits and certifying factorizations.
 
 A factor recipe names base cycles and one subgroup S acting on all of
-them.  Each base cycle's stabilizer in S comes from its own codes, and
-its translates are read off the table rows over a transversal of that
-stabilizer in S (see cycles.py).  Whether the translates tile V is read
-off S's coset masks; only a base cycle that breaks the tiling has its
+them.  One kernel on one code map gives every stabilizer (see
+cycles.py): a base cycle's in S is the kernel's on its own codes, cut
+down to S, and its translates are read off the table rows over a
+transversal of it in S.  Whether the translates tile V is read off S's
+coset masks; only a base cycle that breaks the tiling has its
 translates listed, to name the witness.  S fixes the factor, so the
 factor's stabilizer is a union of right cosets S*x, tested on the
 translates' codes with one x per coset, and only when the difference
-count does not prove it is S.  No orbit is expanded and no edge is
-counted: the difference theorem in verify_factorization decides, on
-each base cycle's Omega as an int mask (see cycles.py).
+count does not prove it is S.  _settle takes both steps for one recipe,
+for verify and for target derivation alike.  No orbit is expanded and
+no edge is counted: the difference theorem in verify_factorization
+decides, on each base cycle's Omega as an int mask (see cycles.py).
 A pass has the checksum of K_v minus I's edge list, computed once per
 group.  The certificate renders as readable text and as byte-stable JSON.
 """
@@ -23,12 +25,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import or_
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .cayley import cocktail_party_graph
 from .cycles import (
-    Cycle, FactorRecipe, _canonical_rotation, _codes, _cycle_stabilizer, _stabilizer, _sub_orbit,
-    _transversal_getter, _vertex_codes, verify_partition,
+    Cycle, FactorRecipe, _canonical_rotation, _codes, _stabilizer, _sub_orbit, _transversal_getter,
+    verify_partition,
 )
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -77,7 +79,7 @@ def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[Optional[int], int]
     sub = recipe.subgroup
     if sub.group is not group:
         raise RecipeError(f"{recipe.label}: subgroup bound to a different group")
-    masks, member_set, covered, count = sub._coset_masks, sub.member_set, 0, 0
+    masks, covered, count = sub._coset_masks, 0, 0
     for name, c in recipe.cycles:
         if c.group is not group:
             raise RecipeError(f"{recipe.label}: cycle bound to a different group")
@@ -85,7 +87,8 @@ def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[Optional[int], int]
         if len(cosets) == len(c.verts):  # T_c = 1
             translates = sub.order
         else:
-            translates = sub.order // len(_cycle_stabilizer(group, _codes(group, c.verts), member_set))
+            stab = _stabilizer(group, _codes(group, [c.verts]), "cycle")
+            translates = sub.order // len(stab & sub.member_set)
         mask = sum(cosets)  # two cosets are equal or disjoint
         if mask & covered or mask.bit_count() != len(c.verts) * translates:
             met = set()  # an overlap: the first vertex of c's translates covered before
@@ -106,6 +109,21 @@ def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[Optional[int], int]
     return (lengths.pop() if len(lengths) == 1 else None), count
 
 
+def _settle(
+    group: FiniteGroup, recipe: FactorRecipe
+) -> tuple[Optional[int], int, int, Collection[int]]:
+    """A recipe's cycle length and translate count (see _tile), |Omega(F)|
+    and the members of its factor's stabilizer: S when i is not in Omega(F)
+    and |Omega(F)| * |S| = 2v, else the kernel on the translates' codes
+    (see verify_factorization)."""
+    length, count = _tile(group, recipe)
+    omega, sub = reduce(or_, (c._omega for _, c in recipe.cycles)), recipe.subgroup
+    size, stab = omega.bit_count(), sub.member_set
+    if omega >> group.unique_involution() & 1 or size * sub.order != 2 * len(group):
+        stab = _stabilizer(group, _codes(group, _translates(recipe)), "factor", sub)
+    return length, count, size, stab
+
+
 def _translates(recipe: FactorRecipe) -> Iterator[tuple[int, ...]]:
     """Each base cycle's distinct translates under S, in cycle order: the
     columns of its rows in cycles._sub_orbit."""
@@ -122,7 +140,7 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the factor, tested per right coset of f.subgroup."""
-    codes = _vertex_codes(f.group, f.key())
+    codes = _codes(f.group, f.key())
     return Subgroup(f.group, tuple(sorted(_stabilizer(f.group, codes, "factor", f.subgroup))))
 
 
@@ -372,11 +390,15 @@ def verify_factorization(
     edge {a, d*a} swaps its ends, a*x = d*a and d*a*x = a, so d*d = 1 and
     d = i.  When i is not in Omega(F), T* thus acts freely on F's edges of
     each pair, v >= |T*| * |Omega(F)|/2, and |Omega(F)| * |S| = 2v gives
-    T* = S.  Otherwise cycles._stabilizer tests one x per right coset of S
-    on the codes of the recipe's translates; its check that S's generators
-    fix F cannot fail.  Its T needs no guard: it admits only elements that
-    pass the code test, which fix F, so T lies in T*.  A T that is too
-    small makes L = v/|T| too large, and 2L > 2v/|T*| >= |Omega(F)| rejects.
+    T* = S.  Otherwise cycles._stabilizer, the kernel that also gives each
+    T_c, tests one x per right coset of S on the code map of the recipe's
+    translates; its check that S's generators fix F cannot fail.  Its T
+    needs no guard: it admits only elements that pass the code test,
+    which fix F, so T lies in T*.  A T that is too small makes L = v/|T|
+    too large, and 2L > 2v/|T*| >= |Omega(F)| rejects.  Neither the count
+    nor the kernel uses more than that F is spanning and S lies in T*, so
+    _settle, which takes the tiling and stabilizer steps for one recipe,
+    serves target derivation too.
 
     The checks, in order: every recipe assembles; every factor is all
     triangles or all quadrangles; the base cycles' Omega partition G
@@ -397,15 +419,10 @@ def verify_factorization(
 
     reports: list[FactorReport] = []
     sizes: list[int] = []  # |Omega(F)| per factor
-    iota = 1 << group.unique_involution()
     try:
         for recipe in recipes:
-            length, count = _tile(group, recipe)
-            omega = reduce(or_, (c._omega for _, c in recipe.cycles))
-            size, order = omega.bit_count(), recipe.subgroup.order
-            if omega & iota or size * order != 2 * v:  # the count leaves Stab(F) open
-                codes = _vertex_codes(group, _translates(recipe))
-                order = len(_stabilizer(group, codes, "factor", recipe.subgroup))
+            length, count, size, stab = _settle(group, recipe)
+            order = len(stab)
             parts = tuple((cn, recipe.subgroup_name) for cn, _ in recipe.cycles)
             reports.append(FactorReport(recipe.label, parts, length, count, order, v // order))
             sizes.append(size)

@@ -14,11 +14,10 @@ elements once, as the closure of the generators under multiplication,
 and sorts them into a fixed canonical order; ``FiniteGroup`` builds the
 multiplication table from them at construction.  The ASCII element texts
 (``1/r2``; ``parse`` also accepts ``1/√2``) are built at construction
-too, and the right translations on first use.  ``parse`` keeps the
-texts it has read, and the subgroups, one per generator listing, are
-shared per group; both tables are bounded.  A subgroup builds its
-members and its left-coset masks on first use.  Every later operation
-works on element indices.  Quaternion coordinates are kept exact as
+too.  ``parse`` keeps the texts it has read, and the subgroups, one per
+generator listing, are shared per group; both tables are bounded.  A
+subgroup builds its members and its left-coset masks on first use.
+Every later operation works on element indices.  Quaternion coordinates are kept exact as
 pairs (p, q) denoting (p + q*sqrt(2))/2, so equality tests are sound.
 
 All three groups have exactly one involution, which is what makes them
@@ -30,7 +29,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 _UNIT_NAMES = ("1", "i", "j", "k")
@@ -280,7 +278,8 @@ class Subgroup:
     def _coset_masks(self) -> tuple[int, ...]:
         """Per vertex v, the mask of v * S: one pass over the cosets, on first
         use, shared by the searcher and the tiling test factors._tile,
-        which verify, assemble_factor and the DOT export call."""
+        which verify, target derivation, assemble_factor and the DOT
+        export call."""
         T, masks = self.group.table, [0] * len(self.group)
         for v in range(len(masks)):
             if not masks[v]:
@@ -430,12 +429,6 @@ class FiniteGroup:
         if len(self) % len(members) != 0:
             raise GroupError(f"{self.id}: subgroup order {len(members)} violates Lagrange")
         return sub
-
-    @cached_property
-    def right_translations(self) -> tuple[itemgetter, ...]:
-        """For each x, a getter that reads a per-element sequence s as
-        (s[0*x], s[1*x], ..., s[(n-1)*x]).  Built on first use."""
-        return tuple(itemgetter(*col) for col in self._columns)
 
     def whole_subgroup(self) -> Subgroup:
         """G, generated by each element that the earlier ones do not reach."""

@@ -194,7 +194,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .factors import Certificate, assemble_factor, factor_stabilizer, hwp_feasibility
+from .factors import Certificate, _settle, hwp_feasibility
 from .groups import FiniteGroup, GroupError, Subgroup
 from .solutions import (
     Err, SolutionSpec, _parse_json, _read_group, _read_json_file, _read_keys, _read_list, _read_ref,
@@ -354,9 +354,8 @@ def target_from_solution(
     entries = []
     names: dict[Subgroup, str] = {}  # factor stabilizers other than G: S1, S2, ...
     for recipe in spec.factors:
-        f = assemble_factor(group, recipe)
-        stab = factor_stabilizer(f)
-        length = f.cycle_length
+        length, _, _, members = _settle(group, recipe)
+        stab = Subgroup(group, tuple(sorted(members)))
         if length is None:
             raise TargetFormatError(f"{recipe.label}: mixed cycle lengths")
         if stab.order == len(group):

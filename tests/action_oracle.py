@@ -8,14 +8,16 @@ searcher, which works on vertex paths and bit masks, against
 `closed_path`, the same questions answered through canonical cycles.
 `neighbour_map_stabilizer` is the table-driven stabilizer hwpreg used
 before it compared neighbour-difference codes: each candidate is checked
-vertex by vertex against a map of neighbours.
+vertex by vertex against a map of neighbours.  `forward_differences`
+lists a cycle's differences edge by edge, with repeats, as hwpreg did
+before it walked each cycle once into an Omega mask.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from hwpreg.cycles import Cycle, CycleOrbit, cycle, forward_differences
+from hwpreg.cycles import Cycle, CycleOrbit, cycle
 from hwpreg.factors import TwoFactor
 from hwpreg.groups import FiniteGroup, GroupError, Subgroup
 
@@ -56,6 +58,12 @@ def neighbour_map_stabilizer(
             if T[a][b] not in found:
                 raise GroupError(f"{what} stabilizer is not closed")
     return found
+
+
+def forward_differences(c: Cycle) -> list[int]:
+    """Consecutive differences c_{t+1} * c_t^-1 in cycle order (with repeats)."""
+    T, inv, v = c.group.table, c.group.inv_table, c.verts
+    return [T[b][inv[a]] for a, b in zip(v, v[1:] + v[:1])]
 
 
 def translate_cycle(c: Cycle, x: int) -> Cycle:

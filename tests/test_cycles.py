@@ -4,15 +4,15 @@ import random
 
 import pytest
 
+import action_oracle as oracle
 from helpers import cycle_from_texts, element_order, power, verify_orbit_decomposition
 from hwpreg.cycles import (
     CycleError,
     _codes,
-    _cycle_stabilizer,
+    _stabilizer,
     cycle,
     cycle_orbit,
     cycle_stabilizer,
-    forward_differences,
     omega_representatives,
     partial_differences,
     translate_cycle,
@@ -89,7 +89,7 @@ def test_cycle_orbit_sizes_and_membership():
 def test_forward_differences_and_closure():
     G, c = _q(["1", "a", "a2"])
     # canonical rotation may reverse orientation; compare as multisets
-    diffs = forward_differences(c)
+    diffs = oracle.forward_differences(c)
     assert sorted(diffs) in (
         sorted([G.parse("a"), G.parse("a"), G.parse("a10")]),
         sorted([G.parse("a11"), G.parse("a11"), G.parse("a2")]),
@@ -104,6 +104,7 @@ def test_forward_differences_and_closure():
 
 
 def test_omega_representatives_cover_each_pair_once():
+    # and list the pairs in the order the edge-by-edge walk first meets them
     for sid in SOLUTION_IDS:
         spec = load_solution(sid)
         G = spec.group
@@ -114,6 +115,12 @@ def test_omega_representatives_cover_each_pair_once():
                 assert d not in closure  # one member per inverse pair
                 closure.update((d, G.inv(d)))
             assert closure == partial_differences(c)
+            walk, first = oracle.forward_differences(c), []
+            for d in walk:
+                if d not in first and G.inv(d) not in first:
+                    first.append(d)
+            assert reps == first
+            assert closure == {x for d in walk for x in (d, G.inv(d))}
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
@@ -167,11 +174,47 @@ def test_cycle_stabilizer_matches_brute_force(gid):
         c = cycle(G, path)
         brute = {x for x in range(n) if translate_cycle(c, x) == c}
         assert cycle_stabilizer(c).member_set == brute, c
-        assert _cycle_stabilizer(G, _codes(G, path), range(n)) == brute
+        assert _stabilizer(G, _codes(G, [path]), "cycle") == brute
         sub = G.subgroup_closure([rng.randrange(n)]).member_set
-        assert _cycle_stabilizer(G, _codes(G, path), sub) == brute & sub
+        assert _stabilizer(G, _codes(G, [path]), "cycle") & sub == brute & sub
         seen.add(len(brute))
     assert seen >= {1, 2, 3}
+
+
+@pytest.mark.parametrize("gid", GROUP_IDS)
+def test_cycle_kernel_cut_to_named_subgroups_matches_brute_force(gid):
+    # Stab_S(c) as _tile, _sub_orbit and cycle_orbit take it, the kernel's
+    # Stab_G(c) cut down to S, against every x in S re-canonicalised, for G
+    # and every subgroup a bundled document over the group names, on seeded
+    # random cycles and on cycles built with a symmetry
+    G = build_group(gid)
+    n = len(G)
+    subs = {G.whole_subgroup()}
+    for spec in map(load_solution, SOLUTION_IDS):
+        if spec.group is G:
+            subs.update(spec.subgroups.values())
+            subs.update(recipe.subgroup for recipe in spec.factors)
+    rng = random.Random(f"kernel-cut-{gid}")
+    paths = []
+    if gid == "Q24":
+        a4 = G.parse("a4")  # (1, a4, a8) is fixed by <a4>, of order 3
+        paths.append([G.identity, a4, G.mul(a4, a4)])
+    while len(paths) < 200:
+        length = rng.choice((3, 4, 5, 6))
+        path = rng.sample(range(n), length) if len(paths) % 2 else _symmetric_path(G, rng, length)
+        if path is not None:
+            paths.append(path)
+    seen = set()
+    for path in paths:
+        c = cycle(G, path)
+        stab = _stabilizer(G, _codes(G, [path]), "cycle")
+        for sub in subs:
+            brute = {x for x in sub.members if oracle.translate_cycle(c, x) == c}
+            assert stab & sub.member_set == brute, (path, sub)
+            seen.add(len(brute))
+    assert len(subs) > 1 and seen >= {1, 2, 3}
+    if gid == "Q24":
+        assert len(_stabilizer(G, _codes(G, [paths[0]]), "cycle")) == 3
 
 
 def test_partial_differences_translation_invariant_on_bundled_cycles():

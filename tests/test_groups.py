@@ -14,7 +14,6 @@ import pytest
 import hwpreg
 from helpers import all_pairs_table, element_order, power, quat_conj, quat_norm2_times4
 from hwpreg import cli, groups
-from hwpreg.cycles import _stabilizer, _vertex_codes, cycle, cycle_stabilizer
 from hwpreg.solutions import parse_solution_dict
 from hwpreg.groups import (
     GROUP_IDS,
@@ -149,36 +148,19 @@ def test_build_group_is_cached():
     assert build_group("Q24") is build_group("Q24")
 
 
-def test_right_translations_are_built_on_first_use():
-    # building a group (and so importing hwpreg) does no work for the
-    # stabilizer kernel's table, and a single cycle's stabilizer, read off
-    # its own vertices, needs none
-    G = _fresh_q24()
-    assert "right_translations" not in vars(G)
-    a = G.parse("a4")  # order 3, so (1, a4, a8) is fixed by <a4>
-    c = cycle(G, [G.identity, a, G.mul(a, a)])
-    assert cycle_stabilizer(c).order == 3
-    assert "right_translations" not in vars(G)
-    assert len(_stabilizer(G, _vertex_codes(G, [c.verts]), "cycle")) == 3
-    assert "right_translations" in vars(G)
-    n = len(G)
-    for x in range(n):
-        assert G.right_translations[x](range(n)) == tuple(G.mul(v, x) for v in range(n))
-
-
 def test_group_refuses_attribute_rebinding(capsys):
     # build_group is cached, and verify caches per-group data, so a caller
     # that could rebind a table or a text would change what every later
     # caller in the process computes
     G = build_group("Q24")
-    texts = G.texts
+    texts, table = G.texts, G.table
     try:
         with pytest.raises(AttributeError):
             G.texts = tuple(reversed(texts))
         with pytest.raises(AttributeError):
-            G.right_translations = ()
-    finally:
-        vars(G)["texts"] = texts  # a rebinding that got through spoils no other test
+            G.table = table[::-1]
+    finally:  # a rebinding that got through spoils no other test
+        vars(G).update(texts=texts, table=table)
     assert cli.main(["verify", "24-9-2"]) == 0
     assert capsys.readouterr().out.startswith("solution 24-9-2: PASS")
 

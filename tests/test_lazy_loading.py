@@ -3,9 +3,11 @@
 `import hwpreg` loads no submodule; reading documents loads groups,
 cycles and solutions; certifying loads factors; only a search loads the
 searcher.  Module sets are read in a fresh interpreter, as the test
-session has long since imported everything.
+session has long since imported everything.  Every import in the
+package is relative or from the standard library.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -108,3 +110,20 @@ def test_submodules_import_through_the_package():
 
     assert cli is sys.modules["hwpreg.cli"]
     assert search is sys.modules["hwpreg.search"]
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # hwpreg has no dependencies, and a third-party package installed where
+    # the tests run would let an import of it pass every other test
+    outside, files = [], sorted(Path(hwpreg.__file__).parent.glob("*.py"))
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            top = (name.partition(".")[0] for name in names)
+            outside += [(path.name, t) for t in top if t not in sys.stdlib_module_names]
+    assert len(files) > 1 and not outside, outside

@@ -14,7 +14,9 @@ same error, on the bundled documents, on a seeded corruption of every
 base-cycle vertex (seeds 1 and 2 here, 1 to 40 in `verify_sweep.py`) and
 on hand-built failures.  Where the oracle passes, or rejects at assembly
 or at the cycle-length gate, the canonical and human certificates must
-be byte-identical too.
+be byte-identical too.  Target derivation settles each factor's
+stabilizer in verify's step, so `target_from_solution` is checked here
+against a target derived from assembled factors and brute force.
 """
 
 import copy
@@ -25,6 +27,7 @@ from dataclasses import replace
 
 import pytest
 
+import action_oracle
 import hwpreg.factors
 import verify_oracle
 from helpers import cycle_from_texts, orbit_overlap_document
@@ -34,12 +37,14 @@ from hwpreg.factors import (
     FactorRecipe,
     RecipeError,
     TwoFactor,
+    _settle,
     _tile,
     assemble_factor,
     factor_stabilizer,
     verify_factorization,
 )
 from hwpreg.groups import GroupError, Subgroup, build_group
+from hwpreg.search import SearchTarget, SignatureEntry, target_from_solution
 from hwpreg.solutions import (
     SolutionSpec, load_solution, omega_reports, parse_solution_dict, verify_solution
 )
@@ -200,8 +205,29 @@ def test_originally_listed_quadrangle_matches_oracle():
     assert not assert_lockstep(_hand_built(G, patched, spec.expected)).ok
 
 
-def _trivial_kernel(group, codes, what, sub=None):
-    return {group.identity}
+def _on_factors(fake):
+    """A stand-in for factors._stabilizer that answers a call on a factor
+    with fake and passes a call on a single cycle (_tile's) to the kernel."""
+    def kernel(group, codes, what, sub=None):
+        if what == "factor":
+            return fake(group, codes, what, sub)
+        return _stabilizer(group, codes, what, sub)
+    return kernel
+
+
+_trivial_kernel = _on_factors(lambda group, *_: {group.identity})
+
+
+def _factor_kernel_calls(monkeypatch):
+    """A list that gets "factor" for each factor-kernel call from now on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return _stabilizer(*args)
+
+    monkeypatch.setattr(hwpreg.factors, "_stabilizer", _on_factors(counting))
+    return calls
 
 
 def _relabelled_24_5_6():
@@ -218,8 +244,8 @@ def _relabelled_24_5_6():
 def test_wrong_stabilizer_raises_like_oracle(monkeypatch, sid):
     # a stabilizer that misses elements gives more translates than the
     # orbit has distinct ones: the oracle, expanding them, raises.  The
-    # library never asks the kernel here, as every factor's difference
-    # count settles its stabilizer, so it still passes
+    # library never asks the kernel on a factor here, as every factor's
+    # difference count settles its stabilizer, so it still passes
     def trivial(f):
         one = (f.group.identity,)
         return Subgroup(f.group, one)
@@ -246,6 +272,34 @@ def test_wrong_kernel_rejects_a_factor_the_count_does_not_settle(monkeypatch):
     }
 
 
+def _oracle_target(spec):
+    """The target of spec derived from assembled factors: each factor's
+    stabilizer by brute force, named G or S1, S2, ... as first met."""
+    G, names, entries = spec.group, {}, []
+    for recipe in spec.factors:
+        f = assemble_factor(G, recipe)
+        stab = action_oracle.factor_stabilizer(f)
+        name = "G" if stab.order == len(G) else names.setdefault(stab, f"S{len(names) + 1}")
+        entries.append(SignatureEntry(f.cycle_length, len(G) // stab.order, name))
+    r, s = (sum(e.orbit_length for e in entries if e.cycle_length == k) for k in (3, 4))
+    return SearchTarget(G, r, s, tuple(entries), {name: stab for stab, name in names.items()})
+
+
+@pytest.mark.parametrize("sid", [*SOLUTION_IDS, "24-5-6^relabelled"])
+def test_target_from_solution_matches_the_oracle(monkeypatch, sid):
+    # target derivation settles each factor's stabilizer in verify's step:
+    # the difference count settles every bundled factor, and the kernel
+    # runs only on the relabelled F2, whose stabilizer it must find is G
+    relabelled = sid.endswith("^relabelled")
+    spec = _relabelled_24_5_6() if relabelled else load_solution(sid)
+    kernel_calls = _factor_kernel_calls(monkeypatch)
+    target = target_from_solution(spec)
+    assert target == _oracle_target(spec)
+    assert kernel_calls == (["factor"] if relabelled else [])
+    if relabelled:
+        assert target.entries[1] == SignatureEntry(3, 1, "G")
+
+
 def _raising(*args, **kwargs):
     raise AssertionError("called on a recipe that tiles, with a settled stabilizer")
 
@@ -253,8 +307,9 @@ def _raising(*args, **kwargs):
 @pytest.mark.parametrize("sid", SOLUTION_IDS)
 def test_bundled_documents_need_neither_assembly_nor_kernel(monkeypatch, sid):
     # every bundled factor tiles by its coset masks, and |Omega(F)| * |S| = 2v:
-    # no base cycle's translates are listed, and the kernel never runs
-    monkeypatch.setattr(hwpreg.factors, "_stabilizer", _raising)
+    # no base cycle's translates are listed, and the kernel never runs on a
+    # factor
+    monkeypatch.setattr(hwpreg.factors, "_stabilizer", _on_factors(_raising))
     monkeypatch.setattr(hwpreg.factors, "_sub_orbit", _raising)
     assert verify_solution(load_solution(sid)).ok
 
@@ -274,13 +329,7 @@ HAND_BUILT_CERTIFICATES = {
 @pytest.mark.parametrize("name", HAND_BUILT_CERTIFICATES)
 def test_hand_built_certificates_are_kept(monkeypatch, name):
     # i-edge has i in its Omega, so its stabilizer comes from the kernel
-    kernel_calls = []
-
-    def counting(*args):
-        kernel_calls.append(args[2])
-        return _stabilizer(*args)
-
-    monkeypatch.setattr(hwpreg.factors, "_stabilizer", counting)
+    kernel_calls = _factor_kernel_calls(monkeypatch)
     cert = verify_solution(_hand_built(*_q24_case(name)))
     digest = hashlib.sha256("".join(_texts(cert)).encode()).hexdigest()
     assert digest == HAND_BUILT_CERTIFICATES[name]
@@ -303,10 +352,11 @@ def stabilizers_checked(spec):
     """How many of spec's factors assemble with a stabilizer that the
     difference count settles (i not in Omega(F), |Omega(F)| * |S| = 2v),
     and how many with one verify takes from the kernel, after checking
-    that the library assembles each as the oracle does, that _tile gives
-    the oracle factor's cycle length and cycle count on every one that
-    assembles, that factor_stabilizer gives the oracle's full kernel on
-    it, and that this kernel gives S on every settled one."""
+    that the library assembles each as the oracle does, that _settle,
+    the step verify and target derivation share, gives the oracle
+    factor's cycle length, cycle count, |Omega(F)| and full-kernel
+    stabilizer on every one that assembles, that factor_stabilizer gives
+    that stabilizer too, and that it is S on every settled one."""
     G = spec.group
     iota, counts = G.unique_involution(), Counter()
     for recipe in spec.factors:
@@ -314,10 +364,12 @@ def stabilizers_checked(spec):
         assert got == want
         if not isinstance(want, tuple):
             assert got.subgroup is recipe.subgroup
-            assert _tile(G, recipe) == (want.cycle_length, len(want.cycles))
+            length, count, size, stab = _settle(G, recipe)
+            assert (length, count) == (want.cycle_length, len(want.cycles))
             full = verify_oracle.factor_stabilizer(want)
-            assert factor_stabilizer(got) == full
+            assert factor_stabilizer(got) == full and sorted(stab) == list(full.members)
             omega = frozenset().union(*map(partial_differences, want.cycles))
+            assert size == len(omega)
             if iota not in omega and len(omega) * recipe.subgroup.order == 2 * len(G):
                 assert full.members == recipe.subgroup.members, f"{recipe.label}: not settled"
                 counts["settled"] += 1

@@ -6,10 +6,10 @@ for seeds 1 to 40 (9,009 documents); tier-1 runs seeds 1 and 2 only.  On
 every document the library must give the oracle's verdict, or raise its
 error, with byte-identical canonical and human certificates wherever the
 oracle passes or rejects at assembly or at the cycle-length gate; and
-every factor that assembles must get, from the library's tiling test
-`factors._tile`, the oracle factor's cycle length and cycle count, and
-the oracle's full-kernel stabilizer, which must be the acting subgroup S
-wherever the difference count settles it (i not in Omega(F) and
+every factor that assembles must get, from `factors._settle`, the step
+verify and target derivation share, the oracle factor's cycle length,
+cycle count, |Omega(F)| and full-kernel stabilizer, which must be the
+acting subgroup S wherever the difference count settles it (i not in Omega(F) and
 |Omega(F)| * |S| = 2v, decided here from the oracle's cycles).  Exits 1
 and names the first document that differs.  The library's canonical and
 human certificate, or the error it raises, on every document in sweep
