@@ -4,13 +4,15 @@ A cycle is stored in canonical form: the lexicographically least among
 all rotations of both orientations, so equality means equality as a
 subgraph.  The group acts on cycles by right translation, which keeps
 the difference a * v^-1 of every edge {v, a}.  So a stabilizer is read
-off one map of vertex codes, each vertex's pair of neighbour differences:
+off a map of vertex codes, each vertex's pair of neighbour differences:
 x fixes cycles exactly when every v*x has v's code, as then the
-neighbours of v*x are those of v times x.  One kernel serves a cycle
-and a factor alike: it tests only the x that send the first vertex to
-one with its code, one per right coset of a subgroup known to fix them.
-An orbit reads each translate off the table rows, one per coset of the
-stabilizer, and canonicalises it.
+neighbours of v*x are those of v times x.  One kernel, _stabilizer,
+takes the cycles of a cycle or a factor alike and builds their codes;
+it tests only the x that send the first vertex to one with its code,
+one per right coset of a subgroup known to fix them.  One helper,
+_rows, lists translates: per vertex, its table row over one x per
+coset of the stabilizer, so each column is one translate.  An orbit,
+here or in factors.py, reads its translates off those columns.
 The list of partial differences of a cycle C = (c_1, ..., c_l) is the
 inverse-closed set Omega collecting c_{t+1} * c_t^-1 for every consecutive
 pair (indices mod l); when the orbit of C under the full group tiles
@@ -29,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .groups import FiniteGroup, GroupError, Subgroup
 
@@ -91,24 +93,15 @@ def translate_cycle(c: Cycle, x: int) -> Cycle:
     return Cycle(G, _canonical_rotation(tuple(G.mul(v, x) for v in c.verts)))
 
 
-def _codes(group: FiniteGroup, paths: Iterable[Sequence[int]]) -> dict[int, int]:
-    """Per vertex v of cycles given in cycle order, in that order, its
-    neighbours a and b's differences {a*v^-1, b*v^-1} as min*n + max."""
-    T, inv, n, out = group.table, group.inv_table, len(group), {}
-    for vs in paths:
-        for a, v, b in zip((vs[-1], *vs[:-1]), vs, (*vs[1:], vs[0])):
-            da, db = T[a][inv[v]], T[b][inv[v]]
-            out[v] = da * n + db if da < db else db * n + da
-    return out
-
-
 def _stabilizer(
-    group: FiniteGroup, codes: dict[int, int], what: str, sub: Optional[Subgroup] = None,
+    group: FiniteGroup, paths: Iterable[Sequence[int]], what: str, sub: Optional[Subgroup] = None,
 ) -> set[int]:
     """Elements of G whose right translation fixes vertex-disjoint cycles,
-    given by their _codes: the x with codes[v*x] = codes[v] for every v on
-    them.  Such an x sends the first vertex base to a vertex w with the
-    same code, so the only candidates are base^-1 * w.
+    given in cycle order: the x with code(v*x) = code(v) for every v on
+    them, where v's code is its neighbours a and b's differences
+    {a*v^-1, b*v^-1} as min*n + max.  Such an x sends the first vertex
+    base to a vertex w with the same code, so the only candidates are
+    base^-1 * w.
 
     A subgroup sub said to fix the cycles lies in the stabilizer, which
     is then a union of right cosets sub*x, as s*x fixes the cycles when x
@@ -116,7 +109,12 @@ def _stabilizer(
     generators, so it fixes the cycles when each generator does;
     GroupError when one does not.
     """
-    T, inv, items = group.table, group.inv_table, codes.items()
+    T, inv, n, codes = group.table, group.inv_table, len(group), {}
+    for vs in paths:
+        for a, v, b in zip((vs[-1], *vs[:-1]), vs, (*vs[1:], vs[0])):
+            da, db = T[a][inv[v]], T[b][inv[v]]
+            codes[v] = da * n + db if da < db else db * n + da
+    items = codes.items()
     base, c0 = next(iter(items))
     known, gens = ((group.identity,), ()) if sub is None else (sub.members, sub.generators)
     for g in gens:
@@ -137,37 +135,30 @@ def _stabilizer(
     return found
 
 
-def _transversal_getter(
-    group: FiniteGroup, stabilizer: Collection[int], members: Sequence[int]
-) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """A getter that reads row[x], for the first x in members of each right
-    coset Stab*x (Stab in members), as one tuple.  Stab*x is the set of
+def _rows(
+    group: FiniteGroup, verts: Iterable[int], stab: Collection[int], members: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Per vertex u of verts, in order, the row u*x over the first x in
+    members of each right coset Stab*x (Stab in members).  Read column by
+    column, with Stab the stabilizer of the cycle verts in members, the
+    rows are its distinct translates under members.  Stab*x is the set of
     inverses of the left coset x^-1*Stab, one row of the table."""
-    xs = members
-    if len(stabilizer) > 1:
-        T, inv, left = group.table, group.inv_table, itemgetter(*stabilizer)
+    T, xs = group.table, members
+    if len(stab) > 1:
+        inv, left = group.inv_table, itemgetter(*stab)
         covered, xs = set(), []
         for x in members:
             if inv[x] not in covered:
                 xs.append(x)
                 covered.update(left(T[inv[x]]))
-    return itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
-
-
-def _sub_orbit(group: FiniteGroup, verts: Sequence[int], sub: Subgroup) -> tuple[set, list]:
-    """One base cycle's step of a group action: its stabilizer in sub, and
-    per vertex u, in cycle order, the row u*x over a transversal x of that
-    stabilizer in sub.  Read column by column, the rows are the cycle's
-    distinct translates under sub."""
-    stab = _stabilizer(group, _codes(group, [verts]), "cycle") & sub.member_set
-    pick, T = _transversal_getter(group, stab, sub.members), group.table
-    return stab, [pick(T[u]) for u in verts]
+    pick = itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
+    return [pick(T[u]) for u in verts]
 
 
 def cycle_stabilizer(c: Cycle) -> Subgroup:
     """Set-wise stabilizer of c under right translation, as a Subgroup."""
     G = c.group
-    return Subgroup(G, tuple(sorted(_stabilizer(G, _codes(G, [c.verts]), "cycle"))))
+    return Subgroup(G, tuple(sorted(_stabilizer(G, [c.verts], "cycle"))))
 
 
 @dataclass(frozen=True)
@@ -184,14 +175,15 @@ class CycleOrbit:
 
 
 def cycle_orbit(c: Cycle, sub: Subgroup) -> CycleOrbit:
-    """Distinct translates of c under sub, read off the rows of _sub_orbit,
-    with the orbit-stabilizer check."""
-    stab, rows = _sub_orbit(c.group, c.verts, sub)
-    orbit = sorted({_canonical_rotation(t) for t in zip(*rows)})
+    """Distinct translates of c under sub, read off its _rows over its
+    stabilizer in sub, with the orbit-stabilizer check."""
+    G = c.group
+    stab = _stabilizer(G, [c.verts], "cycle") & sub.member_set
+    orbit = sorted({_canonical_rotation(t) for t in zip(*_rows(G, c.verts, stab, sub.members))})
     if len(orbit) * len(stab) != sub.order:
         raise GroupError(f"orbit-stabilizer mismatch: {len(orbit)} * {len(stab)} != {sub.order}")
-    cycles = tuple(Cycle(c.group, t) for t in orbit)
-    return CycleOrbit(c, sub, cycles, Subgroup(c.group, tuple(sorted(stab))))
+    cycles = tuple(Cycle(G, t) for t in orbit)
+    return CycleOrbit(c, sub, cycles, Subgroup(G, tuple(sorted(stab))))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Assembling 2-factors from cycle orbits and certifying factorizations.
 
 A factor recipe names base cycles and one subgroup S acting on all of
-them.  One kernel on one code map gives every stabilizer (see
-cycles.py): a base cycle's in S is the kernel's on its own codes, cut
-down to S, and its translates are read off the table rows over a
-transversal of it in S.  Whether the translates tile V is read off S's
-coset masks; only a base cycle that breaks the tiling has its
-translates listed, to name the witness.  S fixes the factor, so the
-factor's stabilizer is a union of right cosets S*x, tested on the
-translates' codes with one x per coset, and only when the difference
-count does not prove it is S.  _settle takes both steps for one recipe,
-for verify and for target derivation alike.  No orbit is expanded and
+them.  One kernel gives every stabilizer and one rows helper lists
+every translate (see cycles.py).  _tile reads whether the translates
+tile V off S's coset masks, and keeps each base cycle's stabilizer in
+S: 1 when the cycle meets one coset per vertex, else the kernel's on
+the cycle, cut down to S.  Only a base cycle that breaks the tiling has
+its translates listed, to name the witness.  S fixes the factor, so the
+factor's stabilizer is a union of right cosets S*x, tested by the
+kernel on the translates with one x per coset, and only when the
+difference count does not prove it is S.  _settle takes both steps for
+one recipe, for verify and for target derivation alike, and lists the
+translates over the stabilizers _tile kept, so no base cycle reaches
+the kernel twice.  No orbit is expanded and
 no edge is counted: the difference theorem in verify_factorization
 decides, on each base cycle's Omega as an int mask (see cycles.py).
 A pass has the checksum of K_v minus I's edge list, computed once per
@@ -23,15 +25,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, islice
 from operator import or_
 from typing import Collection, Iterator, Optional, Sequence
 
 from .cayley import cocktail_party_graph
-from .cycles import (
-    Cycle, FactorRecipe, _canonical_rotation, _codes, _stabilizer, _sub_orbit, _transversal_getter,
-    verify_partition,
-)
+from .cycles import Cycle, FactorRecipe, _canonical_rotation, _rows, _stabilizer, verify_partition
 from .groups import FiniteGroup, GroupError, Subgroup
 
 CERTIFICATE_FORMAT = "hwp-regular-certificate/1"
@@ -68,9 +67,12 @@ class TwoFactor:
         return tuple(c.verts for c in self.cycles)
 
 
-def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[Optional[int], int]:
-    """The recipe's cycle length (None: mixed) and translate count when its
-    translates under S partition V, read off S's coset masks (see
+def _tile(
+    group: FiniteGroup, recipe: FactorRecipe
+) -> tuple[Optional[int], int, list[Collection[int]]]:
+    """The recipe's cycle length (None: mixed), translate count and each
+    base cycle's stabilizer in S, in recipe order, when its translates
+    under S partition V, read off S's coset masks (see
     verify_factorization).  RecipeError on a vertex covered twice, the one
     met first in the base cycle's translates, canonical and sorted, or on
     the least vertex never covered."""
@@ -79,20 +81,20 @@ def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[Optional[int], int]
     sub = recipe.subgroup
     if sub.group is not group:
         raise RecipeError(f"{recipe.label}: subgroup bound to a different group")
-    masks, covered, count = sub._coset_masks, 0, 0
+    masks, covered, count, stabs = sub._coset_masks, 0, 0, []
     for name, c in recipe.cycles:
         if c.group is not group:
             raise RecipeError(f"{recipe.label}: cycle bound to a different group")
         cosets = {masks[u] for u in c.verts}
         if len(cosets) == len(c.verts):  # T_c = 1
-            translates = sub.order
+            stab = {group.identity}
         else:
-            stab = _stabilizer(group, _codes(group, [c.verts]), "cycle")
-            translates = sub.order // len(stab & sub.member_set)
+            stab = _stabilizer(group, [c.verts], "cycle") & sub.member_set
+        translates = sub.order // len(stab)
         mask = sum(cosets)  # two cosets are equal or disjoint
         if mask & covered or mask.bit_count() != len(c.verts) * translates:
             met = set()  # an overlap: the first vertex of c's translates covered before
-            rows = _sub_orbit(group, c.verts, sub)[1]
+            rows = _rows(group, c.verts, stab, sub.members)
             for u in chain.from_iterable(sorted(map(_canonical_rotation, zip(*rows)))):
                 if covered >> u & 1 or u in met:
                     break
@@ -102,11 +104,12 @@ def _tile(group: FiniteGroup, recipe: FactorRecipe) -> tuple[Optional[int], int]
             witness = {"kind": "overlap", "vertex": w, "parts": [owner, name]}
             raise RecipeError(f"{recipe.label}: vertex {w} covered twice", witness)
         covered, count = covered | mask, count + translates
+        stabs.append(stab)
     if covered != (1 << len(group)) - 1:
         w = group.format((covered + 1 & ~covered).bit_length() - 1)
         raise RecipeError(f"{recipe.label}: vertex {w} not covered", {"kind": "gap", "vertex": w})
     lengths = {len(c.verts) for _, c in recipe.cycles}
-    return (lengths.pop() if len(lengths) == 1 else None), count
+    return (lengths.pop() if len(lengths) == 1 else None), count, stabs
 
 
 def _settle(
@@ -114,42 +117,40 @@ def _settle(
 ) -> tuple[Optional[int], int, int, Collection[int]]:
     """A recipe's cycle length and translate count (see _tile), |Omega(F)|
     and the members of its factor's stabilizer: S when i is not in Omega(F)
-    and |Omega(F)| * |S| = 2v, else the kernel on the translates' codes
-    (see verify_factorization)."""
-    length, count = _tile(group, recipe)
+    and |Omega(F)| * |S| = 2v, else the kernel on the translates, listed
+    over the stabilizers _tile keeps (see verify_factorization)."""
+    length, count, stabs = _tile(group, recipe)
     omega, sub = reduce(or_, (c._omega for _, c in recipe.cycles)), recipe.subgroup
     size, stab = omega.bit_count(), sub.member_set
     if omega >> group.unique_involution() & 1 or size * sub.order != 2 * len(group):
-        stab = _stabilizer(group, _codes(group, _translates(recipe)), "factor", sub)
+        stab = _stabilizer(group, _translates(recipe, stabs), "factor", sub)
     return length, count, size, stab
 
 
-def _translates(recipe: FactorRecipe) -> Iterator[tuple[int, ...]]:
+def _translates(recipe: FactorRecipe, stabs: list[Collection[int]]) -> Iterator[tuple[int, ...]]:
     """Each base cycle's distinct translates under S, in cycle order: the
-    columns of its rows in cycles._sub_orbit."""
-    for _, c in recipe.cycles:
-        yield from zip(*_sub_orbit(c.group, c.verts, recipe.subgroup)[1])
+    columns of its _rows over its stabilizer in stabs, as _tile gives them."""
+    for (_, c), stab in zip(recipe.cycles, stabs):
+        yield from zip(*_rows(c.group, c.verts, stab, recipe.subgroup.members))
 
 
 def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
     """The translates of a recipe that _tile accepts, canonicalised and sorted."""
-    _tile(group, recipe)
-    cycles = sorted(map(_canonical_rotation, _translates(recipe)))
+    cycles = sorted(map(_canonical_rotation, _translates(recipe, _tile(group, recipe)[2])))
     return TwoFactor(group, tuple(Cycle(group, t) for t in cycles), recipe.subgroup)
 
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the factor, tested per right coset of f.subgroup."""
-    codes = _codes(f.group, f.key())
-    return Subgroup(f.group, tuple(sorted(_stabilizer(f.group, codes, "factor", f.subgroup))))
+    return Subgroup(f.group, tuple(sorted(_stabilizer(f.group, f.key(), "factor", f.subgroup))))
 
 
 def factor_orbit(f: TwoFactor) -> tuple[TwoFactor, ...]:
     """Distinct right translates of f under the full group, sorted."""
     G = f.group
     stab = factor_stabilizer(f).members
-    pick = _transversal_getter(G, stab, range(len(G)))
-    per_cycle = [zip(*(pick(G.table[u]) for u in c.verts)) for c in f.cycles]
+    rows = iter(_rows(G, chain.from_iterable(f.key()), stab, range(len(G))))
+    per_cycle = [zip(*islice(rows, c.length)) for c in f.cycles]
     seen = {tuple(sorted(map(_canonical_rotation, ts))) for ts in zip(*per_cycle)}
     if len(seen) * len(stab) != len(G):
         raise GroupError("factor orbit-stabilizer mismatch")
@@ -383,16 +384,18 @@ def verify_factorization(
     disjoint exactly when it has l*|S|/|T_c| vertices.  A t != 1 in T_c
     keeps each coset v*S and moves every vertex, so T_c = 1 when c meets
     l cosets.  _tile returns exactly when also the unions are disjoint
-    and cover V; only the base cycle whose union breaks this has its
-    translates listed, to name the witness.
+    and cover V, and returns each T_c with the count; only the base
+    cycle whose union breaks this has its translates listed, to name
+    the witness.
 
     S permutes F's translates, so S lies in T*.  An x != 1 that fixes an
     edge {a, d*a} swaps its ends, a*x = d*a and d*a*x = a, so d*d = 1 and
     d = i.  When i is not in Omega(F), T* thus acts freely on F's edges of
     each pair, v >= |T*| * |Omega(F)|/2, and |Omega(F)| * |S| = 2v gives
     T* = S.  Otherwise cycles._stabilizer, the kernel that also gives each
-    T_c, tests one x per right coset of S on the code map of the recipe's
-    translates; its check that S's generators fix F cannot fail.  Its T
+    T_c, tests one x per right coset of S on the recipe's translates,
+    listed over the T_c that _tile kept; its check that S's generators
+    fix F cannot fail.  Its T
     needs no guard: it admits only elements that pass the code test,
     which fix F, so T lies in T*.  A T that is too small makes L = v/|T|
     too large, and 2L > 2v/|T*| >= |Omega(F)| rejects.  Neither the count

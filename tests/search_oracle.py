@@ -54,7 +54,7 @@ import math
 from itertools import combinations_with_replacement
 from typing import AbstractSet
 
-from hwpreg.cycles import _codes, _stabilizer
+from hwpreg.cycles import _stabilizer
 from hwpreg.factors import hwp_feasibility
 from hwpreg.groups import GroupError
 from hwpreg.search import (
@@ -139,7 +139,7 @@ class SlowSearcher(_Searcher):
         kernel's answer."""
         if osize == 2 * len(path):
             return self.trivial
-        return _stabilizer(self.group, _codes(self.group, [path]), "cycle")
+        return _stabilizer(self.group, [path], "cycle")
 
     def cycle_action(
         self, idx: int, path: list, stab: AbstractSet[int]
@@ -275,7 +275,7 @@ class OneByOneSearcher(_Searcher):
             if stab_order == 1:
                 in_sub = 1
             else:
-                stab = _stabilizer(self.group, _codes(self.group, [path + [w]]), "cycle")
+                stab = _stabilizer(self.group, [path + [w]], "cycle")
                 if len(stab) != stab_order:
                     continue
                 in_sub = len(stab & members)

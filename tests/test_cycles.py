@@ -8,7 +8,6 @@ import action_oracle as oracle
 from helpers import cycle_from_texts, element_order, power, verify_orbit_decomposition
 from hwpreg.cycles import (
     CycleError,
-    _codes,
     _stabilizer,
     cycle,
     cycle_orbit,
@@ -174,16 +173,16 @@ def test_cycle_stabilizer_matches_brute_force(gid):
         c = cycle(G, path)
         brute = {x for x in range(n) if translate_cycle(c, x) == c}
         assert cycle_stabilizer(c).member_set == brute, c
-        assert _stabilizer(G, _codes(G, [path]), "cycle") == brute
+        assert _stabilizer(G, [path], "cycle") == brute
         sub = G.subgroup_closure([rng.randrange(n)]).member_set
-        assert _stabilizer(G, _codes(G, [path]), "cycle") & sub == brute & sub
+        assert _stabilizer(G, [path], "cycle") & sub == brute & sub
         seen.add(len(brute))
     assert seen >= {1, 2, 3}
 
 
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_cycle_kernel_cut_to_named_subgroups_matches_brute_force(gid):
-    # Stab_S(c) as _tile, _sub_orbit and cycle_orbit take it, the kernel's
+    # Stab_S(c) as _tile and cycle_orbit take it, the kernel's
     # Stab_G(c) cut down to S, against every x in S re-canonicalised, for G
     # and every subgroup a bundled document over the group names, on seeded
     # random cycles and on cycles built with a symmetry
@@ -207,14 +206,14 @@ def test_cycle_kernel_cut_to_named_subgroups_matches_brute_force(gid):
     seen = set()
     for path in paths:
         c = cycle(G, path)
-        stab = _stabilizer(G, _codes(G, [path]), "cycle")
+        stab = _stabilizer(G, [path], "cycle")
         for sub in subs:
             brute = {x for x in sub.members if oracle.translate_cycle(c, x) == c}
             assert stab & sub.member_set == brute, (path, sub)
             seen.add(len(brute))
     assert len(subs) > 1 and seen >= {1, 2, 3}
     if gid == "Q24":
-        assert len(_stabilizer(G, _codes(G, [paths[0]]), "cycle")) == 3
+        assert len(_stabilizer(G, [paths[0]], "cycle")) == 3
 
 
 def test_partial_differences_translation_invariant_on_bundled_cycles():

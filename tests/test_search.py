@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import pytest
 
-from hwpreg.cycles import _codes, _stabilizer
+from hwpreg.cycles import _stabilizer
 from hwpreg.factors import canonical_json
 from hwpreg.groups import GROUP_IDS, build_group
 from hwpreg.search import (
@@ -436,8 +436,7 @@ def test_complete_covers_are_fixed_by_their_subgroup_alone(monkeypatch, sid, bud
             acc, _ = picked[-1]
             T, sub = self.table, self.subs[idx - 1]
             cycles = [[T[v][x] for v in p] for p in acc for x in sub.members]
-            codes = _codes(self.group, cycles)
-            assert _stabilizer(self.group, codes, "factor") == sub.member_set
+            assert _stabilizer(self.group, cycles, "factor") == sub.member_set
             checked.append(idx)
         entry_start(self, idx, used, free, picked)
 
@@ -869,7 +868,7 @@ def test_low_order_candidates_read_their_stabilizer_off_the_table(monkeypatch, s
         met = _low_order_candidates(target, state, stop)
         for w, osize in met:
             c = (*path, w)
-            stab = _stabilizer(G, _codes(G, [c]), "cycle")
+            stab = _stabilizer(G, [c], "cycle")
             if osize == 2:
                 x = T[inv[c[0]]][c[1]]
                 powers, k = {one}, x

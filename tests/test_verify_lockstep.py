@@ -24,10 +24,12 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 import action_oracle
+import hwpreg.cycles
 import hwpreg.factors
 import verify_oracle
 from helpers import cycle_from_texts, orbit_overlap_document
@@ -207,11 +209,12 @@ def test_originally_listed_quadrangle_matches_oracle():
 
 def _on_factors(fake):
     """A stand-in for factors._stabilizer that answers a call on a factor
-    with fake and passes a call on a single cycle (_tile's) to the kernel."""
-    def kernel(group, codes, what, sub=None):
+    with fake and passes a call on a single cycle, which only _tile
+    makes, to the kernel."""
+    def kernel(group, paths, what, sub=None):
         if what == "factor":
-            return fake(group, codes, what, sub)
-        return _stabilizer(group, codes, what, sub)
+            return fake(group, paths, what, sub)
+        return _stabilizer(group, paths, what, sub)
     return kernel
 
 
@@ -310,7 +313,7 @@ def test_bundled_documents_need_neither_assembly_nor_kernel(monkeypatch, sid):
     # no base cycle's translates are listed, and the kernel never runs on a
     # factor
     monkeypatch.setattr(hwpreg.factors, "_stabilizer", _on_factors(_raising))
-    monkeypatch.setattr(hwpreg.factors, "_sub_orbit", _raising)
+    monkeypatch.setattr(hwpreg.factors, "_rows", _raising)
     assert verify_solution(load_solution(sid)).ok
 
 
@@ -355,8 +358,9 @@ def stabilizers_checked(spec):
     that the library assembles each as the oracle does, that _settle,
     the step verify and target derivation share, gives the oracle
     factor's cycle length, cycle count, |Omega(F)| and full-kernel
-    stabilizer on every one that assembles, that factor_stabilizer gives
-    that stabilizer too, and that it is S on every settled one."""
+    stabilizer on every one that assembles, that _tile keeps each base
+    cycle's brute-force stabilizer in S, that factor_stabilizer gives the
+    factor's stabilizer too, and that it is S on every settled one."""
     G = spec.group
     iota, counts = G.unique_involution(), Counter()
     for recipe in spec.factors:
@@ -366,6 +370,10 @@ def stabilizers_checked(spec):
             assert got.subgroup is recipe.subgroup
             length, count, size, stab = _settle(G, recipe)
             assert (length, count) == (want.cycle_length, len(want.cycles))
+            assert _tile(G, recipe)[2] == [
+                action_oracle.cycle_orbit(c, recipe.subgroup).stabilizer.member_set
+                for _, c in recipe.cycles
+            ]
             full = verify_oracle.factor_stabilizer(want)
             assert factor_stabilizer(got) == full and sorted(stab) == list(full.members)
             omega = frozenset().union(*map(partial_differences, want.cycles))
@@ -393,6 +401,38 @@ def test_coset_stabilizer_matches_the_full_kernel(raw_docs, seed):
         assert counts.total() >= 225 and counts["kernel"] > 0
 
 
+def cycle_kernel_calls(spec):
+    """The vertex tuple of each base cycle that one verify_solution on spec
+    sends to the single-cycle kernel, in call order."""
+    calls = []
+
+    def kernel(group, paths, what, sub=None):
+        if what == "cycle":
+            calls.extend(map(tuple, paths))
+        return _stabilizer(group, paths, what, sub)
+
+    with mock.patch.object(hwpreg.cycles, "_stabilizer", kernel), \
+            mock.patch.object(hwpreg.factors, "_stabilizer", kernel):
+        _outcome(verify_solution, spec)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_no_base_cycle_reaches_the_kernel_twice(raw_docs, seed):
+    # _tile keeps each base cycle's stabilizer in S, and the witness scan,
+    # the factor kernel's translates and assembly list translates over it
+    rng = random.Random(seed)
+    docs = [raw_docs[sid] for sid in SOLUTION_IDS]
+    if seed is not None:
+        docs = [bad for doc in docs for bad in _corruptions(doc, rng)]
+    sent = 0
+    for doc in docs:
+        calls = cycle_kernel_calls(parse_solution_dict(doc))
+        assert len(set(calls)) == len(calls), doc
+        sent += len(calls)
+    assert sent > 0
+
+
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_assembly_pass_matches_the_oracle(raw_docs, seed):
     # on every factor, in the bundled documents (seed None) and in a seeded
@@ -414,7 +454,7 @@ def test_assembly_pass_matches_the_oracle(raw_docs, seed):
                 assert (str(got.value), got.value.witness) == (str(err), err.witness)
                 refused += 1
                 continue
-            assert _tile(spec.group, recipe) == (want.cycle_length, len(want.cycles))
+            assert _tile(spec.group, recipe)[:2] == (want.cycle_length, len(want.cycles))
             checked += 1
     assert checked >= (64 if seed is None else 225)
     assert refused == 0 if seed is None else refused > 0
@@ -429,6 +469,18 @@ def test_stabilizer_larger_than_the_acting_subgroup(doc_copy):
     f = assemble_factor(spec.group, spec.factors[2])
     assert (f.subgroup.order, factor_stabilizer(f).order) == (8, 24)
     assert factor_stabilizer(f) == verify_oracle.factor_stabilizer(f)
+
+
+def test_tile_keeps_a_base_cycle_stabilizer_cut_to_the_acting_subgroup():
+    # C = (1, b, a6, a6b) is <b>, fixed by its 4 elements; under A = <a>,
+    # which holds a6 = b^2 but not b, C meets a coset twice and its 6
+    # translates tile Q24, so _tile must keep <b> cut to A, {1, a6}
+    G = build_group("Q24")
+    A = G.subgroup_closure([G.parse("a")])
+    c = cycle_from_texts(G, ["1", "b", "a6", "a6b"])
+    spec = _hand_built(G, [FactorRecipe("F", (("C", c),), "A", A)])
+    assert stabilizers_checked(spec) == {"kernel": 1}
+    assert _tile(G, spec.factors[0])[2] == [{G.identity, G.parse("a6")}]
 
 
 @pytest.mark.parametrize("sid", ["24-9-2", "48-17-6"])

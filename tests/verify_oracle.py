@@ -30,7 +30,6 @@ from hwpreg.cayley import cocktail_party_graph
 from hwpreg.cycles import (
     Cycle,
     CycleOrbit,
-    _codes,
     _stabilizer,
     cycle_stabilizer,
     translate_cycle,
@@ -117,7 +116,7 @@ def assemble_factor(group: FiniteGroup, recipe: FactorRecipe) -> TwoFactor:
 
 def factor_stabilizer(f: TwoFactor) -> Subgroup:
     """Set-wise stabilizer of the whole factor under right translation."""
-    members = tuple(sorted(_stabilizer(f.group, _codes(f.group, f.key()), "factor")))
+    members = tuple(sorted(_stabilizer(f.group, f.key(), "factor")))
     return Subgroup(f.group, members)
 
 

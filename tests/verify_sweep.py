@@ -10,14 +10,18 @@ every factor that assembles must get, from `factors._settle`, the step
 verify and target derivation share, the oracle factor's cycle length,
 cycle count, |Omega(F)| and full-kernel stabilizer, which must be the
 acting subgroup S wherever the difference count settles it (i not in Omega(F) and
-|Omega(F)| * |S| = 2v, decided here from the oracle's cycles).  Exits 1
-and names the first document that differs.  The library's canonical and
+|Omega(F)| * |S| = 2v, decided here from the oracle's cycles), and each
+base cycle's stabilizer in S that `factors._tile` keeps must be the
+brute-force one.  Exits 1 and names the first document that differs.
+The base cycles each verify sends to the single-cycle kernel are
+counted, and the sweep exits 1 and names the document if one verify
+sends the same base cycle twice.  The library's canonical and
 human certificate, or the error it raises, on every document in sweep
 order is hashed, rejects included, and the sweep exits 1 unless that
 SHA-256 is CERTIFICATES_SHA256; otherwise it prints the passes and how
 many rejects each witness kind decided, in the library and in the
-oracle, and how many assembled factors the count settled and how many
-went to the kernel.
+oracle, how many assembled factors the count settled and how many
+went to the kernel, and how many base cycles went to the kernel.
 
     PYTHONPATH=src python tests/verify_sweep.py
 """
@@ -33,7 +37,9 @@ from importlib import resources
 
 from hwpreg import SOLUTION_IDS
 from hwpreg.solutions import parse_solution_dict
-from test_verify_lockstep import _corruptions, _texts, lockstep, stabilizers_checked
+from test_verify_lockstep import (
+    _corruptions, _texts, cycle_kernel_calls, lockstep, stabilizers_checked
+)
 
 SEEDS = range(1, 41)
 # the hash of every library certificate, or error, in sweep order over SEEDS
@@ -66,6 +72,7 @@ def sweep(seeds: range) -> int:
     }
     kinds: dict[str, Counter] = {"library": Counter(), "oracle": Counter()}
     stabilizer_paths: Counter = Counter()
+    cycles_sent = 0  # base cycles sent to the single-cycle kernel
     digest = hashlib.sha256()
     runs = [(None, sid, [docs[sid]]) for sid in SOLUTION_IDS]
     for seed in seeds:
@@ -82,6 +89,12 @@ def sweep(seeds: range) -> int:
             if not agree:
                 print(f"mismatch: seed {seed} {sid} {_changed(docs[sid], bad)}")
                 return 1
+            sent = cycle_kernel_calls(spec)
+            if len(set(sent)) != len(sent):
+                print(f"a base cycle sent to the kernel twice: seed {seed} {sid} "
+                      f"{_changed(docs[sid], bad)}")
+                return 1
+            cycles_sent += len(sent)
             texts = got if isinstance(got, tuple) else _texts(got)
             digest.update("".join(f"{t}\n" for t in texts).encode())
             kinds["library"][_kind(got)] += 1
@@ -94,7 +107,8 @@ def sweep(seeds: range) -> int:
     for side, counts in kinds.items():
         print(f"{side}: " + ", ".join(f"{k} {n}" for k, n in counts.most_common()))
     settled, kernel = stabilizer_paths["settled"], stabilizer_paths["kernel"]
-    print(f"factor stabilizers: {settled} settled by the difference count, {kernel} by the kernel")
+    print(f"factor stabilizers: {settled} settled by the difference count, {kernel} by the kernel; "
+          f"{cycles_sent} base cycles sent to the single-cycle kernel, none twice in one verify")
     return 0
 
 
